@@ -1,9 +1,11 @@
 """Command line surface: distributions, the verification harness, tables.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
-integrity error (e.g. a non-integer EGF coefficient).  The default worker
-count comes from the WEYLRUNS_THREADS environment variable; --threads
-overrides it.  Output for fixed inputs is byte-identical across runs and
+Exit codes: 0 success, 1 verification failure, 2 usage error (including a
+bad worker count), 3 internal error: an integrity error (e.g. a non-integer
+EGF coefficient) or any other unexpected exception.  The worker count comes
+from --threads, else the WEYLRUNS_THREADS environment variable, else 1; it
+must be an integer >= 1, and counts above oracle.MAX_WORKERS (32) are
+clamped to it.  Output for fixed inputs is byte-identical across runs and
 worker counts.
 """
 
@@ -12,10 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from . import verify as verify_mod
 from .errors import DomainError, IntegrityError
-from .oracle import SignedDistributionRequest, dist_runs, dist_runs_parity_split, family_poly
+from .oracle import SignedDistributionRequest, dist_runs, dist_runs_parity_split, family_poly, resolve_workers
 from .poly import UniPoly, poly_to_json
 
 
@@ -200,12 +203,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.threads = resolve_workers(args.threads)
         return args.fn(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # exit code 1 is reserved for a failed check
+        traceback.print_exc()
+        print(f"internal error: {exc!r}", file=sys.stderr)
         return 3
 
 

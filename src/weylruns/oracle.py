@@ -4,22 +4,26 @@ Everything here is obtained by walking a whole group and tallying exact
 integer statistics; closed-form evaluators never feed back into this module,
 so oracle-vs-formula comparisons stay two independent routes.
 
-Two engines produce identical tallies:
+There is one walk per group: `_perm_blocks` / `_signed_blocks` yield the
+elements in the contract order as int8 blocks, and vectorized kernels tally
+bounded statistics through int64 bincounts (counting only, no floating
+point).  Three tallies come out of it:
 
-* a pure-Python reference walk (`engine="python"`), built on perm_core's
-  statistics functions;
-* a vectorized walk (`engine="numpy"`) that tallies the same bounded
-  statistics through int64 bincounts (counting only, no floating point).
+* the joint A and B tallies, of which every distribution is a marginal sum;
+* the subset tally, which classifies B_n into the cancellation subsets and
+  the snakes of D_n into the staircase subsets L^1..L^4.
 
 Work is split over contiguous lexicographic rank ranges of the underlying
-permutation index space; partial tallies merge by integer addition, so the
-result is bitwise identical for any worker count.  Successful full-group
-scans are cached per n.
+permutation index space; partial bincounts merge by integer addition and are
+decoded once, so the result is bitwise identical for any worker count.
+Successful full-group scans are cached per n.  The test suite keeps a
+pure-Python walk over perm_core's statistics as the reference for all three.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -28,27 +32,25 @@ from math import factorial
 
 import numpy as np
 
-from . import perm_core as _pc
 from .errors import DomainError
 from .perm_core import (
+    SNAKE_FAMILIES,
+    _check_n,
     classify_end_b,
     delete_abs,
-    inv_a,
     inv_b,
     inv_d,
-    is_alternating,
-    is_snake_b,
-    iter_group,
     negatives,
     normalize_group,
-    peaks_valleys_a,
     peaks_valleys_b,
     pos_abs,
 )
 from .poly import BiPoly, UniPoly
 
 SIGN_STATISTICS = ("none", "inv_a", "inv_b", "inv_d")
-SNAKE_FAMILIES = ("B", "B+", "B-", "D", "B-D", "D+", "D-", "B-D+", "B-D-")
+
+# Upper bound on the worker threads of one scan; larger requests are clamped.
+MAX_WORKERS = 32
 
 _CACHE_LOCK = threading.Lock()
 _JOINT_A_CACHE: dict[int, dict] = {}
@@ -64,16 +66,19 @@ def clear_caches() -> None:
 
 
 def resolve_workers(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("WEYLRUNS_THREADS")
-    return max(1, int(env)) if env else 1
+    """The worker count: the argument, else WEYLRUNS_THREADS, else 1.
 
-
-def _check_cap(group: str, n: int) -> None:
-    cap = _pc.CAP_A if group == "A" else _pc.CAP_B
-    if n < 1 or n > cap:
-        raise DomainError(f"n={n} outside enumeration range 1..{cap} for group {group}")
+    A non-integer or a count below 1 raises DomainError; counts above
+    MAX_WORKERS are clamped to it.
+    """
+    raw = workers if workers is not None else (os.environ.get("WEYLRUNS_THREADS") or 1)
+    try:
+        count = int(raw) if isinstance(raw, str) else operator.index(raw)
+    except (TypeError, ValueError):
+        raise DomainError(f"worker count must be an integer, got {raw!r}") from None
+    if count < 1:
+        raise DomainError(f"worker count must be at least 1, got {count}")
+    return min(count, MAX_WORKERS)
 
 
 def _ranges(total: int, workers: int) -> list[tuple[int, int]]:
@@ -87,21 +92,13 @@ def _ranges(total: int, workers: int) -> list[tuple[int, int]]:
     return out
 
 
-def _run_split(fn, total: int, workers: int):
+def _run_split(fn, total: int, workers: int | None):
     """Apply fn(lo, hi) over a contiguous partition and return partials in order."""
-    parts = _ranges(total, workers)
+    parts = _ranges(total, resolve_workers(workers))
     if len(parts) == 1:
         return [fn(*parts[0])]
     with ThreadPoolExecutor(max_workers=len(parts)) as pool:
         return list(pool.map(lambda r: fn(*r), parts))
-
-
-def _merge_dicts(parts) -> dict:
-    out: dict = {}
-    for part in parts:
-        for k, v in part.items():
-            out[k] = out.get(k, 0) + v
-    return out
 
 
 # =====================================================================
@@ -120,38 +117,6 @@ def _alt_target(n: int) -> np.ndarray:
     if n not in _ALT_TARGET:
         _ALT_TARGET[n] = np.arange(n - 1) % 2 == 1
     return _ALT_TARGET[n]
-
-
-def _scan_a_python(n: int, lo: int, hi: int) -> dict:
-    tally: dict = {}
-    it = itertools.islice(itertools.permutations(range(1, n + 1)), lo, hi)
-    for w in it:
-        peaks, valleys = peaks_valleys_a(w)
-        first = 1 if (n < 2 or w[0] < w[1]) else 0
-        last = 1 if (n < 2 or w[-2] < w[-1]) else 0
-        key = (len(peaks), len(valleys), inv_a(w) & 1, first, last, 1 if is_alternating(w) else 0)
-        tally[key] = tally.get(key, 0) + 1
-    return tally
-
-
-def _scan_b_python(n: int, lo: int, hi: int) -> dict:
-    tally: dict = {}
-    nmasks = 1 << n
-    rank_lo, rank_hi = lo >> n, (hi + nmasks - 1) >> n
-    perms = itertools.islice(itertools.permutations(range(1, n + 1)), rank_lo, rank_hi)
-    for rank, perm in enumerate(perms, start=rank_lo):
-        base = rank << n
-        for mask in range(max(lo - base, 0), min(hi - base, nmasks)):
-            w = tuple(-v if (mask >> i) & 1 else v for i, v in enumerate(perm))
-            peaks, valleys = peaks_valleys_b(w)
-            ib, idd, ng = inv_b(w), inv_d(w), negatives(w)
-            last = 1 if (0 if n == 1 else w[-2]) < w[-1] else 0
-            key = (
-                len(peaks), len(valleys), ib & 1, idd & 1, ng & 1,
-                last, 1 if w[0] > 0 else 0, 1 if is_alternating(w) else 0,
-            )
-            tally[key] = tally.get(key, 0) + 1
-    return tally
 
 
 def _perm_blocks(n: int, lo: int, hi: int, chunk: int):
@@ -276,46 +241,37 @@ def _decode_b(acc: np.ndarray, n: int) -> dict:
     return tally
 
 
-def scan_joint_a(n: int, workers: int = 1, engine: str = "auto") -> dict:
+def scan_joint_a(n: int, workers: int | None = 1) -> dict:
     """Uncached joint tally over S_n (used directly by determinism tests)."""
-    _check_cap("A", n)
-    total = factorial(n)
-    if engine == "python" or (engine == "auto" and total <= 5040):
-        return _merge_dicts(_run_split(lambda a, b: _scan_a_python(n, a, b), total, workers))
-    parts = _run_split(lambda a, b: _scan_a_numpy(n, a, b), total, workers)
+    _check_n("A", n)
+    parts = _run_split(lambda a, b: _scan_a_numpy(n, a, b), factorial(n), workers)
     return _decode_a(sum(parts), n)
 
 
-def scan_joint_b(n: int, workers: int = 1, engine: str = "auto") -> dict:
+def scan_joint_b(n: int, workers: int | None = 1) -> dict:
     """Uncached joint tally over B_n."""
-    _check_cap("B", n)
-    total = factorial(n) << n
-    if engine == "python" or (engine == "auto" and total <= 8192):
-        return _merge_dicts(_run_split(lambda a, b: _scan_b_python(n, a, b), total, workers))
-    parts = _run_split(lambda a, b: _scan_b_numpy(n, a, b), total, workers)
+    _check_n("B", n)
+    parts = _run_split(lambda a, b: _scan_b_numpy(n, a, b), factorial(n) << n, workers)
     return _decode_b(sum(parts), n)
 
 
-def joint_a(n: int, workers: int | None = None) -> dict:
+def _cached(cache: dict, n: int, scan, workers: int | None) -> dict:
     with _CACHE_LOCK:
-        hit = _JOINT_A_CACHE.get(n)
+        hit = cache.get(n)
     if hit is not None:
         return hit
-    tally = scan_joint_a(n, resolve_workers(workers))
+    tally = scan(n, workers)
     with _CACHE_LOCK:
-        _JOINT_A_CACHE[n] = tally
+        cache[n] = tally
     return tally
+
+
+def joint_a(n: int, workers: int | None = None) -> dict:
+    return _cached(_JOINT_A_CACHE, n, scan_joint_a, workers)
 
 
 def joint_b(n: int, workers: int | None = None) -> dict:
-    with _CACHE_LOCK:
-        hit = _JOINT_B_CACHE.get(n)
-    if hit is not None:
-        return hit
-    tally = scan_joint_b(n, resolve_workers(workers))
-    with _CACHE_LOCK:
-        _JOINT_B_CACHE[n] = tally
-    return tally
+    return _cached(_JOINT_B_CACHE, n, scan_joint_b, workers)
 
 
 # =====================================================================
@@ -426,7 +382,7 @@ def dist_runs(req: SignedDistributionRequest, variable: str = "t", workers: int 
     """
     if variable not in ("t", "pq"):
         raise DomainError(f"unknown variable selector {variable!r}")
-    _check_cap(req.group, req.n)
+    _check_n(req.group, req.n)
     biv = variable == "pq"
     if req.group == "A":
         first = last = None
@@ -447,7 +403,7 @@ def dist_runs_parity_split(group: str, n: int, workers: int | None = None) -> tu
     inv_D for D and B-D.
     """
     group = normalize_group(group)
-    _check_cap(group, n)
+    _check_n(group, n)
     if group == "A":
         plus: dict[int, int] = {}
         minus: dict[int, int] = {}
@@ -470,14 +426,14 @@ def class_poly_a(n: int, cls: str, signed: bool = True, workers: int | None = No
         raise DomainError("the four end classes are undefined for n = 1")
     if cls not in ("aa", "ad", "da", "dd"):
         raise DomainError(f"unknown class {cls!r}")
-    _check_cap("A", n)
+    _check_n("A", n)
     return _sum_a(n, workers, biv=True, signed=signed, first=cls[0], last=cls[1])
 
 
 def count_alternating(group: str, n: int, parity: str = "all", workers: int | None = None) -> int:
     """Number of alternating (down-up) elements; parity filters by group length."""
     group = normalize_group(group)
-    _check_cap(group, n)
+    _check_n(group, n)
     if parity not in ("all", "plus", "minus"):
         raise DomainError(f"unknown parity selector {parity!r}")
     if group == "A":
@@ -497,7 +453,7 @@ def count_snakes(family: str, n: int, workers: int | None = None) -> int:
     """Snake counts; +/- refinements use inv_B for B and inv_D for D and B-D."""
     if family not in SNAKE_FAMILIES:
         raise DomainError(f"unknown snake family {family!r}")
-    _check_cap("B", n)
+    _check_n("B", n)
     base = family.rstrip("+-")
     parity = "plus" if family.endswith("+") else ("minus" if family.endswith("-") and family != "B-D" else None)
     membership = None if base == "B" else base
@@ -576,135 +532,109 @@ def subset_index_d(word) -> int:
     return subset_index_b(word)
 
 
-def _subset_scan_python(n: int, lo: int, hi: int) -> dict:
-    tally: dict = {}
-    nmasks = 1 << n
-    rank_lo, rank_hi = lo >> n, (hi + nmasks - 1) >> n
-    perms = itertools.islice(itertools.permutations(range(1, n + 1)), rank_lo, rank_hi)
-    for rank, perm in enumerate(perms, start=rank_lo):
-        base = rank << n
-        for mask in range(max(lo - base, 0), min(hi - base, nmasks)):
-            w = tuple(-v if (mask >> idx) & 1 else v for idx, v in enumerate(perm))
-            peaks, valleys = peaks_valleys_b(w)
-            pk, val = len(peaks), len(valleys)
-            end = classify_end_b(w)
-            k = subset_index_b(w)
-            sb = -1 if inv_b(w) & 1 else 1
-            key = ("B", end, k, pk, val)
-            tally[key] = tally.get(key, 0) + sb
-            if negatives(w) % 2 == 0:
-                kd = subset_index_d(w)
-                sd = -1 if inv_d(w) & 1 else 1
-                key = ("D", end, kd, pk, val)
-                tally[key] = tally.get(key, 0) + sd
-    return tally
+def _subset_side(n: int) -> int:
+    """Size of one side's code space: (k 0..9, end, pk, val, sign bit)."""
+    return 10 * 2 * (n + 1) * (n + 1) * 2
 
 
-def _subset_scan_numpy(n: int, lo: int, hi: int) -> dict:
-    tally: dict = {}
-    rows_idx = None
+def _subset_scan_numpy(n: int, lo: int, hi: int) -> np.ndarray:
+    """Subset bincounts over ambient indices [lo, hi).
+
+    Codes below one side hold the type B cell (k, end, pk, val) with the
+    inv_B parity bit; the next side holds the type D cell over D_n with the
+    inv_D bit; after both, 2 * L + (inv_D mod 2) counts the snakes of D_n in
+    staircase subset L.
+    """
+    base, side = n + 1, _subset_side(n)
+    acc = np.zeros(2 * side + 10, dtype=np.int64)
     for w in _signed_blocks(n, lo, hi):
         m = w.shape[0]
         if m == 0:
             continue
-        if rows_idx is None or len(rows_idx) != m:
-            rows_idx = np.arange(m)
-        pk, val, inv_plain, cross, negs, last, _alt = _stats_word_block(w)
+        pk, val, inv_plain, cross, negs, last, alt = _stats_word_block(w)
         absw = np.abs(w)
         big = absw >= n - 1
         bigpos = np.argsort(~big, axis=1, kind="stable")[:, :2]
         i, j = bigpos[:, 0], bigpos[:, 1]
-        smallpos = np.argsort(big, axis=1, kind="stable")[:, : n - 2]
-        w2_last = w[rows_idx, smallpos[:, -1]]
-        w2_prev = w[rows_idx, smallpos[:, -2]] if n >= 4 else np.zeros(m, dtype=np.int8)
-        cls2_asc = w2_prev < w2_last
-        near = (j - i) == 1
-        pn_big = absw[:, -1] >= n - 1
         sgn_same = (w[:, -2] > 0) == (w[:, -1] > 0)
-        match = cls2_asc == last
-        k = np.where(
-            ~near,
-            np.where(match, 1, 2),
-            np.where(
-                ~pn_big,
-                np.where(match, 3, 4),
-                np.where(~sgn_same, np.where(match, 5, 6), np.where(match, 8, 7)),
-            ),
-        )
-        invb2 = (inv_plain + cross + negs) & 1
-        invd2 = (inv_plain + cross) & 1
-        base = n + 1
-        kb = ((k * 2 + last) * base + pk) * base + val
-        code_b = kb * 2 + invb2
-        counts = np.bincount(code_b, minlength=9 * 2 * base * base * 2)
-        for code in np.nonzero(counts)[0]:
-            c, remv = int(counts[code]), int(code)
-            sign = -1 if remv & 1 else 1
-            remv >>= 1
-            remv, vv = divmod(remv, base)
-            remv, pp = divmod(remv, base)
-            kk, ll = divmod(remv, 2)
-            key = ("B", "a" if ll else "d", int(kk), int(pp), int(vv))
-            tally[key] = tally.get(key, 0) + sign * c
+        l_idx = np.where(j - i > 1, 1, np.where(absw[:, -1] < n - 1, 2, np.where(sgn_same, 4, 3)))
         in_d = (negs & 1) == 0
-        if in_d.any():
-            kd = np.where((w[rows_idx, i] < 0) != (w[rows_idx, j] < 0), 9, k)
+        invd2 = (inv_plain + cross) & 1
+        snake = in_d & alt & (w[:, 0] > 0)
+        codes = [2 * side + (l_idx * 2 + invd2)[snake]]
+        if n >= 3:
+            rows = np.arange(m)
+            smallpos = np.argsort(big, axis=1, kind="stable")[:, : n - 2]
+            w2_last = w[rows, smallpos[:, -1]]
+            w2_prev = w[rows, smallpos[:, -2]] if n >= 4 else np.zeros(m, dtype=np.int8)
+            match = (w2_prev < w2_last) == last
+            # k_B refines L: 2L - 1 when the deleted word keeps the end class,
+            # else 2L; the L = 4 pair is numbered the other way round (8, 7).
+            k = 2 * l_idx - np.where(l_idx == 4, ~match, match)
+            kd = np.where((w[rows, i] < 0) != (w[rows, j] < 0), 9, k)
+            code_b = (((k * 2 + last) * base + pk) * base + val) * 2 + ((inv_plain + cross + negs) & 1)
             code_d = (((kd * 2 + last) * base + pk) * base + val) * 2 + invd2
-            counts = np.bincount(code_d[in_d], minlength=10 * 2 * base * base * 2)
-            for code in np.nonzero(counts)[0]:
-                c, remv = int(counts[code]), int(code)
-                sign = -1 if remv & 1 else 1
-                remv >>= 1
-                remv, vv = divmod(remv, base)
-                remv, pp = divmod(remv, base)
-                kk, ll = divmod(remv, 2)
-                key = ("D", "a" if ll else "d", int(kk), int(pp), int(vv))
-                tally[key] = tally.get(key, 0) + sign * c
+            codes += [code_b, side + code_d[in_d]]
+        acc += np.bincount(np.concatenate(codes), minlength=acc.size)
+    return acc
+
+
+def _decode_subsets(acc: np.ndarray, n: int) -> dict:
+    base, side = n + 1, _subset_side(n)
+    tally: dict = {}
+    for code in np.nonzero(acc)[0]:
+        c, rem = int(acc[code]), int(code)
+        part, rem = divmod(rem, side)
+        if part == 2:
+            tally[("L", rem >> 1, rem & 1)] = c
+            continue
+        rem, sign = divmod(rem, 2)
+        rem, val = divmod(rem, base)
+        rem, pk = divmod(rem, base)
+        k, last = divmod(rem, 2)
+        key = ("BD"[part], "a" if last else "d", k, pk, val)
+        tally[key] = tally.get(key, 0) + (-c if sign else c)
     return tally
 
 
-def scan_subsets(n: int, workers: int = 1, engine: str = "auto") -> dict:
+def scan_subsets(n: int, workers: int | None = 1) -> dict:
     """Uncached one-pass classification of B_n into cancellation subsets.
 
     Returns a tally keyed by ("B"|"D", end, k, pk, val) holding the signed
-    count (inv_B sign on the B side, inv_D on the D side over D_n).
+    count (inv_B sign on the B side, inv_D on the D side over D_n), and by
+    ("L", l, inv_D mod 2) holding the number of snakes of D_n in staircase
+    subset l.  The cancellation subsets need n >= 3, so for n = 2 the tally
+    has only the snake keys.
     """
-    _check_cap("B", n)
-    if n < 3:
-        raise DomainError("cancellation subsets need n >= 3")
-    total = factorial(n) << n
-    if engine == "python" or (engine == "auto" and total <= 8192):
-        return _merge_dicts(_run_split(lambda a, b: _subset_scan_python(n, a, b), total, workers))
-    return _merge_dicts(_run_split(lambda a, b: _subset_scan_numpy(n, a, b), total, workers))
+    _check_n("B", n)
+    if n < 2:
+        raise DomainError("subset classification needs n >= 2")
+    parts = _run_split(lambda a, b: _subset_scan_numpy(n, a, b), factorial(n) << n, workers)
+    return _decode_subsets(sum(parts), n)
 
 
 def _subset_scan(n: int, workers: int | None = None) -> dict:
-    with _CACHE_LOCK:
-        hit = _SUBSET_CACHE.get(n)
-    if hit is not None:
-        return hit
-    tally = scan_subsets(n, resolve_workers(workers))
-    with _CACHE_LOCK:
-        _SUBSET_CACHE[n] = tally
-    return tally
+    return _cached(_SUBSET_CACHE, n, scan_subsets, workers)
+
+
+def _subset_cell(side: str, n: int, k: int, end: str, workers: int | None) -> BiPoly:
+    if n < 3:
+        raise DomainError("cancellation subsets need n >= 3")
+    return BiPoly({key[3:]: c for key, c in _subset_scan(n, workers).items() if key[:3] == (side, end, k)})
 
 
 def subset_contribution_b(n: int, k: int, end: str, workers: int | None = None) -> BiPoly:
     """Signed bivariate contribution of subset k of B_{n,-,end} (inv_B sign)."""
     if not 1 <= k <= 8:
         raise DomainError("type B subset index must be 1..8")
-    tally = _subset_scan(n, workers)
-    return BiPoly({(pk, val): c for (t, e, kk, pk, val), c in tally.items()
-                   if t == "B" and e == end and kk == k})
+    return _subset_cell("B", n, k, end, workers)
 
 
 def subset_contribution_d(n: int, k: int, end: str, workers: int | None = None) -> BiPoly:
     """Signed bivariate contribution of subset k of D_{n,-,end} (inv_D sign)."""
     if not 1 <= k <= 9:
         raise DomainError("type D subset index must be 1..9")
-    tally = _subset_scan(n, workers)
-    return BiPoly({(pk, val): c for (t, e, kk, pk, val), c in tally.items()
-                   if t == "D" and e == end and kk == k})
+    return _subset_cell("D", n, k, end, workers)
 
 
 def build_T(n: int, end: str) -> list[tuple[int, ...]]:
@@ -744,10 +674,7 @@ def t_contribution(n: int, end: str, kind: str = "B") -> BiPoly:
 
 def snake_words_b(n: int, workers: int | None = None) -> list[tuple[int, ...]]:
     """All snakes of B_n in the contract enumeration order."""
-    _check_cap("B", n)
-    total = factorial(n) << n
-    if total <= 8192:
-        return [w for w in iter_group("B", n) if is_snake_b(w)]
+    _check_n("B", n)
 
     def scan(lo: int, hi: int) -> list[tuple[int, ...]]:
         out = []
@@ -760,7 +687,7 @@ def snake_words_b(n: int, workers: int | None = None) -> list[tuple[int, ...]]:
             out.extend(map(tuple, w[snake].tolist()))
         return out
 
-    parts = _run_split(scan, total, resolve_workers(workers))
+    parts = _run_split(scan, factorial(n) << n, workers)
     return [w for part in parts for w in part]
 
 
@@ -780,15 +707,14 @@ def snake_subset_l(word) -> int:
 
 
 def snake_subset_contribution(n: int, k: int, parity: str = "all", workers: int | None = None) -> int:
-    """|L^k ∩ D_n^parity|: snakes of D_n in subset k with the given inv_D parity."""
+    """|L^k ∩ D_n^parity|: snakes of D_n in subset k with the given inv_D parity.
+
+    A marginal of the subset tally; no scan runs once it is cached.
+    """
     if not 1 <= k <= 4:
         raise DomainError("snake subset index must be 1..4")
-    if parity not in ("all", "plus", "minus"):
+    bits = {"all": (0, 1), "plus": (0,), "minus": (1,)}.get(parity)
+    if bits is None:
         raise DomainError(f"unknown parity selector {parity!r}")
-    total = 0
-    for w in snake_words_b(n, workers):
-        if negatives(w) % 2 != 0 or snake_subset_l(w) != k:
-            continue
-        if parity == "all" or (inv_d(w) % 2 == 0) == (parity == "plus"):
-            total += 1
-    return total
+    tally = _subset_scan(n, workers)
+    return sum(tally.get(("L", k, bit), 0) for bit in bits)

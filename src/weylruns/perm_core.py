@@ -23,6 +23,7 @@ from typing import Iterator, Sequence
 from .errors import DomainError
 
 GROUPS = ("A", "B", "D", "B-D")
+SNAKE_FAMILIES = ("B", "B+", "B-", "D", "B-D", "D+", "D-", "B-D+", "B-D-")
 
 # Enumeration refuses above these caps instead of silently truncating.
 CAP_A = 11
@@ -265,8 +266,7 @@ def delete_abs(w, values: Sequence[int]) -> tuple[int, ...]:
 # Deterministic order is part of the contract: S_n in lexicographic order;
 # B_n as lexicographic permutations of absolute values crossed with sign
 # masks in binary counting order (bit i of the mask negates position i).
-# D / B-D filter that stream by the parity of the mask popcount, and range
-# splitting for every group addresses the ambient (rank, mask) index space.
+# D / B-D filter that stream by the parity of the mask popcount.
 
 def group_order(group: str, n: int) -> int:
     group = normalize_group(group)
@@ -278,9 +278,10 @@ def group_order(group: str, n: int) -> int:
 
 
 def _check_n(group: str, n: int) -> None:
+    """Refuse n outside 1..cap, reading the group's cap at call time."""
     cap = CAP_A if group == "A" else CAP_B
     if n < 1 or n > cap:
-        raise DomainError(f"n={n} outside 1..{cap} for group {group}")
+        raise DomainError(f"n={n} outside enumeration range 1..{cap} for group {group}")
 
 
 def _signed_word(perm: tuple[int, ...], mask: int) -> tuple[int, ...]:
@@ -300,29 +301,3 @@ def iter_group(group: str, n: int) -> Iterator[tuple[int, ...]]:
             if want is None or bin(mask).count("1") % 2 == want:
                 yield _signed_word(perm, mask)
 
-
-def ambient_index_size(group: str, n: int) -> int:
-    """Size of the (rank, mask) index space used for range splitting."""
-    group = normalize_group(group)
-    return factorial(n) if group == "A" else factorial(n) << n
-
-
-def iter_group_slice(group: str, n: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-    """Slice [lo, hi) of the ambient index space, filtered for D / B-D."""
-    group = normalize_group(group)
-    _check_n(group, n)
-    total = ambient_index_size(group, n)
-    if not (0 <= lo <= hi <= total):
-        raise DomainError(f"bad slice [{lo}, {hi}) of {total}")
-    if group == "A":
-        yield from itertools.islice(itertools.permutations(range(1, n + 1)), lo, hi)
-        return
-    nmasks = 1 << n
-    want = None if group == "B" else (0 if group == "D" else 1)
-    rank_lo, rank_hi = lo >> n, (hi + nmasks - 1) >> n
-    perms = itertools.islice(itertools.permutations(range(1, n + 1)), rank_lo, rank_hi)
-    for rank, perm in enumerate(perms, start=rank_lo):
-        base = rank << n
-        for mask in range(max(lo - base, 0), min(hi - base, nmasks)):
-            if want is None or bin(mask).count("1") % 2 == want:
-                yield _signed_word(perm, mask)

@@ -18,11 +18,11 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import DomainError, IntegrityError
+from .perm_core import SNAKE_FAMILIES
 
 DEFAULT_ORDER = 16
 
 ALT_FAMILIES = ("A", "A+", "A-", "B", "B+", "B-", "D", "B-D", "D+", "D-", "B-D+", "B-D-")
-SNAKE_FAMILIES = ("B", "B+", "B-", "D", "B-D", "D+", "D-", "B-D+", "B-D-")
 
 
 class Series:

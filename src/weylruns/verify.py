@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import closed_forms as cf
-from . import oracle, series
+from . import oracle, perm_core, series
 from .errors import DomainError
 from .oracle import SignedDistributionRequest, dist_runs, family_poly
-from .perm_core import CAP_A, CAP_B, inv_b, inv_d, iter_group, negatives
+from .perm_core import inv_b, inv_d, iter_group, negatives
 from .poly import BiPoly, UniPoly, moment_check, one_plus_t_multiplicity
 
 SKIPPED = "skipped"
@@ -614,72 +614,75 @@ class TheoremCheck:
     summary: str
     lo: int
     hi: int
-    max_n: int
+    group: str  # "A" or "B": the enumeration cap that bounds n
     fn: Callable
+
+    @property
+    def max_n(self) -> int:
+        return perm_core.CAP_A if self.group == "A" else perm_core.CAP_B
 
 
 def _reg() -> dict[str, TheoremCheck]:
-    a_cap, b_cap = CAP_A, CAP_B
     entries = [
         # type A
-        ("thm-sgn-altrun", "signed bivariate run sum over S_n equals the closed form", 1, 9, a_cap, chk_thm_sgn_altrun),
-        ("thm-class-biv", "per-class signed bivariate formulas", 2, 9, a_cap, chk_thm_class_biv),
-        ("cor-class-uni", "per-class signed univariate formulas", 2, 9, a_cap, chk_cor_class_uni),
-        ("rec-class-biv", "insertion recurrences reproduce the class oracle", 3, 9, a_cap, chk_rec_class),
-        ("rec-cross-odd", "q*ad = p*da cross relation feeding the odd recurrence", 3, 9, a_cap, chk_rec_cross_odd),
-        ("cor-sgn-altrun-uni", "signed univariate run sum over S_n", 1, 9, a_cap, chk_cor_sgn_uni),
-        ("wilf", "(1+t)^floor((n-2)/2) divides R_n", 4, 10, a_cap, chk_wilf),
-        ("div-r-pm", "divisibility of the even/odd halves R_n^±", 4, 10, a_cap, chk_div_r_pm),
-        ("wilf-tightness", "the R_n^± exponent m-1 is attained at n = 4, 5, 8", 4, 8, a_cap, chk_wilf_tightness),
-        ("remark-g-formula", "explicit coefficient formula for R_(n,l)^±", 4, 10, a_cap, chk_remark_g),
-        ("lem-moment", "odd/even moment identity for R_n", 6, 10, a_cap, chk_moment_r),
-        ("thm-moment-r-pm", "moment identities for R_n^±", 6, 10, a_cap, chk_moment_r_pm),
-        ("egf-alt-a", "sec x + tan x counts alternating permutations", 0, 10, a_cap, chk_egf_alt_a),
-        ("thm-egf-alt-a-pm", "EGF of even/odd alternating permutations", 0, 10, a_cap, chk_egf_alt_a_pm),
-        ("lem-alt-diff-a", "E+ - E- follows the n mod 4 table", 2, 10, a_cap, chk_alt_diff_a),
+        ("thm-sgn-altrun", "signed bivariate run sum over S_n equals the closed form", 1, 9, "A", chk_thm_sgn_altrun),
+        ("thm-class-biv", "per-class signed bivariate formulas", 2, 9, "A", chk_thm_class_biv),
+        ("cor-class-uni", "per-class signed univariate formulas", 2, 9, "A", chk_cor_class_uni),
+        ("rec-class-biv", "insertion recurrences reproduce the class oracle", 3, 9, "A", chk_rec_class),
+        ("rec-cross-odd", "q*ad = p*da cross relation feeding the odd recurrence", 3, 9, "A", chk_rec_cross_odd),
+        ("cor-sgn-altrun-uni", "signed univariate run sum over S_n", 1, 9, "A", chk_cor_sgn_uni),
+        ("wilf", "(1+t)^floor((n-2)/2) divides R_n", 4, 10, "A", chk_wilf),
+        ("div-r-pm", "divisibility of the even/odd halves R_n^±", 4, 10, "A", chk_div_r_pm),
+        ("wilf-tightness", "the R_n^± exponent m-1 is attained at n = 4, 5, 8", 4, 8, "A", chk_wilf_tightness),
+        ("remark-g-formula", "explicit coefficient formula for R_(n,l)^±", 4, 10, "A", chk_remark_g),
+        ("lem-moment", "odd/even moment identity for R_n", 6, 10, "A", chk_moment_r),
+        ("thm-moment-r-pm", "moment identities for R_n^±", 6, 10, "A", chk_moment_r_pm),
+        ("egf-alt-a", "sec x + tan x counts alternating permutations", 0, 10, "A", chk_egf_alt_a),
+        ("thm-egf-alt-a-pm", "EGF of even/odd alternating permutations", 0, 10, "A", chk_egf_alt_a_pm),
+        ("lem-alt-diff-a", "E+ - E- follows the n mod 4 table", 2, 10, "A", chk_alt_diff_a),
         # type B
-        ("thm-b-main", "type B signed bivariate formulas (ends and total)", 1, 8, b_cap, chk_b_main),
-        ("cor-b-uni", "type B signed univariate formula", 1, 8, b_cap, chk_cor_b_uni),
-        ("lem-b-flipsgn", "sign-flip relation between the two type B ends", 1, 8, b_cap, chk_b_flipsgn),
-        ("lem-b-cancel", "type B subsets 1..7 cancel; the 8 subsets partition", 3, 7, b_cap, chk_b_cancel),
-        ("lem-b-minus-t", "B^8 minus the T set cancels; T carries the whole sum", 1, 7, b_cap, chk_b_minus_t),
-        ("thm-zhao-bgt", "divisibility of the positive-first-letter type B family", 1, 8, b_cap, chk_zhao_bgt),
-        ("thm-div-b", "divisibility of R_n^B", 1, 8, b_cap, chk_div_b),
-        ("thm-div-b-pm", "divisibility of R_n^(B,±)", 1, 8, b_cap, chk_div_b_pm),
-        ("thm-moment-bgt", "moment identities for R^(B,>)", 5, 8, b_cap, chk_moment_bgt),
-        ("cor-moment-b", "moment identities for R^B", 5, 8, b_cap, chk_moment_b),
-        ("thm-moment-b-pm", "moment identities for R^(B,±)", 5, 8, b_cap, chk_moment_b_pm),
+        ("thm-b-main", "type B signed bivariate formulas (ends and total)", 1, 8, "B", chk_b_main),
+        ("cor-b-uni", "type B signed univariate formula", 1, 8, "B", chk_cor_b_uni),
+        ("lem-b-flipsgn", "sign-flip relation between the two type B ends", 1, 8, "B", chk_b_flipsgn),
+        ("lem-b-cancel", "type B subsets 1..7 cancel; the 8 subsets partition", 3, 7, "B", chk_b_cancel),
+        ("lem-b-minus-t", "B^8 minus the T set cancels; T carries the whole sum", 1, 7, "B", chk_b_minus_t),
+        ("thm-zhao-bgt", "divisibility of the positive-first-letter type B family", 1, 8, "B", chk_zhao_bgt),
+        ("thm-div-b", "divisibility of R_n^B", 1, 8, "B", chk_div_b),
+        ("thm-div-b-pm", "divisibility of R_n^(B,±)", 1, 8, "B", chk_div_b_pm),
+        ("thm-moment-bgt", "moment identities for R^(B,>)", 5, 8, "B", chk_moment_bgt),
+        ("cor-moment-b", "moment identities for R^B", 5, 8, "B", chk_moment_b),
+        ("thm-moment-b-pm", "moment identities for R^(B,±)", 5, 8, "B", chk_moment_b_pm),
         # type D
-        ("cor-inv-bd", "inv_B = inv_D + |Negs| on all of B_n", 1, 6, b_cap, chk_inv_bd),
-        ("thm-d-main", "type D signed bivariate formulas (ends and total)", 1, 8, b_cap, chk_d_main),
-        ("cor-d-uni", "type D signed univariate formula", 1, 8, b_cap, chk_cor_d_uni),
-        ("lem-d-cancel", "type D subsets 1..7 and 9 cancel; the 9 subsets partition", 3, 7, b_cap, chk_d_cancel),
-        ("lem-d-minus-t", "D^8 minus the T set cancels under inv_D", 3, 7, b_cap, chk_d_minus_t),
-        ("thm-gao-sun-first", "difference of positive-first D and B-D families", 1, 8, b_cap, chk_gao_sun_first),
-        ("thm-d-total-diff", "difference R^D - R^(B-D)", 1, 8, b_cap, chk_d_total_diff),
-        ("thm-b-equals-d", "R^(B,+) = R^D and R^(B,-) = R^(B-D)", 1, 8, b_cap, chk_b_equals_d),
-        ("thm-div-d", "divisibility of R^D and R^(B-D)", 1, 8, b_cap, chk_div_d),
-        ("thm-div-d-pm", "divisibility of R^(D,±) and R^(B-D,±)", 1, 8, b_cap, chk_div_d_pm),
-        ("thm-moment-dgt", "moment identities for R^(D,>) and R^(B-D,>)", 5, 8, b_cap, chk_moment_dgt),
-        ("cor-moment-d", "moment identities for R^D", 5, 8, b_cap, chk_moment_d),
-        ("thm-moment-d-pm", "moment identities for R^(D,±)", 5, 8, b_cap, chk_moment_d_pm),
+        ("cor-inv-bd", "inv_B = inv_D + |Negs| on all of B_n", 1, 6, "B", chk_inv_bd),
+        ("thm-d-main", "type D signed bivariate formulas (ends and total)", 1, 8, "B", chk_d_main),
+        ("cor-d-uni", "type D signed univariate formula", 1, 8, "B", chk_cor_d_uni),
+        ("lem-d-cancel", "type D subsets 1..7 and 9 cancel; the 9 subsets partition", 3, 7, "B", chk_d_cancel),
+        ("lem-d-minus-t", "D^8 minus the T set cancels under inv_D", 3, 7, "B", chk_d_minus_t),
+        ("thm-gao-sun-first", "difference of positive-first D and B-D families", 1, 8, "B", chk_gao_sun_first),
+        ("thm-d-total-diff", "difference R^D - R^(B-D)", 1, 8, "B", chk_d_total_diff),
+        ("thm-b-equals-d", "R^(B,+) = R^D and R^(B,-) = R^(B-D)", 1, 8, "B", chk_b_equals_d),
+        ("thm-div-d", "divisibility of R^D and R^(B-D)", 1, 8, "B", chk_div_d),
+        ("thm-div-d-pm", "divisibility of R^(D,±) and R^(B-D,±)", 1, 8, "B", chk_div_d_pm),
+        ("thm-moment-dgt", "moment identities for R^(D,>) and R^(B-D,>)", 5, 8, "B", chk_moment_dgt),
+        ("cor-moment-d", "moment identities for R^D", 5, 8, "B", chk_moment_d),
+        ("thm-moment-d-pm", "moment identities for R^(D,±)", 5, 8, "B", chk_moment_d_pm),
         # EGFs: alternating
-        ("thm-egf-alt-b", "sec 2x + tan 2x counts type B alternating permutations", 0, 8, b_cap, chk_egf_alt_b),
-        ("thm-egf-alt-b-pm", "EGF of the B± alternating counts", 0, 8, b_cap, chk_egf_alt_b_pm),
-        ("thm-egf-alt-d", "EGF of the D and B-D alternating counts", 0, 8, b_cap, chk_egf_alt_d),
-        ("lem-alt-b-equal", "the four quarter counts all equal E^B/2", 1, 8, b_cap, chk_alt_b_equal),
-        ("thm-egf-alt-d-pm", "EGF of the D± alternating counts", 0, 8, b_cap, chk_egf_alt_d_pm),
-        ("lem-alt-d-equal", "E^(D,±) and E^(B-D,±) halve their families", 2, 8, b_cap, chk_alt_d_equal),
-        ("thm-egf-alt-bmd-pm", "printed B-D± alternating EGF (documented mismatch)", 0, 8, b_cap, chk_egf_alt_bmd_pm),
+        ("thm-egf-alt-b", "sec 2x + tan 2x counts type B alternating permutations", 0, 8, "B", chk_egf_alt_b),
+        ("thm-egf-alt-b-pm", "EGF of the B± alternating counts", 0, 8, "B", chk_egf_alt_b_pm),
+        ("thm-egf-alt-d", "EGF of the D and B-D alternating counts", 0, 8, "B", chk_egf_alt_d),
+        ("lem-alt-b-equal", "the four quarter counts all equal E^B/2", 1, 8, "B", chk_alt_b_equal),
+        ("thm-egf-alt-d-pm", "EGF of the D± alternating counts", 0, 8, "B", chk_egf_alt_d_pm),
+        ("lem-alt-d-equal", "E^(D,±) and E^(B-D,±) halve their families", 2, 8, "B", chk_alt_d_equal),
+        ("thm-egf-alt-bmd-pm", "printed B-D± alternating EGF (documented mismatch)", 0, 8, "B", chk_egf_alt_bmd_pm),
         # EGFs: snakes
-        ("egf-snakes-springer", "1/(cos x - sin x) counts type B snakes", 0, 8, b_cap, chk_egf_snakes_springer),
-        ("thm-snakes-b-egf", "EGF of S^(B,±), S^D, S^(B-D)", 0, 8, b_cap, chk_snakes_b_egf),
-        ("thm-snakes-d-egf", "EGF of S^(D,±) and S^(B-D,±)", 0, 8, b_cap, chk_snakes_d_egf),
-        ("lem-snake-diff-b", "S^(B,+) - S^(B,-) follows the n mod 4 table", 1, 8, b_cap, chk_snake_diff_b),
-        ("thm-gao-sun-snakes", "S^D - S^(B-D) follows the n mod 4 table", 1, 8, b_cap, chk_gao_sun_snakes),
-        ("thm-snake-diff-d", "S^(D,±), S^(B-D,±) differences and jump recurrences", 1, 8, b_cap, chk_snake_diff_d),
-        ("lem-snake-l-subsets", "snake staircase subsets pair off except the last", 3, 6, b_cap, chk_snake_l_subsets),
-        ("snake-b-equals-d", "S^(B,+) = S^D and S^(B,-) = S^(B-D)", 0, 8, b_cap, chk_snake_b_equals_d),
+        ("egf-snakes-springer", "1/(cos x - sin x) counts type B snakes", 0, 8, "B", chk_egf_snakes_springer),
+        ("thm-snakes-b-egf", "EGF of S^(B,±), S^D, S^(B-D)", 0, 8, "B", chk_snakes_b_egf),
+        ("thm-snakes-d-egf", "EGF of S^(D,±) and S^(B-D,±)", 0, 8, "B", chk_snakes_d_egf),
+        ("lem-snake-diff-b", "S^(B,+) - S^(B,-) follows the n mod 4 table", 1, 8, "B", chk_snake_diff_b),
+        ("thm-gao-sun-snakes", "S^D - S^(B-D) follows the n mod 4 table", 1, 8, "B", chk_gao_sun_snakes),
+        ("thm-snake-diff-d", "S^(D,±), S^(B-D,±) differences and jump recurrences", 1, 8, "B", chk_snake_diff_d),
+        ("lem-snake-l-subsets", "snake staircase subsets pair off except the last", 3, 6, "B", chk_snake_l_subsets),
+        ("snake-b-equals-d", "S^(B,+) = S^D and S^(B,-) = S^(B-D)", 0, 8, "B", chk_snake_b_equals_d),
     ]
     return {e[0]: TheoremCheck(*e) for e in entries}
 
@@ -697,7 +700,12 @@ def run_checks(
     n_max: int | None = None,
     workers: int | None = None,
 ) -> Report:
-    """Run one id (or "all") over its clipped range; outcomes sorted by (id, n)."""
+    """Run one id (or "all") over a range of n; outcomes sorted by (id, n).
+
+    n below an id's stated range or above the enumeration cap is skipped.
+    """
+    if n_min is not None and n_max is not None and n_min > n_max:
+        raise DomainError(f"empty range: n_min={n_min} > n_max={n_max}")
     if theorem_id == "all":
         idents = available_ids()
     elif theorem_id in REGISTRY:
@@ -707,11 +715,13 @@ def run_checks(
     report = Report()
     for ident in idents:
         entry = REGISTRY[ident]
-        lo = entry.lo if n_min is None else max(n_min, 0)
-        hi = min(entry.hi if n_max is None else n_max, entry.max_n)
+        lo = entry.lo if n_min is None else n_min
+        hi = entry.hi if n_max is None else n_max
         for n in range(lo, hi + 1):
             if n < entry.lo and n_min is not None:
                 outcome = _skip(n, f"below the stated range (starts at n={entry.lo})")
+            elif n > entry.max_n:
+                outcome = _skip(n, f"above the enumeration cap (n <= {entry.max_n})")
             else:
                 outcome = entry.fn(n, workers)
             outcome.theorem = ident

@@ -2,6 +2,7 @@
 
 import json
 
+from weylruns import verify
 from weylruns.cli import main
 from weylruns.oracle import SignedDistributionRequest, dist_runs
 from weylruns.poly import poly_from_json
@@ -72,6 +73,8 @@ def test_verify_unknown_theorem(capsys):
     code, _, err = run_cli(capsys, "verify", "--theorem", "nonsense")
     assert code == 2
     assert "unknown theorem id" in err
+    code, out, err = run_cli(capsys, "verify", "--theorem", "wilf", "--n-min", "5", "--n-max", "3")
+    assert code == 2 and out == "" and "empty range" in err
 
 
 def test_verify_json_documents_mismatch(capsys):
@@ -137,3 +140,21 @@ def test_threads_env_default(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "dist", "--group", "A", "--n", "4", "--format", "csv")
     assert code == 0
     assert out.splitlines()[1] == "1,2"
+
+
+def test_bad_worker_counts_are_usage_errors(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, "dist", "--group", "A", "--n", "3", "--threads", "-4")
+    assert code == 2 and out == "" and "worker count" in err
+    monkeypatch.setenv("WEYLRUNS_THREADS", "abc")
+    for argv in (("dist", "--group", "A", "--n", "3"), ("verify", "--theorem", "cor-inv-bd")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "Traceback" not in err
+
+
+def test_unexpected_errors_exit_3(capsys, monkeypatch):
+    def broken(*_args, **_kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(verify, "run_checks", broken)
+    code, out, err = run_cli(capsys, "verify", "--theorem", "wilf")
+    assert code == 3 and out == "" and "boom" in err

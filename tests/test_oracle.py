@@ -1,9 +1,18 @@
 """The brute-force enumeration oracles and their internal consistency."""
 
-import pytest
+import ast
+from math import factorial
+from pathlib import Path
 
+import pytest
+import reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from weylruns import oracle
 from weylruns.errors import DomainError
 from weylruns.oracle import (
+    MAX_WORKERS,
     SignedDistributionRequest,
     build_T,
     class_poly_a,
@@ -12,6 +21,7 @@ from weylruns.oracle import (
     dist_runs,
     dist_runs_parity_split,
     family_poly,
+    resolve_workers,
     scan_joint_a,
     scan_joint_b,
     scan_subsets,
@@ -24,7 +34,7 @@ from weylruns.oracle import (
     subset_index_d,
     t_contribution,
 )
-from weylruns.perm_core import is_snake_b, negatives
+from weylruns.perm_core import inv_d, is_snake_b, iter_group, negatives
 from weylruns.poly import BiPoly, UniPoly
 
 
@@ -96,21 +106,75 @@ def test_caps_are_configurable():
     assert not dist_runs(SignedDistributionRequest("B", 4)).is_zero()
 
 
-# ------------------------------------------------------- engine agreement
+# ------------------------------------------- scans against the reference walk
 
 @pytest.mark.parametrize("n", [1, 2, 5, 6])
 def test_engines_agree_type_a(n):
-    assert scan_joint_a(n, engine="python") == scan_joint_a(n, engine="numpy")
+    assert scan_joint_a(n) == reference.joint_a(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 5])
 def test_engines_agree_type_b(n):
-    assert scan_joint_b(n, engine="python") == scan_joint_b(n, engine="numpy")
+    assert scan_joint_b(n) == reference.joint_b(n)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_engines_agree_subsets(n):
-    assert scan_subsets(n, engine="python") == scan_subsets(n, engine="numpy")
+    assert scan_subsets(n) == reference.subsets(n)
+
+
+WORKERS = st.integers(1, 8)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 7), workers=WORKERS)
+def test_scan_joint_a_matches_reference(n, workers):
+    assert scan_joint_a(n, workers) == reference.joint_a(n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 5), workers=WORKERS)
+def test_scan_joint_b_matches_reference(n, workers):
+    assert scan_joint_b(n, workers) == reference.joint_b(n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(2, 5), workers=WORKERS)
+def test_scan_subsets_matches_reference(n, workers):
+    assert scan_subsets(n, workers) == reference.subsets(n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 5), workers=WORKERS)
+def test_snake_words_match_reference(n, workers):
+    assert snake_words_b(n, workers) == [w for w in iter_group("B", n) if is_snake_b(w)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 6), k=st.integers(1, 4), parity=st.sampled_from(["all", "plus", "minus"]),
+       workers=WORKERS)
+def test_snake_subset_contribution_matches_brute_force(n, k, parity, workers):
+    oracle.clear_caches()
+    want = sum(
+        1 for w in reference.snake_words(n)
+        if negatives(w) % 2 == 0 and snake_subset_l(w) == k
+        and (parity == "all" or (inv_d(w) % 2 == 0) == (parity == "plus"))
+    )
+    assert snake_subset_contribution(n, k, parity, workers) == want
+
+
+@pytest.mark.parametrize("group,n", [("A", 4), ("B", 3), ("D", 3)])
+def test_block_slices_cover(group, n):
+    """Blocks over contiguous ambient index ranges concatenate to the group."""
+    total = factorial(n) if group == "A" else factorial(n) << n
+    cuts = [0, total // 3 + 1, 2 * total // 3 - 1, total]
+    pieces = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        blocks = oracle._perm_blocks(n, lo, hi, 5) if group == "A" else oracle._signed_blocks(n, lo, hi)
+        pieces.extend(tuple(w) for block in blocks for w in block.tolist())
+    if group == "D":
+        pieces = [w for w in pieces if negatives(w) % 2 == 0]
+    assert pieces == list(iter_group(group, n))
 
 
 # --------------------------------------------------------- worker splits
@@ -119,6 +183,45 @@ def test_worker_count_does_not_change_tallies():
     assert scan_joint_a(7, workers=1) == scan_joint_a(7, workers=8)
     assert scan_joint_b(5, workers=1) == scan_joint_b(5, workers=8)
     assert scan_subsets(5, workers=1) == scan_subsets(5, workers=8)
+
+
+def test_worker_counts_are_validated_and_clamped(monkeypatch):
+    assert resolve_workers(3) == 3
+    assert resolve_workers(10**6) == MAX_WORKERS
+    assert len(oracle._ranges(10**9, resolve_workers(10**6))) == MAX_WORKERS
+    for bad in (0, -4, 2.5, "abc"):
+        with pytest.raises(DomainError):
+            resolve_workers(bad)
+    monkeypatch.setenv("WEYLRUNS_THREADS", "abc")
+    with pytest.raises(DomainError):
+        resolve_workers(None)
+    monkeypatch.setenv("WEYLRUNS_THREADS", "5")
+    assert resolve_workers(None) == 5
+
+
+def _package_imports(module: str) -> set[str]:
+    """The weylruns modules that weylruns.<module> imports, read from its source."""
+    tree = ast.parse(Path(oracle.__file__).with_name(f"{module}.py").read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module.split(".")[0]] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("weylruns."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names if a.name.startswith("weylruns."))
+    return found
+
+
+def test_oracle_is_independent_of_the_closed_forms():
+    seen, todo = set(), ["oracle"]
+    while todo:
+        module = todo.pop()
+        if module not in seen:
+            seen.add(module)
+            todo.extend(_package_imports(module))
+    assert "perm_core" in seen
+    assert not seen & {"closed_forms", "series", "verify"}
 
 
 # ------------------------------------------------------------- subsets
@@ -133,6 +236,8 @@ def test_subset_index_examples():
     assert subset_index_d((1, 2, 3, 4, 5)) == 8
     with pytest.raises(DomainError):
         subset_index_b((1, 2))
+    with pytest.raises(DomainError):
+        subset_contribution_b(2, 1, "a")
 
 
 def test_subsets_partition_the_group():
@@ -228,6 +333,26 @@ def test_snake_words_and_subsets():
             )
         both = sum(snake_subset_contribution(n, k, "all") for k in range(1, 5))
         assert both == count_snakes("D", n)
+    small = [snake_subset_contribution(2, k, p) for k in range(1, 5) for p in ("all", "plus", "minus")]
+    assert small == [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1]
+    with pytest.raises(DomainError):
+        snake_subset_contribution(1, 4)
+
+
+def test_snake_subsets_read_the_cached_tally(monkeypatch):
+    n = 5
+    oracle._subset_scan(n)
+
+    def no_scan(*_args):
+        raise AssertionError("a scan started")
+
+    monkeypatch.setattr(oracle, "_signed_blocks", no_scan)
+    want = reference.subsets(n)
+    for k in range(1, 5):
+        for bit, parity in enumerate(("plus", "minus")):
+            assert snake_subset_contribution(n, k, parity) == want.get(("L", k, bit), 0)
+    d_snakes = sum(1 for w in reference.snake_words(n) if negatives(w) % 2 == 0)
+    assert sum(snake_subset_contribution(n, k) for k in range(1, 5)) == d_snakes > 0
 
 
 def test_snake_subset_l_membership():

@@ -1,7 +1,7 @@
 """Statistics, bijections and iteration on the group elements."""
 
 import itertools
-from math import comb, factorial
+from math import comb
 
 import pytest
 
@@ -24,7 +24,6 @@ from weylruns.perm_core import (
     is_alternating,
     is_snake_b,
     iter_group,
-    iter_group_slice,
     negatives,
     peaks_valleys_a,
     peaks_valleys_b,
@@ -218,12 +217,3 @@ def test_iter_group_errors():
     with pytest.raises(DomainError):
         list(iter_group("X", 3))
 
-
-@pytest.mark.parametrize("group,n", [("A", 4), ("B", 3), ("D", 3)])
-def test_iter_group_slices_cover(group, n):
-    total = factorial(n) if group == "A" else factorial(n) << n
-    cuts = [0, total // 3, 2 * total // 3, total]
-    pieces = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        pieces.extend(iter_group_slice(group, n, lo, hi))
-    assert pieces == list(iter_group(group, n))

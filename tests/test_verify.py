@@ -2,6 +2,7 @@
 
 import pytest
 
+from weylruns import perm_core
 from weylruns.errors import DomainError
 from weylruns.verify import (
     MISMATCH_DOCUMENTED,
@@ -40,6 +41,27 @@ def test_below_range_is_skipped():
     assert by_n[2].status == SKIPPED and by_n[2].passed
     assert by_n[4].status == "ok"
     assert report.ok
+    negative = run_checks("thm-sgn-altrun", n_min=-2, n_max=1)
+    assert [(o.n, o.status) for o in negative.outcomes] == [
+        (-2, SKIPPED), (-1, SKIPPED), (0, SKIPPED), (1, "ok")]
+    with pytest.raises(DomainError):
+        run_checks("wilf", n_min=5, n_max=3)
+
+
+def test_above_cap_is_skipped_not_dropped():
+    saved = perm_core.CAP_A
+    try:
+        perm_core.set_enumeration_caps(cap_a=4)
+        by_n = {o.n: o for o in run_checks("wilf", 3, 6).outcomes}
+        assert sorted(by_n) == [3, 4, 5, 6]
+        assert all(o.passed for o in by_n.values())
+        assert by_n[4].status == "ok"
+        assert by_n[5].status == by_n[6].status == SKIPPED
+        assert "cap" in by_n[5].detail
+        statuses = [o.status for o in run_checks("wilf").outcomes]
+        assert statuses == ["ok"] + [SKIPPED] * 6  # stated range 4..10
+    finally:
+        perm_core.set_enumeration_caps(cap_a=saved)
 
 
 def test_bmd_pm_alternating_is_documented_not_failed():
