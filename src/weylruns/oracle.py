@@ -14,8 +14,11 @@ point).  Three tallies come out of it:
   the snakes of D_n into the staircase subsets L^1..L^4.
 
 Work is split over contiguous lexicographic rank ranges of the underlying
-permutation index space; partial bincounts merge by integer addition and are
-decoded once, so the result is bitwise identical for any worker count.
+permutation index space, none shorter than one of the scan's blocks.  Each
+range is seeked, not stepped: `_perm_blocks` unranks the range's start
+directly, so a worker walks only its own ranks.  Partial bincounts merge by
+integer addition and are decoded once, so the result is bitwise identical
+for any worker count.
 Successful full-group scans are cached per n.  The test suite keeps a
 pure-Python walk over perm_core's statistics as the reference for all three.
 """
@@ -81,8 +84,10 @@ def resolve_workers(workers: int | None) -> int:
     return min(count, MAX_WORKERS)
 
 
-def _ranges(total: int, workers: int) -> list[tuple[int, int]]:
-    workers = min(workers, total) or 1
+def _ranges(total: int, workers: int, block: int = 1) -> list[tuple[int, int]]:
+    """Contiguous parts of [0, total): one per worker, but no more than the
+    whole blocks of `block` indices in total, so no part is below one block."""
+    workers = max(1, min(workers, total // block))
     step, rem = divmod(total, workers)
     out, start = [], 0
     for w in range(workers):
@@ -92,9 +97,13 @@ def _ranges(total: int, workers: int) -> list[tuple[int, int]]:
     return out
 
 
-def _run_split(fn, total: int, workers: int | None):
-    """Apply fn(lo, hi) over a contiguous partition and return partials in order."""
-    parts = _ranges(total, resolve_workers(workers))
+def _run_split(fn, total: int, workers: int | None, block: int):
+    """Apply fn(lo, hi) over a contiguous partition and return partials in order.
+
+    `block` is the scan's own block size in indices; a scan of fewer than two
+    blocks runs in the calling thread.
+    """
+    parts = _ranges(total, resolve_workers(workers), block)
     if len(parts) == 1:
         return [fn(*parts[0])]
     with ThreadPoolExecutor(max_workers=len(parts)) as pool:
@@ -119,13 +128,61 @@ def _alt_target(n: int) -> np.ndarray:
     return _ALT_TARGET[n]
 
 
+# Words of S_n are an unranked prefix plus a suffix read from the cached S_m
+# table, m = min(n, _SUFFIX_LETTERS).  At 7 the table is 35 KB and each
+# prefix unrank is spread over 5040 rows.
+_SUFFIX_LETTERS = 7
+_SUFFIX_TABLES: dict[int, np.ndarray] = {}
+
+
+def _suffix_table(m: int) -> np.ndarray:
+    """The (m!, m) lexicographic table of S_m on the letters 0..m-1, as int8."""
+    if m not in _SUFFIX_TABLES:
+        _SUFFIX_TABLES[m] = np.array(list(itertools.permutations(range(m))), dtype=np.int8)
+    return _SUFFIX_TABLES[m]
+
+
+def _unrank_prefix(n: int, k: int, p: int) -> tuple[list[int], np.ndarray]:
+    """The first k letters of the S_n words of ranks p*(n-k)! .. (p+1)*(n-k)! - 1,
+    and the sorted letters left for their suffixes.
+
+    p is read as a Lehmer code in mixed radix n, n-1, .., n-k+1 (Knuth, TAOCP
+    4A, 7.2.1.2): digit i picks the letter of that rank among those unused.
+    """
+    digits = []
+    for radix in range(n - k + 1, n + 1):
+        p, digit = divmod(p, radix)
+        digits.append(digit)
+    letters = list(range(1, n + 1))
+    prefix = [letters.pop(d) for d in reversed(digits)]
+    return prefix, np.array(letters, dtype=np.int8)
+
+
 def _perm_blocks(n: int, lo: int, hi: int, chunk: int):
-    it = itertools.islice(itertools.permutations(range(1, n + 1)), lo, hi)
-    while True:
-        block = list(itertools.islice(it, chunk))
-        if not block:
-            return
-        yield np.array(block, dtype=np.int8)
+    """int8 blocks of at most `chunk` rows: the S_n words of ranks [lo, hi).
+
+    Rank r = p*m! + s with m = min(n, _SUFFIX_LETTERS): the length-(n-m)
+    prefix is the Lehmer unrank of p, and the suffix is row s of the S_m table
+    relabelled through the letters the prefix leaves.  The walk seeks to lo
+    directly, so a range costs only its own rows, and the rows come out in
+    lexicographic order.
+    """
+    table = _suffix_table(min(n, _SUFFIX_LETTERS))
+    size, m = table.shape
+    k = n - m
+    while lo < hi:
+        rows = min(chunk, hi - lo)
+        block = np.empty((rows, n), dtype=np.int8)
+        at = 0
+        while at < rows:
+            p, s = divmod(lo + at, size)
+            take = min(size - s, rows - at)
+            prefix, rest = _unrank_prefix(n, k, p)
+            block[at:at + take, :k] = prefix
+            block[at:at + take, k:] = rest[table[s:s + take]]
+            at += take
+        yield block
+        lo += rows
 
 
 def _stats_word_block(w: np.ndarray):
@@ -195,11 +252,16 @@ def _sign_matrix(n: int) -> np.ndarray:
     return _SIGNS_CACHE[n]
 
 
+def _signed_chunk(n: int) -> int:
+    """Permutations per signed block: each block holds about 131072 words."""
+    return max(1, 131072 >> n)
+
+
 def _signed_blocks(n: int, lo: int, hi: int):
     """(M, n) blocks of signed words covering ambient indices [lo, hi)."""
     signs = _sign_matrix(n)
     nmasks = 1 << n
-    chunk = max(1, 131072 >> n)
+    chunk = _signed_chunk(n)
     rank_lo, rank_hi = lo >> n, (hi + nmasks - 1) >> n
     for words in _perm_blocks(n, rank_lo, rank_hi, chunk):
         full = (words[:, None, :] * signs[None, :, :]).reshape(-1, n)
@@ -209,6 +271,11 @@ def _signed_blocks(n: int, lo: int, hi: int):
         yield full[s:e]
         rank_lo += words.shape[0]
         lo = rank_lo << n
+
+
+def _split_b(fn, n: int, workers: int | None):
+    """_run_split over the ambient indices of B_n, in parts of whole signed blocks."""
+    return _run_split(fn, factorial(n) << n, workers, _signed_chunk(n) << n)
 
 
 def _scan_b_numpy(n: int, lo: int, hi: int) -> np.ndarray:
@@ -244,14 +311,15 @@ def _decode_b(acc: np.ndarray, n: int) -> dict:
 def scan_joint_a(n: int, workers: int | None = 1) -> dict:
     """Uncached joint tally over S_n (used directly by determinism tests)."""
     _check_n("A", n)
-    parts = _run_split(lambda a, b: _scan_a_numpy(n, a, b), factorial(n), workers)
+    block = factorial(min(n, _SUFFIX_LETTERS))
+    parts = _run_split(lambda a, b: _scan_a_numpy(n, a, b), factorial(n), workers, block)
     return _decode_a(sum(parts), n)
 
 
 def scan_joint_b(n: int, workers: int | None = 1) -> dict:
     """Uncached joint tally over B_n."""
     _check_n("B", n)
-    parts = _run_split(lambda a, b: _scan_b_numpy(n, a, b), factorial(n) << n, workers)
+    parts = _split_b(lambda a, b: _scan_b_numpy(n, a, b), n, workers)
     return _decode_b(sum(parts), n)
 
 
@@ -609,7 +677,7 @@ def scan_subsets(n: int, workers: int | None = 1) -> dict:
     _check_n("B", n)
     if n < 2:
         raise DomainError("subset classification needs n >= 2")
-    parts = _run_split(lambda a, b: _subset_scan_numpy(n, a, b), factorial(n) << n, workers)
+    parts = _split_b(lambda a, b: _subset_scan_numpy(n, a, b), n, workers)
     return _decode_subsets(sum(parts), n)
 
 
@@ -687,7 +755,7 @@ def snake_words_b(n: int, workers: int | None = None) -> list[tuple[int, ...]]:
             out.extend(map(tuple, w[snake].tolist()))
         return out
 
-    parts = _run_split(scan, factorial(n) << n, workers)
+    parts = _split_b(scan, n, workers)
     return [w for part in parts for w in part]
 
 

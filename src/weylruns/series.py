@@ -49,7 +49,7 @@ class Series:
 
     @classmethod
     def x(cls, order: int = DEFAULT_ORDER) -> "Series":
-        return cls([0, 1] + [0] * (order - 2))
+        return cls([0, 1][:order] + [0] * (order - 2))
 
     @classmethod
     def sin(cls, order: int = DEFAULT_ORDER) -> "Series":

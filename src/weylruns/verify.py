@@ -120,7 +120,7 @@ def _egf_check(n, workers, families, kind="alt"):
     failures = []
     shown = []
     for fam in families:
-        s = series.egf_alt(fam) if kind == "alt" else series.egf_snakes(fam)
+        s = series.egf_alt(fam, n + 1) if kind == "alt" else series.egf_snakes(fam, n + 1)
         want = s.egf_coeff(n)
         got = alt_count(fam, n, workers) if kind == "alt" else snake_count(fam, n, workers)
         shown.append(f"{fam}:{got}")
@@ -504,9 +504,9 @@ def chk_egf_alt_bmd_pm(n, workers):
     """The documented-mismatch id: printed B-D± EGF vs oracle and lemma facts."""
     plus, minus = alt_count("B-D+", n, workers), alt_count("B-D-", n, workers)
     printed = {
-        s: series.egf_alt("B-D" + s).egf_coeff_exact(n) for s in ("+", "-")
+        s: series.egf_alt("B-D" + s, n + 1).egf_coeff_exact(n) for s in ("+", "-")
     }
-    corrected = {s: series.egf_alt_bmd_pm_corrected(s).egf_coeff(n) for s in ("+", "-")}
+    corrected = {s: series.egf_alt_bmd_pm_corrected(s, n + 1).egf_coeff(n) for s in ("+", "-")}
     fails = []
     if n >= 2 and plus != minus:
         fails.append(f"lemma fact E+=E- fails: {plus} != {minus}")

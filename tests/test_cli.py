@@ -1,8 +1,13 @@
 """The command line surface: formats, exit codes, determinism."""
 
+import io
 import json
+from contextlib import redirect_stdout
 
-from weylruns import verify
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from weylruns import oracle, verify
 from weylruns.cli import main
 from weylruns.oracle import SignedDistributionRequest, dist_runs
 from weylruns.poly import poly_from_json
@@ -133,6 +138,24 @@ def test_thread_count_does_not_change_bytes(tmp_path, capsys):
                 "--threads", threads)
         paths.append(p.read_bytes())
     assert paths[0] == paths[1]
+
+
+DIST_COMMANDS = (
+    ("dist", "--group", "A", "--n", "8"),
+    ("dist", "--group", "B", "--n", "6", "--signed", "invB", "--biv"),
+)
+
+
+@settings(max_examples=10, deadline=None)
+@given(argv=st.sampled_from(DIST_COMMANDS), threads=st.integers(2, 8))
+def test_dist_stdout_is_independent_of_threads(argv, threads):
+    outputs = []
+    for count in (1, threads):
+        oracle.clear_caches()  # each run fills the tally with its own worker count
+        with redirect_stdout(io.StringIO()) as out:
+            assert main([*argv, "--threads", str(count)]) == 0
+        outputs.append(out.getvalue())
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 def test_threads_env_default(tmp_path, capsys, monkeypatch):

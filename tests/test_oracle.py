@@ -1,12 +1,14 @@
 """The brute-force enumeration oracles and their internal consistency."""
 
 import ast
+from itertools import islice, permutations
 from math import factorial
 from pathlib import Path
 
+import numpy as np
 import pytest
 import reference
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weylruns import oracle
@@ -163,9 +165,12 @@ def test_snake_subset_contribution_matches_brute_force(n, k, parity, workers):
     assert snake_subset_contribution(n, k, parity, workers) == want
 
 
-@pytest.mark.parametrize("group,n", [("A", 4), ("B", 3), ("D", 3)])
+@pytest.mark.parametrize("group,n", [("A", 4), ("A", 8), ("B", 3), ("D", 3)])
 def test_block_slices_cover(group, n):
-    """Blocks over contiguous ambient index ranges concatenate to the group."""
+    """Blocks over contiguous ambient index ranges concatenate to the group.
+
+    At A n = 8 the inner cuts fall inside blocks of one unranked prefix.
+    """
     total = factorial(n) if group == "A" else factorial(n) << n
     cuts = [0, total // 3 + 1, 2 * total // 3 - 1, total]
     pieces = []
@@ -177,12 +182,75 @@ def test_block_slices_cover(group, n):
     assert pieces == list(iter_group(group, n))
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 9), ends=st.lists(st.integers(0, factorial(9)), min_size=2, max_size=2),
+       chunk=st.integers(1, 6000))
+@example(n=9, ends=[37 * factorial(7) + 11, factorial(9) - 3], chunk=4096)
+@example(n=8, ends=[factorial(7) - 1, 3 * factorial(7) + 1], chunk=1)
+def test_perm_blocks_seek_in_lexicographic_order(n, ends, chunk):
+    """Any rank range unranks to the same rows as stepping through permutations."""
+    lo, hi = sorted(e % (factorial(n) + 1) for e in ends)
+    blocks = list(oracle._perm_blocks(n, lo, hi, chunk))
+    assert all(0 < b.shape[0] <= chunk and b.dtype == np.int8 for b in blocks)
+    got = np.concatenate(blocks) if blocks else np.empty((0, n), dtype=np.int8)
+    want = np.array(list(islice(permutations(range(1, n + 1)), lo, hi)), dtype=np.int8)
+    assert np.array_equal(got, want.reshape(-1, n))
+
+
+def test_perm_blocks_seek_to_the_end_of_s11():
+    blocks = list(oracle._perm_blocks(11, factorial(11) - 5, factorial(11), 4096))
+    top = (11, 10, 9, 8, 7, 6, 5, 4)
+    want = [top + tail for tail in list(permutations((1, 2, 3)))[1:]]
+    assert [tuple(w) for b in blocks for w in b.tolist()] == want
+
+
 # --------------------------------------------------------- worker splits
 
+KERNELS = {
+    "A": (oracle._scan_a_numpy, 1, 8, lambda n: factorial(n)),
+    "B": (oracle._scan_b_numpy, 1, 5, lambda n: factorial(n) << n),
+    "subsets": (oracle._subset_scan_numpy, 2, 5, lambda n: factorial(n) << n),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(sorted(KERNELS)), n=st.integers(1, 8),
+       cuts=st.lists(st.integers(0, factorial(8)), max_size=6))
+@example(kind="A", n=8, cuts=[13441, 26879])
+@example(kind="B", n=5, cuts=[1, 1000, 2049])
+@example(kind="subsets", n=5, cuts=[31, 32, 3000])
+def test_partials_over_any_cuts_sum_to_the_whole(kind, n, cuts):
+    kernel, n_min, n_max, size = KERNELS[kind]
+    n = min(max(n, n_min), n_max)
+    total = size(n)
+    bounds = [0, *sorted(c % (total + 1) for c in cuts), total]
+    parts = [kernel(n, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    assert np.array_equal(sum(parts), kernel(n, 0, total))
+
+
 def test_worker_count_does_not_change_tallies():
+    assert len(oracle._ranges(factorial(8), 8, factorial(7))) == 8
+    assert scan_joint_a(8, workers=1) == scan_joint_a(8, workers=8)
     assert scan_joint_a(7, workers=1) == scan_joint_a(7, workers=8)
     assert scan_joint_b(5, workers=1) == scan_joint_b(5, workers=8)
     assert scan_subsets(5, workers=1) == scan_subsets(5, workers=8)
+
+
+def test_parts_are_never_below_one_block():
+    assert oracle._ranges(100, 8, 30) == [(0, 34), (34, 67), (67, 100)]
+    assert oracle._ranges(29, 8, 30) == [(0, 29)]
+    assert oracle._ranges(5040, 2, 5040) == [(0, 5040)]
+
+
+def test_scans_within_one_block_start_no_pool(monkeypatch):
+    def no_pool(*_args, **_kwargs):
+        raise AssertionError("a thread pool started")
+
+    monkeypatch.setattr(oracle, "ThreadPoolExecutor", no_pool)
+    assert scan_joint_a(7, workers=8) == reference.joint_a(7)
+    assert scan_joint_b(5, workers=8) == reference.joint_b(5)
+    assert scan_subsets(5, workers=8) == reference.subsets(5)
+    assert len(snake_words_b(5, workers=8)) == count_snakes("B", 5)
 
 
 def test_worker_counts_are_validated_and_clamped(monkeypatch):

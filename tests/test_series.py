@@ -17,6 +17,20 @@ from weylruns.series import (
 )
 
 
+def test_series_sized_from_n():
+    # E_20, past the default order of 16.
+    assert egf_alt("A", 21).egf_coeff(20) == 370371188237525
+    assert Series.x(1) == Series([0])
+    for n in range(16):
+        for fam in ALT_FAMILIES:
+            assert egf_alt(fam, n + 1).egf_coeff_exact(n) == egf_alt(fam).egf_coeff_exact(n)
+        for fam in SNAKE_FAMILIES:
+            assert egf_snakes(fam, n + 1).egf_coeff(n) == egf_snakes(fam).egf_coeff(n)
+        for sign in "+-":
+            assert (egf_alt_bmd_pm_corrected(sign, n + 1).egf_coeff(n)
+                    == egf_alt_bmd_pm_corrected(sign).egf_coeff(n))
+
+
 def test_cos_maclaurin():
     assert Series.cos(5).coeffs == (1, 0, Fraction(-1, 2), 0, Fraction(1, 24))
 
