@@ -22,39 +22,11 @@ from .oracle import SignedDistributionRequest, dist_runs, dist_runs_parity_split
 from .poly import UniPoly, poly_to_json
 
 
-def _latex(poly) -> str:
-    if isinstance(poly, UniPoly):
-        if poly.is_zero():
-            return "0"
-        parts = []
-        for e, c in enumerate(poly.coeffs):
-            if c == 0:
-                continue
-            mono = "" if e == 0 else ("t" if e == 1 else f"t^{{{e}}}")
-            parts.append(_latex_term(c, mono, not parts))
-        return "".join(parts)
-    if poly.is_zero():
-        return "0"
-    parts = []
-    for (i, j), c in sorted(poly.terms.items()):
-        mono = ("p" if i == 1 else f"p^{{{i}}}" if i else "") + ("q" if j == 1 else f"q^{{{j}}}" if j else "")
-        parts.append(_latex_term(c, mono, not parts))
-    return "".join(parts)
-
-
-def _latex_term(c: int, mono: str, leading: bool) -> str:
-    mag = abs(c)
-    body = mono if mag == 1 and mono else f"{mag}{mono}"
-    if leading:
-        return f"-{body}" if c < 0 else body
-    return f" - {body}" if c < 0 else f" + {body}"
-
-
 def _render_poly(poly, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(poly_to_json(poly), sort_keys=True)
     if fmt == "latex":
-        return _latex(poly)
+        return poly.latex()
     # csv: one term per row
     if isinstance(poly, UniPoly):
         lines = ["exp_t,coef"]

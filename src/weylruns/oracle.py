@@ -7,14 +7,23 @@ so oracle-vs-formula comparisons stay two independent routes.
 There is one walk per group: `_perm_blocks` / `_signed_blocks` yield the
 elements in the contract order as int8 blocks, and vectorized kernels tally
 bounded statistics through int64 bincounts (counting only, no floating
-point).  Three tallies come out of it:
+point).  The kernels share one table-driven statistics step: a word's
+adjacent-pair ascent bits, behind a 0 sentinel for signed words, pack into
+a code, and a cached table per code length gives its peaks, valleys, end
+classes and alternation.  Inversion parity is never counted pair by pair.
+It is read per rank of S_n, from a cached parity per suffix-table row xored
+with one constant per prefix, and for B_n it is taken once per permutation
+of absolute values and broadcast over the 2^n sign masks
+(inv_D = inv(|w|), inv_B = inv(|w|) + neg (mod 2)).  Three tallies come out
+of the walk:
 
 * the joint A and B tallies, of which every distribution is a marginal sum;
 * the subset tally, which classifies B_n into the cancellation subsets and
   the snakes of D_n into the staircase subsets L^1..L^4.
 
 Work is split over contiguous lexicographic rank ranges of the underlying
-permutation index space, none shorter than one of the scan's blocks.  Each
+permutation index space, none shorter than a minimum part (5040 ranks of
+S_n, 2^17 words of B_n), so small scans start no thread pool.  Each
 range is seeked, not stepped: `_perm_blocks` unranks the range's start
 directly, so a worker walks only its own ranks.  Partial bincounts merge by
 integer addition and are decoded once, so the result is bitwise identical
@@ -31,6 +40,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 from math import factorial
 
 import numpy as np
@@ -100,8 +110,8 @@ def _ranges(total: int, workers: int, block: int = 1) -> list[tuple[int, int]]:
 def _run_split(fn, total: int, workers: int | None, block: int):
     """Apply fn(lo, hi) over a contiguous partition and return partials in order.
 
-    `block` is the scan's own block size in indices; a scan of fewer than two
-    blocks runs in the calling thread.
+    `block` is the smallest part, in indices; a scan shorter than two of them
+    runs in the calling thread.
     """
     parts = _ranges(total, resolve_workers(workers), block)
     if len(parts) == 1:
@@ -119,26 +129,35 @@ def _run_split(fn, total: int, workers: int | None, block: int):
 # with flags stored as 0/1.  Every distribution below is a marginal sum.
 # =====================================================================
 
-_ALT_TARGET = {}  # n -> ascent pattern of an alternating word
-
-
-def _alt_target(n: int) -> np.ndarray:
-    if n not in _ALT_TARGET:
-        _ALT_TARGET[n] = np.arange(n - 1) % 2 == 1
-    return _ALT_TARGET[n]
-
-
 # Words of S_n are an unranked prefix plus a suffix read from the cached S_m
 # table, m = min(n, _SUFFIX_LETTERS).  At 7 the table is 35 KB and each
 # prefix unrank is spread over 5040 rows.
 _SUFFIX_LETTERS = 7
-_SUFFIX_TABLES: dict[int, np.ndarray] = {}
+_SUFFIX_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _suffix_table(m: int) -> np.ndarray:
-    """The (m!, m) lexicographic table of S_m on the letters 0..m-1, as int8."""
+def _digit_parity(p, radices):
+    """Parity of the digit sum of p (an int or an int array) in a mixed radix.
+
+    `radices` runs from the least significant digit up.  In the radices
+    1, 2, .., n the digits of a lexicographic rank of S_n are its word's
+    Lehmer code, whose sum is the word's inversion count (Knuth, TAOCP 4A,
+    7.2.1.2); in radix 2 the digit sum is the popcount.
+    """
+    total = 0
+    for radix in radices:
+        p, digit = divmod(p, radix)
+        total = total + digit
+    return total & 1
+
+
+def _suffix_table(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (m!, m) lexicographic table of S_m on the letters 0..m-1, as int8,
+    and the inversion parity of each row, as uint8."""
     if m not in _SUFFIX_TABLES:
-        _SUFFIX_TABLES[m] = np.array(list(itertools.permutations(range(m))), dtype=np.int8)
+        table = np.array(list(itertools.permutations(range(m))), dtype=np.int8)
+        parity = _digit_parity(np.arange(len(table)), range(1, m + 1)).astype(np.uint8)
+        _SUFFIX_TABLES[m] = table, parity
     return _SUFFIX_TABLES[m]
 
 
@@ -158,6 +177,21 @@ def _unrank_prefix(n: int, k: int, p: int) -> tuple[list[int], np.ndarray]:
     return prefix, np.array(letters, dtype=np.int8)
 
 
+def _prefix_runs(n: int, lo: int, rows: int):
+    """Split the S_n ranks [lo, lo + rows) into runs that share one prefix.
+
+    Yields (at, p, s, take): rows at .. at+take-1 of the range are the words
+    of prefix p whose suffixes are rows s .. s+take-1 of the S_m table.
+    """
+    size = factorial(min(n, _SUFFIX_LETTERS))
+    at = 0
+    while at < rows:
+        p, s = divmod(lo + at, size)
+        take = min(size - s, rows - at)
+        yield at, p, s, take
+        at += take
+
+
 def _perm_blocks(n: int, lo: int, hi: int, chunk: int):
     """int8 blocks of at most `chunk` rows: the S_n words of ranks [lo, hi).
 
@@ -167,64 +201,96 @@ def _perm_blocks(n: int, lo: int, hi: int, chunk: int):
     directly, so a range costs only its own rows, and the rows come out in
     lexicographic order.
     """
-    table = _suffix_table(min(n, _SUFFIX_LETTERS))
-    size, m = table.shape
-    k = n - m
+    table, _ = _suffix_table(min(n, _SUFFIX_LETTERS))
+    k = n - table.shape[1]
     while lo < hi:
         rows = min(chunk, hi - lo)
         block = np.empty((rows, n), dtype=np.int8)
-        at = 0
-        while at < rows:
-            p, s = divmod(lo + at, size)
-            take = min(size - s, rows - at)
+        for at, p, s, take in _prefix_runs(n, lo, rows):
             prefix, rest = _unrank_prefix(n, k, p)
             block[at:at + take, :k] = prefix
             block[at:at + take, k:] = rest[table[s:s + take]]
-            at += take
         yield block
         lo += rows
 
 
-def _stats_word_block(w: np.ndarray):
-    """Shared vectorized statistics for a (M, n) block of signed words."""
-    m, n = w.shape
-    ext = np.concatenate([np.zeros((m, 1), dtype=np.int8), w], axis=1)
-    asc = ext[:, :-1] < ext[:, 1:]
-    pk = (asc[:, :-1] & ~asc[:, 1:]).sum(1)
-    val = (~asc[:, :-1] & asc[:, 1:]).sum(1)
-    last = asc[:, -1]
-    iu, ju = np.triu_indices(n, 1)
-    hi, lo = w[:, iu], w[:, ju]
-    inv_plain = (hi > lo).sum(1)
-    cross = ((-hi) > lo).sum(1)
-    negs = (w < 0).sum(1)
-    if n >= 2:
-        alt = ((w[:, :-1] < w[:, 1:]) == _alt_target(n)).all(1)
-    else:
-        alt = np.ones(m, dtype=bool)
-    return pk, val, inv_plain, cross, negs, last, alt
+# =====================================================================
+# Statistics kernel
+#
+# Every statistic of a word comes from two table reads; no word is compared
+# letter against letter beyond its adjacent pairs.  Peaks, valleys, end
+# classes and alternation depend only on the word's ascent code
+# (_code_table).  Inversion parity depends only on the rank: relabelling a
+# suffix keeps its order, so inv = (Lehmer digits of the prefix) +
+# inv(suffix-table row) (_inv_parity).  For w in B_n with |w| its
+# permutation of absolute values, inv_D(w) = inv(|w|) and inv_B(w) =
+# inv(|w|) + neg(w) (mod 2) (Bjorner-Brenti, Combinatorics of Coxeter
+# Groups, Prop. 8.1.1 and 8.2.1), so one parity per permutation is broadcast
+# over its 2^n sign masks (_by_sign_parity).
+# =====================================================================
+
+_CODE_TABLES: dict[tuple[int, bool], tuple[np.ndarray, ...]] = {}
+
+
+def _code_table(n: int, signed: bool) -> tuple[np.ndarray, ...]:
+    """(pk, val, first, last, alt) of an n-letter word, indexed by its ascent code.
+
+    Bit i of the code is 1 when the i-th adjacent pair rises.  A signed word
+    is read behind a 0 sentinel, so it has n bits and bit 0 says its first
+    letter is positive; an unsigned word has n - 1.  A peak is a rise before
+    a fall, a valley a fall before a rise; first and last are the end bits (1
+    for the one-letter S_1 word); alt is 1 when the word's own pairs fall,
+    rise, fall, ...
+    """
+    key = (n, signed)
+    if key not in _CODE_TABLES:
+        nbits = n if signed else n - 1
+        bits = (np.arange(1 << nbits)[:, None] >> np.arange(nbits)) & 1
+        pk = (bits[:, :-1] > bits[:, 1:]).sum(1)
+        val = (bits[:, :-1] < bits[:, 1:]).sum(1)
+        first, last = (bits[:, 0], bits[:, -1]) if nbits else (np.ones(1, dtype=np.int64),) * 2
+        own = bits[:, 1:] if signed else bits
+        alt = (own == np.arange(own.shape[1]) % 2).all(1).astype(np.int64)
+        _CODE_TABLES[key] = pk, val, first, last, alt
+    return _CODE_TABLES[key]
+
+
+def _ascent_codes(words: np.ndarray, signed: bool) -> np.ndarray:
+    """The ascent code (see _code_table) of each row of an (M, n) word block."""
+    cols = np.ascontiguousarray(words.T)
+    nbits = len(cols) - 1 + signed
+    dtype = np.uint8 if nbits <= 8 else np.uint16
+    bits = np.empty((nbits, len(words)), dtype=dtype)
+    if signed:
+        np.greater(cols[0], 0, out=bits[0])
+    np.less(cols[:-1], cols[1:], out=bits[signed:])
+    bits <<= np.arange(nbits, dtype=dtype)[:, None]
+    return bits.sum(0, dtype=dtype)
+
+
+def _inv_parity(n: int, lo: int, rows: int) -> np.ndarray:
+    """inv mod 2 of the S_n words of ranks [lo, lo + rows), as uint8.
+
+    The parity of each suffix-table row, xored with one constant per prefix.
+    """
+    m = min(n, _SUFFIX_LETTERS)
+    _, row_parity = _suffix_table(m)
+    out = np.empty(rows, dtype=np.uint8)
+    for at, p, s, take in _prefix_runs(n, lo, rows):
+        out[at:at + take] = row_parity[s:s + take] ^ _digit_parity(p, range(m + 1, n + 1))
+    return out
 
 
 def _scan_a_numpy(n: int, lo: int, hi: int) -> np.ndarray:
-    k_states = (n + 1) * (n + 1) * 16
-    acc = np.zeros(k_states, dtype=np.int64)
-    for words in _perm_blocks(n, lo, hi, chunk=4096):
-        m = words.shape[0]
-        if n >= 2:
-            asc = words[:, :-1] < words[:, 1:]
-            first, last = asc[:, 0], asc[:, -1]
-            alt = (asc == _alt_target(n)).all(1)
-        else:
-            first = last = alt = np.ones(m, dtype=bool)
-        if n >= 3:
-            pk = (asc[:, :-1] & ~asc[:, 1:]).sum(1)
-            val = (~asc[:, :-1] & asc[:, 1:]).sum(1)
-        else:
-            pk = val = np.zeros(m, dtype=np.int64)
-        iu, ju = np.triu_indices(n, 1)
-        inv = (words[:, iu] > words[:, ju]).sum(1)
-        key = ((((pk * (n + 1) + val) * 2 + (inv & 1)) * 2 + first) * 2 + last) * 2 + alt
-        acc += np.bincount(key, minlength=k_states)
+    pk, val, first, last, alt = _code_table(n, signed=False)
+    # inv mod 2 is bit 3 of the key
+    keys = ((pk * (n + 1) + val) * 16 + first * 4 + last * 2 + alt).astype(np.int16)
+    acc = np.zeros((n + 1) * (n + 1) * 16, dtype=np.int64)
+    for words in _perm_blocks(n, lo, hi, _A_BLOCK):
+        rows = words.shape[0]
+        key = keys[_ascent_codes(words, signed=False)] + (_inv_parity(n, lo, rows) << 3)
+        acc += np.bincount(key, minlength=acc.size)
+        lo += rows
     return acc
 
 
@@ -242,55 +308,91 @@ def _decode_a(acc: np.ndarray, n: int) -> dict:
     return tally
 
 
-_SIGNS_CACHE: dict[int, np.ndarray] = {}
+_SIGN_LANES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _sign_matrix(n: int) -> np.ndarray:
-    if n not in _SIGNS_CACHE:
-        masks = np.arange(1 << n, dtype=np.int32)
-        _SIGNS_CACHE[n] = (1 - 2 * ((masks[:, None] >> np.arange(n)[None, :]) & 1)).astype(np.int8)
-    return _SIGNS_CACHE[n]
+def _sign_lanes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per sign mask, the 8-byte lanes that negate its letters in a packed word.
+
+    Bit i of a mask negates letter i.  A letter x in 1..n is negated within
+    its byte as (x ^ 0xFF) + 1, which never carries into the next byte, so
+    one xor and one add per lane negate every masked letter at once.
+    """
+    if n not in _SIGN_LANES:
+        flip = np.zeros((1 << n, -(-n // 8) * 8), dtype=np.uint8)
+        flip[:, :n] = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1) * 0xFF
+        _SIGN_LANES[n] = flip.view(np.uint64), (flip & 1).view(np.uint64)
+    return _SIGN_LANES[n]
 
 
-def _signed_chunk(n: int) -> int:
-    """Permutations per signed block: each block holds about 131072 words."""
-    return max(1, 131072 >> n)
+# Block sizes, in words.  Each block costs the same few dozen numpy calls,
+# and every call hands the GIL between workers, so the joint B kernel reads
+# big blocks.  The subset kernel's argsorts hold 8 bytes per letter, so it
+# reads smaller ones, and no part of a split of B_n is smaller than one of
+# those.  The S_n kernel's block is smaller again, to keep its peak memory
+# within a few MB.
+_JOINT_B_BLOCK = 1 << 19
+_B_BLOCK = 1 << 17
+_A_BLOCK = 1 << 16
 
 
-def _signed_blocks(n: int, lo: int, hi: int):
-    """(M, n) blocks of signed words covering ambient indices [lo, hi)."""
-    signs = _sign_matrix(n)
-    nmasks = 1 << n
-    chunk = _signed_chunk(n)
+def _signed_blocks(n: int, lo: int, hi: int, block: int):
+    """(M, n) int8 blocks of signed words covering ambient indices [lo, hi),
+    each from max(1, block >> n) permutations.
+
+    Each permutation is packed into 8-byte lanes and crossed with all its
+    sign masks at once (see _sign_lanes).
+    """
+    flip, one = _sign_lanes(n)
+    nmasks, nlanes = flip.shape
     rank_lo, rank_hi = lo >> n, (hi + nmasks - 1) >> n
-    for words in _perm_blocks(n, rank_lo, rank_hi, chunk):
-        full = (words[:, None, :] * signs[None, :, :]).reshape(-1, n)
+    for words in _perm_blocks(n, rank_lo, rank_hi, max(1, block >> n)):
+        packed = np.zeros((len(words), nlanes * 8), dtype=np.int8)
+        packed[:, :n] = words
+        lanes = packed.view(np.uint64)
+        full = np.empty((len(words), nmasks, nlanes), dtype=np.uint64)
+        for i in range(nlanes):
+            np.bitwise_xor(lanes[:, None, i], flip[None, :, i], out=full[:, :, i])
+            full[:, :, i] += one[None, :, i]
+        full = full.reshape(-1, nlanes).view(np.int8)[:, :n]
         base = rank_lo << n
-        total = full.shape[0]
-        s, e = max(lo - base, 0), min(hi - base, total)
+        s, e = max(lo - base, 0), min(hi - base, full.shape[0])
         yield full[s:e]
         rank_lo += words.shape[0]
         lo = rank_lo << n
 
 
 def _split_b(fn, n: int, workers: int | None):
-    """_run_split over the ambient indices of B_n, in parts of whole signed blocks."""
-    return _run_split(fn, factorial(n) << n, workers, _signed_chunk(n) << n)
+    """_run_split over the ambient indices of B_n, in parts of at least _B_BLOCK words."""
+    return _run_split(fn, factorial(n) << n, workers, _B_BLOCK)
+
+
+def _by_sign_parity(n: int, lo: int, rows: int, table: np.ndarray) -> np.ndarray:
+    """table[inv(|w|) mod 2, sign mask of w] for the B_n words w of ambient
+    indices [lo, lo + rows): one parity per permutation, read by _inv_parity."""
+    rank, skip = lo >> n, lo & ((1 << n) - 1)
+    perms = (skip + rows + (1 << n) - 1) >> n
+    return table[_inv_parity(n, rank, perms)].reshape(-1)[skip:skip + rows]
+
+
+def _parity_table(n: int, bits: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+    """The (2, 2^n) table bits(inv(|w|) mod 2, neg(w) mod 2) over the sign masks."""
+    neg2 = _digit_parity(np.arange(1 << n), [2] * n)
+    return bits(np.arange(2)[:, None], neg2[None, :])
 
 
 def _scan_b_numpy(n: int, lo: int, hi: int) -> np.ndarray:
-    k_states = (n + 1) * (n + 1) * 64
-    acc = np.zeros(k_states, dtype=np.int64)
-    for w in _signed_blocks(n, lo, hi):
-        if w.shape[0] == 0:
-            continue
-        pk, val, inv_plain, cross, negs, last, alt = _stats_word_block(w)
-        invb2 = (inv_plain + cross + negs) & 1
-        invd2 = (inv_plain + cross) & 1
-        key = (pk * (n + 1) + val) * 2 + invb2
-        key = (key * 2 + invd2) * 2 + (negs & 1)
-        key = ((key * 2 + last) * 2 + (w[:, 0] > 0)) * 2 + alt
-        acc += np.bincount(key, minlength=k_states)
+    pk, val, first, last, alt = _code_table(n, signed=True)
+    keys = ((pk * (n + 1) + val) * 64 + last * 4 + first * 2 + alt).astype(np.int16)
+    # inv_B, inv_D and neg mod 2 are bits 5, 4 and 3 of the key
+    parity_keys = _parity_table(n, lambda inv2, neg2: (inv2 ^ neg2) * 32 + inv2 * 16 + neg2 * 8)
+    parity_keys = parity_keys.astype(np.int16)
+    acc = np.zeros((n + 1) * (n + 1) * 64, dtype=np.int64)
+    for w in _signed_blocks(n, lo, hi, _JOINT_B_BLOCK):
+        rows = w.shape[0]
+        key = keys[_ascent_codes(w, signed=True)] + _by_sign_parity(n, lo, rows, parity_keys)
+        acc += np.bincount(key, minlength=acc.size)
+        lo += rows
     return acc
 
 
@@ -614,34 +716,39 @@ def _subset_scan_numpy(n: int, lo: int, hi: int) -> np.ndarray:
     staircase subset L.
     """
     base, side = n + 1, _subset_side(n)
+    pk, val, first, last, alt = _code_table(n, signed=True)
+    cells = (last * base + pk) * base + val  # the code's (end, pk, val) cell
+    snakes = (first & alt).astype(bool)
+    parities = _parity_table(n, lambda inv2, neg2: inv2 * 2 + neg2)
     acc = np.zeros(2 * side + 10, dtype=np.int64)
-    for w in _signed_blocks(n, lo, hi):
+    for w in _signed_blocks(n, lo, hi, _B_BLOCK):
         m = w.shape[0]
-        if m == 0:
-            continue
-        pk, val, inv_plain, cross, negs, last, alt = _stats_word_block(w)
+        asc = _ascent_codes(w, signed=True)
+        parity = _by_sign_parity(n, lo, m, parities)
+        lo += m
+        invd2, neg2 = parity >> 1, parity & 1
+        in_d = neg2 == 0
         absw = np.abs(w)
         big = absw >= n - 1
         bigpos = np.argsort(~big, axis=1, kind="stable")[:, :2]
         i, j = bigpos[:, 0], bigpos[:, 1]
         sgn_same = (w[:, -2] > 0) == (w[:, -1] > 0)
         l_idx = np.where(j - i > 1, 1, np.where(absw[:, -1] < n - 1, 2, np.where(sgn_same, 4, 3)))
-        in_d = (negs & 1) == 0
-        invd2 = (inv_plain + cross) & 1
-        snake = in_d & alt & (w[:, 0] > 0)
+        snake = in_d & snakes[asc]
         codes = [2 * side + (l_idx * 2 + invd2)[snake]]
         if n >= 3:
             rows = np.arange(m)
             smallpos = np.argsort(big, axis=1, kind="stable")[:, : n - 2]
             w2_last = w[rows, smallpos[:, -1]]
             w2_prev = w[rows, smallpos[:, -2]] if n >= 4 else np.zeros(m, dtype=np.int8)
-            match = (w2_prev < w2_last) == last
+            match = (w2_prev < w2_last) == last[asc]
             # k_B refines L: 2L - 1 when the deleted word keeps the end class,
             # else 2L; the L = 4 pair is numbered the other way round (8, 7).
             k = 2 * l_idx - np.where(l_idx == 4, ~match, match)
             kd = np.where((w[rows, i] < 0) != (w[rows, j] < 0), 9, k)
-            code_b = (((k * 2 + last) * base + pk) * base + val) * 2 + ((inv_plain + cross + negs) & 1)
-            code_d = (((kd * 2 + last) * base + pk) * base + val) * 2 + invd2
+            cell = cells[asc]
+            code_b = (k * 2 * base * base + cell) * 2 + (invd2 ^ neg2)
+            code_d = (kd * 2 * base * base + cell) * 2 + invd2
             codes += [code_b, side + code_d[in_d]]
         acc += np.bincount(np.concatenate(codes), minlength=acc.size)
     return acc
@@ -743,16 +850,13 @@ def t_contribution(n: int, end: str, kind: str = "B") -> BiPoly:
 def snake_words_b(n: int, workers: int | None = None) -> list[tuple[int, ...]]:
     """All snakes of B_n in the contract enumeration order."""
     _check_n("B", n)
+    _, _, first, _, alt = _code_table(n, signed=True)
+    snakes = (first & alt).astype(bool)
 
     def scan(lo: int, hi: int) -> list[tuple[int, ...]]:
         out = []
-        for w in _signed_blocks(n, lo, hi):
-            if w.shape[0] == 0:
-                continue
-            snake = (w[:, 0] > 0)
-            if n >= 2:
-                snake &= ((w[:, :-1] < w[:, 1:]) == _alt_target(n)).all(1)
-            out.extend(map(tuple, w[snake].tolist()))
+        for w in _signed_blocks(n, lo, hi, _B_BLOCK):
+            out.extend(map(tuple, w[snakes[_ascent_codes(w, signed=True)]].tolist()))
         return out
 
     parts = _split_b(scan, n, workers)

@@ -16,6 +16,7 @@ All statistics functions accept plain sequences; the `Permutation` /
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from math import factorial
 from typing import Iterator, Sequence
@@ -117,8 +118,7 @@ def altruns_a(w) -> int:
 
 def inv_a(w) -> int:
     """Classical inversions |{i<j : w_i > w_j}| (usual order on Z)."""
-    w = _word(w)
-    return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
+    return sum(itertools.starmap(operator.gt, itertools.combinations(_word(w), 2)))
 
 
 def peaks_valleys_b(w) -> tuple[set[int], set[int]]:
@@ -144,20 +144,21 @@ def negatives(w) -> int:
     return sum(1 for x in _word(w) if x < 0)
 
 
+def _cross_inversions(w) -> int:
+    """|{i<j : -w_i > w_j}|."""
+    return sum(1 for a, b in itertools.combinations(w, 2) if -a > b)
+
+
 def inv_b(w) -> int:
     """Type B length: inversions + cross inversions + number of negatives."""
     w = _word(w)
-    n = len(w)
-    cross = sum(1 for i in range(n) for j in range(i + 1, n) if -w[i] > w[j])
-    return inv_a(w) + cross + negatives(w)
+    return inv_a(w) + _cross_inversions(w) + negatives(w)
 
 
 def inv_d(w) -> int:
     """Type D length: inversions + cross inversions (applies to all of B_n)."""
     w = _word(w)
-    n = len(w)
-    cross = sum(1 for i in range(n) for j in range(i + 1, n) if -w[i] > w[j])
-    return inv_a(w) + cross
+    return inv_a(w) + _cross_inversions(w)
 
 
 def stats_a(w) -> StatVector:
@@ -284,10 +285,6 @@ def _check_n(group: str, n: int) -> None:
         raise DomainError(f"n={n} outside enumeration range 1..{cap} for group {group}")
 
 
-def _signed_word(perm: tuple[int, ...], mask: int) -> tuple[int, ...]:
-    return tuple(-v if (mask >> i) & 1 else v for i, v in enumerate(perm))
-
-
 def iter_group(group: str, n: int) -> Iterator[tuple[int, ...]]:
     """Yield each element of the group exactly once, in the contract order."""
     group = normalize_group(group)
@@ -296,8 +293,9 @@ def iter_group(group: str, n: int) -> Iterator[tuple[int, ...]]:
         yield from itertools.permutations(range(1, n + 1))
         return
     want = None if group == "B" else (0 if group == "D" else 1)
+    signs = [tuple(-1 if (mask >> i) & 1 else 1 for i in range(n)) for mask in range(1 << n)
+             if want is None or bin(mask).count("1") % 2 == want]
     for perm in itertools.permutations(range(1, n + 1)):
-        for mask in range(1 << n):
-            if want is None or bin(mask).count("1") % 2 == want:
-                yield _signed_word(perm, mask)
+        for sign in signs:
+            yield tuple(map(operator.mul, perm, sign))
 

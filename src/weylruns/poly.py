@@ -110,24 +110,14 @@ class UniPoly:
     def __repr__(self):
         return f"UniPoly({list(self.coeffs)})"
 
+    def _terms(self):
+        return ((c, (("t", e),)) for e, c in enumerate(self.coeffs))
+
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mono = "1" if e == 0 else ("t" if e == 1 else f"t^{e}")
-            if e == 0:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-        s = " + ".join(parts)
-        return s.replace("+ -", "- ")
+        return _print_terms(self._terms(), latex=False)
+
+    def latex(self) -> str:
+        return _print_terms(self._terms(), latex=True)
 
 
 class BiPoly:
@@ -211,21 +201,42 @@ class BiPoly:
     def __repr__(self):
         return f"BiPoly({dict(sorted(self.terms.items()))})"
 
+    def _terms(self):
+        return ((c, (("p", i), ("q", j))) for (i, j), c in sorted(self.terms.items()))
+
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (i, j), c in sorted(self.terms.items()):
-            mono = ("p" if i == 1 else f"p^{i}" if i else "") + ("q" if j == 1 else f"q^{j}" if j else "")
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return _print_terms(self._terms(), latex=False)
+
+    def latex(self) -> str:
+        return _print_terms(self._terms(), latex=True)
+
+
+# ------------------------------------------------------ printing
+
+def _print_terms(terms, latex: bool) -> str:
+    """Join (coefficient, ((variable, exponent), ...)) terms in order.
+
+    Zero terms are skipped and a unit coefficient is left off a monomial.
+    Plain text writes 3*p^2q - t; LaTeX writes 3p^{2}q - t.
+    """
+    out = []
+    for c, powers in terms:
+        if c == 0:
+            continue
+        mono = "".join(v if e == 1 else (f"{v}^{{{e}}}" if latex else f"{v}^{e}") for v, e in powers if e)
+        mag = abs(c)
+        if mag == 1 and mono:
+            body = mono
+        elif mono and not latex:
+            body = f"{mag}*{mono}"
+        else:
+            body = f"{mag}{mono}"
+        if out:
+            out.append(" - " if c < 0 else " + ")
+        elif c < 0:
+            out.append("-")
+        out.append(body)
+    return "".join(out) or "0"
 
 
 # ------------------------------------------------------ derived operations

@@ -5,11 +5,14 @@ criterion with its runtime.  Criteria with stated time budgets assert them.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
+import weylruns
 from weylruns.involutions import run_involution_suite
 from weylruns.oracle import (
     SignedDistributionRequest,
@@ -22,6 +25,10 @@ from weylruns.oracle import (
 )
 from weylruns.poly import BiPoly, UniPoly, one_plus_t_multiplicity
 from weylruns.verify import MISMATCH_DOCUMENTED, run_checks
+
+# The CLI subprocesses import the package from where this process found it.
+_PATHS = [str(Path(weylruns.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, _PATHS))}
 
 GOLDEN = {
     ("R", 4): [0, 2, 12, 10],
@@ -170,7 +177,7 @@ def test_criterion_11_worker_determinism():
             res = subprocess.run(
                 [sys.executable, "-m", "weylruns.cli", "dist", "--group", "D", "--n", "5",
                  "--signed", "invD", "--biv", "--threads", threads],
-                capture_output=True, text=True, check=True,
+                capture_output=True, text=True, check=True, env=CLI_ENV,
             )
             outs.append(res.stdout)
         assert outs[0] == outs[1]
@@ -179,7 +186,7 @@ def test_criterion_11_worker_determinism():
             res = subprocess.run(
                 [sys.executable, "-m", "weylruns.cli", "verify", "--theorem", "cor-b-uni",
                  "--n-max", "5", "--format", "json", "--threads", threads],
-                capture_output=True, text=True, check=True,
+                capture_output=True, text=True, check=True, env=CLI_ENV,
             )
             verif.append(res.stdout)
         assert verif[0] == verif[1]

@@ -4,6 +4,7 @@ import io
 import json
 from contextlib import redirect_stdout
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,6 +41,21 @@ def test_dist_csv_and_latex(capsys):
         "--format", "latex",
     )
     assert out.strip() == "2 - 2q - 2p + 2pq"
+
+
+@pytest.mark.parametrize("argv,want", [
+    (("--group", "D", "--n", "3", "--signed", "invD"), "t - t^{3}"),
+    (("--group", "B", "--n", "4", "--signed", "invD", "--first", "neg"), "t - t^{2} - t^{3} + t^{4}"),
+    (("--group", "B", "--n", "3", "--signed", "invB"), "0"),
+    (("--group", "D", "--n", "4", "--signed", "invD", "--biv", "--end", "d"), "1 - p - pq + p^{2}q"),
+    (("--group", "B", "--n", "2", "--signed", "invB", "--biv"), "2 - q - p"),
+    (("--group", "B", "--n", "3", "--signed", "invB", "--biv"), "0"),
+])
+def test_dist_latex_stdout_is_pinned(capsys, argv, want):
+    """Zero, unit and negative coefficients, univariate and bivariate."""
+    code, out, _ = run_cli(capsys, "dist", *argv, "--format", "latex")
+    assert code == 0
+    assert out == want + "\n"
 
 
 def test_dist_parity_and_filters(capsys):

@@ -36,7 +36,19 @@ from weylruns.oracle import (
     subset_index_d,
     t_contribution,
 )
-from weylruns.perm_core import inv_d, is_snake_b, iter_group, negatives
+from weylruns.perm_core import (
+    Permutation,
+    SignedPermutation,
+    classify_end_b,
+    inv_b,
+    inv_d,
+    is_alternating,
+    is_snake_b,
+    iter_group,
+    negatives,
+    peaks_valleys_a,
+    peaks_valleys_b,
+)
 from weylruns.poly import BiPoly, UniPoly
 
 
@@ -175,7 +187,7 @@ def test_block_slices_cover(group, n):
     cuts = [0, total // 3 + 1, 2 * total // 3 - 1, total]
     pieces = []
     for lo, hi in zip(cuts, cuts[1:]):
-        blocks = oracle._perm_blocks(n, lo, hi, 5) if group == "A" else oracle._signed_blocks(n, lo, hi)
+        blocks = oracle._perm_blocks(n, lo, hi, 5) if group == "A" else oracle._signed_blocks(n, lo, hi, 5)
         pieces.extend(tuple(w) for block in blocks for w in block.tolist())
     if group == "D":
         pieces = [w for w in pieces if negatives(w) % 2 == 0]
@@ -202,6 +214,110 @@ def test_perm_blocks_seek_to_the_end_of_s11():
     top = (11, 10, 9, 8, 7, 6, 5, 4)
     want = [top + tail for tail in list(permutations((1, 2, 3)))[1:]]
     assert [tuple(w) for b in blocks for w in b.tolist()] == want
+
+
+# ------------------------------------- statistics kernel against brute force
+
+def _pairwise_parities(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(inv_B mod 2, inv_D mod 2) of each row, by counting its pairs."""
+    iu, ju = np.triu_indices(words.shape[1], 1)
+    a, b = words[:, iu].astype(np.int64), words[:, ju].astype(np.int64)
+    inv_d2 = ((a > b).sum(1) + (-a > b).sum(1)) & 1
+    return (inv_d2 + (words < 0).sum(1)) & 1, inv_d2
+
+
+def _factorized_parities(n: int, lo: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """(inv_B mod 2, inv_D mod 2) of the B_n words at [lo, lo + rows), as the kernel reads them."""
+    table = oracle._parity_table(n, lambda inv2, neg2: 2 * (inv2 ^ neg2) + inv2)
+    bits = oracle._by_sign_parity(n, lo, rows, table)
+    return bits >> 1, bits & 1
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_factorized_parities_match_pairwise_counts(n):
+    """inv_D = inv(|w|) and inv_B = inv(|w|) + neg (mod 2) on all of B_n."""
+    lo = 0
+    for words in oracle._signed_blocks(n, 0, factorial(n) << n, 1 << 17):
+        got = _factorized_parities(n, lo, words.shape[0])
+        want = _pairwise_parities(words)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        lo += words.shape[0]
+    assert lo == factorial(n) << n
+
+
+def test_factorized_parities_match_perm_core():
+    for n in range(1, 5):
+        words = list(iter_group("B", n))
+        invb2, invd2 = _factorized_parities(n, 0, len(words))
+        assert invb2.tolist() == [inv_b(w) & 1 for w in words]
+        assert invd2.tolist() == [inv_d(w) & 1 for w in words]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), ends=st.lists(st.integers(0, factorial(6) << 6), min_size=2, max_size=2))
+def test_factorized_parities_over_any_range(n, ends):
+    lo, hi = sorted(e % ((factorial(n) << n) + 1) for e in ends)
+    words = list(oracle._signed_blocks(n, lo, hi, 1 << 17))
+    words = np.concatenate(words) if words else np.empty((0, n), dtype=np.int8)
+    got, want = _factorized_parities(n, lo, hi - lo), _pairwise_parities(words)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(8, 10), at=st.integers(0, factorial(10)), rows=st.integers(1, 12000))
+@example(n=8, at=factorial(7) - 7, rows=20)
+@example(n=10, at=factorial(10) - 9000, rows=12000)
+def test_suffix_table_parity_matches_pairwise_counts(n, at, rows):
+    """Row parity xor prefix constant gives inv mod 2 on rank ranges of S_8..S_10."""
+    lo = at % factorial(n)
+    hi = min(lo + rows, factorial(n))
+    words = np.concatenate(list(oracle._perm_blocks(n, lo, hi, 4096)))
+    iu, ju = np.triu_indices(n, 1)
+    want = (words[:, iu] > words[:, ju]).sum(1) & 1
+    assert np.array_equal(oracle._inv_parity(n, lo, hi - lo), want)
+
+
+def _word_with_ascents(bits, size: int) -> list[int]:
+    """A permutation of 1..size whose i-th adjacent pair rises exactly when bits[i]."""
+    word, run = [], [1]
+    for i, rise in enumerate(bits):
+        if rise:
+            word += reversed(run)
+            run = []
+        run.append(i + 2)
+    return word + run[::-1]
+
+
+def _realise(code: int, n: int, signed: bool) -> tuple[int, ...]:
+    """An n-letter word (signed: of B_n, read behind a 0 sentinel) with this ascent code."""
+    nbits = n if signed else n - 1
+    bits = [(code >> i) & 1 for i in range(nbits)]
+    if not signed:
+        return tuple(_word_with_ascents(bits, n))
+    ext = _word_with_ascents(bits, n + 1)
+    zero = ext[0]
+    # letters above the sentinel become 1, 2, ..; those below become -n, -(n-1), ..
+    return tuple(v - zero if v > zero else v - n - 1 for v in ext[1:])
+
+
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("n", range(1, 10))
+def test_code_tables_match_perm_core(n, signed):
+    table = oracle._code_table(n, signed)
+    words = [_realise(code, n, signed) for code in range(len(table[0]))]
+    block = np.array(words, dtype=np.int8).reshape(len(words), n)
+    assert oracle._ascent_codes(block, signed).tolist() == list(range(len(words)))
+    for code, w in enumerate(words):
+        if signed:
+            SignedPermutation(w)
+            peaks, valleys = peaks_valleys_b(w)
+            first, last = w[0] > 0, classify_end_b(w) == "a"
+        else:
+            Permutation(w)
+            peaks, valleys = peaks_valleys_a(w)
+            first, last = (True, True) if n < 2 else (w[0] < w[1], w[-2] < w[-1])
+        want = (len(peaks), len(valleys), int(first), int(last), int(is_alternating(w)))
+        assert tuple(int(col[code]) for col in table) == want, (code, w)
 
 
 # --------------------------------------------------------- worker splits

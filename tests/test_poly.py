@@ -1,8 +1,11 @@
 """Exact polynomial arithmetic, divisibility and moment identities."""
 
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylruns.errors import DomainError
 from weylruns.poly import (
@@ -130,6 +133,28 @@ def test_json_term_order():
     d = poly_to_json(BiPoly({(1, 0): 2, (0, 1): 3, (0, 0): 1}))
     assert [t["exp"] for t in d["terms"]] == [[0, 0], [0, 1], [1, 0]]
     assert all(isinstance(t["coef"], str) for t in d["terms"])
+
+
+COEFFS = st.integers(-3, 3) | st.integers(-(2**200), 2**200)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeffs=st.lists(COEFFS, max_size=12),
+       terms=st.dictionaries(st.tuples(st.integers(0, 9), st.integers(0, 9)), COEFFS, max_size=12))
+def test_json_round_trip_property(coeffs, terms):
+    for f in (UniPoly(coeffs), BiPoly(terms)):
+        assert poly_from_json(poly_to_json(f)) == f
+        assert poly_from_json(json.loads(json.dumps(poly_to_json(f)))) == f
+
+
+def test_printers_pin_zero_unit_and_negative_terms():
+    f = UniPoly([-1, 0, 1, -7, 0, 12])
+    assert str(f) == "-1 + t^2 - 7*t^3 + 12*t^5"
+    assert f.latex() == "-1 + t^{2} - 7t^{3} + 12t^{5}"
+    g = BiPoly({(0, 0): 1, (1, 0): -1, (0, 2): -3, (2, 1): 1, (1, 1): 0, (3, 3): 10**30})
+    assert str(g) == "1 - 3*q^2 - p + p^2q + 1000000000000000000000000000000*p^3q^3"
+    assert g.latex() == "1 - 3q^{2} - p + p^{2}q + 1000000000000000000000000000000p^{3}q^{3}"
+    assert str(UniPoly.zero()) == UniPoly.zero().latex() == str(BiPoly.zero()) == BiPoly.zero().latex() == "0"
 
 
 def _random_unipoly(rng):

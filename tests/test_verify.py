@@ -100,3 +100,18 @@ def test_spot_ids_pass_at_small_n(ident):
 
 def test_length_decomposition_holds_through_n6():
     assert run_checks("cor-inv-bd", 1, 6).ok
+
+
+def test_length_decomposition_is_checked_by_brute_force(monkeypatch):
+    """cor-inv-bd walks B_n word by word: it reads nothing of the oracle's
+    kernel, and a wrong per-word length makes it fail."""
+    from weylruns import oracle, verify
+
+    def no_kernel(*_args, **_kwargs):
+        raise AssertionError("the oracle's walk ran")
+
+    for name in ("_perm_blocks", "_signed_blocks", "_inv_parity", "_code_table"):
+        monkeypatch.setattr(oracle, name, no_kernel)
+    assert run_checks("cor-inv-bd", 1, 6).ok
+    monkeypatch.setattr(verify, "inv_b", lambda w: perm_core.inv_d(w) + (w[0] < 0))
+    assert not run_checks("cor-inv-bd", 2, 2).ok
