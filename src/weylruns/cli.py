@@ -16,6 +16,7 @@ import json
 import sys
 import traceback
 
+from . import perm_core
 from . import verify as verify_mod
 from .errors import DomainError, IntegrityError
 from .oracle import SignedDistributionRequest, dist_runs, dist_runs_parity_split, family_poly, resolve_workers
@@ -95,7 +96,17 @@ COUNT_FAMILIES = {
 }
 
 
+# Families over S_n; every other family is over B_n and its subgroups.
+TYPE_A_FAMILIES = ("R", "Rpm", "E", "Epm")
+
+
 def _table_rows(family: str, n_max: int, workers):
+    if family not in POLY_FAMILIES and family not in COUNT_FAMILIES:
+        raise DomainError(f"unknown table family {family!r}; "
+                          f"choose from {sorted(POLY_FAMILIES) + sorted(COUNT_FAMILIES)}")
+    cap = perm_core.CAP_A if family in TYPE_A_FAMILIES else perm_core.CAP_B
+    if not 0 <= n_max <= cap:
+        raise DomainError(f"--n-max {n_max} outside 0..{cap} for family {family}")
     if family in POLY_FAMILIES:
         tokens = POLY_FAMILIES[family]
         header = ["n", "k"] + list(tokens)
@@ -108,18 +119,12 @@ def _table_rows(family: str, n_max: int, workers):
                 if any(coefs):
                     rows.append([n, k] + coefs)
         return header, rows
-    if family in COUNT_FAMILIES:
-        tokens = COUNT_FAMILIES[family]
-        counter = verify_mod.snake_count if family.startswith("S") else verify_mod.alt_count
-        if family.endswith("pm"):
-            labels = [family[:-2] + "+", family[:-2] + "-"]
-        else:
-            labels = [family]
-        header = ["n"] + labels
-        rows = [[n] + [counter(tok, n, workers) for tok in tokens] for n in range(0, n_max + 1)]
-        return header, rows
-    raise DomainError(f"unknown table family {family!r}; "
-                      f"choose from {sorted(POLY_FAMILIES) + sorted(COUNT_FAMILIES)}")
+    tokens = COUNT_FAMILIES[family]
+    counter = verify_mod.snake_count if family.startswith("S") else verify_mod.alt_count
+    labels = [family[:-2] + "+", family[:-2] + "-"] if family.endswith("pm") else [family]
+    header = ["n"] + labels
+    rows = [[n] + [counter(tok, n, workers) for tok in tokens] for n in range(0, n_max + 1)]
+    return header, rows
 
 
 def cmd_table(args) -> int:

@@ -6,8 +6,8 @@ so oracle-vs-formula comparisons stay two independent routes.
 
 There is one walk per group: `_perm_blocks` / `_signed_blocks` yield the
 elements in the contract order as int8 blocks, and vectorized kernels tally
-bounded statistics through int64 bincounts (counting only, no floating
-point).  The kernels share one table-driven statistics step: a word's
+bounded statistics through int64 bincounts and np.add.at (counting only, no
+floating point).  The kernels share one table-driven statistics step: a word's
 adjacent-pair ascent bits, behind a 0 sentinel for signed words, pack into
 a code, and a cached table per code length gives its peaks, valleys, end
 classes and alternation.  Inversion parity is never counted pair by pair.
@@ -15,21 +15,29 @@ It is read per rank of S_n, from a cached parity per suffix-table row xored
 with one constant per prefix, and for B_n it is taken once per permutation
 of absolute values and broadcast over the 2^n sign masks
 (inv_D = inv(|w|), inv_B = inv(|w|) + neg (mod 2)).  Three tallies come out
-of the walk:
+of the walks:
 
 * the joint A and B tallies, of which every distribution is a marginal sum;
 * the subset tally, which classifies B_n into the cancellation subsets and
-  the snakes of D_n into the staircase subsets L^1..L^4.
+  the snakes of D_n into the staircase subsets L^1..L^4.  It walks S_n, not
+  B_n: a word of B_n is a permutation u = |w| and a sign mask m, and its
+  subset code is a function of m and of the key (c, i, j, o, inv(u) mod 2)
+  of u, with c the ascent code of u, i < j the positions of the letters
+  n-1 and n, and o the order of the last pair left without them.  The
+  walk counts the S_n ranks per key, and the non-empty keys are then
+  crossed with all 2^n masks.
 
 Work is split over contiguous lexicographic rank ranges of the underlying
 permutation index space, none shorter than a minimum part (5040 ranks of
-S_n, 2^17 words of B_n), so small scans start no thread pool.  Each
+S_n, for the A and subset tallies; 2^17 words of B_n, for the joint B tally
+and the snake list), so small scans start no thread pool.  Each
 range is seeked, not stepped: `_perm_blocks` unranks the range's start
 directly, so a worker walks only its own ranks.  Partial bincounts merge by
 integer addition and are decoded once, so the result is bitwise identical
 for any worker count.
 Successful full-group scans are cached per n.  The test suite keeps a
-pure-Python walk over perm_core's statistics as the reference for all three.
+pure-Python walk over perm_core's statistics as the reference for all three,
+and a direct numpy walk of B_n as a second reference for the subset tally.
 """
 
 from __future__ import annotations
@@ -214,6 +222,11 @@ def _perm_blocks(n: int, lo: int, hi: int, chunk: int):
         lo += rows
 
 
+def _split_a(fn, n: int, workers: int | None):
+    """_run_split over the ranks of S_n, in parts of at least one suffix table."""
+    return _run_split(fn, factorial(n), workers, factorial(min(n, _SUFFIX_LETTERS)))
+
+
 # =====================================================================
 # Statistics kernel
 #
@@ -327,10 +340,10 @@ def _sign_lanes(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 # Block sizes, in words.  Each block costs the same few dozen numpy calls,
 # and every call hands the GIL between workers, so the joint B kernel reads
-# big blocks.  The subset kernel's argsorts hold 8 bytes per letter, so it
+# big blocks.  The snake walk keeps the matching words of each block, so it
 # reads smaller ones, and no part of a split of B_n is smaller than one of
-# those.  The S_n kernel's block is smaller again, to keep its peak memory
-# within a few MB.
+# those.  The S_n kernels' block is smaller again, to keep their peak
+# memory within a few MB.
 _JOINT_B_BLOCK = 1 << 19
 _B_BLOCK = 1 << 17
 _A_BLOCK = 1 << 16
@@ -413,8 +426,7 @@ def _decode_b(acc: np.ndarray, n: int) -> dict:
 def scan_joint_a(n: int, workers: int | None = 1) -> dict:
     """Uncached joint tally over S_n (used directly by determinism tests)."""
     _check_n("A", n)
-    block = factorial(min(n, _SUFFIX_LETTERS))
-    parts = _run_split(lambda a, b: _scan_a_numpy(n, a, b), factorial(n), workers, block)
+    parts = _split_a(lambda a, b: _scan_a_numpy(n, a, b), n, workers)
     return _decode_a(sum(parts), n)
 
 
@@ -707,8 +719,55 @@ def _subset_side(n: int) -> int:
     return 10 * 2 * (n + 1) * (n + 1) * 2
 
 
-def _subset_scan_numpy(n: int, lo: int, hi: int) -> np.ndarray:
-    """Subset bincounts over ambient indices [lo, hi).
+# The subset tally is read from S_n (see the module docstring).  Bit p of a
+# sign mask m is set when letter p is negative.  The key's o is the order
+# bit of the last pair left once the letters n-1 and n are deleted, read
+# behind a 0 sentinel, so at n = 3 it is 1.  _subset_hist counts the S_n
+# ranks per key, and _expand_subsets crosses the non-empty keys with all
+# 2^n masks.
+
+def _subset_hist(n: int, lo: int, hi: int) -> np.ndarray:
+    """Counts of the key (c, i, j, o, inv2) over the S_n ranks [lo, hi), as a
+    (2^(n-1) * n * n * 2, 2) array: one row per (c, i, j, o), one column per inv2."""
+    acc = np.zeros((1 << (n - 1)) * n * n * 4, dtype=np.int64)
+    for words in _perm_blocks(n, lo, hi, _A_BLOCK):
+        rows = words.shape[0]
+        big = words >= n - 1
+        i = np.argmax(big, axis=1)
+        j = n - 1 - np.argmax(big[:, ::-1], axis=1)
+        o = 1  # at n = 3 the one letter left rises from the sentinel
+        if n >= 4:
+            rest = words[~big].reshape(rows, n - 2)
+            o = rest[:, -2] < rest[:, -1]
+        key = (_ascent_codes(words, signed=False).astype(np.int64) * n + i) * n + j
+        key = (key * 2 + o) * 2 + _inv_parity(n, lo, rows)
+        acc += np.bincount(key, minlength=acc.size)
+        lo += rows
+    return acc.reshape(-1, 2)
+
+
+def _signed_code(c: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
+    """The signed ascent code (see _code_table) of the word with |w| of unsigned
+    ascent code c and sign mask m.
+
+    Bit 0 says letter 0 is positive.  Pair p rises with |w| when the signs
+    L, R of its letters are both positive, against |w| when both are
+    negative, and exactly when L is negative if they differ:
+    rise = L ^ (a & ~(L ^ R)), with a the pair's bit of c.
+    """
+    left = m << 1
+    return ((left ^ ((c << 1) & ~(left ^ m))) & ((1 << n) - 1)) | (~m & 1)
+
+
+def _add_parities(acc: np.ndarray, codes: np.ndarray, counts: np.ndarray) -> None:
+    """Add counts[..., b] at codes ^ b; bit 0 of each code is its parity bit
+    for even inv(|w|), and b is inv(|w|) mod 2."""
+    np.add.at(acc, codes, counts[..., 0])
+    np.add.at(acc, codes ^ 1, counts[..., 1])
+
+
+def _expand_subsets(hist: np.ndarray, n: int) -> np.ndarray:
+    """The subset codes of B_n from the S_n key counts of _subset_hist.
 
     Codes below one side hold the type B cell (k, end, pk, val) with the
     inv_B parity bit; the next side holds the type D cell over D_n with the
@@ -719,38 +778,40 @@ def _subset_scan_numpy(n: int, lo: int, hi: int) -> np.ndarray:
     pk, val, first, last, alt = _code_table(n, signed=True)
     cells = (last * base + pk) * base + val  # the code's (end, pk, val) cell
     snakes = (first & alt).astype(bool)
-    parities = _parity_table(n, lambda inv2, neg2: inv2 * 2 + neg2)
+    masks = np.arange(1 << n)
+    neg2 = _digit_parity(masks, [2] * n)
+    # the last two positions left once positions i < j are deleted; -1 is
+    # the sentinel, whose sign bit is 0 in `signs`
+    q1, q2 = np.zeros((2, n, n), dtype=np.int64)
+    for i, j in itertools.combinations(range(n), 2):
+        q1[i, j], q2[i, j] = ([-1, -1] + [p for p in range(n) if p not in (i, j)])[-2:]
+    signs = masks << 1
     acc = np.zeros(2 * side + 10, dtype=np.int64)
-    for w in _signed_blocks(n, lo, hi, _B_BLOCK):
-        m = w.shape[0]
-        asc = _ascent_codes(w, signed=True)
-        parity = _by_sign_parity(n, lo, m, parities)
-        lo += m
-        invd2, neg2 = parity >> 1, parity & 1
-        in_d = neg2 == 0
-        absw = np.abs(w)
-        big = absw >= n - 1
-        bigpos = np.argsort(~big, axis=1, kind="stable")[:, :2]
-        i, j = bigpos[:, 0], bigpos[:, 1]
-        sgn_same = (w[:, -2] > 0) == (w[:, -1] > 0)
-        l_idx = np.where(j - i > 1, 1, np.where(absw[:, -1] < n - 1, 2, np.where(sgn_same, 4, 3)))
+    keys = np.nonzero(hist.any(1))[0]
+    step = max(1, (1 << 18) >> n)
+    for at in range(0, len(keys), step):
+        key = keys[at:at + step, None]
+        counts = np.broadcast_to(hist[key], (len(key), len(masks), 2))
+        key, o = key >> 1, key & 1
+        key, j = np.divmod(key, n)
+        c, i = np.divmod(key, n)
+        asc = _signed_code(c, masks, n)
+        sign_i, sign_j = (masks >> i) & 1, (masks >> j) & 1
+        l_idx = np.where(j - i > 1, 1, np.where(j < n - 1, 2, np.where(sign_i == sign_j, 4, 3)))
+        in_d = np.broadcast_to(neg2 == 0, asc.shape)
         snake = in_d & snakes[asc]
-        codes = [2 * side + (l_idx * 2 + invd2)[snake]]
-        if n >= 3:
-            rows = np.arange(m)
-            smallpos = np.argsort(big, axis=1, kind="stable")[:, : n - 2]
-            w2_last = w[rows, smallpos[:, -1]]
-            w2_prev = w[rows, smallpos[:, -2]] if n >= 4 else np.zeros(m, dtype=np.int8)
-            match = (w2_prev < w2_last) == last[asc]
-            # k_B refines L: 2L - 1 when the deleted word keeps the end class,
-            # else 2L; the L = 4 pair is numbered the other way round (8, 7).
-            k = 2 * l_idx - np.where(l_idx == 4, ~match, match)
-            kd = np.where((w[rows, i] < 0) != (w[rows, j] < 0), 9, k)
-            cell = cells[asc]
-            code_b = (k * 2 * base * base + cell) * 2 + (invd2 ^ neg2)
-            code_d = (kd * 2 * base * base + cell) * 2 + invd2
-            codes += [code_b, side + code_d[in_d]]
-        acc += np.bincount(np.concatenate(codes), minlength=acc.size)
+        _add_parities(acc, (2 * side + l_idx * 2)[snake], counts[snake])
+        if n < 3:
+            continue
+        left, right = (signs >> (q1[i, j] + 1)) & 1, (signs >> (q2[i, j] + 1)) & 1
+        match = (left ^ (o & ~(left ^ right))) == last[asc]
+        # k_B refines L: 2L - 1 when the deleted word keeps the end class,
+        # else 2L; the L = 4 pair is numbered the other way round (8, 7).
+        k = 2 * l_idx - (match ^ (l_idx == 4))
+        kd = np.where(sign_i != sign_j, 9, k)
+        cell = cells[asc] * 2
+        _add_parities(acc, k * 4 * base * base + cell + neg2, counts)
+        _add_parities(acc, (side + kd * 4 * base * base + cell)[in_d], counts[in_d])
     return acc
 
 
@@ -784,8 +845,8 @@ def scan_subsets(n: int, workers: int | None = 1) -> dict:
     _check_n("B", n)
     if n < 2:
         raise DomainError("subset classification needs n >= 2")
-    parts = _split_b(lambda a, b: _subset_scan_numpy(n, a, b), n, workers)
-    return _decode_subsets(sum(parts), n)
+    parts = _split_a(lambda a, b: _subset_hist(n, a, b), n, workers)
+    return _decode_subsets(_expand_subsets(sum(parts), n), n)
 
 
 def _subset_scan(n: int, workers: int | None = None) -> dict:

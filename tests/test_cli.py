@@ -139,6 +139,19 @@ def test_table_unknown_family(tmp_path, capsys):
     assert code == 2 and "unknown table family" in err
 
 
+@pytest.mark.parametrize("family,n_max", [("SB", "-1"), ("SD", "10"), ("E", "12")])
+def test_table_refuses_n_max_outside_the_cap_before_any_walk(tmp_path, capsys, monkeypatch, family, n_max):
+    def no_walk(*_args, **_kwargs):
+        raise AssertionError("a table row was computed")
+
+    monkeypatch.setattr(verify, "alt_count", no_walk)
+    monkeypatch.setattr(verify, "snake_count", no_walk)
+    path = tmp_path / "t.csv"
+    code, _, err = run_cli(capsys, "table", "--family", family, "--n-max", n_max, "--out", str(path))
+    assert code == 2 and "--n-max" in err
+    assert not path.exists()
+
+
 def test_thread_count_does_not_change_bytes(tmp_path, capsys):
     outputs = []
     for threads in ("1", "8"):

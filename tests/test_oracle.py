@@ -5,6 +5,7 @@ from itertools import islice, permutations
 from math import factorial
 from pathlib import Path
 
+import direct_walk
 import numpy as np
 import pytest
 import reference
@@ -325,7 +326,7 @@ def test_code_tables_match_perm_core(n, signed):
 KERNELS = {
     "A": (oracle._scan_a_numpy, 1, 8, lambda n: factorial(n)),
     "B": (oracle._scan_b_numpy, 1, 5, lambda n: factorial(n) << n),
-    "subsets": (oracle._subset_scan_numpy, 2, 5, lambda n: factorial(n) << n),
+    "subsets": (oracle._subset_hist, 2, 8, lambda n: factorial(n)),
 }
 
 
@@ -334,7 +335,7 @@ KERNELS = {
        cuts=st.lists(st.integers(0, factorial(8)), max_size=6))
 @example(kind="A", n=8, cuts=[13441, 26879])
 @example(kind="B", n=5, cuts=[1, 1000, 2049])
-@example(kind="subsets", n=5, cuts=[31, 32, 3000])
+@example(kind="subsets", n=8, cuts=[31, 5041, 30000])
 def test_partials_over_any_cuts_sum_to_the_whole(kind, n, cuts):
     kernel, n_min, n_max, size = KERNELS[kind]
     n = min(max(n, n_min), n_max)
@@ -350,6 +351,34 @@ def test_worker_count_does_not_change_tallies():
     assert scan_joint_a(7, workers=1) == scan_joint_a(7, workers=8)
     assert scan_joint_b(5, workers=1) == scan_joint_b(5, workers=8)
     assert scan_subsets(5, workers=1) == scan_subsets(5, workers=8)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+@pytest.mark.parametrize("workers", [1, 3])
+def test_subset_tally_matches_the_direct_b_walk(n, workers):
+    """The tally read from S_n keys crossed with sign masks equals a walk of
+    every signed word of B_n."""
+    assert scan_subsets(n, workers) == direct_walk.subsets(n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_direct_b_walk_matches_reference(n):
+    assert direct_walk.subsets(n) == reference.subsets(n)
+
+
+def test_subset_tally_over_eight_parts_of_s8():
+    assert len(oracle._ranges(factorial(8), 8, factorial(7))) == 8
+    assert scan_subsets(8, 1) == scan_subsets(8, 8)
+
+
+def test_signed_codes_from_unsigned_codes_and_masks():
+    """The signed ascent code of every word of B_1..B_6 is a function of the
+    ascent code of |w| and the sign mask."""
+    for n in range(1, 7):
+        words = np.concatenate(list(oracle._signed_blocks(n, 0, factorial(n) << n, 1 << 17)))
+        c = oracle._ascent_codes(np.abs(words), signed=False).astype(np.int64)
+        m = ((words < 0) << np.arange(n)).sum(axis=1)
+        assert np.array_equal(oracle._signed_code(c, m, n), oracle._ascent_codes(words, signed=True))
 
 
 def test_parts_are_never_below_one_block():
@@ -530,7 +559,7 @@ def test_snake_subsets_read_the_cached_tally(monkeypatch):
     def no_scan(*_args):
         raise AssertionError("a scan started")
 
-    monkeypatch.setattr(oracle, "_signed_blocks", no_scan)
+    monkeypatch.setattr(oracle, "_perm_blocks", no_scan)
     want = reference.subsets(n)
     for k in range(1, 5):
         for bit, parity in enumerate(("plus", "minus")):

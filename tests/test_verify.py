@@ -1,5 +1,6 @@
 """The verification harness: registry, ranges, statuses, report shape."""
 
+import numpy as np
 import pytest
 
 from weylruns import perm_core
@@ -103,15 +104,48 @@ def test_length_decomposition_holds_through_n6():
 
 
 def test_length_decomposition_is_checked_by_brute_force(monkeypatch):
-    """cor-inv-bd walks B_n word by word: it reads nothing of the oracle's
-    kernel, and a wrong per-word length makes it fail."""
+    """cor-inv-bd counts Coxeter lengths by descent sorting: it reads neither
+    perm_core's inversion counts nor the oracle's walk and tables, and a
+    wrong descent rule makes it fail."""
     from weylruns import oracle, verify
 
-    def no_kernel(*_args, **_kwargs):
-        raise AssertionError("the oracle's walk ran")
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("cor-inv-bd read a length or table it must compute itself")
 
-    for name in ("_perm_blocks", "_signed_blocks", "_inv_parity", "_code_table"):
-        monkeypatch.setattr(oracle, name, no_kernel)
+    for name in ("inv_a", "inv_b", "inv_d", "iter_group", "negatives"):
+        monkeypatch.setattr(perm_core, name, forbidden)
+        assert not hasattr(verify, name)
+    for name in ("_perm_blocks", "_signed_blocks", "_inv_parity", "_code_table",
+                 "_parity_table", "_by_sign_parity", "_suffix_table"):
+        monkeypatch.setattr(oracle, name, forbidden)
     assert run_checks("cor-inv-bd", 1, 6).ok
-    monkeypatch.setattr(verify, "inv_b", lambda w: perm_core.inv_d(w) + (w[0] < 0))
+    # a D descent at 0 off by one misses the words with w_1 + w_2 = -1
+    monkeypatch.setattr(verify, "_d_zero", _mutated_d_zero)
     assert not run_checks("cor-inv-bd", 2, 2).ok
+
+
+def _mutated_d_zero(cols):
+    d = cols[0] + cols[1] < -1
+    cols[0], cols[1] = np.where(d, -cols[1], cols[0]), np.where(d, -cols[0], cols[1])
+    return d
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_descent_sort_lengths_match_inversion_counts(n):
+    """Sorting by B descents gives inv_B and ends at the identity; sorting by
+    D descents gives inv_D and ends at the identity on D_n and at
+    (-1, 2, .., n) on B_n - D_n."""
+    from weylruns.verify import _b_zero, _d_zero, _descent_sort
+
+    words = list(perm_core.iter_group("B", n))
+    block = np.array(words, dtype=np.int8).reshape(len(words), n)
+    ell_b, end_b = _descent_sort(block, _b_zero)
+    ell_d, end_d = _descent_sort(block, _d_zero)
+    assert ell_b.tolist() == [perm_core.inv_b(w) for w in words]
+    assert ell_d.tolist() == [perm_core.inv_d(w) for w in words]
+    identity = tuple(range(1, n + 1))
+    odd = (-1,) + identity[1:]
+    assert all(tuple(e) == identity for e in end_b.tolist())
+    for w, e in zip(words, end_d.tolist()):
+        assert tuple(e) == (identity if perm_core.negatives(w) % 2 == 0 else odd)
+
