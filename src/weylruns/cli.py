@@ -73,11 +73,10 @@ def cmd_verify(args) -> int:
             elif o.status == verify_mod.MISMATCH_DOCUMENTED:
                 tag = "NOTE"
             print(f"{tag} {o.theorem} n={o.n}: {o.detail}")
-        counts = (
-            sum(o.passed for o in report.outcomes),
-            sum(not o.passed for o in report.outcomes),
-        )
-        print(f"# {counts[0]} passed, {counts[1]} failed")
+        skipped = sum(o.status == verify_mod.SKIPPED for o in report.outcomes)
+        failed = sum(not o.passed for o in report.outcomes)
+        summary = f"# {len(report.outcomes) - skipped - failed} passed, {failed} failed"
+        print(summary + (f", {skipped} skipped" if skipped else ""))
     return 0 if report.ok else 1
 
 
@@ -151,7 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--signed", default="none", choices=["none", "invA", "invB", "invD"])
     p.add_argument("--biv", action="store_true", help="bivariate peak/valley polynomial")
-    p.add_argument("--end", choices=["a", "d"], help="restrict to a final ascent or descent")
+    p.add_argument("--end", choices=["a", "d", "aa", "ad", "da", "dd"],
+                   help="restrict to a final ascent or descent (B, D, B-D: a/d), "
+                        "or to a first/last class (A: aa/ad/da/dd)")
     p.add_argument("--first", choices=["pos", "neg"], help="restrict by first-letter sign")
     p.add_argument("--parity", default="all", choices=["all", "plus", "minus"])
     p.add_argument("--format", default="json", choices=["json", "csv", "latex"])

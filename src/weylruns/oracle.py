@@ -849,14 +849,26 @@ def scan_subsets(n: int, workers: int | None = 1) -> dict:
     return _decode_subsets(_expand_subsets(sum(parts), n), n)
 
 
+def _grouped_subsets(n: int, workers: int | None) -> dict:
+    """The subset tally with its B/D terms grouped by (side, end, k) into
+    {(pk, val): count} cells; the ("L", l, bit) keys keep their counts."""
+    grouped: dict = {}
+    for key, c in scan_subsets(n, workers).items():
+        if key[0] == "L":
+            grouped[key] = c
+        else:
+            grouped.setdefault(key[:3], {})[key[3:]] = c
+    return grouped
+
+
 def _subset_scan(n: int, workers: int | None = None) -> dict:
-    return _cached(_SUBSET_CACHE, n, scan_subsets, workers)
+    return _cached(_SUBSET_CACHE, n, _grouped_subsets, workers)
 
 
 def _subset_cell(side: str, n: int, k: int, end: str, workers: int | None) -> BiPoly:
     if n < 3:
         raise DomainError("cancellation subsets need n >= 3")
-    return BiPoly({key[3:]: c for key, c in _subset_scan(n, workers).items() if key[:3] == (side, end, k)})
+    return BiPoly(_subset_scan(n, workers).get((side, end, k), {}))
 
 
 def subset_contribution_b(n: int, k: int, end: str, workers: int | None = None) -> BiPoly:

@@ -1,9 +1,18 @@
-"""Truncated power series over exact rationals, and the EGF catalogue.
+"""Truncated exponential generating functions in exact integers, and the EGF catalogue.
 
 Every generating function here is an exponential generating function whose
 coefficients must be integers after multiplying by n!; `egf_coeff` enforces
 that and raises `IntegrityError` otherwise (a failed formula, not a caller
 error).  Floating point is deliberately absent.
+
+A `Series` stores the EGF coefficients h_k = k! * c_k of its Maclaurin
+coefficients c_k, so the catalogue's arithmetic runs on Python ints:
+products are binomial convolutions, quotients follow the matching
+recurrence, and x -> c*x multiplies h_k by c^k.  A coefficient is a
+`Fraction` only when a rational scalar leaves it non-integral, as the
+printed B-D± form's ½ does at n = 1; it turns back into an int as soon as
+it is integral again.  The constructor and `coeffs` / `coeff` still speak
+Maclaurin coefficients, converting on the way in and out.
 
 The alternating B-D± family reproduces the printed closed form
 (sec 2x + tan 2x - 1 ± x)/2 even though its n = 1 EGF coefficient is not an
@@ -15,7 +24,7 @@ form, determined by the oracle, is available as `egf_alt_bmd_pm_corrected`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .errors import DomainError, IntegrityError
 from .perm_core import SNAKE_FAMILIES
@@ -26,106 +35,145 @@ ALT_FAMILIES = ("A", "A+", "A-", "B", "B+", "B-", "D", "B-D", "D+", "D-", "B-D+"
 
 
 class Series:
-    """Truncated Maclaurin series: coefficients c_0 .. c_{order-1}."""
+    """Truncated EGF: h_k = k! * c_k for k = 0 .. order-1 (see the module docstring)."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("egf",)
 
     def __init__(self, coeffs):
-        self.coeffs: tuple[Fraction, ...] = tuple(Fraction(c) for c in coeffs)
-        if not self.coeffs:
+        """From the Maclaurin coefficients c_0 .. c_{order-1}."""
+        self._set([Fraction(c) * factorial(k) for k, c in enumerate(coeffs)])
+
+    @classmethod
+    def _of(cls, egf) -> "Series":
+        """From the EGF coefficients h_0 .. h_{order-1}."""
+        out = object.__new__(cls)
+        out._set(egf)
+        return out
+
+    def _set(self, egf) -> None:
+        # an integral Fraction becomes its int, so that int arithmetic goes on
+        self.egf: tuple = tuple(
+            h.numerator if type(h) is Fraction and h.denominator == 1 else h for h in egf)
+        if not self.egf:
             raise DomainError("series order must be positive")
+
+    @staticmethod
+    def _ratio(a, b):
+        """a / b exactly: an int when it is integral, else a Fraction."""
+        if type(a) is int and type(b) is int:
+            q, r = divmod(a, b)
+            return Fraction(a, b) if r else q
+        a = Fraction(a) / b
+        return a.numerator if a.denominator == 1 else a
 
     @property
     def order(self) -> int:
-        return len(self.coeffs)
+        return len(self.egf)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The Maclaurin coefficients c_k = h_k / k!."""
+        return tuple(Fraction(h) / factorial(k) for k, h in enumerate(self.egf))
 
     @classmethod
     def zero(cls, order: int = DEFAULT_ORDER) -> "Series":
-        return cls([0] * order)
+        return cls._of([0] * order)
 
     @classmethod
     def const(cls, c, order: int = DEFAULT_ORDER) -> "Series":
-        return cls([c] + [0] * (order - 1))
+        return cls._of([Fraction(c)] + [0] * (order - 1))
 
     @classmethod
     def x(cls, order: int = DEFAULT_ORDER) -> "Series":
-        return cls([0, 1][:order] + [0] * (order - 2))
+        return cls._of([0, 1][:order] + [0] * (order - 2))
 
     @classmethod
     def sin(cls, order: int = DEFAULT_ORDER) -> "Series":
-        return cls([0 if n % 2 == 0 else Fraction((-1) ** (n // 2), factorial(n)) for n in range(order)])
+        return cls._of([0 if n % 2 == 0 else (-1) ** (n // 2) for n in range(order)])
 
     @classmethod
     def cos(cls, order: int = DEFAULT_ORDER) -> "Series":
-        return cls([Fraction((-1) ** (n // 2), factorial(n)) if n % 2 == 0 else 0 for n in range(order)])
+        return cls._of([(-1) ** (n // 2) if n % 2 == 0 else 0 for n in range(order)])
 
     def __add__(self, other: "Series") -> "Series":
         self._match(other)
-        return Series([a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return Series._of([a + b for a, b in zip(self.egf, other.egf)])
 
     def __sub__(self, other: "Series") -> "Series":
         self._match(other)
-        return Series([a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return Series._of([a - b for a, b in zip(self.egf, other.egf)])
 
     def __neg__(self) -> "Series":
-        return Series([-a for a in self.coeffs])
+        return Series._of([-a for a in self.egf])
 
     def __mul__(self, other) -> "Series":
         if isinstance(other, (int, Fraction)):
-            return Series([a * other for a in self.coeffs])
+            return Series._of([a * other for a in self.egf])
         self._match(other)
-        n = self.order
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j in range(n - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-        return Series(out)
+        # h_n = sum_k C(n, k) a_k b_(n-k), over the nonzero a_k
+        a, b = self.egf, other.egf
+        nonzero = [k for k, v in enumerate(a) if v]
+        out = []
+        for n in range(len(a)):
+            acc = 0
+            for k in nonzero:
+                if k > n:
+                    break
+                acc += comb(n, k) * a[k] * b[n - k]
+            out.append(acc)
+        return Series._of(out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Series":
         if isinstance(other, (int, Fraction)):
-            return Series([a / other for a in self.coeffs])
+            return Series._of([self._ratio(a, other) for a in self.egf])
         self._match(other)
-        if other.coeffs[0] == 0:
+        b = other.egf
+        if b[0] == 0:
             raise DomainError("division by a series with zero constant term")
-        n = self.order
-        inv0 = Fraction(1) / other.coeffs[0]
-        out = [Fraction(0)] * n
-        for k in range(n):
-            acc = self.coeffs[k]
-            for j in range(1, k + 1):
-                acc -= other.coeffs[j] * out[k - j]
-            out[k] = acc * inv0
-        return Series(out)
+        # q_n = (a_n - sum_(k >= 1) C(n, k) b_k q_(n-k)) / b_0, over the nonzero b_k
+        nonzero = [k for k, v in enumerate(b) if v and k]
+        out = []
+        for n, acc in enumerate(self.egf):
+            for k in nonzero:
+                if k > n:
+                    break
+                acc -= comb(n, k) * b[k] * out[n - k]
+            out.append(self._ratio(acc, b[0]))
+        return Series._of(out)
 
     def scale_arg(self, c: int) -> "Series":
         """Substitute x -> c*x."""
-        return Series([a * Fraction(c) ** k for k, a in enumerate(self.coeffs)])
+        c = Fraction(c)
+        c = c.numerator if c.denominator == 1 else c
+        return Series._of([a * c ** k for k, a in enumerate(self.egf)])
 
     def coeff(self, n: int) -> Fraction:
-        if not 0 <= n < self.order:
-            raise DomainError(f"coefficient index {n} outside order {self.order}")
-        return self.coeffs[n]
+        self._index(n)
+        return Fraction(self.egf[n]) / factorial(n)
 
     def egf_coeff_exact(self, n: int) -> Fraction:
         """n! * c_n as an exact rational (may be a non-integer for bad formulas)."""
-        return self.coeff(n) * factorial(n)
+        self._index(n)
+        return Fraction(self.egf[n])
 
     def egf_coeff(self, n: int) -> int:
-        v = self.egf_coeff_exact(n)
-        if v.denominator != 1:
+        self._index(n)
+        v = self.egf[n]
+        if type(v) is not int:
             raise IntegrityError(f"EGF coefficient at n={n} is {v}, not an integer")
-        return int(v)
+        return v
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Series) and self.coeffs == other.coeffs
+        return isinstance(other, Series) and self.egf == other.egf
 
     def __repr__(self):
         return f"Series({[str(c) for c in self.coeffs]})"
+
+    def _index(self, n: int) -> None:
+        if not 0 <= n < self.order:
+            raise DomainError(f"coefficient index {n} outside order {self.order}")
 
     def _match(self, other: "Series") -> None:
         if self.order != other.order:

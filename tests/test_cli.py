@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from weylruns import oracle, verify
 from weylruns.cli import main
-from weylruns.oracle import SignedDistributionRequest, dist_runs
-from weylruns.poly import poly_from_json
+from weylruns.oracle import SignedDistributionRequest, class_poly_a, dist_runs
+from weylruns.poly import poly_from_json, poly_to_json
 
 
 def run_cli(capsys, *argv):
@@ -79,6 +79,35 @@ def test_dist_usage_errors(capsys):
     assert run_cli(capsys, "dist", "--group", "A", "--n", "4", "--end", "a")[0] == 2
     assert run_cli(capsys, "dist", "--group", "A", "--n", "4", "--signed", "invB")[0] == 2
     assert run_cli(capsys, "dist", "--group", "A", "--n", "4", "--parity", "plus", "--biv")[0] == 2
+
+
+def test_dist_reaches_the_type_a_end_classes(capsys):
+    code, out, _ = run_cli(capsys, "dist", "--group", "A", "--n", "4", "--end", "ad", "--signed", "invA", "--biv")
+    assert code == 0
+    assert out == json.dumps(poly_to_json(class_poly_a(4, "ad")), sort_keys=True) + "\n"
+    # each group still takes only its own end classes
+    assert run_cli(capsys, "dist", "--group", "B", "--n", "4", "--end", "aa")[0] == 2
+
+
+def test_verify_text_summary_counts_skips_apart(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--theorem", "thm-b-main", "--n-min", "-3", "--n-max", "1")
+    assert code == 0
+    lines = out.splitlines()
+    assert [ln.split()[0] for ln in lines[:-1]] == ["SKIP"] * 4 + ["PASS"]
+    assert lines[-1] == "# 1 passed, 0 failed, 4 skipped"
+    # the documented mismatch prints NOTE and counts as passed
+    code, out, _ = run_cli(capsys, "verify", "--theorem", "thm-egf-alt-bmd-pm", "--n-min", "1", "--n-max", "2")
+    assert code == 0
+    assert out.splitlines()[0].startswith("NOTE")
+    assert out.splitlines()[-1] == "# 2 passed, 0 failed"
+
+
+def test_verify_text_summary_counts_failures(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "alt_count", lambda *_args: -1)
+    code, out, _ = run_cli(capsys, "verify", "--theorem", "egf-alt-a", "--n-min", "-1", "--n-max", "2")
+    assert code == 1
+    assert [ln.split()[0] for ln in out.splitlines()[:-1]] == ["SKIP"] + ["FAIL"] * 3
+    assert out.splitlines()[-1] == "# 0 passed, 3 failed, 1 skipped"
 
 
 def test_verify_text_and_exit(capsys):

@@ -3,7 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from fraction_series import FractionSeries
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from weylruns import series as series_mod
 from weylruns.errors import DomainError, IntegrityError
 from weylruns.series import (
     ALT_FAMILIES,
@@ -124,3 +128,84 @@ def test_unknown_family_rejected():
         egf_alt("C")
     with pytest.raises(DomainError):
         egf_snakes("A")
+
+
+# ------------------------------------------- cross-check against Fractions
+
+def _in_fractions(monkeypatch):
+    """Make the catalogue build its series over the Fraction reference."""
+    monkeypatch.setattr(series_mod, "Series", FractionSeries)
+
+
+def test_catalogue_matches_the_fraction_reference(monkeypatch):
+    builders = ([(series_mod.egf_alt, fam) for fam in ALT_FAMILIES]
+                + [(series_mod.egf_snakes, fam) for fam in SNAKE_FAMILIES]
+                + [(series_mod.egf_alt_bmd_pm_corrected, sign) for sign in "+-"])
+    ints = {(build, arg, order): build(arg, order) for build, arg in builders for order in range(1, 22)}
+    _in_fractions(monkeypatch)
+    for (build, arg, order), got in ints.items():
+        want = build(arg, order)
+        assert isinstance(got, Series) and isinstance(want, FractionSeries)
+        assert [got.egf_coeff_exact(n) for n in range(order)] == [
+            want.egf_coeff_exact(n) for n in range(order)], (build.__name__, arg, order)
+        assert got.coeffs == want.coeffs
+
+
+def test_integral_coefficients_are_ints():
+    printed = egf_alt("B-D-", 21)
+    assert printed.egf[1] == Fraction(1, 2)
+    assert all(type(h) is int for h in printed.egf[:1] + printed.egf[2:])
+    for fam in SNAKE_FAMILIES:
+        assert all(type(h) is int for h in egf_snakes(fam, 21).egf)
+
+
+_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def _series_pair(draw, nonzero_const=False):
+    order = draw(st.integers(1, 9))
+    a = draw(st.lists(_rationals, min_size=order, max_size=order))
+    b = draw(st.lists(_rationals, min_size=order, max_size=order))
+    if nonzero_const and b[0] == 0:
+        b[0] = draw(st.sampled_from([Fraction(1), Fraction(-3, 2), Fraction(7, 5)]))
+    return a, b
+
+
+def _same(got, want):
+    assert isinstance(got, Series)
+    assert got.coeffs == want.coeffs
+    assert [got.egf_coeff_exact(n) for n in range(got.order)] == [
+        want.egf_coeff_exact(n) for n in range(want.order)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_series_pair())
+def test_ring_operations_match_the_fraction_reference(pair):
+    a, b = pair
+    x, y, rx, ry = Series(a), Series(b), FractionSeries(a), FractionSeries(b)
+    _same(x + y, rx + ry)
+    _same(x - y, rx - ry)
+    _same(-x, -rx)
+    _same(x * y, rx * ry)
+    assert (x * y == y * x) and (x == Series(a))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_series_pair(nonzero_const=True))
+def test_division_matches_the_fraction_reference(pair):
+    a, b = pair
+    _same(Series(a) / Series(b), FractionSeries(a) / FractionSeries(b))
+    assert Series(a) / Series(b) * Series(b) == Series(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_series_pair(), st.integers(-3, 3), _rationals.filter(bool))
+def test_scalars_and_scale_arg_match_the_fraction_reference(pair, c, r):
+    a, _ = pair
+    x, rx = Series(a), FractionSeries(a)
+    _same(x.scale_arg(c), rx.scale_arg(c))
+    _same(x * r, rx * r)
+    _same(r * x, r * rx)
+    _same(c * x, c * rx)
+    _same(x / r, rx / r)
