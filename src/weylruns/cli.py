@@ -6,13 +6,15 @@ EGF coefficient) or any other unexpected exception.  The worker count comes
 from --threads, else the WEYLRUNS_THREADS environment variable, else 1; it
 must be an integer >= 1, and counts above oracle.MAX_WORKERS (32) are
 clamped to it.  Output for fixed inputs is byte-identical across runs and
-worker counts.
+worker counts.  A reader that closes stdout early (`| head`) leaves the exit
+code as it was and adds nothing to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 
@@ -38,7 +40,9 @@ def _render_poly(poly, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def cmd_dist(args) -> int:
+# Each command returns (exit code, stdout text); `main` writes the text.
+
+def cmd_dist(args) -> tuple[int, str]:
     signed_map = {"none": "none", "invA": "inv_a", "invB": "inv_b", "invD": "inv_d"}
     sign_statistic = signed_map[args.signed]
     if args.parity != "all":
@@ -54,30 +58,30 @@ def cmd_dist(args) -> int:
             end_restriction=args.end, first_letter_sign=first,
         )
         poly = dist_runs(req, "pq" if args.biv else "t", workers=args.threads)
-    print(_render_poly(poly, args.format))
-    return 0
+    return 0, _render_poly(poly, args.format) + "\n"
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, str]:
     report = verify_mod.run_checks(args.theorem, args.n_min, args.n_max, workers=args.threads)
+    code = 0 if report.ok else 1
     if args.format == "json":
         payload = report.to_json()
         statuses = sorted({o.status for o in report.outcomes if o.status != "ok"})
         payload["statuses"] = statuses
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for o in report.outcomes:
-            tag = "PASS" if o.passed else "FAIL"
-            if o.status == verify_mod.SKIPPED:
-                tag = "SKIP"
-            elif o.status == verify_mod.MISMATCH_DOCUMENTED:
-                tag = "NOTE"
-            print(f"{tag} {o.theorem} n={o.n}: {o.detail}")
-        skipped = sum(o.status == verify_mod.SKIPPED for o in report.outcomes)
-        failed = sum(not o.passed for o in report.outcomes)
-        summary = f"# {len(report.outcomes) - skipped - failed} passed, {failed} failed"
-        print(summary + (f", {skipped} skipped" if skipped else ""))
-    return 0 if report.ok else 1
+        return code, json.dumps(payload, sort_keys=True) + "\n"
+    lines = []
+    for o in report.outcomes:
+        tag = "PASS" if o.passed else "FAIL"
+        if o.status == verify_mod.SKIPPED:
+            tag = "SKIP"
+        elif o.status == verify_mod.MISMATCH_DOCUMENTED:
+            tag = "NOTE"
+        lines.append(f"{tag} {o.theorem} n={o.n}: {o.detail}\n")
+    skipped = sum(o.status == verify_mod.SKIPPED for o in report.outcomes)
+    failed = sum(not o.passed for o in report.outcomes)
+    summary = f"# {len(report.outcomes) - skipped - failed} passed, {failed} failed"
+    lines.append(summary + (f", {skipped} skipped" if skipped else "") + "\n")
+    return code, "".join(lines)
 
 
 POLY_FAMILIES = {
@@ -126,7 +130,7 @@ def _table_rows(family: str, n_max: int, workers):
     return header, rows
 
 
-def cmd_table(args) -> int:
+def cmd_table(args) -> tuple[int, str]:
     header, rows = _table_rows(args.family, args.n_max, args.threads)
     if args.format == "json":
         body = json.dumps({"columns": header, "rows": rows}, sort_keys=True, indent=2) + "\n"
@@ -138,7 +142,7 @@ def cmd_table(args) -> int:
             fh.write(body)
     except OSError as exc:
         raise DomainError(f"cannot write {args.out}: {exc}") from exc
-    return 0
+    return 0, ""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -182,7 +186,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.threads = resolve_workers(args.threads)
-        return args.fn(args)
+        code, out = args.fn(args)
+        try:
+            sys.stdout.write(out)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader stopped early; what is left goes to devnull, so that
+            # the interpreter's last flush of stdout cannot fail again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return code
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

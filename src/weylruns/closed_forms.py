@@ -156,19 +156,12 @@ def g_coeff(n: int, ell: int) -> int:
     return 2 * (-1) ** ((ell - 1) // 2) * c((ell - 1) // 2) + 2 * (-1) ** ((ell - 3) // 2) * c((ell - 3) // 2)
 
 
-def r_pm_coeff(n: int, ell: int, sign: str, oracle_coeff: int | None = None) -> int:
-    """(F ± G)/2 where F is the oracle coefficient of the unsigned polynomial.
-
-    F may be passed in; by default it is fetched from the enumeration oracle
-    (the one deliberate oracle dependency of this module).
-    """
+def r_pm_coeff(n: int, ell: int, sign: str, oracle_coeff: int) -> int:
+    """(F ± G)/2 where F = oracle_coeff is the coefficient R_(n,l) of the
+    unsigned polynomial, which the caller takes from the oracle."""
     if sign not in ("+", "-"):
         raise DomainError("sign must be '+' or '-'")
     g = g_coeff(n, ell)
-    if oracle_coeff is None:
-        from .oracle import family_poly
-
-        oracle_coeff = family_poly("R", n).coeff(ell)
     num = oracle_coeff + g if sign == "+" else oracle_coeff - g
     if num % 2:
         raise IntegrityError(f"(F {sign} G) odd at n={n}, ell={ell}: {num}")

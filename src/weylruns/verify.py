@@ -5,6 +5,13 @@ check at a given n: the closed form (or the stated identity) against the
 brute-force oracle, exact equality only.  `run_checks` drives a set of ids
 over a range of n and assembles a deterministic report (sorted by id, n).
 
+A registry row is (id, summary, stated range lo..hi, cap group "A" or "B",
+check(n, workers) -> CheckOutcome).  Statements of one kind share one check,
+and a row binds its parameters with functools.partial: `_mult_check`
+(divisibility), `_moment_check`, `_egf_check`, `_difference_check` (n mod 4
+tables), `_equal_check`, and `chk_main`, `chk_uni`, `chk_cancel` and
+`chk_gao_sun` for the twin B_n and D_n statements.
+
 The alternating B-D± EGF id is special: the printed closed form disagrees
 with its own lemma, so that check verifies the lemma-level facts and the
 oracle-corrected form, and *documents* the printed formula's deviation via
@@ -15,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -64,29 +72,23 @@ class Report:
         }
 
 
-def _ok(n, detail="ok", data=None):
-    return CheckOutcome("", n, True, detail, data=data)
-
-
 def _skip(n, why):
     return CheckOutcome("", n, True, why, status=SKIPPED)
 
 
 def _result(n, failures: list[str], detail="ok", data=None):
-    if failures:
-        return CheckOutcome("", n, False, "; ".join(failures), data=data)
-    return _ok(n, detail, data)
+    """Passed with `detail` when nothing failed, else failed with the failures."""
+    return CheckOutcome("", n, not failures, "; ".join(failures) or detail, data=data)
+
+
+def _vs_formula(got, want) -> list[str]:
+    return [] if got == want else [f"oracle {got} != formula {want}"]
 
 
 # ------------------------------------------------------------------ helpers
 
-def _biv_oracle_a(n, workers, cls=None):
-    req = SignedDistributionRequest("A", n, sign_statistic="inv_a", end_restriction=cls)
-    return dist_runs(req, "pq", workers)
-
-
-def _biv_oracle_b(n, workers, end=None, group="B"):
-    stat = "inv_b" if group == "B" else "inv_d"
+def _biv_oracle(n, workers, group, end=None):
+    stat = {"A": "inv_a", "B": "inv_b", "D": "inv_d"}[group]
     req = SignedDistributionRequest(group, n, sign_statistic=stat, end_restriction=end)
     return dist_runs(req, "pq", workers)
 
@@ -118,22 +120,17 @@ def snake_count(family: str, n: int, workers=None) -> int:
     return oracle.count_snakes(family, n, workers)
 
 
-def _egf_check(n, workers, families, kind="alt"):
-    failures = []
-    shown = []
-    for fam in families:
-        s = series.egf_alt(fam, n + 1) if kind == "alt" else series.egf_snakes(fam, n + 1)
-        want = s.egf_coeff(n)
-        got = alt_count(fam, n, workers) if kind == "alt" else snake_count(fam, n, workers)
-        shown.append(f"{fam}:{got}")
-        if got != want:
-            failures.append(f"{fam}: oracle {got} != formula {want}")
-    return _result(n, failures, "counts " + " ".join(shown))
+def _count(kind, family, n, workers):
+    """The alternating (kind "alt") or snake (kind "snake") count of a family."""
+    return alt_count(family, n, workers) if kind == "alt" else snake_count(family, n, workers)
 
 
-def _mult_check(n, tokens_and_claims, workers):
+# ----------------------------------------------------------- shared checks
+
+def _mult_check(n, workers, *, pairs):
+    """Each (token, claim family): (1+t)^claim divides the oracle polynomial."""
     failures, shown = [], []
-    for token, family in tokens_and_claims:
+    for token, family in pairs:
         claim = cf.divisibility_claim(family, n)
         poly = family_poly(token, n, workers)
         if poly.is_zero():
@@ -147,7 +144,9 @@ def _mult_check(n, tokens_and_claims, workers):
     return _result(n, failures, " ".join(shown))
 
 
-def _moment_check_id(n, tokens, max_k, workers):
+def _moment_check(n, workers, *, tokens, drop):
+    """The moment identity of each token's polynomial for k = 1..(n - drop) // 2."""
+    max_k = (n - drop) // 2
     if max_k < 1:
         return _skip(n, f"no k with the stated bound at n={n}")
     failures = []
@@ -159,12 +158,49 @@ def _moment_check_id(n, tokens, max_k, workers):
     return _result(n, failures, f"k=1..{max_k} on {','.join(tokens)}")
 
 
+def _egf_check(n, workers, *, families, kind):
+    """The n-th EGF coefficient of each family against its oracle count."""
+    failures, shown = [], []
+    for fam in families:
+        s = series.egf_alt(fam, n + 1) if kind == "alt" else series.egf_snakes(fam, n + 1)
+        want = s.egf_coeff(n)
+        got = _count(kind, fam, n, workers)
+        shown.append(f"{fam}:{got}")
+        if got != want:
+            failures.append(f"{fam}: oracle {got} != formula {want}")
+    return _result(n, failures, "counts " + " ".join(shown))
+
+
+_PM_TABLE = (1, 1, -1, -1)  # S^(B,+) - S^(B,-) and S^D - S^(B-D), indexed by n mod 4
+
+
+def _difference_check(n, workers, *, kind, families, table, label):
+    """count(first) - count(second) = table[n mod 4]; label names the difference."""
+    got = _count(kind, families[0], n, workers) - _count(kind, families[1], n, workers)
+    want = table[n % 4]
+    return _result(n, [] if got == want else [f"{label.format(n=n)} = {got} != {want}"])
+
+
+def _equal_check(n, workers, *, kind, pairs):
+    """Each (left, right, message): the two families are equal, as polynomials
+    (kind "poly", tokens of family_poly) or as counts."""
+    fails = []
+    for left, right, message in pairs:
+        if kind == "poly":
+            equal = family_poly(left, n, workers) == family_poly(right, n, workers)
+        else:
+            equal = _count(kind, left, n, workers) == _count(kind, right, n, workers)
+        if not equal:
+            fails.append(message)
+    return _result(n, fails)
+
+
 # ------------------------------------------------------------------ type A
 
 def chk_thm_sgn_altrun(n, workers):
-    got = _biv_oracle_a(n, workers)
+    got = _biv_oracle(n, workers, "A")
     want = cf.thm_sgn_altrun_biv(n)
-    fails = [] if got == want else [f"oracle {got} != formula {want}"]
+    fails = _vs_formula(got, want)
     if n % 4 in (2, 3) and not got.is_zero():
         fails.append("zero branch violated")
     return _result(n, fails, f"SgnAltrun_{n}(p,q) = {want}")
@@ -213,19 +249,11 @@ def chk_rec_cross_odd(n, workers):
 def chk_cor_sgn_uni(n, workers):
     got = oracle.signed_uni("A", n, workers)
     want = cf.cor_sgn_altrun_uni(n)
-    fails = [] if got == want else [f"oracle {got} != formula {want}"]
-    diag = UniPoly.term(1, 1) * _biv_oracle_a(n, workers).substitute_diag()
+    fails = _vs_formula(got, want)
+    diag = UniPoly.term(1, 1) * _biv_oracle(n, workers, "A").substitute_diag()
     if diag != got:
         fails.append("t*diag(bivariate) != univariate oracle")
     return _result(n, fails, f"SgnAltrun_{n}(t) = {want}")
-
-
-def chk_wilf(n, workers):
-    return _mult_check(n, [("R", "R")], workers)
-
-
-def chk_div_r_pm(n, workers):
-    return _mult_check(n, [("R+", "Rpm"), ("R-", "Rpm")], workers)
 
 
 def chk_wilf_tightness(n, workers):
@@ -263,65 +291,46 @@ def chk_remark_g(n, workers):
     return _result(n, fails)
 
 
-def chk_moment_r(n, workers):
-    return _moment_check_id(n, ["R"], (n - 4) // 2, workers)
-
-
 def chk_moment_r_pm(n, workers):
-    max_k = (n - 6) // 2 if n % 4 in (0, 1) else (n - 4) // 2
-    return _moment_check_id(n, ["R+", "R-"], max_k, workers)
+    return _moment_check(n, workers, tokens=("R+", "R-"), drop=6 if n % 4 in (0, 1) else 4)
 
 
-def chk_egf_alt_a(n, workers):
-    return _egf_check(n, workers, ["A"])
+# ------------------------------------------------------------- types B and D
 
-
-def chk_egf_alt_a_pm(n, workers):
-    return _egf_check(n, workers, ["A+", "A-"])
-
-
-def chk_alt_diff_a(n, workers):
-    table = {0: 1, 1: 0, 2: -1, 3: 0}
-    got = alt_count("A+", n, workers) - alt_count("A-", n, workers)
-    want = table[n % 4]
-    return _result(n, [] if got == want else [f"E+^({n})-E-^({n}) = {got} != {want}"])
-
-
-# ------------------------------------------------------------------ type B
-
-def chk_b_main(n, workers):
-    fa, fd, ft = cf.thm_b_formulas(n)
+def chk_main(n, workers, *, group):
+    fa, fd, ft = (cf.thm_b_formulas if group == "B" else cf.thm_d_formulas)(n)
     fails = []
     for end, want in (("a", fa), ("d", fd), (None, ft)):
-        got = _biv_oracle_b(n, workers, end=end)
+        got = _biv_oracle(n, workers, group, end)
         if got != want:
             fails.append(f"end={end or 'total'}: oracle {got} != formula {want}")
     return _result(n, fails)
 
 
-def chk_cor_b_uni(n, workers):
-    got = oracle.signed_uni("B", n, workers)
-    want = cf.cor_b_uni(n)
-    return _result(n, [] if got == want else [f"oracle {got} != formula {want}"])
+def chk_uni(n, workers, *, group):
+    want = (cf.cor_b_uni if group == "B" else cf.cor_d_uni)(n)
+    return _result(n, _vs_formula(oracle.signed_uni(group, n, workers), want))
 
 
 def chk_b_flipsgn(n, workers):
-    a = _biv_oracle_b(n, workers, end="a")
-    d = _biv_oracle_b(n, workers, end="d")
+    a = _biv_oracle(n, workers, "B", "a")
+    d = _biv_oracle(n, workers, "B", "d")
     want = -d.swap_vars() if n % 2 else d.swap_vars()
     return _result(n, [] if a == want else [f"end-a {a} != {'-' if n % 2 else ''}swap(end-d) {want}"])
 
 
-def chk_b_cancel(n, workers):
+def chk_cancel(n, workers, *, group):
+    """Every subset but the 8th contributes zero, and the subsets partition."""
+    contribution = oracle.subset_contribution_b if group == "B" else oracle.subset_contribution_d
     fails = []
     for end in ("a", "d"):
         total = BiPoly.zero()
-        for k in range(1, 9):
-            c = oracle.subset_contribution_b(n, k, end, workers)
+        for k in range(1, 9 if group == "B" else 10):
+            c = contribution(n, k, end, workers)
             total = total + c
-            if k <= 7 and not c.is_zero():
-                fails.append(f"B^{k} end={end} contributes {c}")
-        want = _biv_oracle_b(n, workers, end=end)
+            if k != 8 and not c.is_zero():
+                fails.append(f"{group}^{k} end={end} contributes {c}")
+        want = _biv_oracle(n, workers, group, end)
         if total != want:
             fails.append(f"partition end={end}: sum {total} != {want}")
     return _result(n, fails)
@@ -330,49 +339,28 @@ def chk_b_cancel(n, workers):
 def chk_b_minus_t(n, workers):
     fails = []
     for end in ("a", "d"):
+        t_words = oracle.build_T(n, end)
         t_poly = oracle.t_contribution(n, end, "B")
-        want = _biv_oracle_b(n, workers, end=end)
+        want = _biv_oracle(n, workers, "B", end)
         if t_poly != want:
             fails.append(f"T end={end}: {t_poly} != {want}")
         if n >= 3:
             b8 = oracle.subset_contribution_b(n, 8, end, workers)
             if b8 != t_poly:
                 fails.append(f"B^8 - T end={end} contributes {b8 - t_poly}")
-            if any(oracle.subset_index_b(w) != 8 for w in oracle.build_T(n, end)):
+            if any(oracle.subset_index_b(w) != 8 for w in t_words):
                 fails.append(f"T end={end} not inside B^8")
-        if len(oracle.build_T(n, end)) != 2 ** (n // 2):
+        if len(t_words) != 2 ** (n // 2):
             fails.append(f"|T_{n},{end}| != 2^{n // 2}")
     return _result(n, fails)
 
 
 def chk_zhao_bgt(n, workers):
-    out = _mult_check(n, [("RB>", "RBgt")], workers)
+    out = _mult_check(n, workers, pairs=(("RB>", "RBgt"),))
     if out.passed and family_poly("RB>", n, workers) != family_poly("RB<", n, workers):
         return _result(n, ["R^{B,>} != R^{B,<}"])
     return out
 
-
-def chk_div_b(n, workers):
-    return _mult_check(n, [("RB", "RB")], workers)
-
-
-def chk_div_b_pm(n, workers):
-    return _mult_check(n, [("RB+", "RBpm"), ("RB-", "RBpm")], workers)
-
-
-def chk_moment_bgt(n, workers):
-    return _moment_check_id(n, ["RB>"], (n - 3) // 2, workers)
-
-
-def chk_moment_b(n, workers):
-    return _moment_check_id(n, ["RB"], (n - 3) // 2, workers)
-
-
-def chk_moment_b_pm(n, workers):
-    return _moment_check_id(n, ["RB+", "RB-"], (n - 3) // 2, workers)
-
-
-# ------------------------------------------------------------------ type D
 
 # Coxeter lengths by descent sorting (Bjorner-Brenti, Combinatorics of
 # Coxeter Groups, Prop. 8.1.2 and 8.2.2).  Right multiplication by s_i,
@@ -441,37 +429,6 @@ def chk_inv_bd(n, workers):
     return _result(n, [] if bad == 0 else [f"{bad} words break inv_B = inv_D + |Negs|"])
 
 
-def chk_d_main(n, workers):
-    fa, fd, ft = cf.thm_d_formulas(n)
-    fails = []
-    for end, want in (("a", fa), ("d", fd), (None, ft)):
-        got = _biv_oracle_b(n, workers, end=end, group="D")
-        if got != want:
-            fails.append(f"end={end or 'total'}: oracle {got} != formula {want}")
-    return _result(n, fails)
-
-
-def chk_cor_d_uni(n, workers):
-    got = oracle.signed_uni("D", n, workers)
-    want = cf.cor_d_uni(n)
-    return _result(n, [] if got == want else [f"oracle {got} != formula {want}"])
-
-
-def chk_d_cancel(n, workers):
-    fails = []
-    for end in ("a", "d"):
-        total = BiPoly.zero()
-        for k in range(1, 10):
-            c = oracle.subset_contribution_d(n, k, end, workers)
-            total = total + c
-            if k != 8 and not c.is_zero():
-                fails.append(f"D^{k} end={end} contributes {c}")
-        want = _biv_oracle_b(n, workers, end=end, group="D")
-        if total != want:
-            fails.append(f"partition end={end}: sum {total} != {want}")
-    return _result(n, fails)
-
-
 def chk_d_minus_t(n, workers):
     fails = []
     for end in ("a", "d"):
@@ -482,62 +439,15 @@ def chk_d_minus_t(n, workers):
     return _result(n, fails)
 
 
-def chk_gao_sun_first(n, workers):
-    want, _ = cf.gao_sun_differences(n)
-    got = family_poly("RD>", n, workers) - family_poly("RB-D>", n, workers)
-    return _result(n, [] if got == want else [f"oracle {got} != formula {want}"])
-
-
-def chk_d_total_diff(n, workers):
-    _, want = cf.gao_sun_differences(n)
-    got = family_poly("RD", n, workers) - family_poly("RB-D", n, workers)
-    return _result(n, [] if got == want else [f"oracle {got} != formula {want}"])
-
-
-def chk_b_equals_d(n, workers):
-    fails = []
-    if family_poly("RB+", n, workers) != family_poly("RD", n, workers):
-        fails.append("R^{B,+} != R^D")
-    if family_poly("RB-", n, workers) != family_poly("RB-D", n, workers):
-        fails.append("R^{B,-} != R^{B-D}")
-    return _result(n, fails)
-
-
-def chk_div_d(n, workers):
-    return _mult_check(n, [("RD", "RD"), ("RB-D", "RBmD")], workers)
-
-
-def chk_div_d_pm(n, workers):
-    return _mult_check(
-        n, [("RD+", "RDpm"), ("RD-", "RDpm"), ("RB-D+", "RBmDpm"), ("RB-D-", "RBmDpm")], workers
-    )
-
-
-def chk_moment_dgt(n, workers):
-    return _moment_check_id(n, ["RD>", "RB-D>"], (n - 3) // 2, workers)
-
-
-def chk_moment_d(n, workers):
-    return _moment_check_id(n, ["RD"], (n - 3) // 2, workers)
-
-
-def chk_moment_d_pm(n, workers):
-    return _moment_check_id(n, ["RD+", "RD-"], (n - 3) // 2, workers)
+def chk_gao_sun(n, workers, *, first):
+    """R^D - R^(B-D) over the whole groups, or over positive first letters."""
+    want = cf.gao_sun_differences(n)[0 if first else 1]
+    gt = ">" if first else ""
+    got = family_poly("RD" + gt, n, workers) - family_poly("RB-D" + gt, n, workers)
+    return _result(n, _vs_formula(got, want))
 
 
 # --------------------------------------------------------------- EGF suite
-
-def chk_egf_alt_b(n, workers):
-    return _egf_check(n, workers, ["B"])
-
-
-def chk_egf_alt_b_pm(n, workers):
-    return _egf_check(n, workers, ["B+", "B-"])
-
-
-def chk_egf_alt_d(n, workers):
-    return _egf_check(n, workers, ["D", "B-D"])
-
 
 def chk_alt_b_equal(n, workers):
     counts = {f: alt_count(f, n, workers) for f in ("B", "B+", "B-", "D", "B-D")}
@@ -547,21 +457,6 @@ def chk_alt_b_equal(n, workers):
     if counts["B"] != 2 * counts["B+"]:
         fails.append("halving fails")
     return _result(n, fails, f"E^B_{n}={counts['B']}")
-
-
-def chk_egf_alt_d_pm(n, workers):
-    return _egf_check(n, workers, ["D+", "D-"])
-
-
-def chk_alt_d_equal(n, workers):
-    if n < 2:
-        return _skip(n, "stated for n >= 2")
-    fails = []
-    if alt_count("D+", n, workers) != alt_count("D-", n, workers):
-        fails.append("E^{D,+} != E^{D,-}")
-    if alt_count("B-D+", n, workers) != alt_count("B-D-", n, workers):
-        fails.append("E^{B-D,+} != E^{B-D,-}")
-    return _result(n, fails)
 
 
 def chk_egf_alt_bmd_pm(n, workers):
@@ -584,43 +479,14 @@ def chk_egf_alt_bmd_pm(n, workers):
         "printed_formula": [str(printed["+"]), str(printed["-"])],
         "corrected_formula": [corrected["+"], corrected["-"]],
     }
-    if fails:
-        return CheckOutcome("", n, False, "; ".join(fails), data=data)
-    if printed_matches:
-        return _ok(n, f"printed formula agrees at n={n}", data)
+    if fails or printed_matches:
+        return _result(n, fails, f"printed formula agrees at n={n}", data)
     return CheckOutcome(
         "", n, True,
         f"printed EGF gives ({printed['+']}, {printed['-']}), oracle gives ({plus}, {minus}); "
         "corrected (sec2x+tan2x-1±2x)/4 matches",
         status=MISMATCH_DOCUMENTED, data=data,
     )
-
-
-def chk_egf_snakes_springer(n, workers):
-    return _egf_check(n, workers, ["B"], kind="snake")
-
-
-def chk_snakes_b_egf(n, workers):
-    return _egf_check(n, workers, ["B+", "B-", "D", "B-D"], kind="snake")
-
-
-def chk_snakes_d_egf(n, workers):
-    return _egf_check(n, workers, ["D+", "D-", "B-D+", "B-D-"], kind="snake")
-
-
-_PM_TABLE = {0: 1, 1: 1, 2: -1, 3: -1}
-
-
-def chk_snake_diff_b(n, workers):
-    got = snake_count("B+", n, workers) - snake_count("B-", n, workers)
-    want = _PM_TABLE[n % 4]
-    return _result(n, [] if got == want else [f"S^(B,+)-S^(B,-) = {got} != {want}"])
-
-
-def chk_gao_sun_snakes(n, workers):
-    got = snake_count("D", n, workers) - snake_count("B-D", n, workers)
-    want = _PM_TABLE[n % 4]
-    return _result(n, [] if got == want else [f"S^D-S^(B-D) = {got} != {want}"])
 
 
 def chk_snake_diff_d(n, workers):
@@ -661,15 +527,6 @@ def chk_snake_l_subsets(n, workers):
     return _result(n, fails)
 
 
-def chk_snake_b_equals_d(n, workers):
-    fails = []
-    if snake_count("B+", n, workers) != snake_count("D", n, workers):
-        fails.append("S^{B,+} != S^D")
-    if snake_count("B-", n, workers) != snake_count("B-D", n, workers):
-        fails.append("S^{B,-} != S^{B-D}")
-    return _result(n, fails)
-
-
 # ----------------------------------------------------------------- registry
 
 @dataclass(frozen=True)
@@ -695,58 +552,86 @@ def _reg() -> dict[str, TheoremCheck]:
         ("rec-class-biv", "insertion recurrences reproduce the class oracle", 3, 9, "A", chk_rec_class),
         ("rec-cross-odd", "q*ad = p*da cross relation feeding the odd recurrence", 3, 9, "A", chk_rec_cross_odd),
         ("cor-sgn-altrun-uni", "signed univariate run sum over S_n", 1, 9, "A", chk_cor_sgn_uni),
-        ("wilf", "(1+t)^floor((n-2)/2) divides R_n", 4, 10, "A", chk_wilf),
-        ("div-r-pm", "divisibility of the even/odd halves R_n^±", 4, 10, "A", chk_div_r_pm),
+        ("wilf", "(1+t)^floor((n-2)/2) divides R_n", 4, 10, "A", partial(_mult_check, pairs=(("R", "R"),))),
+        ("div-r-pm", "divisibility of the even/odd halves R_n^±", 4, 10, "A",
+         partial(_mult_check, pairs=(("R+", "Rpm"), ("R-", "Rpm")))),
         ("wilf-tightness", "the R_n^± exponent m-1 is attained at n = 4, 5, 8", 4, 8, "A", chk_wilf_tightness),
         ("remark-g-formula", "explicit coefficient formula for R_(n,l)^±", 4, 10, "A", chk_remark_g),
-        ("lem-moment", "odd/even moment identity for R_n", 6, 10, "A", chk_moment_r),
+        ("lem-moment", "odd/even moment identity for R_n", 6, 10, "A", partial(_moment_check, tokens=("R",), drop=4)),
         ("thm-moment-r-pm", "moment identities for R_n^±", 6, 10, "A", chk_moment_r_pm),
-        ("egf-alt-a", "sec x + tan x counts alternating permutations", 0, 10, "A", chk_egf_alt_a),
-        ("thm-egf-alt-a-pm", "EGF of even/odd alternating permutations", 0, 10, "A", chk_egf_alt_a_pm),
-        ("lem-alt-diff-a", "E+ - E- follows the n mod 4 table", 2, 10, "A", chk_alt_diff_a),
+        ("egf-alt-a", "sec x + tan x counts alternating permutations", 0, 10, "A",
+         partial(_egf_check, families=("A",), kind="alt")),
+        ("thm-egf-alt-a-pm", "EGF of even/odd alternating permutations", 0, 10, "A",
+         partial(_egf_check, families=("A+", "A-"), kind="alt")),
+        ("lem-alt-diff-a", "E+ - E- follows the n mod 4 table", 2, 10, "A",
+         partial(_difference_check, kind="alt", families=("A+", "A-"), table=(1, 0, -1, 0), label="E+^({n})-E-^({n})")),
         # type B
-        ("thm-b-main", "type B signed bivariate formulas (ends and total)", 1, 8, "B", chk_b_main),
-        ("cor-b-uni", "type B signed univariate formula", 1, 8, "B", chk_cor_b_uni),
+        ("thm-b-main", "type B signed bivariate formulas (ends and total)", 1, 8, "B", partial(chk_main, group="B")),
+        ("cor-b-uni", "type B signed univariate formula", 1, 8, "B", partial(chk_uni, group="B")),
         ("lem-b-flipsgn", "sign-flip relation between the two type B ends", 1, 8, "B", chk_b_flipsgn),
-        ("lem-b-cancel", "type B subsets 1..7 cancel; the 8 subsets partition", 3, 7, "B", chk_b_cancel),
+        ("lem-b-cancel", "type B subsets 1..7 cancel; the 8 subsets partition", 3, 7, "B",
+         partial(chk_cancel, group="B")),
         ("lem-b-minus-t", "B^8 minus the T set cancels; T carries the whole sum", 1, 7, "B", chk_b_minus_t),
         ("thm-zhao-bgt", "divisibility of the positive-first-letter type B family", 1, 8, "B", chk_zhao_bgt),
-        ("thm-div-b", "divisibility of R_n^B", 1, 8, "B", chk_div_b),
-        ("thm-div-b-pm", "divisibility of R_n^(B,±)", 1, 8, "B", chk_div_b_pm),
-        ("thm-moment-bgt", "moment identities for R^(B,>)", 5, 8, "B", chk_moment_bgt),
-        ("cor-moment-b", "moment identities for R^B", 5, 8, "B", chk_moment_b),
-        ("thm-moment-b-pm", "moment identities for R^(B,±)", 5, 8, "B", chk_moment_b_pm),
+        ("thm-div-b", "divisibility of R_n^B", 1, 8, "B", partial(_mult_check, pairs=(("RB", "RB"),))),
+        ("thm-div-b-pm", "divisibility of R_n^(B,±)", 1, 8, "B",
+         partial(_mult_check, pairs=(("RB+", "RBpm"), ("RB-", "RBpm")))),
+        ("thm-moment-bgt", "moment identities for R^(B,>)", 5, 8, "B", partial(_moment_check, tokens=("RB>",), drop=3)),
+        ("cor-moment-b", "moment identities for R^B", 5, 8, "B", partial(_moment_check, tokens=("RB",), drop=3)),
+        ("thm-moment-b-pm", "moment identities for R^(B,±)", 5, 8, "B",
+         partial(_moment_check, tokens=("RB+", "RB-"), drop=3)),
         # type D
         ("cor-inv-bd", "inv_B = inv_D + |Negs| on all of B_n", 1, 6, "B", chk_inv_bd),
-        ("thm-d-main", "type D signed bivariate formulas (ends and total)", 1, 8, "B", chk_d_main),
-        ("cor-d-uni", "type D signed univariate formula", 1, 8, "B", chk_cor_d_uni),
-        ("lem-d-cancel", "type D subsets 1..7 and 9 cancel; the 9 subsets partition", 3, 7, "B", chk_d_cancel),
+        ("thm-d-main", "type D signed bivariate formulas (ends and total)", 1, 8, "B", partial(chk_main, group="D")),
+        ("cor-d-uni", "type D signed univariate formula", 1, 8, "B", partial(chk_uni, group="D")),
+        ("lem-d-cancel", "type D subsets 1..7 and 9 cancel; the 9 subsets partition", 3, 7, "B",
+         partial(chk_cancel, group="D")),
         ("lem-d-minus-t", "D^8 minus the T set cancels under inv_D", 3, 7, "B", chk_d_minus_t),
-        ("thm-gao-sun-first", "difference of positive-first D and B-D families", 1, 8, "B", chk_gao_sun_first),
-        ("thm-d-total-diff", "difference R^D - R^(B-D)", 1, 8, "B", chk_d_total_diff),
-        ("thm-b-equals-d", "R^(B,+) = R^D and R^(B,-) = R^(B-D)", 1, 8, "B", chk_b_equals_d),
-        ("thm-div-d", "divisibility of R^D and R^(B-D)", 1, 8, "B", chk_div_d),
-        ("thm-div-d-pm", "divisibility of R^(D,±) and R^(B-D,±)", 1, 8, "B", chk_div_d_pm),
-        ("thm-moment-dgt", "moment identities for R^(D,>) and R^(B-D,>)", 5, 8, "B", chk_moment_dgt),
-        ("cor-moment-d", "moment identities for R^D", 5, 8, "B", chk_moment_d),
-        ("thm-moment-d-pm", "moment identities for R^(D,±)", 5, 8, "B", chk_moment_d_pm),
+        ("thm-gao-sun-first", "difference of positive-first D and B-D families", 1, 8, "B",
+         partial(chk_gao_sun, first=True)),
+        ("thm-d-total-diff", "difference R^D - R^(B-D)", 1, 8, "B", partial(chk_gao_sun, first=False)),
+        ("thm-b-equals-d", "R^(B,+) = R^D and R^(B,-) = R^(B-D)", 1, 8, "B",
+         partial(_equal_check, kind="poly", pairs=(("RB+", "RD", "R^{B,+} != R^D"),
+                                                   ("RB-", "RB-D", "R^{B,-} != R^{B-D}")))),
+        ("thm-div-d", "divisibility of R^D and R^(B-D)", 1, 8, "B",
+         partial(_mult_check, pairs=(("RD", "RD"), ("RB-D", "RBmD")))),
+        ("thm-div-d-pm", "divisibility of R^(D,±) and R^(B-D,±)", 1, 8, "B",
+         partial(_mult_check, pairs=(("RD+", "RDpm"), ("RD-", "RDpm"), ("RB-D+", "RBmDpm"), ("RB-D-", "RBmDpm")))),
+        ("thm-moment-dgt", "moment identities for R^(D,>) and R^(B-D,>)", 5, 8, "B",
+         partial(_moment_check, tokens=("RD>", "RB-D>"), drop=3)),
+        ("cor-moment-d", "moment identities for R^D", 5, 8, "B", partial(_moment_check, tokens=("RD",), drop=3)),
+        ("thm-moment-d-pm", "moment identities for R^(D,±)", 5, 8, "B",
+         partial(_moment_check, tokens=("RD+", "RD-"), drop=3)),
         # EGFs: alternating
-        ("thm-egf-alt-b", "sec 2x + tan 2x counts type B alternating permutations", 0, 8, "B", chk_egf_alt_b),
-        ("thm-egf-alt-b-pm", "EGF of the B± alternating counts", 0, 8, "B", chk_egf_alt_b_pm),
-        ("thm-egf-alt-d", "EGF of the D and B-D alternating counts", 0, 8, "B", chk_egf_alt_d),
+        ("thm-egf-alt-b", "sec 2x + tan 2x counts type B alternating permutations", 0, 8, "B",
+         partial(_egf_check, families=("B",), kind="alt")),
+        ("thm-egf-alt-b-pm", "EGF of the B± alternating counts", 0, 8, "B",
+         partial(_egf_check, families=("B+", "B-"), kind="alt")),
+        ("thm-egf-alt-d", "EGF of the D and B-D alternating counts", 0, 8, "B",
+         partial(_egf_check, families=("D", "B-D"), kind="alt")),
         ("lem-alt-b-equal", "the four quarter counts all equal E^B/2", 1, 8, "B", chk_alt_b_equal),
-        ("thm-egf-alt-d-pm", "EGF of the D± alternating counts", 0, 8, "B", chk_egf_alt_d_pm),
-        ("lem-alt-d-equal", "E^(D,±) and E^(B-D,±) halve their families", 2, 8, "B", chk_alt_d_equal),
+        ("thm-egf-alt-d-pm", "EGF of the D± alternating counts", 0, 8, "B",
+         partial(_egf_check, families=("D+", "D-"), kind="alt")),
+        ("lem-alt-d-equal", "E^(D,±) and E^(B-D,±) halve their families", 2, 8, "B",
+         partial(_equal_check, kind="alt", pairs=(("D+", "D-", "E^{D,+} != E^{D,-}"),
+                                                  ("B-D+", "B-D-", "E^{B-D,+} != E^{B-D,-}")))),
         ("thm-egf-alt-bmd-pm", "printed B-D± alternating EGF (documented mismatch)", 0, 8, "B", chk_egf_alt_bmd_pm),
         # EGFs: snakes
-        ("egf-snakes-springer", "1/(cos x - sin x) counts type B snakes", 0, 8, "B", chk_egf_snakes_springer),
-        ("thm-snakes-b-egf", "EGF of S^(B,±), S^D, S^(B-D)", 0, 8, "B", chk_snakes_b_egf),
-        ("thm-snakes-d-egf", "EGF of S^(D,±) and S^(B-D,±)", 0, 8, "B", chk_snakes_d_egf),
-        ("lem-snake-diff-b", "S^(B,+) - S^(B,-) follows the n mod 4 table", 1, 8, "B", chk_snake_diff_b),
-        ("thm-gao-sun-snakes", "S^D - S^(B-D) follows the n mod 4 table", 1, 8, "B", chk_gao_sun_snakes),
+        ("egf-snakes-springer", "1/(cos x - sin x) counts type B snakes", 0, 8, "B",
+         partial(_egf_check, families=("B",), kind="snake")),
+        ("thm-snakes-b-egf", "EGF of S^(B,±), S^D, S^(B-D)", 0, 8, "B",
+         partial(_egf_check, families=("B+", "B-", "D", "B-D"), kind="snake")),
+        ("thm-snakes-d-egf", "EGF of S^(D,±) and S^(B-D,±)", 0, 8, "B",
+         partial(_egf_check, families=("D+", "D-", "B-D+", "B-D-"), kind="snake")),
+        ("lem-snake-diff-b", "S^(B,+) - S^(B,-) follows the n mod 4 table", 1, 8, "B",
+         partial(_difference_check, kind="snake", families=("B+", "B-"), table=_PM_TABLE, label="S^(B,+)-S^(B,-)")),
+        ("thm-gao-sun-snakes", "S^D - S^(B-D) follows the n mod 4 table", 1, 8, "B",
+         partial(_difference_check, kind="snake", families=("D", "B-D"), table=_PM_TABLE, label="S^D-S^(B-D)")),
         ("thm-snake-diff-d", "S^(D,±), S^(B-D,±) differences and jump recurrences", 1, 8, "B", chk_snake_diff_d),
         ("lem-snake-l-subsets", "snake staircase subsets pair off except the last", 3, 6, "B", chk_snake_l_subsets),
-        ("snake-b-equals-d", "S^(B,+) = S^D and S^(B,-) = S^(B-D)", 0, 8, "B", chk_snake_b_equals_d),
+        ("snake-b-equals-d", "S^(B,+) = S^D and S^(B,-) = S^(B-D)", 0, 8, "B",
+         partial(_equal_check, kind="snake", pairs=(("B+", "D", "S^{B,+} != S^D"),
+                                                    ("B-", "B-D", "S^{B,-} != S^{B-D}")))),
     ]
     return {e[0]: TheoremCheck(*e) for e in entries}
 

@@ -1,13 +1,19 @@
 """The command line surface: formats, exit codes, determinism."""
 
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weylruns
 from weylruns import oracle, verify
 from weylruns.cli import main
 from weylruns.oracle import SignedDistributionRequest, class_poly_a, dist_runs
@@ -239,3 +245,44 @@ def test_unexpected_errors_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(verify, "run_checks", broken)
     code, out, err = run_cli(capsys, "verify", "--theorem", "wilf")
     assert code == 3 and out == "" and "boom" in err
+
+
+# The default `verify --theorem all` reports, pinned byte for byte.  A change
+# that means to alter them updates these digests in the same commit.
+VERIFY_ALL_MD5 = {
+    "json": "d47de36e81a6bd366d3697d7d919276d",
+    "text": "745b1420f714cebe648716ae2baeb291",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(VERIFY_ALL_MD5))
+def test_verify_all_stdout_is_pinned(capsys, fmt):
+    code, out, err = run_cli(capsys, "verify", "--theorem", "all", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.md5(out.encode()).hexdigest() == VERIFY_ALL_MD5[fmt]
+
+
+# A reader that closes stdout before the command writes.  Python buffers a pipe,
+# so a small output fails only at the interpreter's last flush and a large one
+# (over the buffer) fails in the write itself; both must keep the verdict.
+_SRC = str(Path(weylruns.__file__).resolve().parents[1])
+_BUFFERED_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+_BUFFERED_ENV["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+_FAILING_EGF = "import weylruns.verify as v; v.alt_count = lambda *_args: -1; "
+
+
+@pytest.mark.parametrize("setup,argv,want", [
+    ("", ("dist", "--group", "A", "--n", "4"), 0),
+    ("", ("verify", "--theorem", "wilf", "--format", "json"), 0),
+    ("", ("verify", "--theorem", "all", "--format", "json"), 0),
+    (_FAILING_EGF, ("verify", "--theorem", "egf-alt-a", "--n-max", "3"), 1),
+    (_FAILING_EGF, ("verify", "--theorem", "all"), 1),
+], ids=["dist-small", "verify-small", "verify-large", "failed-small", "failed-large"])
+def test_closed_stdout_keeps_the_verdict(setup, argv, want):
+    code = setup + "import sys; from weylruns.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.Popen([sys.executable, "-c", code, *argv], env=_BUFFERED_ENV,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (want, b"")

@@ -426,15 +426,29 @@ def _package_imports(module: str) -> set[str]:
     return found
 
 
-def test_oracle_is_independent_of_the_closed_forms():
-    seen, todo = set(), ["oracle"]
+def _import_closure(module: str) -> set[str]:
+    """weylruns.<module> and every weylruns module it imports, transitively."""
+    seen, todo = set(), [module]
     while todo:
         module = todo.pop()
         if module not in seen:
             seen.add(module)
             todo.extend(_package_imports(module))
+    return seen
+
+
+def test_oracle_is_independent_of_the_closed_forms():
+    seen = _import_closure("oracle")
     assert "perm_core" in seen
     assert not seen & {"closed_forms", "series", "verify"}
+
+
+def test_closed_forms_are_independent_of_the_oracle():
+    """The closed forms compute from the printed formulas alone; the oracle
+    coefficient that r_pm_coeff needs is passed in by its caller."""
+    seen = _import_closure("closed_forms")
+    assert "poly" in seen
+    assert not seen & {"oracle", "verify"}
 
 
 # ------------------------------------------------------------- subsets

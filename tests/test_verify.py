@@ -5,6 +5,7 @@ import pytest
 
 from weylruns import perm_core
 from weylruns.errors import DomainError
+from weylruns.poly import BiPoly, UniPoly
 from weylruns.verify import (
     MISMATCH_DOCUMENTED,
     SKIPPED,
@@ -149,3 +150,66 @@ def test_descent_sort_lengths_match_inversion_counts(n):
     for w, e in zip(words, end_d.tolist()):
         assert tuple(e) == (identity if perm_core.negatives(w) % 2 == 0 else odd)
 
+
+# The failure text of each shared check, pinned: one id at one n with one
+# oracle answer off by one (+1 on a count or a bivariate polynomial, +t on a
+# univariate one).
+def _off_by_one(value):
+    if isinstance(value, int):
+        return value + 1
+    return value + (UniPoly.term(1, 1) if isinstance(value, UniPoly) else BiPoly.const(1))
+
+
+FAILURE_TEXT = [
+    ("thm-div-b-pm", 5, "family_poly", lambda token, *_: token == "RB-",
+     "RB-: multiplicity 0 < guaranteed 2"),
+    ("cor-moment-b", 7, "family_poly", lambda token, *_: token == "RB",
+     "RB: moment identity fails at k=1; RB: moment identity fails at k=2"),
+    ("thm-snakes-b-egf", 4, "count_snakes", lambda family, *_: family == "D",
+     "D: oracle 30 != formula 29"),
+    ("thm-egf-alt-d", 3, "count_alternating", lambda group, *_: group == "B-D",
+     "B-D: oracle 9 != formula 8"),
+    ("lem-alt-diff-a", 6, "count_alternating", lambda group, n, parity, *_: parity == "plus",
+     "E+^(6)-E-^(6) = 0 != -1"),
+    ("thm-gao-sun-snakes", 5, "count_snakes", lambda family, *_: family == "B-D",
+     "S^D-S^(B-D) = 0 != 1"),
+    ("thm-b-equals-d", 4, "family_poly", lambda token, *_: token == "RD",
+     "R^{B,+} != R^D"),
+    ("lem-alt-d-equal", 4, "count_alternating", lambda group, n, parity, *_: parity == "minus",
+     "E^{D,+} != E^{D,-}; E^{B-D,+} != E^{B-D,-}"),
+    ("snake-b-equals-d", 3, "count_snakes", lambda family, *_: family == "B-D",
+     "S^{B,-} != S^{B-D}"),
+    ("thm-d-main", 3, "dist_runs", lambda req, *_: req.end_restriction == "a",
+     "end=a: oracle 2 - pq != formula 1 - pq"),
+    ("thm-b-main", 2, "dist_runs", lambda req, *_: req.end_restriction is None,
+     "end=total: oracle 3 - q - p != formula 2 - q - p"),
+    ("cor-d-uni", 3, "signed_uni", lambda *_: True,
+     "oracle 2*t - t^3 != formula t - t^3"),
+    ("lem-b-cancel", 4, "subset_contribution_b", lambda n, k, end, *_: k == 3 and end == "d",
+     "B^3 end=d contributes 1; partition end=d: sum 2 - p - pq + p^2q != 1 - p - pq + p^2q"),
+    ("lem-d-cancel", 4, "subset_contribution_d", lambda n, k, end, *_: k == 9 and end == "a",
+     "D^9 end=a contributes 1; partition end=a: sum 2 - q - pq + pq^2 != 1 - q - pq + pq^2"),
+    ("lem-b-minus-t", 4, "subset_contribution_b", lambda n, k, end, *_: k == 8 and end == "a",
+     "B^8 - T end=a contributes 1"),
+    ("thm-gao-sun-first", 3, "family_poly", lambda token, *_: token == "RD>",
+     "oracle 2*t - t^3 != formula t - t^3"),
+    ("thm-d-total-diff", 3, "family_poly", lambda token, *_: token == "RB-D",
+     "oracle -t != formula 0"),
+]
+
+
+@pytest.mark.parametrize("ident,n,name,when,detail", FAILURE_TEXT, ids=[c[0] for c in FAILURE_TEXT])
+def test_failure_text_is_pinned(monkeypatch, ident, n, name, when, detail):
+    from weylruns import oracle, verify
+
+    answer = getattr(oracle, name)
+
+    def off(*args, **kwargs):
+        got = answer(*args, **kwargs)
+        return _off_by_one(got) if when(*args, **kwargs) else got
+
+    monkeypatch.setattr(oracle, name, off)
+    if hasattr(verify, name):
+        monkeypatch.setattr(verify, name, off)
+    [outcome] = run_checks(ident, n, n).outcomes
+    assert (outcome.passed, outcome.status, outcome.detail) == (False, "ok", detail)
