@@ -35,9 +35,12 @@ range is seeked, not stepped: `_perm_blocks` unranks the range's start
 directly, so a worker walks only its own ranks.  Partial bincounts merge by
 integer addition and are decoded once, so the result is bitwise identical
 for any worker count.
-Successful full-group scans are cached per n.  The test suite keeps a
-pure-Python walk over perm_core's statistics as the reference for all three,
-and a direct numpy walk of B_n as a second reference for the subset tally.
+Successful full-group scans are cached per n, each with the marginals
+already read from it, keyed by selector: a repeated query is a dictionary
+lookup, and `clear_caches` drops a tally and its marginals together.  The
+test suite keeps a pure-Python walk over perm_core's statistics as the
+reference for all three, and a direct numpy walk of B_n as a second
+reference for the subset tally.
 """
 
 from __future__ import annotations
@@ -74,9 +77,10 @@ SIGN_STATISTICS = ("none", "inv_a", "inv_b", "inv_d")
 MAX_WORKERS = 32
 
 _CACHE_LOCK = threading.Lock()
-_JOINT_A_CACHE: dict[int, dict] = {}
-_JOINT_B_CACHE: dict[int, dict] = {}
-_SUBSET_CACHE: dict[int, dict] = {}
+# n -> (tally, marginals already read from it); see _cached
+_JOINT_A_CACHE: dict[int, tuple[dict, dict]] = {}
+_JOINT_B_CACHE: dict[int, tuple[dict, dict]] = {}
+_SUBSET_CACHE: dict[int, tuple[dict, dict]] = {}
 
 
 def clear_caches() -> None:
@@ -437,22 +441,43 @@ def scan_joint_b(n: int, workers: int | None = 1) -> dict:
     return _decode_b(sum(parts), n)
 
 
-def _cached(cache: dict, n: int, scan, workers: int | None) -> dict:
+def _cached(cache: dict, n: int, scan, workers: int | None) -> tuple[dict, dict]:
+    """The (tally, marginals) entry of `cache` for n, scanned on a miss.
+
+    The marginals dict holds the answers already read from the tally, keyed
+    by selector (see _memo); it lives and is dropped with its tally.
+    """
     with _CACHE_LOCK:
         hit = cache.get(n)
     if hit is not None:
         return hit
-    tally = scan(n, workers)
+    entry = scan(n, workers), {}
     with _CACHE_LOCK:
-        cache[n] = tally
-    return tally
+        cache[n] = entry
+    return entry
 
 
-def joint_a(n: int, workers: int | None = None) -> dict:
+def _memo(entry: tuple[dict, dict], key: tuple, marginal):
+    """marginal(tally) for a (tally, marginals) entry, computed once per key.
+
+    UniPoly is immutable and is returned as stored; a BiPoly's terms dict is
+    not, so each caller gets its own copy.  Threads that ask for one key at
+    once may each compute it; they store equal values.
+    """
+    tally, marginals = entry
+    hit = marginals.get(key)
+    if hit is None:
+        hit = marginals[key] = marginal(tally)
+    return BiPoly(hit.terms) if type(hit) is BiPoly else hit
+
+
+def joint_a(n: int, workers: int | None = None) -> tuple[dict, dict]:
+    """The cached (tally, marginals) entry of S_n."""
     return _cached(_JOINT_A_CACHE, n, scan_joint_a, workers)
 
 
-def joint_b(n: int, workers: int | None = None) -> dict:
+def joint_b(n: int, workers: int | None = None) -> tuple[dict, dict]:
+    """The cached (tally, marginals) entry of B_n."""
     return _cached(_JOINT_B_CACHE, n, scan_joint_b, workers)
 
 
@@ -460,59 +485,60 @@ def joint_b(n: int, workers: int | None = None) -> dict:
 # Marginal sums
 # =====================================================================
 
-def _sum_a(n, workers, *, biv, signed=False, first=None, last=None, alternating=None):
-    uni: dict[int, int] = {}
-    bivd: dict[tuple[int, int], int] = {}
-    for (pk, val, inv2, fa, la, alt), cnt in joint_a(n, workers).items():
-        if first is not None and fa != (1 if first == "a" else 0):
-            continue
-        if last is not None and la != (1 if last == "a" else 0):
-            continue
-        if alternating is not None and alt != (1 if alternating else 0):
-            continue
-        v = -cnt if (signed and inv2) else cnt
-        if biv:
-            bivd[(pk, val)] = bivd.get((pk, val), 0) + v
-        else:
-            e = pk + val + 1
-            uni[e] = uni.get(e, 0) + v
-    return BiPoly(bivd) if biv else UniPoly.from_dict(uni)
+def _poly(items, biv: bool):
+    """The bivariate (pk, val) or univariate t^(pk+val+1) sum of (pk, val, count) items."""
+    acc: dict = {}
+    for pk, val, v in items:
+        key = (pk, val) if biv else pk + val + 1
+        acc[key] = acc.get(key, 0) + v
+    return BiPoly(acc) if biv else UniPoly.from_dict(acc)
+
+
+def _sum_a(n, workers, *, biv, signed=False, first=None, last=None, alternating=None, parity=None):
+    def marginal(tally):
+        for (pk, val, inv2, fa, la, alt), cnt in tally.items():
+            if first is not None and fa != (1 if first == "a" else 0):
+                continue
+            if last is not None and la != (1 if last == "a" else 0):
+                continue
+            if alternating is not None and alt != (1 if alternating else 0):
+                continue
+            if parity is not None and inv2 != (0 if parity == "plus" else 1):
+                continue
+            yield pk, val, -cnt if (signed and inv2) else cnt
+
+    key = (biv, signed, first, last, alternating, parity)
+    return _memo(joint_a(n, workers), key, lambda tally: _poly(marginal(tally), biv))
 
 
 def _sum_b(n, workers, *, biv, signed=None, membership=None, end=None, first=None,
            alternating=None, snake=None, parity=None, parity_stat=None):
-    uni: dict[int, int] = {}
-    bivd: dict[tuple[int, int], int] = {}
-    for (pk, val, b2, d2, g2, la, fp, alt), cnt in joint_b(n, workers).items():
-        if membership == "D" and g2 != 0:
-            continue
-        if membership == "B-D" and g2 != 1:
-            continue
-        if end is not None and la != (1 if end == "a" else 0):
-            continue
-        if first == "positive" and not fp:
-            continue
-        if first == "negative" and fp:
-            continue
-        if alternating is not None and alt != (1 if alternating else 0):
-            continue
-        if snake is not None and (alt and fp) != snake:
-            continue
-        if parity is not None:
-            bit = b2 if parity_stat == "inv_b" else d2
-            if bit != (0 if parity == "plus" else 1):
+    def marginal(tally):
+        for (pk, val, b2, d2, g2, la, fp, alt), cnt in tally.items():
+            if membership == "D" and g2 != 0:
                 continue
-        v = cnt
-        if signed == "inv_b" and b2:
-            v = -cnt
-        elif signed == "inv_d" and d2:
-            v = -cnt
-        if biv:
-            bivd[(pk, val)] = bivd.get((pk, val), 0) + v
-        else:
-            e = pk + val + 1
-            uni[e] = uni.get(e, 0) + v
-    return BiPoly(bivd) if biv else UniPoly.from_dict(uni)
+            if membership == "B-D" and g2 != 1:
+                continue
+            if end is not None and la != (1 if end == "a" else 0):
+                continue
+            if first == "positive" and not fp:
+                continue
+            if first == "negative" and fp:
+                continue
+            if alternating is not None and alt != (1 if alternating else 0):
+                continue
+            if snake is not None and (alt and fp) != snake:
+                continue
+            if parity is not None:
+                bit = b2 if parity_stat == "inv_b" else d2
+                if bit != (0 if parity == "plus" else 1):
+                    continue
+            if (signed == "inv_b" and b2) or (signed == "inv_d" and d2):
+                cnt = -cnt
+            yield pk, val, cnt
+
+    key = (biv, signed, membership, end, first, alternating, snake, parity, parity_stat)
+    return _memo(joint_b(n, workers), key, lambda tally: _poly(marginal(tally), biv))
 
 
 # =====================================================================
@@ -587,13 +613,8 @@ def dist_runs_parity_split(group: str, n: int, workers: int | None = None) -> tu
     group = normalize_group(group)
     _check_n(group, n)
     if group == "A":
-        plus: dict[int, int] = {}
-        minus: dict[int, int] = {}
-        for (pk, val, inv2, _f, _l, _alt), cnt in joint_a(n, workers).items():
-            d = minus if inv2 else plus
-            e = pk + val + 1
-            d[e] = d.get(e, 0) + cnt
-        return UniPoly.from_dict(plus), UniPoly.from_dict(minus)
+        return (_sum_a(n, workers, biv=False, parity="plus"),
+                _sum_a(n, workers, biv=False, parity="minus"))
     stat = "inv_b" if group == "B" else "inv_d"
     membership = None if group == "B" else group
     return (
@@ -618,16 +639,13 @@ def count_alternating(group: str, n: int, parity: str = "all", workers: int | No
     _check_n(group, n)
     if parity not in ("all", "plus", "minus"):
         raise DomainError(f"unknown parity selector {parity!r}")
+    selector = None if parity == "all" else parity
     if group == "A":
-        total = 0
-        for (pk, val, inv2, _f, _l, alt), cnt in joint_a(n, workers).items():
-            if alt and (parity == "all" or inv2 == (0 if parity == "plus" else 1)):
-                total += cnt
-        return total
+        return _sum_a(n, workers, biv=False, alternating=True, parity=selector).eval_int(1)
     stat = "inv_b" if group == "B" else "inv_d"
     membership = None if group == "B" else group
     p = _sum_b(n, workers, biv=False, membership=membership, alternating=True,
-               parity=None if parity == "all" else parity, parity_stat=stat)
+               parity=selector, parity_stat=stat)
     return p.eval_int(1)
 
 
@@ -766,13 +784,15 @@ def _add_parities(acc: np.ndarray, codes: np.ndarray, counts: np.ndarray) -> Non
     np.add.at(acc, codes ^ 1, counts[..., 1])
 
 
-def _expand_subsets(hist: np.ndarray, n: int) -> np.ndarray:
+def _expand_subsets(hist: np.ndarray, n: int, workers: int | None) -> np.ndarray:
     """The subset codes of B_n from the S_n key counts of _subset_hist.
 
     Codes below one side hold the type B cell (k, end, pk, val) with the
     inv_B parity bit; the next side holds the type D cell over D_n with the
     inv_D bit; after both, 2 * L + (inv_D mod 2) counts the snakes of D_n in
-    staircase subset L.
+    staircase subset L.  The non-empty keys are crossed with the masks in
+    chunks of about 2^18 cells, and split over the workers in parts of at
+    least one chunk; the parts' code arrays are summed.
     """
     base, side = n + 1, _subset_side(n)
     pk, val, first, last, alt = _code_table(n, signed=True)
@@ -786,33 +806,37 @@ def _expand_subsets(hist: np.ndarray, n: int) -> np.ndarray:
     for i, j in itertools.combinations(range(n), 2):
         q1[i, j], q2[i, j] = ([-1, -1] + [p for p in range(n) if p not in (i, j)])[-2:]
     signs = masks << 1
-    acc = np.zeros(2 * side + 10, dtype=np.int64)
     keys = np.nonzero(hist.any(1))[0]
     step = max(1, (1 << 18) >> n)
-    for at in range(0, len(keys), step):
-        key = keys[at:at + step, None]
-        counts = np.broadcast_to(hist[key], (len(key), len(masks), 2))
-        key, o = key >> 1, key & 1
-        key, j = np.divmod(key, n)
-        c, i = np.divmod(key, n)
-        asc = _signed_code(c, masks, n)
-        sign_i, sign_j = (masks >> i) & 1, (masks >> j) & 1
-        l_idx = np.where(j - i > 1, 1, np.where(j < n - 1, 2, np.where(sign_i == sign_j, 4, 3)))
-        in_d = np.broadcast_to(neg2 == 0, asc.shape)
-        snake = in_d & snakes[asc]
-        _add_parities(acc, (2 * side + l_idx * 2)[snake], counts[snake])
-        if n < 3:
-            continue
-        left, right = (signs >> (q1[i, j] + 1)) & 1, (signs >> (q2[i, j] + 1)) & 1
-        match = (left ^ (o & ~(left ^ right))) == last[asc]
-        # k_B refines L: 2L - 1 when the deleted word keeps the end class,
-        # else 2L; the L = 4 pair is numbered the other way round (8, 7).
-        k = 2 * l_idx - (match ^ (l_idx == 4))
-        kd = np.where(sign_i != sign_j, 9, k)
-        cell = cells[asc] * 2
-        _add_parities(acc, k * 4 * base * base + cell + neg2, counts)
-        _add_parities(acc, (side + kd * 4 * base * base + cell)[in_d], counts[in_d])
-    return acc
+
+    def cross(lo: int, hi: int) -> np.ndarray:
+        acc = np.zeros(2 * side + 10, dtype=np.int64)
+        for at in range(lo, hi, step):
+            key = keys[at:min(at + step, hi), None]
+            counts = np.broadcast_to(hist[key], (len(key), len(masks), 2))
+            key, o = key >> 1, key & 1
+            key, j = np.divmod(key, n)
+            c, i = np.divmod(key, n)
+            asc = _signed_code(c, masks, n)
+            sign_i, sign_j = (masks >> i) & 1, (masks >> j) & 1
+            l_idx = np.where(j - i > 1, 1, np.where(j < n - 1, 2, np.where(sign_i == sign_j, 4, 3)))
+            in_d = np.broadcast_to(neg2 == 0, asc.shape)
+            snake = in_d & snakes[asc]
+            _add_parities(acc, (2 * side + l_idx * 2)[snake], counts[snake])
+            if n < 3:
+                continue
+            left, right = (signs >> (q1[i, j] + 1)) & 1, (signs >> (q2[i, j] + 1)) & 1
+            match = (left ^ (o & ~(left ^ right))) == last[asc]
+            # k_B refines L: 2L - 1 when the deleted word keeps the end class,
+            # else 2L; the L = 4 pair is numbered the other way round (8, 7).
+            k = 2 * l_idx - (match ^ (l_idx == 4))
+            kd = np.where(sign_i != sign_j, 9, k)
+            cell = cells[asc] * 2
+            _add_parities(acc, k * 4 * base * base + cell + neg2, counts)
+            _add_parities(acc, (side + kd * 4 * base * base + cell)[in_d], counts[in_d])
+        return acc
+
+    return sum(_run_split(cross, len(keys), workers, step))
 
 
 def _decode_subsets(acc: np.ndarray, n: int) -> dict:
@@ -846,7 +870,7 @@ def scan_subsets(n: int, workers: int | None = 1) -> dict:
     if n < 2:
         raise DomainError("subset classification needs n >= 2")
     parts = _split_a(lambda a, b: _subset_hist(n, a, b), n, workers)
-    return _decode_subsets(_expand_subsets(sum(parts), n), n)
+    return _decode_subsets(_expand_subsets(sum(parts), n, workers), n)
 
 
 def _grouped_subsets(n: int, workers: int | None) -> dict:
@@ -862,7 +886,7 @@ def _grouped_subsets(n: int, workers: int | None) -> dict:
 
 
 def _subset_scan(n: int, workers: int | None = None) -> dict:
-    return _cached(_SUBSET_CACHE, n, _grouped_subsets, workers)
+    return _cached(_SUBSET_CACHE, n, _grouped_subsets, workers)[0]
 
 
 def _subset_cell(side: str, n: int, k: int, end: str, workers: int | None) -> BiPoly:
@@ -903,10 +927,11 @@ def build_T(n: int, end: str) -> list[tuple[int, ...]]:
     return [w + t for w in build_T(n - 2, end) for t in tails]
 
 
-def t_contribution(n: int, end: str, kind: str = "B") -> BiPoly:
-    """Signed bivariate sum over the T set (kind "D" restricts to D_n, inv_D sign)."""
+def t_contribution(words, kind: str = "B") -> BiPoly:
+    """Signed bivariate sum over a T set, the words of build_T (kind "D"
+    restricts to D_n, inv_D sign)."""
     terms: dict[tuple[int, int], int] = {}
-    for w in build_T(n, end):
+    for w in words:
         if kind == "D" and negatives(w) % 2 != 0:
             continue
         peaks, valleys = peaks_valleys_b(w)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -105,10 +105,19 @@ _N0_COUNTS = {
 }
 
 
+def _n0_count(kind: str, family: str) -> int:
+    """The stated n = 0 count of a family: kind "E" alternating, "S" snakes."""
+    try:
+        return _N0_COUNTS[(kind, family)]
+    except KeyError:
+        raise DomainError(f"no n = 0 count for the {'snake' if kind == 'S' else 'alternating'} "
+                          f"family {family!r}") from None
+
+
 def alt_count(family: str, n: int, workers=None) -> int:
     """Alternating count for an EGF family token, honoring n = 0 conventions."""
     if n == 0:
-        return _N0_COUNTS[("E", family)]
+        return _n0_count("E", family)
     group = family.rstrip("+-") if family != "B-D" else "B-D"
     parity = "plus" if family.endswith("+") else ("minus" if family != "B-D" and family.endswith("-") else "all")
     return oracle.count_alternating(group, n, parity, workers)
@@ -116,7 +125,7 @@ def alt_count(family: str, n: int, workers=None) -> int:
 
 def snake_count(family: str, n: int, workers=None) -> int:
     if n == 0:
-        return _N0_COUNTS[("S", family)]
+        return _n0_count("S", family)
     return oracle.count_snakes(family, n, workers)
 
 
@@ -158,12 +167,22 @@ def _moment_check(n, workers, *, tokens, drop):
     return _result(n, failures, f"k=1..{max_k} on {','.join(tokens)}")
 
 
+@lru_cache(maxsize=None)
+def _formula_coeff(kind, family, n, exact=False):
+    """The n-th EGF coefficient of a family's closed form, computed once per
+    process: exact, or as the integer count it must be.  Kind "alt-corrected"
+    is the corrected B-D± form, with family "+" or "-"."""
+    build = {"alt": series.egf_alt, "snake": series.egf_snakes,
+             "alt-corrected": series.egf_alt_bmd_pm_corrected}[kind]
+    s = build(family, n + 1)
+    return s.egf_coeff_exact(n) if exact else s.egf_coeff(n)
+
+
 def _egf_check(n, workers, *, families, kind):
     """The n-th EGF coefficient of each family against its oracle count."""
     failures, shown = [], []
     for fam in families:
-        s = series.egf_alt(fam, n + 1) if kind == "alt" else series.egf_snakes(fam, n + 1)
-        want = s.egf_coeff(n)
+        want = _formula_coeff(kind, fam, n)
         got = _count(kind, fam, n, workers)
         shown.append(f"{fam}:{got}")
         if got != want:
@@ -340,7 +359,7 @@ def chk_b_minus_t(n, workers):
     fails = []
     for end in ("a", "d"):
         t_words = oracle.build_T(n, end)
-        t_poly = oracle.t_contribution(n, end, "B")
+        t_poly = oracle.t_contribution(t_words, "B")
         want = _biv_oracle(n, workers, "B", end)
         if t_poly != want:
             fails.append(f"T end={end}: {t_poly} != {want}")
@@ -432,7 +451,7 @@ def chk_inv_bd(n, workers):
 def chk_d_minus_t(n, workers):
     fails = []
     for end in ("a", "d"):
-        t_poly = oracle.t_contribution(n, end, "D")
+        t_poly = oracle.t_contribution(oracle.build_T(n, end), "D")
         d8 = oracle.subset_contribution_d(n, 8, end, workers)
         if d8 != t_poly:
             fails.append(f"D^8 - T end={end} contributes {d8 - t_poly}")
@@ -462,10 +481,8 @@ def chk_alt_b_equal(n, workers):
 def chk_egf_alt_bmd_pm(n, workers):
     """The documented-mismatch id: printed B-D± EGF vs oracle and lemma facts."""
     plus, minus = alt_count("B-D+", n, workers), alt_count("B-D-", n, workers)
-    printed = {
-        s: series.egf_alt("B-D" + s, n + 1).egf_coeff_exact(n) for s in ("+", "-")
-    }
-    corrected = {s: series.egf_alt_bmd_pm_corrected(s, n + 1).egf_coeff(n) for s in ("+", "-")}
+    printed = {s: _formula_coeff("alt", "B-D" + s, n, exact=True) for s in ("+", "-")}
+    corrected = {s: _formula_coeff("alt-corrected", s, n) for s in ("+", "-")}
     fails = []
     if n >= 2 and plus != minus:
         fails.append(f"lemma fact E+=E- fails: {plus} != {minus}")

@@ -262,6 +262,17 @@ def test_verify_all_stdout_is_pinned(capsys, fmt):
     assert hashlib.md5(out.encode()).hexdigest() == VERIFY_ALL_MD5[fmt]
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_verify_all_stdout_is_pinned_cold_and_warm(capsys, threads):
+    """A second run in the same process reads every answer from the filled
+    caches and their marginals, and prints the same bytes."""
+    oracle.clear_caches()
+    for _ in range(2):
+        code, out, err = run_cli(capsys, "verify", "--theorem", "all", "--format", "json", "--threads", threads)
+        assert (code, err) == (0, "")
+        assert hashlib.md5(out.encode()).hexdigest() == VERIFY_ALL_MD5["json"]
+
+
 # A reader that closes stdout before the command writes.  Python buffers a pipe,
 # so a small output fails only at the interpreter's last flush and a large one
 # (over the buffer) fails in the write itself; both must keep the verdict.

@@ -1,6 +1,9 @@
 """The brute-force enumeration oracles and their internal consistency."""
 
 import ast
+import hashlib
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from itertools import islice, permutations
 from math import factorial
 from pathlib import Path
@@ -28,6 +31,7 @@ from weylruns.oracle import (
     scan_joint_a,
     scan_joint_b,
     scan_subsets,
+    signed_uni,
     snake_subset_contribution,
     snake_subset_l,
     snake_words_b,
@@ -38,6 +42,7 @@ from weylruns.oracle import (
     t_contribution,
 )
 from weylruns.perm_core import (
+    SNAKE_FAMILIES,
     Permutation,
     SignedPermutation,
     classify_end_b,
@@ -398,6 +403,36 @@ def test_scans_within_one_block_start_no_pool(monkeypatch):
     assert len(snake_words_b(5, workers=8)) == count_snakes("B", 5)
 
 
+def test_subset_fills_to_n7_start_no_pool(monkeypatch):
+    """The S_n walk and the mask crossing of every subset fill that
+    `verify --theorem all` makes (n <= 7) run in the calling thread."""
+    def no_pool(*_args, **_kwargs):
+        raise AssertionError("a thread pool started")
+
+    serial = {n: scan_subsets(n, workers=1) for n in range(2, 8)}
+    monkeypatch.setattr(oracle, "ThreadPoolExecutor", no_pool)
+    for n, want in serial.items():
+        assert scan_subsets(n, workers=MAX_WORKERS) == want
+
+
+def test_subset_crossing_splits_over_workers_at_n9(monkeypatch):
+    parts = []
+    ranges = oracle._ranges
+
+    def spy(total, workers, block=1):
+        out = ranges(total, workers, block)
+        parts.append((block, len(out)))
+        return out
+
+    monkeypatch.setattr(oracle, "_ranges", spy)
+    for workers in (1, 2):
+        tally = scan_subsets(9, workers)
+        digest = hashlib.md5(repr(sorted(tally.items())).encode()).hexdigest()
+        assert digest == "b6d6b28c132f8d609e2c36c0bf7454f4"
+    # the crossing's parts are whole chunks of 2^18 cells, 512 keys at n = 9
+    assert parts[-1] == (512, 2)
+
+
 def test_worker_counts_are_validated_and_clamped(monkeypatch):
     assert resolve_workers(3) == 3
     assert resolve_workers(10**6) == MAX_WORKERS
@@ -514,12 +549,12 @@ def test_t_carries_the_whole_signed_sum():
                 SignedDistributionRequest("B", n, sign_statistic="inv_b", end_restriction=end),
                 "pq",
             )
-            assert t_contribution(n, end, "B") == want
+            assert t_contribution(build_T(n, end), "B") == want
             d_want = dist_runs(
                 SignedDistributionRequest("D", n, sign_statistic="inv_d", end_restriction=end),
                 "pq",
             )
-            assert t_contribution(n, end, "D") == d_want
+            assert t_contribution(build_T(n, end), "D") == d_want
 
 
 def test_t_lives_inside_subset_eight():
@@ -586,6 +621,112 @@ def test_snake_subset_l_membership():
     for w in snake_words_b(4):
         if negatives(w) % 2 == 0:
             assert snake_subset_l(w) in (1, 2, 3, 4)
+
+
+# ------------------------------------------------------- marginal memo
+
+FAMILY_TOKENS = ("R", "R+", "R-") + tuple(
+    base + mark for base in ("RB", "RD", "RB-D") for mark in ("", "+", "-", ">", "<"))
+SIGNS = {"A": ("none", "inv_a"), "B": ("none", "inv_b", "inv_d"), "D": ("none", "inv_d"), "B-D": ("none", "inv_d")}
+
+
+def _marginal_calls(n):
+    """Every call of the public marginals at size n, as (function, args)."""
+    calls = []
+    for group, signs in SIGNS.items():
+        if group == "A":
+            ends, firsts = (None, "aa", "ad", "da", "dd") if n >= 2 else (None,), (None,)
+        else:
+            ends, firsts = (None, "a", "d"), (None, "positive", "negative")
+        calls += [(dist_runs, (SignedDistributionRequest(group, n, sign, end, first), var))
+                  for sign in signs for end in ends for first in firsts for var in ("t", "pq")]
+        calls.append((dist_runs_parity_split, (group, n)))
+        calls += [(count_alternating, (group, n, parity)) for parity in ("all", "plus", "minus")]
+    if n >= 2:
+        calls += [(class_poly_a, (n, cls, signed)) for cls in ("aa", "ad", "da", "dd") for signed in (True, False)]
+    calls += [(count_snakes, (family, n)) for family in SNAKE_FAMILIES]
+    calls += [(family_poly, (token, n)) for token in FAMILY_TOKENS]
+    calls += [(signed_uni, (group, n)) for group in ("A", "B", "D")]
+    return calls
+
+
+@settings(max_examples=80, deadline=None)
+@given(call=st.integers(1, 5).flatmap(lambda n: st.sampled_from(_marginal_calls(n))))
+def test_a_warm_answer_equals_a_cold_one(call):
+    fn, args = call
+    fn(*args)
+    warm = fn(*args)  # read from the entry's marginals
+    oracle.clear_caches()
+    cold = fn(*args)
+    assert warm == cold and type(warm) is type(cold)
+
+
+def test_a_returned_bipoly_is_the_callers_own():
+    calls = [(dist_runs, (SignedDistributionRequest("B", 4, "inv_b", "a"), "pq")),
+             (dist_runs, (SignedDistributionRequest("A", 5, "inv_a"), "pq")),
+             (class_poly_a, (5, "ad"))]
+    for fn, args in calls:
+        got = fn(*args)
+        want = BiPoly(got.terms)
+        got.terms.clear()
+        got.terms[(9, 9)] = 1
+        assert fn(*args) == want != got
+
+
+class _Tally(dict):
+    """A joint tally that fails any read once `frozen` is set."""
+
+    frozen = False
+
+    def _read(self, view):
+        if self.frozen:
+            raise AssertionError("the tally was read again")
+        return view()
+
+    def items(self):
+        return self._read(super().items)
+
+    def keys(self):
+        return self._read(super().keys)
+
+    def values(self):
+        return self._read(super().values)
+
+    def __iter__(self):
+        return self._read(super().__iter__)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_a_repeated_query_does_not_read_the_tally(n):
+    oracle.clear_caches()
+    tallies = _Tally(scan_joint_a(n)), _Tally(scan_joint_b(n))
+    oracle._JOINT_A_CACHE[n] = tallies[0], {}
+    oracle._JOINT_B_CACHE[n] = tallies[1], {}
+    calls = _marginal_calls(n)
+    first = [fn(*args) for fn, args in calls]
+    for tally in tallies:
+        tally.frozen = True
+    assert [fn(*args) for fn, args in calls] == first
+    oracle.clear_caches()
+    assert not oracle._JOINT_A_CACHE and not oracle._JOINT_B_CACHE
+    assert [fn(*args) for fn, args in calls] == first
+
+
+def test_concurrent_queries_agree_with_serial_ones():
+    """Threads that share one fresh entry, and may compute one marginal at
+    the same time, all get the serial answers."""
+    calls = _marginal_calls(4)
+    want = [fn(*args) for fn, args in calls]
+    oracle.clear_caches()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            futures = [pool.submit(lambda: [fn(*args) for fn, args in calls]) for _ in range(8)]
+            got = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 8
 
 
 # ------------------------------------------------------- family tokens

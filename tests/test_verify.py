@@ -6,6 +6,7 @@ import pytest
 from weylruns import perm_core
 from weylruns.errors import DomainError
 from weylruns.poly import BiPoly, UniPoly
+from weylruns.series import ALT_FAMILIES, egf_alt, egf_snakes
 from weylruns.verify import (
     MISMATCH_DOCUMENTED,
     SKIPPED,
@@ -89,6 +90,19 @@ def test_count_helpers_honor_conventions():
     assert snake_count("D+", 0) == 1
     assert alt_count("A", 4) == 5
     assert snake_count("B", 3) == 11
+
+
+def test_every_family_keeps_its_n0_count():
+    assert {f: alt_count(f, 0) for f in ALT_FAMILIES} == {f: egf_alt(f, 1).egf_coeff(0) for f in ALT_FAMILIES}
+    families = perm_core.SNAKE_FAMILIES
+    assert {f: snake_count(f, 0) for f in families} == {f: egf_snakes(f, 1).egf_coeff(0) for f in families}
+
+
+@pytest.mark.parametrize("count,family", [(alt_count, "X"), (alt_count, "RB"), (snake_count, "A"), (snake_count, "A+")])
+@pytest.mark.parametrize("n", [0, 1])
+def test_count_helpers_refuse_a_family_without_a_count(count, family, n):
+    with pytest.raises(DomainError):
+        count(family, n)
 
 
 @pytest.mark.parametrize(
