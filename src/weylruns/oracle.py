@@ -5,42 +5,46 @@ integer statistics; closed-form evaluators never feed back into this module,
 so oracle-vs-formula comparisons stay two independent routes.
 
 There is one walk per group: `_perm_blocks` / `_signed_blocks` yield the
-elements in the contract order as int8 blocks, and vectorized kernels tally
-bounded statistics through int64 bincounts and np.add.at (counting only, no
-floating point).  The kernels share one table-driven statistics step: a word's
-adjacent-pair ascent bits, behind a 0 sentinel for signed words, pack into
-a code, and a cached table per code length gives its peaks, valleys, end
-classes and alternation.  Inversion parity is never counted pair by pair.
-It is read per rank of S_n, from a cached parity per suffix-table row xored
-with one constant per prefix, and for B_n it is taken once per permutation
-of absolute values and broadcast over the 2^n sign masks
-(inv_D = inv(|w|), inv_B = inv(|w|) + neg (mod 2)).  Three tallies come out
-of the walks:
+elements in the contract order as int8 blocks, and vectorized kernels count
+them through int64 bincounts and np.add.at (counting only, no floating
+point).  A word's peaks, valleys, end classes and alternation depend only on
+its ascent code: its adjacent-pair ascent bits, behind a 0 sentinel for
+signed words, packed into an integer, with a cached table per code length
+(`_code_table`).  Inversion parity is never counted pair by pair.  It is
+read per rank of S_n, from a cached parity per suffix-table row xored with
+one constant per prefix, and for B_n it is taken once per permutation of
+absolute values and broadcast over the 2^n sign masks (inv_D = inv(|w|),
+inv_B = inv(|w|) + neg (mod 2)).  So each tally is an int64 count array
+over codes and parity bits, cached as it is, with no decode step:
 
-* the joint A and B tallies, of which every distribution is a marginal sum;
+* the A tally counts[c, inv mod 2] over S_n, c the unsigned code;
+* the B tally counts[c, inv(|w|) mod 2, neg mod 2] over B_n, c the signed code;
 * the subset tally, which classifies B_n into the cancellation subsets and
-  the snakes of D_n into the staircase subsets L^1..L^4.  It walks S_n, not
-  B_n: a word of B_n is a permutation u = |w| and a sign mask m, and its
-  subset code is a function of m and of the key (c, i, j, o, inv(u) mod 2)
-  of u, with c the ascent code of u, i < j the positions of the letters
-  n-1 and n, and o the order of the last pair left without them.  The
-  walk counts the S_n ranks per key, and the non-empty keys are then
-  crossed with all 2^n masks.
+  the snakes of D_n into the staircase subsets L^1..L^4 (its layout is at
+  `_expand_subsets`).  It walks S_n, not B_n: a word of B_n is a
+  permutation u = |w| and a sign mask m, and its subset code is a function
+  of m and of the key (c, i, j, o, inv(u) mod 2) of u, with c the ascent
+  code of u, i < j the positions of the letters n-1 and n, and o the order
+  of the last pair left without them.  The walk counts the S_n ranks per
+  key, and the non-empty keys are then crossed with all 2^n masks.
+
+Every distribution is a marginal of one of them: code filters are columns of
+`_code_table`, parity filters and signs a weight over the parity axes.
 
 Work is split over contiguous lexicographic rank ranges of the underlying
 permutation index space, none shorter than a minimum part (5040 ranks of
 S_n, for the A and subset tallies; 2^17 words of B_n, for the joint B tally
 and the snake list), so small scans start no thread pool.  Each
 range is seeked, not stepped: `_perm_blocks` unranks the range's start
-directly, so a worker walks only its own ranks.  Partial bincounts merge by
-integer addition and are decoded once, so the result is bitwise identical
-for any worker count.
+directly, so a worker walks only its own ranks.  Partial count arrays merge
+by integer addition, so the result is bitwise identical for any worker
+count.
 Successful full-group scans are cached per n, each with the marginals
 already read from it, keyed by selector: a repeated query is a dictionary
 lookup, and `clear_caches` drops a tally and its marginals together.  The
 test suite keeps a pure-Python walk over perm_core's statistics as the
-reference for all three, and a direct numpy walk of B_n as a second
-reference for the subset tally.
+reference for all three tallies and for every marginal, and a direct numpy
+walk of B_n as a second reference for the subset tally.
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
 from math import factorial
 
 import numpy as np
@@ -68,6 +71,7 @@ from .perm_core import (
     normalize_group,
     peaks_valleys_b,
     pos_abs,
+    split_family,
 )
 from .poly import BiPoly, UniPoly
 
@@ -77,10 +81,10 @@ SIGN_STATISTICS = ("none", "inv_a", "inv_b", "inv_d")
 MAX_WORKERS = 32
 
 _CACHE_LOCK = threading.Lock()
-# n -> (tally, marginals already read from it); see _cached
-_JOINT_A_CACHE: dict[int, tuple[dict, dict]] = {}
-_JOINT_B_CACHE: dict[int, tuple[dict, dict]] = {}
-_SUBSET_CACHE: dict[int, tuple[dict, dict]] = {}
+# n -> (count array, marginals already read from it); see _cached
+_JOINT_A_CACHE: dict[int, tuple[np.ndarray, dict]] = {}
+_JOINT_B_CACHE: dict[int, tuple[np.ndarray, dict]] = {}
+_SUBSET_CACHE: dict[int, tuple[np.ndarray, dict]] = {}
 
 
 def clear_caches() -> None:
@@ -133,12 +137,8 @@ def _run_split(fn, total: int, workers: int | None, block: int):
 
 
 # =====================================================================
-# Joint statistic tallies
-#
-# A-key: (pk, val, inv mod 2, first ascent, last ascent, alternating)
-# B-key: (pk_B, val_B, inv_B mod 2, inv_D mod 2, negatives mod 2,
-#         last ascent, first letter positive, alternating)
-# with flags stored as 0/1.  Every distribution below is a marginal sum.
+# Joint statistic tallies: counts[c, inv mod 2] over S_n and
+# counts[c, inv(|w|) mod 2, neg mod 2] over B_n (see the module docstring)
 # =====================================================================
 
 # Words of S_n are an unranked prefix plus a suffix read from the cached S_m
@@ -243,7 +243,7 @@ def _split_a(fn, n: int, workers: int | None):
 # permutation of absolute values, inv_D(w) = inv(|w|) and inv_B(w) =
 # inv(|w|) + neg(w) (mod 2) (Bjorner-Brenti, Combinatorics of Coxeter
 # Groups, Prop. 8.1.1 and 8.2.1), so one parity per permutation is broadcast
-# over its 2^n sign masks (_by_sign_parity).
+# over its 2^n sign masks (_by_sign_parity, _parity_table).
 # =====================================================================
 
 _CODE_TABLES: dict[tuple[int, bool], tuple[np.ndarray, ...]] = {}
@@ -299,30 +299,15 @@ def _inv_parity(n: int, lo: int, rows: int) -> np.ndarray:
 
 
 def _scan_a_numpy(n: int, lo: int, hi: int) -> np.ndarray:
-    pk, val, first, last, alt = _code_table(n, signed=False)
-    # inv mod 2 is bit 3 of the key
-    keys = ((pk * (n + 1) + val) * 16 + first * 4 + last * 2 + alt).astype(np.int16)
-    acc = np.zeros((n + 1) * (n + 1) * 16, dtype=np.int64)
+    """The A tally counts[c, inv mod 2] of the S_n ranks [lo, hi)."""
+    acc = np.zeros(1 << n, dtype=np.int64)
     for words in _perm_blocks(n, lo, hi, _A_BLOCK):
         rows = words.shape[0]
-        key = keys[_ascent_codes(words, signed=False)] + (_inv_parity(n, lo, rows) << 3)
+        key = np.left_shift(_ascent_codes(words, signed=False), 1, dtype=np.int16)
+        key |= _inv_parity(n, lo, rows)
         acc += np.bincount(key, minlength=acc.size)
         lo += rows
-    return acc
-
-
-def _decode_a(acc: np.ndarray, n: int) -> dict:
-    tally = {}
-    for code in np.nonzero(acc)[0]:
-        c, rem = int(acc[code]), int(code)
-        flags = []
-        for _ in range(4):
-            flags.append(rem & 1)
-            rem >>= 1
-        alt, last, first, inv2 = flags
-        pk, val = divmod(rem, n + 1)
-        tally[(pk, val, inv2, first, last, alt)] = c
-    return tally
+    return acc.reshape(-1, 2)
 
 
 _SIGN_LANES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -392,56 +377,40 @@ def _by_sign_parity(n: int, lo: int, rows: int, table: np.ndarray) -> np.ndarray
     return table[_inv_parity(n, rank, perms)].reshape(-1)[skip:skip + rows]
 
 
-def _parity_table(n: int, bits: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
-    """The (2, 2^n) table bits(inv(|w|) mod 2, neg(w) mod 2) over the sign masks."""
+def _parity_table(n: int) -> np.ndarray:
+    """The (2, 2^n) grid 2 * (inv(|w|) mod 2) + (neg(w) mod 2) over the sign
+    masks, as uint8."""
     neg2 = _digit_parity(np.arange(1 << n), [2] * n)
-    return bits(np.arange(2)[:, None], neg2[None, :])
+    return (np.arange(2)[:, None] * 2 + neg2).astype(np.uint8)
 
 
 def _scan_b_numpy(n: int, lo: int, hi: int) -> np.ndarray:
-    pk, val, first, last, alt = _code_table(n, signed=True)
-    keys = ((pk * (n + 1) + val) * 64 + last * 4 + first * 2 + alt).astype(np.int16)
-    # inv_B, inv_D and neg mod 2 are bits 5, 4 and 3 of the key
-    parity_keys = _parity_table(n, lambda inv2, neg2: (inv2 ^ neg2) * 32 + inv2 * 16 + neg2 * 8)
-    parity_keys = parity_keys.astype(np.int16)
-    acc = np.zeros((n + 1) * (n + 1) * 64, dtype=np.int64)
+    """The B tally counts[c, inv(|w|) mod 2, neg mod 2] of the B_n ambient
+    indices [lo, hi)."""
+    parities = _parity_table(n)
+    acc = np.zeros(4 << n, dtype=np.int64)
     for w in _signed_blocks(n, lo, hi, _JOINT_B_BLOCK):
         rows = w.shape[0]
-        key = keys[_ascent_codes(w, signed=True)] + _by_sign_parity(n, lo, rows, parity_keys)
+        key = np.left_shift(_ascent_codes(w, signed=True), 2, dtype=np.int16)
+        key |= _by_sign_parity(n, lo, rows, parities)
         acc += np.bincount(key, minlength=acc.size)
         lo += rows
-    return acc
+    return acc.reshape(-1, 2, 2)
 
 
-def _decode_b(acc: np.ndarray, n: int) -> dict:
-    tally = {}
-    for code in np.nonzero(acc)[0]:
-        c, rem = int(acc[code]), int(code)
-        flags = []
-        for _ in range(6):
-            flags.append(rem & 1)
-            rem >>= 1
-        alt, first, last, negs2, invd2, invb2 = flags
-        pk, val = divmod(rem, n + 1)
-        tally[(pk, val, invb2, invd2, negs2, last, first, alt)] = c
-    return tally
-
-
-def scan_joint_a(n: int, workers: int | None = 1) -> dict:
-    """Uncached joint tally over S_n (used directly by determinism tests)."""
+def scan_joint_a(n: int, workers: int | None = 1) -> np.ndarray:
+    """Uncached A tally counts[c, inv mod 2] over S_n."""
     _check_n("A", n)
-    parts = _split_a(lambda a, b: _scan_a_numpy(n, a, b), n, workers)
-    return _decode_a(sum(parts), n)
+    return sum(_split_a(lambda a, b: _scan_a_numpy(n, a, b), n, workers))
 
 
-def scan_joint_b(n: int, workers: int | None = 1) -> dict:
-    """Uncached joint tally over B_n."""
+def scan_joint_b(n: int, workers: int | None = 1) -> np.ndarray:
+    """Uncached B tally counts[c, inv(|w|) mod 2, neg mod 2] over B_n."""
     _check_n("B", n)
-    parts = _split_b(lambda a, b: _scan_b_numpy(n, a, b), n, workers)
-    return _decode_b(sum(parts), n)
+    return sum(_split_b(lambda a, b: _scan_b_numpy(n, a, b), n, workers))
 
 
-def _cached(cache: dict, n: int, scan, workers: int | None) -> tuple[dict, dict]:
+def _cached(cache: dict, n: int, scan, workers: int | None) -> tuple[np.ndarray, dict]:
     """The (tally, marginals) entry of `cache` for n, scanned on a miss.
 
     The marginals dict holds the answers already read from the tally, keyed
@@ -457,7 +426,7 @@ def _cached(cache: dict, n: int, scan, workers: int | None) -> tuple[dict, dict]
     return entry
 
 
-def _memo(entry: tuple[dict, dict], key: tuple, marginal):
+def _memo(entry: tuple[np.ndarray, dict], key: tuple, marginal):
     """marginal(tally) for a (tally, marginals) entry, computed once per key.
 
     UniPoly is immutable and is returned as stored; a BiPoly's terms dict is
@@ -471,12 +440,12 @@ def _memo(entry: tuple[dict, dict], key: tuple, marginal):
     return BiPoly(hit.terms) if type(hit) is BiPoly else hit
 
 
-def joint_a(n: int, workers: int | None = None) -> tuple[dict, dict]:
+def joint_a(n: int, workers: int | None = None) -> tuple[np.ndarray, dict]:
     """The cached (tally, marginals) entry of S_n."""
     return _cached(_JOINT_A_CACHE, n, scan_joint_a, workers)
 
 
-def joint_b(n: int, workers: int | None = None) -> tuple[dict, dict]:
+def joint_b(n: int, workers: int | None = None) -> tuple[np.ndarray, dict]:
     """The cached (tally, marginals) entry of B_n."""
     return _cached(_JOINT_B_CACHE, n, scan_joint_b, workers)
 
@@ -485,60 +454,64 @@ def joint_b(n: int, workers: int | None = None) -> tuple[dict, dict]:
 # Marginal sums
 # =====================================================================
 
-def _poly(items, biv: bool):
-    """The bivariate (pk, val) or univariate t^(pk+val+1) sum of (pk, val, count) items."""
+def _poly(pk: np.ndarray, val: np.ndarray, counts: np.ndarray, biv: bool):
+    """The bivariate (pk, val) or univariate t^(pk+val+1) sum of per-cell counts."""
     acc: dict = {}
-    for pk, val, v in items:
-        key = (pk, val) if biv else pk + val + 1
-        acc[key] = acc.get(key, 0) + v
+    for p, v, c in zip(pk.tolist(), val.tolist(), counts.tolist()):
+        key = (p, v) if biv else p + v + 1
+        acc[key] = acc.get(key, 0) + c
     return BiPoly(acc) if biv else UniPoly.from_dict(acc)
 
 
+def _marginal(counts: np.ndarray, n: int, signed: bool, weight: np.ndarray, filters, biv: bool):
+    """The polynomial of a joint tally, each code's counts summed under
+    `weight` over the parity axes.  filters holds a (value, one) pair per
+    first, last and alt column: a code is kept when its bit is value == one,
+    or whatever its bit when value is None."""
+    pk, val, *cols = _code_table(n, signed)
+    keep = np.ones(len(pk), dtype=bool)
+    for col, (value, one) in zip(cols, filters):
+        if value is not None:
+            keep &= col == (value == one)
+    per_code = (counts * weight).reshape(len(pk), -1).sum(1)
+    return _poly(pk[keep], val[keep], per_code[keep], biv)
+
+
 def _sum_a(n, workers, *, biv, signed=False, first=None, last=None, alternating=None, parity=None):
-    def marginal(tally):
-        for (pk, val, inv2, fa, la, alt), cnt in tally.items():
-            if first is not None and fa != (1 if first == "a" else 0):
-                continue
-            if last is not None and la != (1 if last == "a" else 0):
-                continue
-            if alternating is not None and alt != (1 if alternating else 0):
-                continue
-            if parity is not None and inv2 != (0 if parity == "plus" else 1):
-                continue
-            yield pk, val, -cnt if (signed and inv2) else cnt
+    """A marginal of the A tally; the weight runs over inv mod 2."""
+    def marginal(counts):
+        weight = np.array([1, -1 if signed else 1])
+        if parity is not None:
+            weight[1 if parity == "plus" else 0] = 0
+        filters = (first, "a"), (last, "a"), (alternating, True)
+        return _marginal(counts, n, False, weight, filters, biv)
 
     key = (biv, signed, first, last, alternating, parity)
-    return _memo(joint_a(n, workers), key, lambda tally: _poly(marginal(tally), biv))
+    return _memo(joint_a(n, workers), key, marginal)
 
 
 def _sum_b(n, workers, *, biv, signed=None, membership=None, end=None, first=None,
-           alternating=None, snake=None, parity=None, parity_stat=None):
-    def marginal(tally):
-        for (pk, val, b2, d2, g2, la, fp, alt), cnt in tally.items():
-            if membership == "D" and g2 != 0:
-                continue
-            if membership == "B-D" and g2 != 1:
-                continue
-            if end is not None and la != (1 if end == "a" else 0):
-                continue
-            if first == "positive" and not fp:
-                continue
-            if first == "negative" and fp:
-                continue
-            if alternating is not None and alt != (1 if alternating else 0):
-                continue
-            if snake is not None and (alt and fp) != snake:
-                continue
-            if parity is not None:
-                bit = b2 if parity_stat == "inv_b" else d2
-                if bit != (0 if parity == "plus" else 1):
-                    continue
-            if (signed == "inv_b" and b2) or (signed == "inv_d" and d2):
-                cnt = -cnt
-            yield pk, val, cnt
+           alternating=None, parity=None):
+    """A marginal of the B tally; the weight runs over (inv(|w|), neg) mod 2.
 
-    key = (biv, signed, membership, end, first, alternating, snake, parity, parity_stat)
-    return _memo(joint_b(n, workers), key, lambda tally: _poly(marginal(tally), biv))
+    membership "D" / "B-D" keeps an even / odd neg; parity filters by the
+    group's own length, inv_B over B and inv_D over D and B-D.
+    """
+    def marginal(counts):
+        inv_d, neg2 = np.indices((2, 2))
+        inv_b = inv_d ^ neg2
+        weight = np.ones((2, 2), dtype=np.int64)
+        if membership is not None:
+            weight *= neg2 == (membership == "B-D")
+        if parity is not None:
+            weight *= (inv_d if membership else inv_b) == (parity == "minus")
+        if signed is not None:
+            weight *= 1 - 2 * (inv_b if signed == "inv_b" else inv_d)
+        filters = (first, "positive"), (end, "a"), (alternating, True)
+        return _marginal(counts, n, True, weight, filters, biv)
+
+    key = (biv, signed, membership, end, first, alternating, parity)
+    return _memo(joint_b(n, workers), key, marginal)
 
 
 # =====================================================================
@@ -615,12 +588,9 @@ def dist_runs_parity_split(group: str, n: int, workers: int | None = None) -> tu
     if group == "A":
         return (_sum_a(n, workers, biv=False, parity="plus"),
                 _sum_a(n, workers, biv=False, parity="minus"))
-    stat = "inv_b" if group == "B" else "inv_d"
     membership = None if group == "B" else group
-    return (
-        _sum_b(n, workers, biv=False, membership=membership, parity="plus", parity_stat=stat),
-        _sum_b(n, workers, biv=False, membership=membership, parity="minus", parity_stat=stat),
-    )
+    return (_sum_b(n, workers, biv=False, membership=membership, parity="plus"),
+            _sum_b(n, workers, biv=False, membership=membership, parity="minus"))
 
 
 def class_poly_a(n: int, cls: str, signed: bool = True, workers: int | None = None) -> BiPoly:
@@ -642,11 +612,9 @@ def count_alternating(group: str, n: int, parity: str = "all", workers: int | No
     selector = None if parity == "all" else parity
     if group == "A":
         return _sum_a(n, workers, biv=False, alternating=True, parity=selector).eval_int(1)
-    stat = "inv_b" if group == "B" else "inv_d"
     membership = None if group == "B" else group
-    p = _sum_b(n, workers, biv=False, membership=membership, alternating=True,
-               parity=selector, parity_stat=stat)
-    return p.eval_int(1)
+    return _sum_b(n, workers, biv=False, membership=membership, alternating=True,
+                  parity=selector).eval_int(1)
 
 
 def count_snakes(family: str, n: int, workers: int | None = None) -> int:
@@ -654,13 +622,11 @@ def count_snakes(family: str, n: int, workers: int | None = None) -> int:
     if family not in SNAKE_FAMILIES:
         raise DomainError(f"unknown snake family {family!r}")
     _check_n("B", n)
-    base = family.rstrip("+-")
-    parity = "plus" if family.endswith("+") else ("minus" if family.endswith("-") and family != "B-D" else None)
-    membership = None if base == "B" else base
-    stat = "inv_b" if base == "B" else "inv_d"
-    p = _sum_b(n, workers, biv=False, membership=membership, snake=True,
-               parity=parity, parity_stat=stat)
-    return p.eval_int(1)
+    group, parity = split_family(family)
+    # a snake is an alternating word with a positive first letter
+    return _sum_b(n, workers, biv=False, membership=None if group == "B" else group,
+                  first="positive", alternating=True,
+                  parity=None if parity == "all" else parity).eval_int(1)
 
 
 # =====================================================================
@@ -737,6 +703,14 @@ def _subset_side(n: int) -> int:
     return 10 * 2 * (n + 1) * (n + 1) * 2
 
 
+def _subset_parts(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The subset codes of B_n (see _expand_subsets) as two views:
+    cells[side, k, end, pk, val, sign] with side 0 for B and 1 for D and end
+    1 for an ascent, and snakes[l, inv_D mod 2]."""
+    base, side = n + 1, _subset_side(n)
+    return codes[:2 * side].reshape(2, 10, 2, base, base, 2), codes[2 * side:].reshape(5, 2)
+
+
 # The subset tally is read from S_n (see the module docstring).  Bit p of a
 # sign mask m is set when letter p is negative.  The key's o is the order
 # bit of the last pair left once the letters n-1 and n are deleted, read
@@ -790,7 +764,7 @@ def _expand_subsets(hist: np.ndarray, n: int, workers: int | None) -> np.ndarray
     Codes below one side hold the type B cell (k, end, pk, val) with the
     inv_B parity bit; the next side holds the type D cell over D_n with the
     inv_D bit; after both, 2 * L + (inv_D mod 2) counts the snakes of D_n in
-    staircase subset L.  The non-empty keys are crossed with the masks in
+    staircase subset L (see _subset_parts).  The non-empty keys are crossed with the masks in
     chunks of about 2^18 cells, and split over the workers in parts of at
     least one chunk; the parts' code arrays are summed.
     """
@@ -839,60 +813,33 @@ def _expand_subsets(hist: np.ndarray, n: int, workers: int | None) -> np.ndarray
     return sum(_run_split(cross, len(keys), workers, step))
 
 
-def _decode_subsets(acc: np.ndarray, n: int) -> dict:
-    base, side = n + 1, _subset_side(n)
-    tally: dict = {}
-    for code in np.nonzero(acc)[0]:
-        c, rem = int(acc[code]), int(code)
-        part, rem = divmod(rem, side)
-        if part == 2:
-            tally[("L", rem >> 1, rem & 1)] = c
-            continue
-        rem, sign = divmod(rem, 2)
-        rem, val = divmod(rem, base)
-        rem, pk = divmod(rem, base)
-        k, last = divmod(rem, 2)
-        key = ("BD"[part], "a" if last else "d", k, pk, val)
-        tally[key] = tally.get(key, 0) + (-c if sign else c)
-    return tally
-
-
-def scan_subsets(n: int, workers: int | None = 1) -> dict:
-    """Uncached one-pass classification of B_n into cancellation subsets.
-
-    Returns a tally keyed by ("B"|"D", end, k, pk, val) holding the signed
-    count (inv_B sign on the B side, inv_D on the D side over D_n), and by
-    ("L", l, inv_D mod 2) holding the number of snakes of D_n in staircase
-    subset l.  The cancellation subsets need n >= 3, so for n = 2 the tally
-    has only the snake keys.
-    """
+def scan_subsets(n: int, workers: int | None = 1) -> np.ndarray:
+    """Uncached subset tally of B_n: the code array of _expand_subsets.
+    The cancellation subsets need n >= 3; at n = 2 only the snakes are counted."""
     _check_n("B", n)
     if n < 2:
         raise DomainError("subset classification needs n >= 2")
     parts = _split_a(lambda a, b: _subset_hist(n, a, b), n, workers)
-    return _decode_subsets(_expand_subsets(sum(parts), n, workers), n)
+    return _expand_subsets(sum(parts), n, workers)
 
 
-def _grouped_subsets(n: int, workers: int | None) -> dict:
-    """The subset tally with its B/D terms grouped by (side, end, k) into
-    {(pk, val): count} cells; the ("L", l, bit) keys keep their counts."""
-    grouped: dict = {}
-    for key, c in scan_subsets(n, workers).items():
-        if key[0] == "L":
-            grouped[key] = c
-        else:
-            grouped.setdefault(key[:3], {})[key[3:]] = c
-    return grouped
-
-
-def _subset_scan(n: int, workers: int | None = None) -> dict:
-    return _cached(_SUBSET_CACHE, n, _grouped_subsets, workers)[0]
+def _subset_scan(n: int, workers: int | None = None) -> tuple[np.ndarray, dict]:
+    """The cached (subset codes, marginals) entry of B_n."""
+    return _cached(_SUBSET_CACHE, n, scan_subsets, workers)
 
 
 def _subset_cell(side: str, n: int, k: int, end: str, workers: int | None) -> BiPoly:
     if n < 3:
         raise DomainError("cancellation subsets need n >= 3")
-    return BiPoly(_subset_scan(n, workers).get((side, end, k), {}))
+    if end not in ("a", "d"):
+        raise DomainError("end must be 'a' or 'd'")
+
+    def signed_sum(codes):
+        cell = _subset_parts(codes, n)[0]["BD".index(side), k, "da".index(end)]
+        pk, val = np.indices(cell.shape[:2]).reshape(2, -1)
+        return _poly(pk, val, (cell[..., 0] - cell[..., 1]).reshape(-1), True)
+
+    return _memo(_subset_scan(n, workers), (side, k, end), signed_sum)
 
 
 def subset_contribution_b(n: int, k: int, end: str, workers: int | None = None) -> BiPoly:
@@ -983,8 +930,8 @@ def snake_subset_contribution(n: int, k: int, parity: str = "all", workers: int 
     """
     if not 1 <= k <= 4:
         raise DomainError("snake subset index must be 1..4")
-    bits = {"all": (0, 1), "plus": (0,), "minus": (1,)}.get(parity)
-    if bits is None:
+    weight = {"all": (1, 1), "plus": (1, 0), "minus": (0, 1)}.get(parity)
+    if weight is None:
         raise DomainError(f"unknown parity selector {parity!r}")
-    tally = _subset_scan(n, workers)
-    return sum(tally.get(("L", k, bit), 0) for bit in bits)
+    return _memo(_subset_scan(n, workers), ("L", k, parity),
+                 lambda codes: int(_subset_parts(codes, n)[1][k] @ weight))

@@ -26,6 +26,16 @@ from .errors import DomainError
 GROUPS = ("A", "B", "D", "B-D")
 SNAKE_FAMILIES = ("B", "B+", "B-", "D", "B-D", "D+", "D-", "B-D+", "B-D-")
 
+
+def split_family(token: str) -> tuple[str, str]:
+    """The group and the parity ("all", "plus" or "minus") of an alternating
+    or snake family token such as "B-D+"; the group is not validated."""
+    group = token.rstrip("+-")
+    parity = {"": "all", "+": "plus", "-": "minus"}.get(token[len(group):])
+    if parity is None:
+        raise DomainError(f"unknown family token {token!r}")
+    return group, parity
+
 # Enumeration refuses above these caps instead of silently truncating.
 CAP_A = 11
 CAP_B = 9

@@ -118,8 +118,7 @@ def alt_count(family: str, n: int, workers=None) -> int:
     """Alternating count for an EGF family token, honoring n = 0 conventions."""
     if n == 0:
         return _n0_count("E", family)
-    group = family.rstrip("+-") if family != "B-D" else "B-D"
-    parity = "plus" if family.endswith("+") else ("minus" if family != "B-D" and family.endswith("-") else "all")
+    group, parity = perm_core.split_family(family)
     return oracle.count_alternating(group, n, parity, workers)
 
 

@@ -22,7 +22,7 @@ def subset_codes(n: int, lo: int, hi: int) -> np.ndarray:
     pk, val, first, last, alt = oracle._code_table(n, signed=True)
     cells = (last * base + pk) * base + val
     snakes = (first & alt).astype(bool)
-    parities = oracle._parity_table(n, lambda inv2, neg2: inv2 * 2 + neg2)
+    parities = oracle._parity_table(n)
     acc = np.zeros(2 * side + 10, dtype=np.int64)
     for w in oracle._signed_blocks(n, lo, hi, 1 << 17):
         m = w.shape[0]
@@ -55,6 +55,6 @@ def subset_codes(n: int, lo: int, hi: int) -> np.ndarray:
     return acc
 
 
-def subsets(n: int) -> dict:
-    """The subset tally of B_n (n >= 2), keyed as `oracle.scan_subsets`."""
-    return oracle._decode_subsets(subset_codes(n, 0, factorial(n) << n), n)
+def subsets(n: int) -> np.ndarray:
+    """The subset codes of B_n (n >= 2), as `oracle.scan_subsets` returns them."""
+    return subset_codes(n, 0, factorial(n) << n)

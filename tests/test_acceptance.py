@@ -12,6 +12,8 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
+
 import weylruns
 from weylruns.involutions import run_involution_suite
 from weylruns.oracle import (
@@ -168,9 +170,9 @@ def test_criterion_10_involution_suite():
 
 def test_criterion_11_worker_determinism():
     with criterion("11: identical results with 1 and 8 workers"):
-        assert scan_joint_a(8, workers=1) == scan_joint_a(8, workers=8)
-        assert scan_joint_b(8, workers=1) == scan_joint_b(8, workers=8)
-        assert scan_subsets(6, workers=1) == scan_subsets(6, workers=8)
+        assert np.array_equal(scan_joint_a(8, workers=1), scan_joint_a(8, workers=8))
+        assert np.array_equal(scan_joint_b(8, workers=1), scan_joint_b(8, workers=8))
+        assert np.array_equal(scan_subsets(6, workers=1), scan_subsets(6, workers=8))
         assert snake_words_b(6, workers=1) == snake_words_b(6, workers=8)
         outs = []
         for threads in ("1", "8"):

@@ -297,3 +297,13 @@ def test_closed_stdout_keeps_the_verdict(setup, argv, want):
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(), err) == (want, b"")
+
+
+def test_benchmark_selftest_passes():
+    """The benchmark under perfbench/ still imports the package and passes its
+    own tiny-size self-test, so a change that breaks it fails here."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, str(root / "perfbench" / "selftest.py")], cwd=root,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.rstrip().endswith("selftest: passed")

@@ -130,17 +130,17 @@ def test_caps_are_configurable():
 
 @pytest.mark.parametrize("n", [1, 2, 5, 6])
 def test_engines_agree_type_a(n):
-    assert scan_joint_a(n) == reference.joint_a(n)
+    assert np.array_equal(scan_joint_a(n), reference.joint_a(n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 5])
 def test_engines_agree_type_b(n):
-    assert scan_joint_b(n) == reference.joint_b(n)
+    assert np.array_equal(scan_joint_b(n), reference.joint_b(n))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_engines_agree_subsets(n):
-    assert scan_subsets(n) == reference.subsets(n)
+    assert np.array_equal(scan_subsets(n), reference.subsets(n))
 
 
 WORKERS = st.integers(1, 8)
@@ -149,19 +149,19 @@ WORKERS = st.integers(1, 8)
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(1, 7), workers=WORKERS)
 def test_scan_joint_a_matches_reference(n, workers):
-    assert scan_joint_a(n, workers) == reference.joint_a(n)
+    assert np.array_equal(scan_joint_a(n, workers), reference.joint_a(n))
 
 
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(1, 5), workers=WORKERS)
 def test_scan_joint_b_matches_reference(n, workers):
-    assert scan_joint_b(n, workers) == reference.joint_b(n)
+    assert np.array_equal(scan_joint_b(n, workers), reference.joint_b(n))
 
 
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(2, 5), workers=WORKERS)
 def test_scan_subsets_matches_reference(n, workers):
-    assert scan_subsets(n, workers) == reference.subsets(n)
+    assert np.array_equal(scan_subsets(n, workers), reference.subsets(n))
 
 
 @settings(max_examples=20, deadline=None)
@@ -234,9 +234,9 @@ def _pairwise_parities(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _factorized_parities(n: int, lo: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
     """(inv_B mod 2, inv_D mod 2) of the B_n words at [lo, lo + rows), as the kernel reads them."""
-    table = oracle._parity_table(n, lambda inv2, neg2: 2 * (inv2 ^ neg2) + inv2)
-    bits = oracle._by_sign_parity(n, lo, rows, table)
-    return bits >> 1, bits & 1
+    bits = oracle._by_sign_parity(n, lo, rows, oracle._parity_table(n))
+    inv2, neg2 = bits >> 1, bits & 1
+    return inv2 ^ neg2, inv2
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -352,10 +352,10 @@ def test_partials_over_any_cuts_sum_to_the_whole(kind, n, cuts):
 
 def test_worker_count_does_not_change_tallies():
     assert len(oracle._ranges(factorial(8), 8, factorial(7))) == 8
-    assert scan_joint_a(8, workers=1) == scan_joint_a(8, workers=8)
-    assert scan_joint_a(7, workers=1) == scan_joint_a(7, workers=8)
-    assert scan_joint_b(5, workers=1) == scan_joint_b(5, workers=8)
-    assert scan_subsets(5, workers=1) == scan_subsets(5, workers=8)
+    assert np.array_equal(scan_joint_a(8, workers=1), scan_joint_a(8, workers=8))
+    assert np.array_equal(scan_joint_a(7, workers=1), scan_joint_a(7, workers=8))
+    assert np.array_equal(scan_joint_b(5, workers=1), scan_joint_b(5, workers=8))
+    assert np.array_equal(scan_subsets(5, workers=1), scan_subsets(5, workers=8))
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -363,17 +363,17 @@ def test_worker_count_does_not_change_tallies():
 def test_subset_tally_matches_the_direct_b_walk(n, workers):
     """The tally read from S_n keys crossed with sign masks equals a walk of
     every signed word of B_n."""
-    assert scan_subsets(n, workers) == direct_walk.subsets(n)
+    assert np.array_equal(scan_subsets(n, workers), direct_walk.subsets(n))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_direct_b_walk_matches_reference(n):
-    assert direct_walk.subsets(n) == reference.subsets(n)
+    assert np.array_equal(direct_walk.subsets(n), reference.subsets(n))
 
 
 def test_subset_tally_over_eight_parts_of_s8():
     assert len(oracle._ranges(factorial(8), 8, factorial(7))) == 8
-    assert scan_subsets(8, 1) == scan_subsets(8, 8)
+    assert np.array_equal(scan_subsets(8, 1), scan_subsets(8, 8))
 
 
 def test_signed_codes_from_unsigned_codes_and_masks():
@@ -397,9 +397,9 @@ def test_scans_within_one_block_start_no_pool(monkeypatch):
         raise AssertionError("a thread pool started")
 
     monkeypatch.setattr(oracle, "ThreadPoolExecutor", no_pool)
-    assert scan_joint_a(7, workers=8) == reference.joint_a(7)
-    assert scan_joint_b(5, workers=8) == reference.joint_b(5)
-    assert scan_subsets(5, workers=8) == reference.subsets(5)
+    assert np.array_equal(scan_joint_a(7, workers=8), reference.joint_a(7))
+    assert np.array_equal(scan_joint_b(5, workers=8), reference.joint_b(5))
+    assert np.array_equal(scan_subsets(5, workers=8), reference.subsets(5))
     assert len(snake_words_b(5, workers=8)) == count_snakes("B", 5)
 
 
@@ -412,7 +412,7 @@ def test_subset_fills_to_n7_start_no_pool(monkeypatch):
     serial = {n: scan_subsets(n, workers=1) for n in range(2, 8)}
     monkeypatch.setattr(oracle, "ThreadPoolExecutor", no_pool)
     for n, want in serial.items():
-        assert scan_subsets(n, workers=MAX_WORKERS) == want
+        assert np.array_equal(scan_subsets(n, workers=MAX_WORKERS), want)
 
 
 def test_subset_crossing_splits_over_workers_at_n9(monkeypatch):
@@ -426,9 +426,9 @@ def test_subset_crossing_splits_over_workers_at_n9(monkeypatch):
 
     monkeypatch.setattr(oracle, "_ranges", spy)
     for workers in (1, 2):
-        tally = scan_subsets(9, workers)
-        digest = hashlib.md5(repr(sorted(tally.items())).encode()).hexdigest()
-        assert digest == "b6d6b28c132f8d609e2c36c0bf7454f4"
+        codes = scan_subsets(9, workers)
+        assert codes.dtype == np.dtype("<i8")
+        assert hashlib.md5(codes.tobytes()).hexdigest() == "7088b47c0313a5c9575da644609ee702"
     # the crossing's parts are whole chunks of 2^18 cells, 512 keys at n = 9
     assert parts[-1] == (512, 2)
 
@@ -609,10 +609,10 @@ def test_snake_subsets_read_the_cached_tally(monkeypatch):
         raise AssertionError("a scan started")
 
     monkeypatch.setattr(oracle, "_perm_blocks", no_scan)
-    want = reference.subsets(n)
+    want = oracle._subset_parts(reference.subsets(n), n)[1]
     for k in range(1, 5):
         for bit, parity in enumerate(("plus", "minus")):
-            assert snake_subset_contribution(n, k, parity) == want.get(("L", k, bit), 0)
+            assert snake_subset_contribution(n, k, parity) == want[k, bit]
     d_snakes = sum(1 for w in reference.snake_words(n) if negatives(w) % 2 == 0)
     assert sum(snake_subset_contribution(n, k) for k in range(1, 5)) == d_snakes > 0
 
@@ -623,31 +623,57 @@ def test_snake_subset_l_membership():
             assert snake_subset_l(w) in (1, 2, 3, 4)
 
 
-# ------------------------------------------------------- marginal memo
+# ------------------------------------------- marginals and their memo
 
-FAMILY_TOKENS = ("R", "R+", "R-") + tuple(
-    base + mark for base in ("RB", "RD", "RB-D") for mark in ("", "+", "-", ">", "<"))
 SIGNS = {"A": ("none", "inv_a"), "B": ("none", "inv_b", "inv_d"), "D": ("none", "inv_d"), "B-D": ("none", "inv_d")}
+FAMILY_TOKENS = {"A": ("R", "R+", "R-"),
+                 **{g: tuple("R" + g + mark for mark in ("", "+", "-", ">", "<")) for g in ("B", "D", "B-D")}}
 
 
-def _marginal_calls(n):
-    """Every call of the public marginals at size n, as (function, args)."""
+def _marginal_calls(n, groups=tuple(SIGNS)):
+    """Every call of the public marginals of the joint tallies on the given
+    groups at size n, as (function, args); the snake counts go with B."""
     calls = []
-    for group, signs in SIGNS.items():
+    for group in groups:
         if group == "A":
             ends, firsts = (None, "aa", "ad", "da", "dd") if n >= 2 else (None,), (None,)
         else:
             ends, firsts = (None, "a", "d"), (None, "positive", "negative")
         calls += [(dist_runs, (SignedDistributionRequest(group, n, sign, end, first), var))
-                  for sign in signs for end in ends for first in firsts for var in ("t", "pq")]
+                  for sign in SIGNS[group] for end in ends for first in firsts for var in ("t", "pq")]
         calls.append((dist_runs_parity_split, (group, n)))
         calls += [(count_alternating, (group, n, parity)) for parity in ("all", "plus", "minus")]
-    if n >= 2:
+        calls += [(family_poly, (token, n)) for token in FAMILY_TOKENS[group]]
+        if group != "B-D":
+            calls.append((signed_uni, (group, n)))
+    if "A" in groups and n >= 2:
         calls += [(class_poly_a, (n, cls, signed)) for cls in ("aa", "ad", "da", "dd") for signed in (True, False)]
-    calls += [(count_snakes, (family, n)) for family in SNAKE_FAMILIES]
-    calls += [(family_poly, (token, n)) for token in FAMILY_TOKENS]
-    calls += [(signed_uni, (group, n)) for group in ("A", "B", "D")]
+    if "B" in groups:
+        calls += [(count_snakes, (family, n)) for family in SNAKE_FAMILIES]
     return calls
+
+
+def _subset_calls(n):
+    """Every call of the public marginals of the subset tally at size n."""
+    calls = []
+    if n >= 2:
+        calls += [(snake_subset_contribution, (n, k, parity))
+                  for k in range(1, 5) for parity in ("all", "plus", "minus")]
+    if n >= 3:
+        calls += [(subset_contribution_b, (n, k, end)) for k in range(1, 9) for end in "ad"]
+        calls += [(subset_contribution_d, (n, k, end)) for k in range(1, 10) for end in "ad"]
+    return calls
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_every_marginal_matches_a_brute_force_sum(n):
+    """Each marginal of the count arrays equals a pure-Python sum over
+    iter_group with perm_core's statistics: A at n <= 6, and B, D, B-D and
+    the subset tally at n <= 4.  This checks the code tables' peaks,
+    valleys, ends and alternation word by word, and the parity shortcut."""
+    calls = _marginal_calls(n) + _subset_calls(n) if n <= 4 else _marginal_calls(n, ("A",))
+    for fn, args in calls:
+        assert fn(*args) == reference.answer(fn, args), (fn.__name__, args)
 
 
 @settings(max_examples=80, deadline=None)
@@ -673,42 +699,21 @@ def test_a_returned_bipoly_is_the_callers_own():
         assert fn(*args) == want != got
 
 
-class _Tally(dict):
-    """A joint tally that fails any read once `frozen` is set."""
-
-    frozen = False
-
-    def _read(self, view):
-        if self.frozen:
-            raise AssertionError("the tally was read again")
-        return view()
-
-    def items(self):
-        return self._read(super().items)
-
-    def keys(self):
-        return self._read(super().keys)
-
-    def values(self):
-        return self._read(super().values)
-
-    def __iter__(self):
-        return self._read(super().__iter__)
-
-
 @pytest.mark.parametrize("n", [1, 4])
 def test_a_repeated_query_does_not_read_the_tally(n):
+    """Once answered, a query reads its memo: zeroing the cached count arrays
+    in place (the subset tally's too, at n = 4) changes no repeated answer,
+    and clearing the caches brings back freshly scanned ones."""
     oracle.clear_caches()
-    tallies = _Tally(scan_joint_a(n)), _Tally(scan_joint_b(n))
-    oracle._JOINT_A_CACHE[n] = tallies[0], {}
-    oracle._JOINT_B_CACHE[n] = tallies[1], {}
-    calls = _marginal_calls(n)
+    calls = _marginal_calls(n) + _subset_calls(n)
     first = [fn(*args) for fn, args in calls]
-    for tally in tallies:
-        tally.frozen = True
+    caches = oracle._JOINT_A_CACHE, oracle._JOINT_B_CACHE, oracle._SUBSET_CACHE
+    for cache in caches:
+        for counts, _ in cache.values():
+            counts[...] = 0
     assert [fn(*args) for fn, args in calls] == first
     oracle.clear_caches()
-    assert not oracle._JOINT_A_CACHE and not oracle._JOINT_B_CACHE
+    assert not any(caches)
     assert [fn(*args) for fn, args in calls] == first
 
 

@@ -28,6 +28,7 @@ from weylruns.perm_core import (
     peaks_valleys_a,
     peaks_valleys_b,
     pos_abs,
+    split_family,
     rev,
     stats_a,
     stats_b,
@@ -217,3 +218,15 @@ def test_iter_group_errors():
     with pytest.raises(DomainError):
         list(iter_group("X", 3))
 
+
+
+def test_family_tokens_split_into_group_and_parity():
+    assert split_family("A") == ("A", "all")
+    assert split_family("B+") == ("B", "plus")
+    assert split_family("D-") == ("D", "minus")
+    assert split_family("B-D") == ("B-D", "all")
+    assert split_family("B-D+") == ("B-D", "plus")
+    assert split_family("B-D-") == ("B-D", "minus")
+    for bad in ("B+-", "D--", "A++"):
+        with pytest.raises(DomainError):
+            split_family(bad)
