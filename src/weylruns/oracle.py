@@ -41,7 +41,9 @@ by integer addition, so the result is bitwise identical for any worker
 count.
 Successful full-group scans are cached per n, each with the marginals
 already read from it, keyed by selector: a repeated query is a dictionary
-lookup, and `clear_caches` drops a tally and its marginals together.  The
+lookup, and `clear_caches` drops a tally and its marginals together.  It
+empties every store made by `new_cache`, `verify`'s word-by-word results
+included, so a run after it is cold throughout.  The
 test suite keeps a pure-Python walk over perm_core's statistics as the
 reference for all three tallies and for every marginal, and a direct numpy
 walk of B_n as a second reference for the subset tally.
@@ -81,17 +83,29 @@ SIGN_STATISTICS = ("none", "inv_a", "inv_b", "inv_d")
 MAX_WORKERS = 32
 
 _CACHE_LOCK = threading.Lock()
+_STORES: list[dict] = []
+
+
+def new_cache() -> dict:
+    """A new empty dict that clear_caches() empties along with the tallies."""
+    store: dict = {}
+    with _CACHE_LOCK:
+        _STORES.append(store)
+    return store
+
+
 # n -> (count array, marginals already read from it); see _cached
-_JOINT_A_CACHE: dict[int, tuple[np.ndarray, dict]] = {}
-_JOINT_B_CACHE: dict[int, tuple[np.ndarray, dict]] = {}
-_SUBSET_CACHE: dict[int, tuple[np.ndarray, dict]] = {}
+_JOINT_A_CACHE: dict[int, tuple[np.ndarray, dict]] = new_cache()
+_JOINT_B_CACHE: dict[int, tuple[np.ndarray, dict]] = new_cache()
+_SUBSET_CACHE: dict[int, tuple[np.ndarray, dict]] = new_cache()
 
 
 def clear_caches() -> None:
+    """Empty every store made by new_cache: the tallies, their marginals, and
+    the per-n results that `verify` keeps."""
     with _CACHE_LOCK:
-        _JOINT_A_CACHE.clear()
-        _JOINT_B_CACHE.clear()
-        _SUBSET_CACHE.clear()
+        for store in _STORES:
+            store.clear()
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -414,11 +428,15 @@ def _cached(cache: dict, n: int, scan, workers: int | None) -> tuple[np.ndarray,
     """The (tally, marginals) entry of `cache` for n, scanned on a miss.
 
     The marginals dict holds the answers already read from the tally, keyed
-    by selector (see _memo); it lives and is dropped with its tally.
+    by selector (see _memo); it lives and is dropped with its tally.  A hit
+    still refuses an explicit bad worker count, as a scan would; None is
+    not resolved there, since that reads the environment.
     """
     with _CACHE_LOCK:
         hit = cache.get(n)
     if hit is not None:
+        if workers is not None:
+            resolve_workers(workers)
         return hit
     entry = scan(n, workers), {}
     with _CACHE_LOCK:

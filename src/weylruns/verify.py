@@ -12,6 +12,12 @@ and a row binds its parameters with functools.partial: `_mult_check`
 tables), `_equal_check`, and `chk_main`, `chk_uni`, `chk_cancel` and
 `chk_gao_sun` for the twin B_n and D_n statements.
 
+The checks that work word by word compute their per-word results once per
+n: `cor-inv-bd` keeps a tally of B_n by l_B - l_D - neg (`_length_defects`)
+and the T-set ids keep a summary of each T set (`_t_set`).  Both live in
+stores made by `oracle.new_cache`, so `oracle.clear_caches` drops them with
+the oracle's tallies and a run after it does all its work again.
+
 The alternating B-D± EGF id is special: the printed closed form disagrees
 with its own lemma, so that check verifies the lemma-level facts and the
 oracle-corrected form, and *documents* the printed formula's deviation via
@@ -23,6 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from math import factorial
 from typing import Callable
 
 import numpy as np
@@ -354,11 +361,26 @@ def chk_cancel(n, workers, *, group):
     return _result(n, fails)
 
 
+_T_SETS = oracle.new_cache()  # (n, end) -> _t_set(n, end)
+
+
+def _t_set(n: int, end: str) -> tuple[int, BiPoly, BiPoly, bool | None]:
+    """(|T|, signed B sum, signed D sum, whether all of T lies in B^8) of the
+    T set of (n, end), built and walked once per (n, end).  The subsets need
+    n >= 3, so the last entry is None below that."""
+    hit = _T_SETS.get((n, end))
+    if hit is None:
+        words = oracle.build_T(n, end)
+        in_b8 = all(oracle.subset_index_b(w) == 8 for w in words) if n >= 3 else None
+        hit = _T_SETS[(n, end)] = (len(words), oracle.t_contribution(words, "B"),
+                                   oracle.t_contribution(words, "D"), in_b8)
+    return hit
+
+
 def chk_b_minus_t(n, workers):
     fails = []
     for end in ("a", "d"):
-        t_words = oracle.build_T(n, end)
-        t_poly = oracle.t_contribution(t_words, "B")
+        size, t_poly, _, in_b8 = _t_set(n, end)
         want = _biv_oracle(n, workers, "B", end)
         if t_poly != want:
             fails.append(f"T end={end}: {t_poly} != {want}")
@@ -366,9 +388,9 @@ def chk_b_minus_t(n, workers):
             b8 = oracle.subset_contribution_b(n, 8, end, workers)
             if b8 != t_poly:
                 fails.append(f"B^8 - T end={end} contributes {b8 - t_poly}")
-            if any(oracle.subset_index_b(w) != 8 for w in t_words):
+            if not in_b8:
                 fails.append(f"T end={end} not inside B^8")
-        if len(t_words) != 2 ** (n // 2):
+        if size != 2 ** (n // 2):
             fails.append(f"|T_{n},{end}| != 2^{n // 2}")
     return _result(n, fails)
 
@@ -438,19 +460,45 @@ def _signed_word_blocks(n: int):
         yield (np.array(chunk, dtype=np.int8)[:, None, :] * signs).reshape(-1, n)
 
 
+_LENGTH_DEFECTS = oracle.new_cache()  # n -> _length_defects(n)
+
+
+def _length_defects(n: int) -> np.ndarray:
+    """The words of B_n counted by d = l_B - l_D - neg, in cell d + n^2,
+    descent-sorted once per n.
+
+    True lengths keep |d| <= n^2 (l_B <= n^2 and l_D + neg <= n^2), so the
+    tally has 2n^2 + 1 cells; a word outside them, which only a wrong descent
+    rule gives, is left out and the total falls short of |B_n|.
+    """
+    hit = _LENGTH_DEFECTS.get(n)
+    if hit is None:
+        size = 2 * n * n + 1
+        hit = np.zeros(size, dtype=np.int64)
+        for words in _signed_word_blocks(n):
+            ell_b, _ = _descent_sort(words, _b_zero)
+            ell_d, _ = _descent_sort(words, _d_zero)
+            cell = ell_b - ell_d - (words < 0).sum(axis=1) + n * n
+            hit += np.bincount(cell[(cell >= 0) & (cell < size)], minlength=size)
+        _LENGTH_DEFECTS[n] = hit
+    return hit
+
+
 def chk_inv_bd(n, workers):
-    bad = 0
-    for words in _signed_word_blocks(n):
-        ell_b, _ = _descent_sort(words, _b_zero)
-        ell_d, _ = _descent_sort(words, _d_zero)
-        bad += int(np.count_nonzero(ell_b != ell_d + (words < 0).sum(axis=1)))
-    return _result(n, [] if bad == 0 else [f"{bad} words break inv_B = inv_D + |Negs|"])
+    tally = _length_defects(n)
+    total, order = int(tally.sum()), factorial(n) << n
+    fails = []
+    if total != tally[n * n]:
+        fails.append(f"{total - int(tally[n * n])} words break inv_B = inv_D + |Negs|")
+    if total != order:
+        fails.append(f"the length tally holds {total} words, not |B_{n}| = {order}")
+    return _result(n, fails)
 
 
 def chk_d_minus_t(n, workers):
     fails = []
     for end in ("a", "d"):
-        t_poly = oracle.t_contribution(oracle.build_T(n, end), "D")
+        t_poly = _t_set(n, end)[2]
         d8 = oracle.subset_contribution_d(n, 8, end, workers)
         if d8 != t_poly:
             fails.append(f"D^8 - T end={end} contributes {d8 - t_poly}")
@@ -668,7 +716,10 @@ def run_checks(
     """Run one id (or "all") over a range of n; outcomes sorted by (id, n).
 
     n below an id's stated range or above the enumeration cap is skipped.
+    An explicit bad worker count is refused even when every answer is cached.
     """
+    if workers is not None:
+        oracle.resolve_workers(workers)
     if n_min is not None and n_max is not None and n_min > n_max:
         raise DomainError(f"empty range: n_min={n_min} > n_max={n_max}")
     if theorem_id == "all":

@@ -108,6 +108,12 @@ def test_verify_text_summary_counts_skips_apart(capsys):
     assert out.splitlines()[-1] == "# 2 passed, 0 failed"
 
 
+def test_all_skipped_run_exits_0(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--theorem", "wilf", "--n-min", "12", "--n-max", "12")
+    assert code == 0
+    assert out.splitlines()[-1] == "# 0 passed, 0 failed, 1 skipped"
+
+
 def test_verify_text_summary_counts_failures(capsys, monkeypatch):
     monkeypatch.setattr(verify, "alt_count", lambda *_args: -1)
     code, out, _ = run_cli(capsys, "verify", "--theorem", "egf-alt-a", "--n-min", "-1", "--n-max", "2")
@@ -271,6 +277,31 @@ def test_verify_all_stdout_is_pinned_cold_and_warm(capsys, threads):
         code, out, err = run_cli(capsys, "verify", "--theorem", "all", "--format", "json", "--threads", threads)
         assert (code, err) == (0, "")
         assert hashlib.md5(out.encode()).hexdigest() == VERIFY_ALL_MD5["json"]
+
+
+def test_a_cold_run_after_clear_caches_does_all_its_work_again(capsys, monkeypatch):
+    """Every walk and word-by-word pass of `verify --theorem all` runs as often
+    after oracle.clear_caches() as in the first cold run, and not at all in a
+    warm rerun: no cache outlives clear_caches."""
+    walks = [(verify, "_descent_sort"), (oracle, "_scan_a_numpy"), (oracle, "_scan_b_numpy"),
+             (oracle, "_subset_hist"), (oracle, "build_T")]
+    calls = dict.fromkeys([name for _, name in walks], 0)
+    for module, name in walks:
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    runs = []
+    for clear in (True, True, False):
+        if clear:
+            oracle.clear_caches()
+        calls.update(dict.fromkeys(calls, 0))
+        assert run_cli(capsys, "verify", "--theorem", "all", "--threads", "1")[0] == 0
+        runs.append(dict(calls))
+    assert runs[0] == runs[1]
+    assert all(runs[0].values())
+    assert not any(runs[2].values())
 
 
 # A reader that closes stdout before the command writes.  Python buffers a pipe,

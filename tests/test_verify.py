@@ -5,6 +5,7 @@ import pytest
 
 from weylruns import perm_core
 from weylruns.errors import DomainError
+from weylruns.oracle import SignedDistributionRequest, count_snakes, dist_runs
 from weylruns.poly import BiPoly, UniPoly
 from weylruns.series import ALT_FAMILIES, egf_alt, egf_snakes
 from weylruns.verify import (
@@ -127,6 +128,7 @@ def test_length_decomposition_is_checked_by_brute_force(monkeypatch):
     def forbidden(*_args, **_kwargs):
         raise AssertionError("cor-inv-bd read a length or table it must compute itself")
 
+    oracle.clear_caches()  # else the check reads the tally an earlier test filled
     for name in ("inv_a", "inv_b", "inv_d", "iter_group", "negatives"):
         monkeypatch.setattr(perm_core, name, forbidden)
         assert not hasattr(verify, name)
@@ -136,6 +138,7 @@ def test_length_decomposition_is_checked_by_brute_force(monkeypatch):
     assert run_checks("cor-inv-bd", 1, 6).ok
     # a D descent at 0 off by one misses the words with w_1 + w_2 = -1
     monkeypatch.setattr(verify, "_d_zero", _mutated_d_zero)
+    oracle.clear_caches()  # else the n = 2 tally of the run above is read
     assert not run_checks("cor-inv-bd", 2, 2).ok
 
 
@@ -143,6 +146,84 @@ def _mutated_d_zero(cols):
     d = cols[0] + cols[1] < -1
     cols[0], cols[1] = np.where(d, -cols[1], cols[0]), np.where(d, -cols[0], cols[1])
     return d
+
+
+def test_a_descent_rule_that_never_settles_fails_the_check(monkeypatch):
+    """A D step at 0 that swaps w_1 and w_2 but forgets their signs keeps
+    w_1 + w_2 < 0, so it fires in every sweep until the cut; those lengths
+    fall outside the defect tally, which then comes up short of |B_n|."""
+    from weylruns import oracle, verify
+
+    def unsigned_swap(cols):
+        d = cols[0] + cols[1] < 0
+        cols[0], cols[1] = np.where(d, cols[1], cols[0]), np.where(d, cols[0], cols[1])
+        return d
+
+    monkeypatch.setattr(verify, "_d_zero", unsigned_swap)
+    oracle.clear_caches()
+    [outcome] = run_checks("cor-inv-bd", 3, 3).outcomes
+    assert not outcome.passed and "the length tally holds" in outcome.detail
+
+
+class _Walked(Exception):
+    pass
+
+
+def test_word_by_word_checks_work_once_per_n(monkeypatch):
+    """cor-inv-bd and the T-set ids keep their per-word results until
+    oracle.clear_caches(): a rerun sorts no word and builds no T set."""
+    from weylruns import oracle, verify
+
+    def walked(*_args, **_kwargs):
+        raise _Walked
+
+    runs = (("cor-inv-bd", 1, 6), ("lem-b-minus-t", None, None), ("lem-d-minus-t", None, None))
+    oracle.clear_caches()
+    assert all(run_checks(*run).ok for run in runs)
+    monkeypatch.setattr(verify, "_descent_sort", walked)
+    for name in ("build_T", "t_contribution", "subset_index_b"):
+        monkeypatch.setattr(oracle, name, walked)
+    assert all(run_checks(*run).ok for run in runs)
+    oracle.clear_caches()
+    for run in runs:
+        with pytest.raises(_Walked):
+            run_checks(*run)
+
+
+@pytest.mark.parametrize("moved,detail", [
+    (False, "the length tally holds 47 words, not |B_3| = 48"),
+    (True, "1 words break inv_B = inv_D + |Negs|"),
+], ids=["short", "off-zero"])
+def test_inv_bd_reads_the_whole_defect_tally(monkeypatch, moved, detail):
+    """One word dropped from d = 0, or moved to d = 1, fails the check."""
+    from weylruns import verify
+
+    tally = verify._length_defects(3).copy()
+    tally[9] -= 1
+    tally[10] += moved
+    monkeypatch.setattr(verify, "_length_defects", lambda n: tally)
+    [outcome] = run_checks("cor-inv-bd", 3, 3).outcomes
+    assert (outcome.passed, outcome.detail) == (False, detail)
+
+
+_WORKER_CALLS = {
+    "dist_runs": lambda w: dist_runs(SignedDistributionRequest("B", 3), "t", w),
+    "count_snakes": lambda w: count_snakes("D+", 3, w),
+    "run_checks": lambda w: run_checks("cor-inv-bd", 1, 2, w),
+}
+
+
+@pytest.mark.parametrize("bad", [0, -3, "abc", 1.5])
+@pytest.mark.parametrize("call", sorted(_WORKER_CALLS))
+def test_bad_worker_count_is_refused_cold_and_warm(call, bad):
+    from weylruns import oracle
+
+    oracle.clear_caches()
+    with pytest.raises(DomainError):
+        _WORKER_CALLS[call](bad)
+    _WORKER_CALLS[call](1)
+    with pytest.raises(DomainError):
+        _WORKER_CALLS[call](bad)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
