@@ -65,6 +65,7 @@ from .errors import DomainError
 from .perm_core import (
     SNAKE_FAMILIES,
     _check_n,
+    check_integer,
     classify_end_b,
     delete_abs,
     inv_b,
@@ -430,10 +431,11 @@ def _cached(cache: dict, n: int, scan, workers: int | None) -> tuple[np.ndarray,
     The marginals dict holds the answers already read from the tally, keyed
     by selector (see _memo); it lives and is dropped with its tally.  A hit
     still refuses an explicit bad worker count, as a scan would; None is
-    not resolved there, since that reads the environment.
+    not resolved there, since that reads the environment.  A hit reads the
+    cache without the lock: a dict lookup is atomic under the GIL, and an
+    entry is stored whole.
     """
-    with _CACHE_LOCK:
-        hit = cache.get(n)
+    hit = cache.get(n)
     if hit is not None:
         if workers is not None:
             resolve_workers(workers)
@@ -455,7 +457,7 @@ def _memo(entry: tuple[np.ndarray, dict], key: tuple, marginal):
     hit = marginals.get(key)
     if hit is None:
         hit = marginals[key] = marginal(tally)
-    return BiPoly(hit.terms) if type(hit) is BiPoly else hit
+    return hit.copy() if type(hit) is BiPoly else hit
 
 
 def joint_a(n: int, workers: int | None = None) -> tuple[np.ndarray, dict]:
@@ -536,6 +538,15 @@ def _sum_b(n, workers, *, biv, signed=None, membership=None, end=None, first=Non
 # Public distribution API
 # =====================================================================
 
+# The sign statistics each group allows.
+_GROUP_SIGNS = {
+    "A": ("none", "inv_a"),
+    "B": ("none", "inv_b", "inv_d"),
+    "D": ("none", "inv_d"),
+    "B-D": ("none", "inv_d"),
+}
+
+
 @dataclass(frozen=True)
 class SignedDistributionRequest:
     """Selector for one enumeration: group, size, sign, end and first-letter filters."""
@@ -548,15 +559,10 @@ class SignedDistributionRequest:
 
     def __post_init__(self):
         object.__setattr__(self, "group", normalize_group(self.group))
+        check_integer(self.n)
         if self.sign_statistic not in SIGN_STATISTICS:
             raise DomainError(f"unknown sign statistic {self.sign_statistic!r}")
-        ok = {
-            "A": ("none", "inv_a"),
-            "B": ("none", "inv_b", "inv_d"),
-            "D": ("none", "inv_d"),
-            "B-D": ("none", "inv_d"),
-        }[self.group]
-        if self.sign_statistic not in ok:
+        if self.sign_statistic not in _GROUP_SIGNS[self.group]:
             raise DomainError(f"sign statistic {self.sign_statistic} incompatible with group {self.group}")
         if self.end_restriction is not None:
             if self.group == "A":
@@ -613,11 +619,11 @@ def dist_runs_parity_split(group: str, n: int, workers: int | None = None) -> tu
 
 def class_poly_a(n: int, cls: str, signed: bool = True, workers: int | None = None) -> BiPoly:
     """Bivariate peak/valley sum over one of the four first/last classes of S_n."""
+    _check_n("A", n)
     if n < 2:
         raise DomainError("the four end classes are undefined for n = 1")
     if cls not in ("aa", "ad", "da", "dd"):
         raise DomainError(f"unknown class {cls!r}")
-    _check_n("A", n)
     return _sum_a(n, workers, biv=True, signed=signed, first=cls[0], last=cls[1])
 
 
@@ -847,6 +853,7 @@ def _subset_scan(n: int, workers: int | None = None) -> tuple[np.ndarray, dict]:
 
 
 def _subset_cell(side: str, n: int, k: int, end: str, workers: int | None) -> BiPoly:
+    _check_n("B", n)
     if n < 3:
         raise DomainError("cancellation subsets need n >= 3")
     if end not in ("a", "d"):
@@ -882,6 +889,7 @@ def build_T(n: int, end: str) -> list[tuple[int, ...]]:
     """
     if end not in ("a", "d"):
         raise DomainError("end must be 'a' or 'd'")
+    check_integer(n)
     if n < 1:
         raise DomainError("n must be positive")
     if n == 1:
@@ -895,6 +903,8 @@ def build_T(n: int, end: str) -> list[tuple[int, ...]]:
 def t_contribution(words, kind: str = "B") -> BiPoly:
     """Signed bivariate sum over a T set, the words of build_T (kind "D"
     restricts to D_n, inv_D sign)."""
+    if kind not in ("B", "D"):
+        raise DomainError(f"T-set sums are of kind 'B' or 'D', got {kind!r}")
     terms: dict[tuple[int, int], int] = {}
     for w in words:
         if kind == "D" and negatives(w) % 2 != 0:
@@ -946,6 +956,7 @@ def snake_subset_contribution(n: int, k: int, parity: str = "all", workers: int 
 
     A marginal of the subset tally; no scan runs once it is cached.
     """
+    _check_n("B", n)
     if not 1 <= k <= 4:
         raise DomainError("snake subset index must be 1..4")
     weight = {"all": (1, 1), "plus": (1, 0), "minus": (0, 1)}.get(parity)

@@ -288,8 +288,20 @@ def group_order(group: str, n: int) -> int:
     return factorial(n) << (n - 1)
 
 
+def check_integer(value, name: str = "n") -> None:
+    """Refuse a value that is not an integer: a float, string, None or bool.
+
+    A float or bool equal to an integer would otherwise hit the cache entry
+    of that integer.
+    """
+    if type(value) is not int and (isinstance(value, bool) or not hasattr(value, "__index__")):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_n(group: str, n: int) -> None:
-    """Refuse n outside 1..cap, reading the group's cap at call time."""
+    """Refuse an n that is not an integer in 1..cap, reading the group's cap
+    at call time."""
+    check_integer(n)
     cap = CAP_A if group == "A" else CAP_B
     if n < 1 or n > cap:
         raise DomainError(f"n={n} outside enumeration range 1..{cap} for group {group}")

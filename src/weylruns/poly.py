@@ -140,6 +140,12 @@ class BiPoly:
     def monomial(cls, coeff: int, i: int, j: int) -> "BiPoly":
         return cls({(i, j): coeff})
 
+    def copy(self) -> "BiPoly":
+        """A BiPoly with its own copy of the terms, which hold no zeros already."""
+        out = BiPoly.__new__(BiPoly)
+        out.terms = self.terms.copy()
+        return out
+
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -12,11 +12,18 @@ and a row binds its parameters with functools.partial: `_mult_check`
 tables), `_equal_check`, and `chk_main`, `chk_uni`, `chk_cancel` and
 `chk_gao_sun` for the twin B_n and D_n statements.
 
+Closed forms are computed once per cold run: every value of `closed_forms`
+that a check reads goes through `_closed_form`, which keeps it until
+`oracle.clear_caches`, and checks only compare it.  So a warm rerun does
+oracle lookups and comparisons only.  The EGF coefficients are the
+exception: `_formula_coeff` keeps them for the whole process.
+
 The checks that work word by word compute their per-word results once per
 n: `cor-inv-bd` keeps a tally of B_n by l_B - l_D - neg (`_length_defects`)
-and the T-set ids keep a summary of each T set (`_t_set`).  Both live in
-stores made by `oracle.new_cache`, so `oracle.clear_caches` drops them with
-the oracle's tallies and a run after it does all its work again.
+and the T-set ids keep a summary of each T set (`_t_set`).  These stores and
+the closed-form one are made by `oracle.new_cache`, so `oracle.clear_caches`
+drops them with the oracle's tallies and a run after it does all its work
+again.
 
 The alternating B-D± EGF id is special: the printed closed form disagrees
 with its own lemma, so that check verifies the lemma-level facts and the
@@ -94,6 +101,23 @@ def _vs_formula(got, want) -> list[str]:
 
 # ------------------------------------------------------------------ helpers
 
+_CLOSED_FORMS = oracle.new_cache()  # (name in closed_forms, args) -> value
+
+
+def _closed_form(name: str, *args):
+    """cf.<name>(*args), evaluated once until oracle.clear_caches().
+
+    The key is the function's name, looked up in `cf` only on a miss.  The
+    value is shared by every check that reads it, so checks must not
+    mutate it.
+    """
+    key = (name, args)
+    hit = _CLOSED_FORMS.get(key)
+    if hit is None:
+        hit = _CLOSED_FORMS[key] = getattr(cf, name)(*args)
+    return hit
+
+
 def _biv_oracle(n, workers, group, end=None):
     stat = {"A": "inv_a", "B": "inv_b", "D": "inv_d"}[group]
     req = SignedDistributionRequest(group, n, sign_statistic=stat, end_restriction=end)
@@ -146,7 +170,7 @@ def _mult_check(n, workers, *, pairs):
     """Each (token, claim family): (1+t)^claim divides the oracle polynomial."""
     failures, shown = [], []
     for token, family in pairs:
-        claim = cf.divisibility_claim(family, n)
+        claim = _closed_form("divisibility_claim", family, n)
         poly = family_poly(token, n, workers)
         if poly.is_zero():
             # the zero polynomial is divisible by every power of (1+t)
@@ -224,7 +248,7 @@ def _equal_check(n, workers, *, kind, pairs):
 
 def chk_thm_sgn_altrun(n, workers):
     got = _biv_oracle(n, workers, "A")
-    want = cf.thm_sgn_altrun_biv(n)
+    want = _closed_form("thm_sgn_altrun_biv", n)
     fails = _vs_formula(got, want)
     if n % 4 in (2, 3) and not got.is_zero():
         fails.append("zero branch violated")
@@ -235,7 +259,7 @@ def chk_thm_class_biv(n, workers):
     fails = []
     for cls in ("aa", "ad", "da", "dd"):
         got = oracle.class_poly_a(n, cls, True, workers)
-        want = cf.thm_class_biv(n, cls)
+        want = _closed_form("thm_class_biv", n, cls)
         if got != want:
             fails.append(f"{cls}: oracle {got} != formula {want}")
     return _result(n, fails)
@@ -245,7 +269,7 @@ def chk_cor_class_uni(n, workers):
     fails = []
     for cls in ("aa", "ad", "da", "dd"):
         got = UniPoly.term(1, 1) * oracle.class_poly_a(n, cls, True, workers).substitute_diag()
-        want = cf.cor_class_uni(n, cls)
+        want = _closed_form("cor_class_uni", n, cls)
         if got != want:
             fails.append(f"{cls}: t*diag(oracle) {got} != formula {want}")
     return _result(n, fails)
@@ -254,7 +278,7 @@ def chk_cor_class_uni(n, workers):
 def chk_rec_class(n, workers):
     fails = []
     for cls in ("aa", "ad", "da", "dd"):
-        got = cf.recurrence_class_biv(n, cls)
+        got = _closed_form("recurrence_class_biv", n, cls)
         want = oracle.class_poly_a(n, cls, True, workers)
         if got != want:
             fails.append(f"{cls}: recurrence {got} != oracle {want}")
@@ -273,7 +297,7 @@ def chk_rec_cross_odd(n, workers):
 
 def chk_cor_sgn_uni(n, workers):
     got = oracle.signed_uni("A", n, workers)
-    want = cf.cor_sgn_altrun_uni(n)
+    want = _closed_form("cor_sgn_altrun_uni", n)
     fails = _vs_formula(got, want)
     diag = UniPoly.term(1, 1) * _biv_oracle(n, workers, "A").substitute_diag()
     if diag != got:
@@ -306,12 +330,12 @@ def chk_remark_g(n, workers):
     sgn = oracle.signed_uni("A", n, workers)
     fails = []
     for ell in range(1, n):
-        g = cf.g_coeff(n, ell)
+        g = _closed_form("g_coeff", n, ell)
         if g != sgn.coeff(ell):
             fails.append(f"G({n},{ell})={g} != signed coefficient {sgn.coeff(ell)}")
-        if cf.r_pm_coeff(n, ell, "+", r_all.coeff(ell)) != r_plus.coeff(ell):
+        if _closed_form("r_pm_coeff", n, ell, "+", r_all.coeff(ell)) != r_plus.coeff(ell):
             fails.append(f"(F+G)/2 wrong at ell={ell}")
-        if cf.r_pm_coeff(n, ell, "-", r_all.coeff(ell)) != r_minus.coeff(ell):
+        if _closed_form("r_pm_coeff", n, ell, "-", r_all.coeff(ell)) != r_minus.coeff(ell):
             fails.append(f"(F-G)/2 wrong at ell={ell}")
     return _result(n, fails)
 
@@ -323,7 +347,7 @@ def chk_moment_r_pm(n, workers):
 # ------------------------------------------------------------- types B and D
 
 def chk_main(n, workers, *, group):
-    fa, fd, ft = (cf.thm_b_formulas if group == "B" else cf.thm_d_formulas)(n)
+    fa, fd, ft = _closed_form("thm_b_formulas" if group == "B" else "thm_d_formulas", n)
     fails = []
     for end, want in (("a", fa), ("d", fd), (None, ft)):
         got = _biv_oracle(n, workers, group, end)
@@ -333,7 +357,7 @@ def chk_main(n, workers, *, group):
 
 
 def chk_uni(n, workers, *, group):
-    want = (cf.cor_b_uni if group == "B" else cf.cor_d_uni)(n)
+    want = _closed_form("cor_b_uni" if group == "B" else "cor_d_uni", n)
     return _result(n, _vs_formula(oracle.signed_uni(group, n, workers), want))
 
 
@@ -507,7 +531,7 @@ def chk_d_minus_t(n, workers):
 
 def chk_gao_sun(n, workers, *, first):
     """R^D - R^(B-D) over the whole groups, or over positive first letters."""
-    want = cf.gao_sun_differences(n)[0 if first else 1]
+    want = _closed_form("gao_sun_differences", n)[0 if first else 1]
     gt = ">" if first else ""
     got = family_poly("RD" + gt, n, workers) - family_poly("RB-D" + gt, n, workers)
     return _result(n, _vs_formula(got, want))
@@ -716,10 +740,16 @@ def run_checks(
     """Run one id (or "all") over a range of n; outcomes sorted by (id, n).
 
     n below an id's stated range or above the enumeration cap is skipped.
-    An explicit bad worker count is refused even when every answer is cached.
+    When one explicit bound leaves a named id's stated range empty, that
+    bound gets a skipped outcome; "all" leaves such ids out.  A bound that is
+    not an integer, and an explicit bad worker count, are refused even when
+    every answer is cached.
     """
     if workers is not None:
         oracle.resolve_workers(workers)
+    for name, bound in (("n_min", n_min), ("n_max", n_max)):
+        if bound is not None:
+            perm_core.check_integer(bound, name)
     if n_min is not None and n_max is not None and n_min > n_max:
         raise DomainError(f"empty range: n_min={n_min} > n_max={n_max}")
     if theorem_id == "all":
@@ -733,6 +763,12 @@ def run_checks(
         entry = REGISTRY[ident]
         lo = entry.lo if n_min is None else n_min
         hi = entry.hi if n_max is None else n_max
+        if lo > hi and theorem_id != "all":
+            n = hi if n_min is None else lo
+            outcome = _skip(n, f"{'above' if n > entry.hi else 'below'} the stated range "
+                               f"n={entry.lo}..{entry.hi}")
+            outcome.theorem = ident
+            report.outcomes.append(outcome)
         for n in range(lo, hi + 1):
             if n < entry.lo and n_min is not None:
                 outcome = _skip(n, f"below the stated range (starts at n={entry.lo})")

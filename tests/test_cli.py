@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weylruns
+from weylruns import closed_forms as cf
 from weylruns import oracle, verify
 from weylruns.cli import main
 from weylruns.oracle import SignedDistributionRequest, class_poly_a, dist_runs
@@ -112,6 +113,19 @@ def test_all_skipped_run_exits_0(capsys):
     code, out, _ = run_cli(capsys, "verify", "--theorem", "wilf", "--n-min", "12", "--n-max", "12")
     assert code == 0
     assert out.splitlines()[-1] == "# 0 passed, 0 failed, 1 skipped"
+
+
+@pytest.mark.parametrize("argv,line", [
+    (("wilf", "--n-min", "11"), "SKIP wilf n=11: above the stated range n=4..10"),
+    (("cor-inv-bd", "--n-min", "7"), "SKIP cor-inv-bd n=7: above the stated range n=1..6"),
+    (("wilf", "--n-max", "2"), "SKIP wilf n=2: below the stated range n=4..10"),
+])
+def test_a_bound_outside_a_named_ids_range_is_reported(capsys, argv, line):
+    """One explicit bound that leaves the id's stated range empty is
+    reported as skipped at that bound, not as an empty report."""
+    code, out, err = run_cli(capsys, "verify", "--theorem", *argv)
+    assert (code, err) == (0, "")
+    assert out == line + "\n# 0 passed, 0 failed, 1 skipped\n"
 
 
 def test_verify_text_summary_counts_failures(capsys, monkeypatch):
@@ -280,11 +294,13 @@ def test_verify_all_stdout_is_pinned_cold_and_warm(capsys, threads):
 
 
 def test_a_cold_run_after_clear_caches_does_all_its_work_again(capsys, monkeypatch):
-    """Every walk and word-by-word pass of `verify --theorem all` runs as often
-    after oracle.clear_caches() as in the first cold run, and not at all in a
-    warm rerun: no cache outlives clear_caches."""
+    """Every walk, word-by-word pass and closed-form evaluation of `verify
+    --theorem all` runs as often after oracle.clear_caches() as in the first
+    cold run, and not at all in a warm rerun: no cache outlives clear_caches."""
     walks = [(verify, "_descent_sort"), (oracle, "_scan_a_numpy"), (oracle, "_scan_b_numpy"),
              (oracle, "_subset_hist"), (oracle, "build_T")]
+    walks += [(cf, name) for name, fn in vars(cf).items()
+              if callable(fn) and getattr(fn, "__module__", None) == cf.__name__ and not name.startswith("_")]
     calls = dict.fromkeys([name for _, name in walks], 0)
     for module, name in walks:
         def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):

@@ -557,6 +557,12 @@ def test_t_carries_the_whole_signed_sum():
             assert t_contribution(build_T(n, end), "D") == d_want
 
 
+@pytest.mark.parametrize("kind", ["X", "b", None])
+def test_t_contribution_refuses_an_unknown_kind(kind):
+    with pytest.raises(DomainError, match="kind 'B' or 'D'"):
+        t_contribution(build_T(3, "a"), kind)
+
+
 def test_t_lives_inside_subset_eight():
     for n in (3, 4, 5, 6):
         for end in ("a", "d"):

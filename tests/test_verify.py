@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from weylruns import perm_core
+from weylruns import closed_forms as cf
+from weylruns import oracle, perm_core, verify
 from weylruns.errors import DomainError
-from weylruns.oracle import SignedDistributionRequest, count_snakes, dist_runs
+from weylruns.oracle import SignedDistributionRequest, class_poly_a, count_snakes, dist_runs
 from weylruns.poly import BiPoly, UniPoly
 from weylruns.series import ALT_FAMILIES, egf_alt, egf_snakes
 from weylruns.verify import (
@@ -224,6 +225,80 @@ def test_bad_worker_count_is_refused_cold_and_warm(call, bad):
     _WORKER_CALLS[call](1)
     with pytest.raises(DomainError):
         _WORKER_CALLS[call](bad)
+
+
+# n that are not integers; True and the floats equal the integers whose cache
+# entries they would otherwise hit
+_NOT_INTEGERS = [3.0, 3.5, "3", None, True]
+# call -> (the call at n, integer n that fill the caches it reads)
+_N_CALLS = {
+    "dist_runs": (lambda n: dist_runs(SignedDistributionRequest("B", n), "t"), (1, 3)),
+    "count_snakes": (lambda n: count_snakes("B", n), (1, 3)),
+    "class_poly_a": (lambda n: class_poly_a(n, "aa"), (3,)),
+}
+
+
+@pytest.mark.parametrize("bad", _NOT_INTEGERS, ids=repr)
+@pytest.mark.parametrize("call", sorted(_N_CALLS))
+def test_non_integer_n_is_refused_cold_and_warm(call, bad):
+    fn, fills = _N_CALLS[call]
+    oracle.clear_caches()
+    with pytest.raises(DomainError, match="n must be an integer"):
+        fn(bad)
+    for n in fills:
+        fn(n)
+    with pytest.raises(DomainError, match="n must be an integer"):
+        fn(bad)
+
+
+@pytest.mark.parametrize("bad", [4.0, 4.5, "4", True], ids=repr)
+@pytest.mark.parametrize("bound", ["n_min", "n_max"])
+def test_non_integer_bounds_are_refused_cold_and_warm(bound, bad):
+    oracle.clear_caches()
+    for _ in range(2):  # cold, then with wilf's n = 4, 5 answered
+        with pytest.raises(DomainError, match=f"{bound} must be an integer"):
+            run_checks("wilf", **{"n_min": 4, "n_max": 5, bound: bad})
+        assert run_checks("wilf", 4, 5).ok
+
+
+# Every function of closed_forms; verify reads each of them through its memo.
+CLOSED_FORMS = sorted(name for name, fn in vars(cf).items()
+                      if callable(fn) and getattr(fn, "__module__", None) == cf.__name__
+                      and not name.startswith("_"))
+
+
+class _Evaluated(Exception):
+    pass
+
+
+def test_a_warm_rerun_evaluates_no_closed_form(monkeypatch):
+    """Once run, `run_checks("all")` reads every closed form from its memo
+    until oracle.clear_caches(), and reports the same outcomes."""
+    oracle.clear_caches()
+    first = run_checks("all").to_json()
+
+    def evaluated(*_args):
+        raise _Evaluated
+
+    for name in CLOSED_FORMS:
+        monkeypatch.setattr(cf, name, evaluated)
+    assert run_checks("all").to_json() == first
+    oracle.clear_caches()
+    with pytest.raises(_Evaluated):
+        run_checks("all")
+
+
+def test_memoized_closed_forms_equal_fresh_evaluations():
+    """No check mutates a closed form it shares: after a cold and a warm
+    pass, every memo entry equals a fresh evaluation, and every closed form
+    has entries."""
+    oracle.clear_caches()
+    for _ in range(2):
+        assert run_checks("all").ok
+    memo = verify._CLOSED_FORMS
+    assert {name for name, _ in memo} == set(CLOSED_FORMS)
+    for (name, args), value in memo.items():
+        assert value == getattr(cf, name)(*args), (name, args)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
