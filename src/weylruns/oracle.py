@@ -42,7 +42,7 @@ count.
 Successful full-group scans are cached per n, each with the marginals
 already read from it, keyed by selector: a repeated query is a dictionary
 lookup, and `clear_caches` drops a tally and its marginals together.  It
-empties every store made by `new_cache`, `verify`'s word-by-word results
+empties every store made by `new_cache`, `verify`'s check outcomes
 included, so a run after it is cold throughout.  The
 test suite keeps a pure-Python walk over perm_core's statistics as the
 reference for all three tallies and for every marginal, and a direct numpy
@@ -103,7 +103,7 @@ _SUBSET_CACHE: dict[int, tuple[np.ndarray, dict]] = new_cache()
 
 def clear_caches() -> None:
     """Empty every store made by new_cache: the tallies, their marginals, and
-    the per-n results that `verify` keeps."""
+    the check outcomes that `verify` keeps."""
     with _CACHE_LOCK:
         for store in _STORES:
             store.clear()
@@ -430,11 +430,14 @@ def _cached(cache: dict, n: int, scan, workers: int | None) -> tuple[np.ndarray,
 
     The marginals dict holds the answers already read from the tally, keyed
     by selector (see _memo); it lives and is dropped with its tally.  A hit
-    still refuses an explicit bad worker count, as a scan would; None is
+    still refuses what a scan would: an n that is not an integer (3.0 or
+    True would read n = 3's entry) and an explicit bad worker count; None is
     not resolved there, since that reads the environment.  A hit reads the
     cache without the lock: a dict lookup is atomic under the GIL, and an
     entry is stored whole.
     """
+    if type(n) is not int:
+        check_integer(n)
     hit = cache.get(n)
     if hit is not None:
         if workers is not None:

@@ -12,18 +12,12 @@ and a row binds its parameters with functools.partial: `_mult_check`
 tables), `_equal_check`, and `chk_main`, `chk_uni`, `chk_cancel` and
 `chk_gao_sun` for the twin B_n and D_n statements.
 
-Closed forms are computed once per cold run: every value of `closed_forms`
-that a check reads goes through `_closed_form`, which keeps it until
-`oracle.clear_caches`, and checks only compare it.  So a warm rerun does
-oracle lookups and comparisons only.  The EGF coefficients are the
-exception: `_formula_coeff` keeps them for the whole process.
-
-The checks that work word by word compute their per-word results once per
-n: `cor-inv-bd` keeps a tally of B_n by l_B - l_D - neg (`_length_defects`)
-and the T-set ids keep a summary of each T set (`_t_set`).  These stores and
-the closed-form one are made by `oracle.new_cache`, so `oracle.clear_caches`
-drops them with the oracle's tallies and a run after it does all its work
-again.
+`run_checks` keeps the outcome of each (id, n) check in one store made by
+`oracle.new_cache`, and returns a copy of it on every call.  So a check,
+with its closed forms and word-by-word passes, runs once until
+`oracle.clear_caches`, which drops the outcomes with the oracle's tallies;
+a run after it does all its work again.  The EGF coefficients of the closed
+forms are the exception: `_formula_coeff` keeps them for the whole process.
 
 The alternating B-D± EGF id is special: the printed closed form disagrees
 with its own lemma, so that check verifies the lemma-level facts and the
@@ -33,6 +27,7 @@ status "paper-formula-mismatch-documented" instead of failing.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -101,23 +96,6 @@ def _vs_formula(got, want) -> list[str]:
 
 # ------------------------------------------------------------------ helpers
 
-_CLOSED_FORMS = oracle.new_cache()  # (name in closed_forms, args) -> value
-
-
-def _closed_form(name: str, *args):
-    """cf.<name>(*args), evaluated once until oracle.clear_caches().
-
-    The key is the function's name, looked up in `cf` only on a miss.  The
-    value is shared by every check that reads it, so checks must not
-    mutate it.
-    """
-    key = (name, args)
-    hit = _CLOSED_FORMS.get(key)
-    if hit is None:
-        hit = _CLOSED_FORMS[key] = getattr(cf, name)(*args)
-    return hit
-
-
 def _biv_oracle(n, workers, group, end=None):
     stat = {"A": "inv_a", "B": "inv_b", "D": "inv_d"}[group]
     req = SignedDistributionRequest(group, n, sign_statistic=stat, end_restriction=end)
@@ -170,7 +148,7 @@ def _mult_check(n, workers, *, pairs):
     """Each (token, claim family): (1+t)^claim divides the oracle polynomial."""
     failures, shown = [], []
     for token, family in pairs:
-        claim = _closed_form("divisibility_claim", family, n)
+        claim = cf.divisibility_claim(family, n)
         poly = family_poly(token, n, workers)
         if poly.is_zero():
             # the zero polynomial is divisible by every power of (1+t)
@@ -248,7 +226,7 @@ def _equal_check(n, workers, *, kind, pairs):
 
 def chk_thm_sgn_altrun(n, workers):
     got = _biv_oracle(n, workers, "A")
-    want = _closed_form("thm_sgn_altrun_biv", n)
+    want = cf.thm_sgn_altrun_biv(n)
     fails = _vs_formula(got, want)
     if n % 4 in (2, 3) and not got.is_zero():
         fails.append("zero branch violated")
@@ -259,7 +237,7 @@ def chk_thm_class_biv(n, workers):
     fails = []
     for cls in ("aa", "ad", "da", "dd"):
         got = oracle.class_poly_a(n, cls, True, workers)
-        want = _closed_form("thm_class_biv", n, cls)
+        want = cf.thm_class_biv(n, cls)
         if got != want:
             fails.append(f"{cls}: oracle {got} != formula {want}")
     return _result(n, fails)
@@ -269,7 +247,7 @@ def chk_cor_class_uni(n, workers):
     fails = []
     for cls in ("aa", "ad", "da", "dd"):
         got = UniPoly.term(1, 1) * oracle.class_poly_a(n, cls, True, workers).substitute_diag()
-        want = _closed_form("cor_class_uni", n, cls)
+        want = cf.cor_class_uni(n, cls)
         if got != want:
             fails.append(f"{cls}: t*diag(oracle) {got} != formula {want}")
     return _result(n, fails)
@@ -278,7 +256,7 @@ def chk_cor_class_uni(n, workers):
 def chk_rec_class(n, workers):
     fails = []
     for cls in ("aa", "ad", "da", "dd"):
-        got = _closed_form("recurrence_class_biv", n, cls)
+        got = cf.recurrence_class_biv(n, cls)
         want = oracle.class_poly_a(n, cls, True, workers)
         if got != want:
             fails.append(f"{cls}: recurrence {got} != oracle {want}")
@@ -297,7 +275,7 @@ def chk_rec_cross_odd(n, workers):
 
 def chk_cor_sgn_uni(n, workers):
     got = oracle.signed_uni("A", n, workers)
-    want = _closed_form("cor_sgn_altrun_uni", n)
+    want = cf.cor_sgn_altrun_uni(n)
     fails = _vs_formula(got, want)
     diag = UniPoly.term(1, 1) * _biv_oracle(n, workers, "A").substitute_diag()
     if diag != got:
@@ -330,12 +308,12 @@ def chk_remark_g(n, workers):
     sgn = oracle.signed_uni("A", n, workers)
     fails = []
     for ell in range(1, n):
-        g = _closed_form("g_coeff", n, ell)
+        g = cf.g_coeff(n, ell)
         if g != sgn.coeff(ell):
             fails.append(f"G({n},{ell})={g} != signed coefficient {sgn.coeff(ell)}")
-        if _closed_form("r_pm_coeff", n, ell, "+", r_all.coeff(ell)) != r_plus.coeff(ell):
+        if cf.r_pm_coeff(n, ell, "+", r_all.coeff(ell)) != r_plus.coeff(ell):
             fails.append(f"(F+G)/2 wrong at ell={ell}")
-        if _closed_form("r_pm_coeff", n, ell, "-", r_all.coeff(ell)) != r_minus.coeff(ell):
+        if cf.r_pm_coeff(n, ell, "-", r_all.coeff(ell)) != r_minus.coeff(ell):
             fails.append(f"(F-G)/2 wrong at ell={ell}")
     return _result(n, fails)
 
@@ -347,7 +325,7 @@ def chk_moment_r_pm(n, workers):
 # ------------------------------------------------------------- types B and D
 
 def chk_main(n, workers, *, group):
-    fa, fd, ft = _closed_form("thm_b_formulas" if group == "B" else "thm_d_formulas", n)
+    fa, fd, ft = (cf.thm_b_formulas if group == "B" else cf.thm_d_formulas)(n)
     fails = []
     for end, want in (("a", fa), ("d", fd), (None, ft)):
         got = _biv_oracle(n, workers, group, end)
@@ -357,7 +335,7 @@ def chk_main(n, workers, *, group):
 
 
 def chk_uni(n, workers, *, group):
-    want = _closed_form("cor_b_uni" if group == "B" else "cor_d_uni", n)
+    want = (cf.cor_b_uni if group == "B" else cf.cor_d_uni)(n)
     return _result(n, _vs_formula(oracle.signed_uni(group, n, workers), want))
 
 
@@ -385,36 +363,21 @@ def chk_cancel(n, workers, *, group):
     return _result(n, fails)
 
 
-_T_SETS = oracle.new_cache()  # (n, end) -> _t_set(n, end)
-
-
-def _t_set(n: int, end: str) -> tuple[int, BiPoly, BiPoly, bool | None]:
-    """(|T|, signed B sum, signed D sum, whether all of T lies in B^8) of the
-    T set of (n, end), built and walked once per (n, end).  The subsets need
-    n >= 3, so the last entry is None below that."""
-    hit = _T_SETS.get((n, end))
-    if hit is None:
-        words = oracle.build_T(n, end)
-        in_b8 = all(oracle.subset_index_b(w) == 8 for w in words) if n >= 3 else None
-        hit = _T_SETS[(n, end)] = (len(words), oracle.t_contribution(words, "B"),
-                                   oracle.t_contribution(words, "D"), in_b8)
-    return hit
-
-
 def chk_b_minus_t(n, workers):
     fails = []
     for end in ("a", "d"):
-        size, t_poly, _, in_b8 = _t_set(n, end)
+        words = oracle.build_T(n, end)
+        t_poly = oracle.t_contribution(words, "B")
         want = _biv_oracle(n, workers, "B", end)
         if t_poly != want:
             fails.append(f"T end={end}: {t_poly} != {want}")
-        if n >= 3:
+        if n >= 3:  # the subsets need n >= 3
             b8 = oracle.subset_contribution_b(n, 8, end, workers)
             if b8 != t_poly:
                 fails.append(f"B^8 - T end={end} contributes {b8 - t_poly}")
-            if not in_b8:
+            if not all(oracle.subset_index_b(w) == 8 for w in words):
                 fails.append(f"T end={end} not inside B^8")
-        if size != 2 ** (n // 2):
+        if len(words) != 2 ** (n // 2):
             fails.append(f"|T_{n},{end}| != 2^{n // 2}")
     return _result(n, fails)
 
@@ -484,28 +447,21 @@ def _signed_word_blocks(n: int):
         yield (np.array(chunk, dtype=np.int8)[:, None, :] * signs).reshape(-1, n)
 
 
-_LENGTH_DEFECTS = oracle.new_cache()  # n -> _length_defects(n)
-
-
 def _length_defects(n: int) -> np.ndarray:
-    """The words of B_n counted by d = l_B - l_D - neg, in cell d + n^2,
-    descent-sorted once per n.
+    """The words of B_n counted by d = l_B - l_D - neg, in cell d + n^2.
 
     True lengths keep |d| <= n^2 (l_B <= n^2 and l_D + neg <= n^2), so the
     tally has 2n^2 + 1 cells; a word outside them, which only a wrong descent
     rule gives, is left out and the total falls short of |B_n|.
     """
-    hit = _LENGTH_DEFECTS.get(n)
-    if hit is None:
-        size = 2 * n * n + 1
-        hit = np.zeros(size, dtype=np.int64)
-        for words in _signed_word_blocks(n):
-            ell_b, _ = _descent_sort(words, _b_zero)
-            ell_d, _ = _descent_sort(words, _d_zero)
-            cell = ell_b - ell_d - (words < 0).sum(axis=1) + n * n
-            hit += np.bincount(cell[(cell >= 0) & (cell < size)], minlength=size)
-        _LENGTH_DEFECTS[n] = hit
-    return hit
+    size = 2 * n * n + 1
+    tally = np.zeros(size, dtype=np.int64)
+    for words in _signed_word_blocks(n):
+        ell_b, _ = _descent_sort(words, _b_zero)
+        ell_d, _ = _descent_sort(words, _d_zero)
+        cell = ell_b - ell_d - (words < 0).sum(axis=1) + n * n
+        tally += np.bincount(cell[(cell >= 0) & (cell < size)], minlength=size)
+    return tally
 
 
 def chk_inv_bd(n, workers):
@@ -522,7 +478,7 @@ def chk_inv_bd(n, workers):
 def chk_d_minus_t(n, workers):
     fails = []
     for end in ("a", "d"):
-        t_poly = _t_set(n, end)[2]
+        t_poly = oracle.t_contribution(oracle.build_T(n, end), "D")
         d8 = oracle.subset_contribution_d(n, 8, end, workers)
         if d8 != t_poly:
             fails.append(f"D^8 - T end={end} contributes {d8 - t_poly}")
@@ -531,7 +487,7 @@ def chk_d_minus_t(n, workers):
 
 def chk_gao_sun(n, workers, *, first):
     """R^D - R^(B-D) over the whole groups, or over positive first letters."""
-    want = _closed_form("gao_sun_differences", n)[0 if first else 1]
+    want = cf.gao_sun_differences(n)[0 if first else 1]
     gt = ">" if first else ""
     got = family_poly("RD" + gt, n, workers) - family_poly("RB-D" + gt, n, workers)
     return _result(n, _vs_formula(got, want))
@@ -731,6 +687,15 @@ def available_ids() -> list[str]:
     return list(REGISTRY)
 
 
+_OUTCOMES = oracle.new_cache()  # (id, n) -> the CheckOutcome of its check
+
+
+def _copy(outcome: CheckOutcome) -> CheckOutcome:
+    """An outcome that shares nothing mutable with `outcome`."""
+    data = outcome.data and copy.deepcopy(outcome.data)
+    return CheckOutcome(outcome.theorem, outcome.n, outcome.passed, outcome.detail, outcome.status, data)
+
+
 def run_checks(
     theorem_id: str,
     n_min: int | None = None,
@@ -744,6 +709,9 @@ def run_checks(
     bound gets a skipped outcome; "all" leaves such ids out.  A bound that is
     not an integer, and an explicit bad worker count, are refused even when
     every answer is cached.
+
+    Each (id, n) check runs once until oracle.clear_caches(): its outcome
+    is kept, and every call returns a copy of it.
     """
     if workers is not None:
         oracle.resolve_workers(workers)
@@ -753,13 +721,13 @@ def run_checks(
     if n_min is not None and n_max is not None and n_min > n_max:
         raise DomainError(f"empty range: n_min={n_min} > n_max={n_max}")
     if theorem_id == "all":
-        idents = available_ids()
+        idents = sorted(REGISTRY)
     elif theorem_id in REGISTRY:
         idents = [theorem_id]
     else:
         raise DomainError(f"unknown theorem id {theorem_id!r}; see available_ids()")
     report = Report()
-    for ident in idents:
+    for ident in idents:  # in id order; within an id, n ascends
         entry = REGISTRY[ident]
         lo = entry.lo if n_min is None else n_min
         hi = entry.hi if n_max is None else n_max
@@ -775,8 +743,11 @@ def run_checks(
             elif n > entry.max_n:
                 outcome = _skip(n, f"above the enumeration cap (n <= {entry.max_n})")
             else:
-                outcome = entry.fn(n, workers)
+                hit = _OUTCOMES.get((ident, n))
+                if hit is None:
+                    hit = _OUTCOMES[(ident, n)] = entry.fn(n, workers)
+                    hit.theorem = ident
+                outcome = _copy(hit)
             outcome.theorem = ident
             report.outcomes.append(outcome)
-    report.outcomes.sort(key=lambda o: (o.theorem, o.n))
     return report

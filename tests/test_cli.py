@@ -128,7 +128,7 @@ def test_a_bound_outside_a_named_ids_range_is_reported(capsys, argv, line):
     assert out == line + "\n# 0 passed, 0 failed, 1 skipped\n"
 
 
-def test_verify_text_summary_counts_failures(capsys, monkeypatch):
+def test_verify_text_summary_counts_failures(capsys, monkeypatch, cold_caches):
     monkeypatch.setattr(verify, "alt_count", lambda *_args: -1)
     code, out, _ = run_cli(capsys, "verify", "--theorem", "egf-alt-a", "--n-min", "-1", "--n-max", "2")
     assert code == 1

@@ -1,5 +1,8 @@
 """The verification harness: registry, ranges, statuses, report shape."""
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -55,6 +58,7 @@ def test_below_range_is_skipped():
 
 def test_above_cap_is_skipped_not_dropped():
     saved = perm_core.CAP_A
+    assert run_checks("wilf", 4, 6).ok  # kept outcomes must not outlive a lower cap
     try:
         perm_core.set_enumeration_caps(cap_a=4)
         by_n = {o.n: o for o in run_checks("wilf", 3, 6).outcomes}
@@ -120,7 +124,7 @@ def test_length_decomposition_holds_through_n6():
     assert run_checks("cor-inv-bd", 1, 6).ok
 
 
-def test_length_decomposition_is_checked_by_brute_force(monkeypatch):
+def test_length_decomposition_is_checked_by_brute_force(monkeypatch, cold_caches):
     """cor-inv-bd counts Coxeter lengths by descent sorting: it reads neither
     perm_core's inversion counts nor the oracle's walk and tables, and a
     wrong descent rule makes it fail."""
@@ -149,7 +153,7 @@ def _mutated_d_zero(cols):
     return d
 
 
-def test_a_descent_rule_that_never_settles_fails_the_check(monkeypatch):
+def test_a_descent_rule_that_never_settles_fails_the_check(monkeypatch, cold_caches):
     """A D step at 0 that swaps w_1 and w_2 but forgets their signs keeps
     w_1 + w_2 < 0, so it fires in every sweep until the cut; those lengths
     fall outside the defect tally, which then comes up short of |B_n|."""
@@ -171,8 +175,8 @@ class _Walked(Exception):
 
 
 def test_word_by_word_checks_work_once_per_n(monkeypatch):
-    """cor-inv-bd and the T-set ids keep their per-word results until
-    oracle.clear_caches(): a rerun sorts no word and builds no T set."""
+    """cor-inv-bd and the T-set ids run once until oracle.clear_caches():
+    a rerun sorts no word and builds no T set."""
     from weylruns import oracle, verify
 
     def walked(*_args, **_kwargs):
@@ -195,11 +199,11 @@ def test_word_by_word_checks_work_once_per_n(monkeypatch):
     (False, "the length tally holds 47 words, not |B_3| = 48"),
     (True, "1 words break inv_B = inv_D + |Negs|"),
 ], ids=["short", "off-zero"])
-def test_inv_bd_reads_the_whole_defect_tally(monkeypatch, moved, detail):
+def test_inv_bd_reads_the_whole_defect_tally(monkeypatch, cold_caches, moved, detail):
     """One word dropped from d = 0, or moved to d = 1, fails the check."""
     from weylruns import verify
 
-    tally = verify._length_defects(3).copy()
+    tally = verify._length_defects(3)
     tally[9] -= 1
     tally[10] += moved
     monkeypatch.setattr(verify, "_length_defects", lambda n: tally)
@@ -235,6 +239,8 @@ _N_CALLS = {
     "dist_runs": (lambda n: dist_runs(SignedDistributionRequest("B", n), "t"), (1, 3)),
     "count_snakes": (lambda n: count_snakes("B", n), (1, 3)),
     "class_poly_a": (lambda n: class_poly_a(n, "aa"), (3,)),
+    "joint_a": (oracle.joint_a, (3,)),
+    "joint_b": (oracle.joint_b, (3,)),
 }
 
 
@@ -261,7 +267,7 @@ def test_non_integer_bounds_are_refused_cold_and_warm(bound, bad):
         assert run_checks("wilf", 4, 5).ok
 
 
-# Every function of closed_forms; verify reads each of them through its memo.
+# Every function of closed_forms; verify's checks read each of them.
 CLOSED_FORMS = sorted(name for name, fn in vars(cf).items()
                       if callable(fn) and getattr(fn, "__module__", None) == cf.__name__
                       and not name.startswith("_"))
@@ -272,8 +278,8 @@ class _Evaluated(Exception):
 
 
 def test_a_warm_rerun_evaluates_no_closed_form(monkeypatch):
-    """Once run, `run_checks("all")` reads every closed form from its memo
-    until oracle.clear_caches(), and reports the same outcomes."""
+    """Once run, `run_checks("all")` evaluates no closed form until
+    oracle.clear_caches(), and reports the same outcomes."""
     oracle.clear_caches()
     first = run_checks("all").to_json()
 
@@ -288,17 +294,53 @@ def test_a_warm_rerun_evaluates_no_closed_form(monkeypatch):
         run_checks("all")
 
 
-def test_memoized_closed_forms_equal_fresh_evaluations():
-    """No check mutates a closed form it shares: after a cold and a warm
-    pass, every memo entry equals a fresh evaluation, and every closed form
-    has entries."""
+@pytest.fixture
+def registry_calls(monkeypatch):
+    """The (id, n) of every call to a registry row's check, in call order."""
+    calls = []
+    for ident, entry in verify.REGISTRY.items():
+        def counted(n, workers, _ident=ident, _fn=entry.fn):
+            calls.append((_ident, n))
+            return _fn(n, workers)
+
+        monkeypatch.setitem(verify.REGISTRY, ident, dataclasses.replace(entry, fn=counted))
+    return calls
+
+
+def test_a_warm_rerun_runs_no_check(registry_calls):
     oracle.clear_caches()
-    for _ in range(2):
-        assert run_checks("all").ok
-    memo = verify._CLOSED_FORMS
-    assert {name for name, _ in memo} == set(CLOSED_FORMS)
-    for (name, args), value in memo.items():
-        assert value == getattr(cf, name)(*args), (name, args)
+    first = run_checks("all").to_json()
+    assert registry_calls
+    registry_calls.clear()
+    assert run_checks("all").to_json() == first
+    assert registry_calls == []
+
+
+def test_every_check_runs_again_after_clear_caches(registry_calls):
+    oracle.clear_caches()
+    first = run_checks("all").to_json()
+    checks = [(r["theorem"], r["n"]) for r in first["results"]]
+    assert registry_calls == checks
+    registry_calls.clear()
+    oracle.clear_caches()
+    assert run_checks("all").to_json() == first
+    assert registry_calls == checks
+
+
+def test_a_returned_outcome_is_the_callers_own():
+    """Mutating a report, data lists included, changes no later report."""
+    oracle.clear_caches()
+    report = run_checks("thm-egf-alt-bmd-pm")
+    want = copy.deepcopy(report.to_json())
+    assert all(o.data for o in report.outcomes)
+    for _ in range(2):  # mutate the cold report, then a warm one
+        for o in report.outcomes:
+            o.theorem, o.n, o.passed, o.detail, o.status = "x", -1, False, "x", "x"
+            for value in o.data.values():
+                value[0] = "x"
+            o.data["x"] = []
+        report = run_checks("thm-egf-alt-bmd-pm")
+        assert report.to_json() == want
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -369,7 +411,7 @@ FAILURE_TEXT = [
 
 
 @pytest.mark.parametrize("ident,n,name,when,detail", FAILURE_TEXT, ids=[c[0] for c in FAILURE_TEXT])
-def test_failure_text_is_pinned(monkeypatch, ident, n, name, when, detail):
+def test_failure_text_is_pinned(monkeypatch, cold_caches, ident, n, name, when, detail):
     from weylruns import oracle, verify
 
     answer = getattr(oracle, name)
