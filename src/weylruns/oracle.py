@@ -39,11 +39,11 @@ range is seeked, not stepped: `_perm_blocks` unranks the range's start
 directly, so a worker walks only its own ranks.  Partial count arrays merge
 by integer addition, so the result is bitwise identical for any worker
 count.
-Successful full-group scans are cached per n, each with the marginals
-already read from it, keyed by selector: a repeated query is a dictionary
-lookup, and `clear_caches` drops a tally and its marginals together.  It
-empties every store made by `new_cache`, `verify`'s check outcomes
-included, so a run after it is cold throughout.  The
+Successful full-group scans are cached per n, each with the answers
+already read from it, keyed by the public call: a repeated query is one
+dictionary read (`_stored`), and `clear_caches` drops a tally and its
+answers together.  It empties every store made by `new_cache`, `verify`'s
+check outcomes included, so a run after it is cold throughout.  The
 test suite keeps a pure-Python walk over perm_core's statistics as the
 reference for all three tallies and for every marginal, and a direct numpy
 walk of B_n as a second reference for the subset tally.
@@ -61,6 +61,7 @@ from math import factorial
 
 import numpy as np
 
+from . import perm_core
 from .errors import DomainError
 from .perm_core import (
     SNAKE_FAMILIES,
@@ -95,7 +96,7 @@ def new_cache() -> dict:
     return store
 
 
-# n -> (count array, marginals already read from it); see _cached
+# n -> (count array, answers already read from it); see _cached
 _JOINT_A_CACHE: dict[int, tuple[np.ndarray, dict]] = new_cache()
 _JOINT_B_CACHE: dict[int, tuple[np.ndarray, dict]] = new_cache()
 _SUBSET_CACHE: dict[int, tuple[np.ndarray, dict]] = new_cache()
@@ -426,10 +427,10 @@ def scan_joint_b(n: int, workers: int | None = 1) -> np.ndarray:
 
 
 def _cached(cache: dict, n: int, scan, workers: int | None) -> tuple[np.ndarray, dict]:
-    """The (tally, marginals) entry of `cache` for n, scanned on a miss.
+    """The (tally, answers) entry of `cache` for n, scanned on a miss.
 
-    The marginals dict holds the answers already read from the tally, keyed
-    by selector (see _memo); it lives and is dropped with its tally.  A hit
+    The answers dict holds what public calls already read from the tally,
+    keyed by the call (see _stored); it lives and is dropped with its tally.  A hit
     still refuses what a scan would: an n that is not an integer (3.0 or
     True would read n = 3's entry) and an explicit bad worker count; None is
     not resolved there, since that reads the environment.  A hit reads the
@@ -449,27 +450,43 @@ def _cached(cache: dict, n: int, scan, workers: int | None) -> tuple[np.ndarray,
     return entry
 
 
-def _memo(entry: tuple[np.ndarray, dict], key: tuple, marginal):
-    """marginal(tally) for a (tally, marginals) entry, computed once per key.
-
-    UniPoly is immutable and is returned as stored; a BiPoly's terms dict is
-    not, so each caller gets its own copy.  Threads that ask for one key at
-    once may each compute it; they store equal values.
+def _stored(group: str, n, key: tuple, workers: int | None, subsets: bool = False):
+    """The answer kept under `key`, a public call's arguments but n and
+    workers, or None: then the call takes its full path, which checks the rest
+    and stores the answer (_memo).  Only the checks an answered call can still
+    fail run here: n an int within the group's cap, read now, and an explicit
+    worker count.  A BiPoly is copied, as its terms dict is mutable.
     """
-    tally, marginals = entry
-    hit = marginals.get(key)
+    cache = _SUBSET_CACHE if subsets else _JOINT_A_CACHE if group == "A" else _JOINT_B_CACHE
+    if type(n) is int and n <= (perm_core.CAP_A if group == "A" else perm_core.CAP_B):
+        try:
+            hit = cache[n][1].get(key)
+        except (KeyError, TypeError):  # no tally yet, or an unhashable argument
+            return None
+        if hit is not None and workers is not None:
+            resolve_workers(workers)
+        return hit.copy() if type(hit) is BiPoly else hit
+    return None
+
+
+def _memo(entry: tuple[np.ndarray, dict], key: tuple, marginal):
+    """marginal(tally) for a (tally, answers) entry, stored under `key`, the
+    canonical form of an accepted call (see _stored).  Threads that ask for
+    one key at once may each compute it; they store equal values."""
+    tally, answers = entry
+    hit = answers.get(key)
     if hit is None:
-        hit = marginals[key] = marginal(tally)
+        hit = answers[key] = marginal(tally)
     return hit.copy() if type(hit) is BiPoly else hit
 
 
 def joint_a(n: int, workers: int | None = None) -> tuple[np.ndarray, dict]:
-    """The cached (tally, marginals) entry of S_n."""
+    """The cached (tally, answers) entry of S_n."""
     return _cached(_JOINT_A_CACHE, n, scan_joint_a, workers)
 
 
 def joint_b(n: int, workers: int | None = None) -> tuple[np.ndarray, dict]:
-    """The cached (tally, marginals) entry of B_n."""
+    """The cached (tally, answers) entry of B_n."""
     return _cached(_JOINT_B_CACHE, n, scan_joint_b, workers)
 
 
@@ -500,41 +517,33 @@ def _marginal(counts: np.ndarray, n: int, signed: bool, weight: np.ndarray, filt
     return _poly(pk[keep], val[keep], per_code[keep], biv)
 
 
-def _sum_a(n, workers, *, biv, signed=False, first=None, last=None, alternating=None, parity=None):
+def _sum_a(counts, n, *, biv, signed=False, first=None, last=None, alternating=None, parity=None):
     """A marginal of the A tally; the weight runs over inv mod 2."""
-    def marginal(counts):
-        weight = np.array([1, -1 if signed else 1])
-        if parity is not None:
-            weight[1 if parity == "plus" else 0] = 0
-        filters = (first, "a"), (last, "a"), (alternating, True)
-        return _marginal(counts, n, False, weight, filters, biv)
-
-    key = (biv, signed, first, last, alternating, parity)
-    return _memo(joint_a(n, workers), key, marginal)
+    weight = np.array([1, -1 if signed else 1])
+    if parity is not None:
+        weight[1 if parity == "plus" else 0] = 0
+    filters = (first, "a"), (last, "a"), (alternating, True)
+    return _marginal(counts, n, False, weight, filters, biv)
 
 
-def _sum_b(n, workers, *, biv, signed=None, membership=None, end=None, first=None,
-           alternating=None, parity=None):
-    """A marginal of the B tally; the weight runs over (inv(|w|), neg) mod 2.
+def _sum_b(counts, n, *, biv, group="B", signed=None, end=None, first=None, alternating=None, parity=None):
+    """A marginal of the B tally over group B, D or B-D; the weight runs over
+    (inv(|w|), neg) mod 2.
 
-    membership "D" / "B-D" keeps an even / odd neg; parity filters by the
-    group's own length, inv_B over B and inv_D over D and B-D.
+    D / B-D keep an even / odd neg; parity filters by the group's own
+    length, inv_B over B and inv_D over D and B-D.
     """
-    def marginal(counts):
-        inv_d, neg2 = np.indices((2, 2))
-        inv_b = inv_d ^ neg2
-        weight = np.ones((2, 2), dtype=np.int64)
-        if membership is not None:
-            weight *= neg2 == (membership == "B-D")
-        if parity is not None:
-            weight *= (inv_d if membership else inv_b) == (parity == "minus")
-        if signed is not None:
-            weight *= 1 - 2 * (inv_b if signed == "inv_b" else inv_d)
-        filters = (first, "positive"), (end, "a"), (alternating, True)
-        return _marginal(counts, n, True, weight, filters, biv)
-
-    key = (biv, signed, membership, end, first, alternating, parity)
-    return _memo(joint_b(n, workers), key, marginal)
+    inv_d, neg2 = np.indices((2, 2))
+    inv_b = inv_d ^ neg2
+    weight = np.ones((2, 2), dtype=np.int64)
+    if group != "B":
+        weight *= neg2 == (group == "B-D")
+    if parity is not None:
+        weight *= (inv_b if group == "B" else inv_d) == (parity == "minus")
+    if signed is not None:
+        weight *= 1 - 2 * (inv_b if signed == "inv_b" else inv_d)
+    filters = (first, "positive"), (end, "a"), (alternating, True)
+    return _marginal(counts, n, True, weight, filters, biv)
 
 
 # =====================================================================
@@ -549,6 +558,12 @@ _GROUP_SIGNS = {
     "B-D": ("none", "inv_d"),
 }
 
+# Every canonical (group, sign, end, first) of a request, accepted with one lookup.
+_REQUESTS = frozenset(
+    (group, sign, end, first) for group, signs in _GROUP_SIGNS.items() for sign in signs
+    for end in (None, *(("aa", "ad", "da", "dd") if group == "A" else ("a", "d")))
+    for first in ((None,) if group == "A" else (None, "positive", "negative")))
+
 
 @dataclass(frozen=True)
 class SignedDistributionRequest:
@@ -561,6 +576,12 @@ class SignedDistributionRequest:
     first_letter_sign: str | None = None
 
     def __post_init__(self):
+        fields = self.group, self.sign_statistic, self.end_restriction, self.first_letter_sign
+        try:
+            if type(self.n) is int and (self.n > 1 or fields[0] != "A" or fields[2] is None) and fields in _REQUESTS:
+                return
+        except TypeError:  # an unhashable field, refused below
+            pass
         object.__setattr__(self, "group", normalize_group(self.group))
         check_integer(self.n)
         if self.sign_statistic not in SIGN_STATISTICS:
@@ -588,20 +609,20 @@ def dist_runs(req: SignedDistributionRequest, variable: str = "t", workers: int 
     variable "t" gives the univariate sum of t^altruns, "pq" the bivariate
     sum of p^pk q^val.
     """
+    key = ("dist", variable, req.group, req.sign_statistic, req.end_restriction, req.first_letter_sign)
+    if (hit := _stored(req.group, req.n, key, workers)) is not None:
+        return hit
     if variable not in ("t", "pq"):
         raise DomainError(f"unknown variable selector {variable!r}")
     _check_n(req.group, req.n)
     biv = variable == "pq"
     if req.group == "A":
-        first = last = None
-        if req.end_restriction:
-            first, last = req.end_restriction[0], req.end_restriction[1]
-        return _sum_a(req.n, workers, biv=biv, signed=req.sign_statistic == "inv_a",
-                      first=first, last=last)
-    membership = None if req.group == "B" else req.group
+        first, last = req.end_restriction or (None, None)
+        return _memo(joint_a(req.n, workers), key, lambda counts: _sum_a(
+            counts, req.n, biv=biv, signed=req.sign_statistic == "inv_a", first=first, last=last))
     signed = req.sign_statistic if req.sign_statistic != "none" else None
-    return _sum_b(req.n, workers, biv=biv, signed=signed, membership=membership,
-                  end=req.end_restriction, first=req.first_letter_sign)
+    return _memo(joint_b(req.n, workers), key, lambda counts: _sum_b(counts, req.n, biv=biv, group=req.group,
+                 signed=signed, end=req.end_restriction, first=req.first_letter_sign))
 
 
 def dist_runs_parity_split(group: str, n: int, workers: int | None = None) -> tuple[UniPoly, UniPoly]:
@@ -610,50 +631,57 @@ def dist_runs_parity_split(group: str, n: int, workers: int | None = None) -> tu
     The split statistic is the group's own length: inv_A for A, inv_B for B,
     inv_D for D and B-D.
     """
+    if (hit := _stored(group, n, ("parity", group), workers)) is not None:
+        return hit
     group = normalize_group(group)
     _check_n(group, n)
     if group == "A":
-        return (_sum_a(n, workers, biv=False, parity="plus"),
-                _sum_a(n, workers, biv=False, parity="minus"))
-    membership = None if group == "B" else group
-    return (_sum_b(n, workers, biv=False, membership=membership, parity="plus"),
-            _sum_b(n, workers, biv=False, membership=membership, parity="minus"))
+        return _memo(joint_a(n, workers), ("parity", group), lambda counts: tuple(
+            _sum_a(counts, n, biv=False, parity=half) for half in ("plus", "minus")))
+    return _memo(joint_b(n, workers), ("parity", group), lambda counts: tuple(
+        _sum_b(counts, n, biv=False, group=group, parity=half) for half in ("plus", "minus")))
 
 
 def class_poly_a(n: int, cls: str, signed: bool = True, workers: int | None = None) -> BiPoly:
     """Bivariate peak/valley sum over one of the four first/last classes of S_n."""
+    if (hit := _stored("A", n, ("class", cls, signed), workers)) is not None:
+        return hit
     _check_n("A", n)
     if n < 2:
         raise DomainError("the four end classes are undefined for n = 1")
     if cls not in ("aa", "ad", "da", "dd"):
         raise DomainError(f"unknown class {cls!r}")
-    return _sum_a(n, workers, biv=True, signed=signed, first=cls[0], last=cls[1])
+    return _memo(joint_a(n, workers), ("class", cls, bool(signed)),
+                 lambda counts: _sum_a(counts, n, biv=True, signed=signed, first=cls[0], last=cls[1]))
 
 
 def count_alternating(group: str, n: int, parity: str = "all", workers: int | None = None) -> int:
     """Number of alternating (down-up) elements; parity filters by group length."""
+    if (hit := _stored(group, n, ("alt", group, parity), workers)) is not None:
+        return hit
     group = normalize_group(group)
     _check_n(group, n)
     if parity not in ("all", "plus", "minus"):
         raise DomainError(f"unknown parity selector {parity!r}")
     selector = None if parity == "all" else parity
     if group == "A":
-        return _sum_a(n, workers, biv=False, alternating=True, parity=selector).eval_int(1)
-    membership = None if group == "B" else group
-    return _sum_b(n, workers, biv=False, membership=membership, alternating=True,
-                  parity=selector).eval_int(1)
+        return _memo(joint_a(n, workers), ("alt", group, parity), lambda counts: _sum_a(
+            counts, n, biv=False, alternating=True, parity=selector).eval_int(1))
+    return _memo(joint_b(n, workers), ("alt", group, parity), lambda counts: _sum_b(
+        counts, n, biv=False, group=group, alternating=True, parity=selector).eval_int(1))
 
 
 def count_snakes(family: str, n: int, workers: int | None = None) -> int:
     """Snake counts; +/- refinements use inv_B for B and inv_D for D and B-D."""
+    if (hit := _stored("B", n, ("snakes", family), workers)) is not None:
+        return hit
     if family not in SNAKE_FAMILIES:
         raise DomainError(f"unknown snake family {family!r}")
     _check_n("B", n)
     group, parity = split_family(family)
     # a snake is an alternating word with a positive first letter
-    return _sum_b(n, workers, biv=False, membership=None if group == "B" else group,
-                  first="positive", alternating=True,
-                  parity=None if parity == "all" else parity).eval_int(1)
+    return _memo(joint_b(n, workers), ("snakes", family), lambda counts: _sum_b(counts, n, biv=False, group=group,
+                 first="positive", alternating=True, parity=None if parity == "all" else parity).eval_int(1))
 
 
 # =====================================================================
@@ -683,7 +711,7 @@ def family_poly(token: str, n: int, workers: int | None = None) -> UniPoly:
 
 def signed_uni(group: str, n: int, workers: int | None = None) -> UniPoly:
     """The signed univariate run polynomial of the group (its own length)."""
-    group = normalize_group(group)
+    group = group if group in perm_core.GROUPS else normalize_group(group)
     stat = {"A": "inv_a", "B": "inv_b", "D": "inv_d"}.get(group)
     if stat is None:
         raise DomainError("signed univariate polynomial defined for A, B, D")
@@ -851,11 +879,17 @@ def scan_subsets(n: int, workers: int | None = 1) -> np.ndarray:
 
 
 def _subset_scan(n: int, workers: int | None = None) -> tuple[np.ndarray, dict]:
-    """The cached (subset codes, marginals) entry of B_n."""
+    """The cached (subset codes, answers) entry of B_n."""
     return _cached(_SUBSET_CACHE, n, scan_subsets, workers)
 
 
 def _subset_cell(side: str, n: int, k: int, end: str, workers: int | None) -> BiPoly:
+    if type(k) is int and (hit := _stored("B", n, (side, k, end), workers, subsets=True)) is not None:
+        return hit
+    check_integer(k, "k")
+    top = 8 if side == "B" else 9
+    if not 1 <= k <= top:
+        raise DomainError(f"type {side} subset index must be 1..{top}")
     _check_n("B", n)
     if n < 3:
         raise DomainError("cancellation subsets need n >= 3")
@@ -872,15 +906,11 @@ def _subset_cell(side: str, n: int, k: int, end: str, workers: int | None) -> Bi
 
 def subset_contribution_b(n: int, k: int, end: str, workers: int | None = None) -> BiPoly:
     """Signed bivariate contribution of subset k of B_{n,-,end} (inv_B sign)."""
-    if not 1 <= k <= 8:
-        raise DomainError("type B subset index must be 1..8")
     return _subset_cell("B", n, k, end, workers)
 
 
 def subset_contribution_d(n: int, k: int, end: str, workers: int | None = None) -> BiPoly:
     """Signed bivariate contribution of subset k of D_{n,-,end} (inv_D sign)."""
-    if not 1 <= k <= 9:
-        raise DomainError("type D subset index must be 1..9")
     return _subset_cell("D", n, k, end, workers)
 
 
@@ -959,7 +989,10 @@ def snake_subset_contribution(n: int, k: int, parity: str = "all", workers: int 
 
     A marginal of the subset tally; no scan runs once it is cached.
     """
+    if type(k) is int and (hit := _stored("B", n, ("L", k, parity), workers, subsets=True)) is not None:
+        return hit
     _check_n("B", n)
+    check_integer(k, "k")
     if not 1 <= k <= 4:
         raise DomainError("snake subset index must be 1..4")
     weight = {"all": (1, 1), "plus": (1, 0), "minus": (0, 1)}.get(parity)

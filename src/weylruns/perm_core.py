@@ -42,15 +42,21 @@ CAP_B = 9
 
 
 def set_enumeration_caps(cap_a: int | None = None, cap_b: int | None = None) -> None:
+    """Set the S_n and B_n caps; None keeps a cap.  A cap that is not an
+    integer of at least 1 raises DomainError, and then neither cap changes."""
     global CAP_A, CAP_B
-    if cap_a is not None:
-        CAP_A = cap_a
-    if cap_b is not None:
-        CAP_B = cap_b
+    for name, cap in (("cap_a", cap_a), ("cap_b", cap_b)):
+        if cap is not None:
+            check_integer(cap, name)
+            if cap < 1:
+                raise DomainError(f"{name} must be at least 1, got {cap}")
+    CAP_A = CAP_A if cap_a is None else operator.index(cap_a)
+    CAP_B = CAP_B if cap_b is None else operator.index(cap_b)
 
 
 def normalize_group(group: str) -> str:
-    g = {"BMINUSD": "B-D", "B_MINUS_D": "B-D", "BMD": "B-D"}.get(group.upper(), group.upper())
+    g = group.upper() if isinstance(group, str) else ""
+    g = {"BMINUSD": "B-D", "B_MINUS_D": "B-D", "BMD": "B-D"}.get(g, g)
     if g not in GROUPS:
         raise DomainError(f"unknown group {group!r}; expected one of {GROUPS}")
     return g

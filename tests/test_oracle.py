@@ -1,10 +1,12 @@
 """The brute-force enumeration oracles and their internal consistency."""
 
 import ast
+import dataclasses
 import hashlib
+import inspect
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from itertools import islice, permutations
+from itertools import islice, permutations, product
 from math import factorial
 from pathlib import Path
 
@@ -15,10 +17,11 @@ import reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weylruns import oracle
+from weylruns import oracle, perm_core
 from weylruns.errors import DomainError
 from weylruns.oracle import (
     MAX_WORKERS,
+    SIGN_STATISTICS,
     SignedDistributionRequest,
     build_T,
     class_poly_a,
@@ -54,6 +57,7 @@ from weylruns.perm_core import (
     negatives,
     peaks_valleys_a,
     peaks_valleys_b,
+    set_enumeration_caps,
 )
 from weylruns.poly import BiPoly, UniPoly
 
@@ -94,6 +98,32 @@ def test_request_validation():
         SignedDistributionRequest("A", 1, end_restriction="aa")
     with pytest.raises(DomainError):
         dist_runs(SignedDistributionRequest("B", 4), "z")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3.0])
+def test_the_request_table_agrees_with_the_full_validation(monkeypatch, n):
+    """A request that the table of canonical fields accepts equals the one the
+    full validation builds, and any other goes through that validation: the
+    same repr and hash, or the same refusal, with the table emptied."""
+    groups = ("A", "B", "D", "B-D", "a", "b-d", "bmd", "B_MINUS_D", None, 3)
+    ends = (None, "a", "d", "aa", "ad", "da", "dd", "x")
+    combos = list(product(groups, SIGN_STATISTICS + ("x",), ends, (None, "positive", "negative", "x")))
+
+    def build(group, *fields):
+        try:
+            req = SignedDistributionRequest(group, n, *fields)
+        except DomainError as err:
+            return str(err)
+        return repr(req), hash(req)
+
+    requests = oracle._REQUESTS
+    table = [build(*fields) for fields in combos]
+    monkeypatch.setattr(oracle, "_REQUESTS", frozenset())
+    assert [build(*fields) for fields in combos] == table
+    # the table holds exactly the accepted canonical fields, A's end classes from n = 2
+    accepted = {fields for fields, got in zip(combos, table) if type(got) is tuple and fields[0] in perm_core.GROUPS}
+    want = set() if n == 3.0 else {f for f in requests if n > 1 or f[0] != "A" or f[2] is None}
+    assert accepted == want
 
 
 def test_class_polynomials():
@@ -694,15 +724,20 @@ def test_a_warm_answer_equals_a_cold_one(call):
 
 
 def test_a_returned_bipoly_is_the_callers_own():
+    """Mutating a returned BiPoly, the cold answer or a warm one, changes no
+    later answer."""
     calls = [(dist_runs, (SignedDistributionRequest("B", 4, "inv_b", "a"), "pq")),
              (dist_runs, (SignedDistributionRequest("A", 5, "inv_a"), "pq")),
-             (class_poly_a, (5, "ad"))]
+             (class_poly_a, (5, "ad")),
+             (subset_contribution_b, (4, 8, "a"))]
+    oracle.clear_caches()
     for fn, args in calls:
-        got = fn(*args)
-        want = BiPoly(got.terms)
-        got.terms.clear()
-        got.terms[(9, 9)] = 1
-        assert fn(*args) == want != got
+        for _ in range(2):
+            got = fn(*args)
+            want = BiPoly(got.terms)
+            got.terms.clear()
+            got.terms[(9, 9)] = 1
+            assert fn(*args) == want != got
 
 
 @pytest.mark.parametrize("n", [1, 4])
@@ -738,6 +773,107 @@ def test_concurrent_queries_agree_with_serial_ones():
     finally:
         sys.setswitchinterval(interval)
     assert got == [want] * 8
+
+
+def _takes(fn, name):
+    """Whether the call has a parameter of that name; a dist_runs request's
+    group and n count as its own."""
+    return name in inspect.signature(fn).parameters or (fn is dist_runs and name in ("group", "n"))
+
+
+def _refusal(fn, args, changes=()):
+    """The DomainError message of fn(*args) with the named parameters changed."""
+    changes = dict(changes)
+    with pytest.raises(DomainError) as info:
+        if fn is dist_runs:
+            req, *rest = args
+            fields = {f.name: changes.pop(f.name, getattr(req, f.name)) for f in dataclasses.fields(req)}
+            dist_runs(SignedDistributionRequest(**fields), *rest, **changes)
+        else:
+            bound = inspect.signature(fn).bind(*args)
+            bound.arguments.update(changes)
+            fn(*bound.args, **bound.kwargs)
+    return str(info.value)
+
+
+def _caches():
+    return oracle._JOINT_A_CACHE, oracle._JOINT_B_CACHE, oracle._SUBSET_CACHE
+
+
+# (parameter, size of the calls that fill the caches, bad value, start of the refusal)
+_HOSTILE = [
+    ("n", 3, 3.0, "n must be an integer, got 3.0"),
+    ("n", 1, True, "n must be an integer, got True"),
+    ("workers", 4, 0, "worker count must be at least 1, got 0"),
+    ("group", 4, None, "unknown group None"),
+    ("group", 4, 3, "unknown group 3"),
+    ("k", 4, 1.5, "k must be an integer, got 1.5"),
+    ("k", 4, 2.0, "k must be an integer, got 2.0"),
+    ("k", 4, "2", "k must be an integer, got '2'"),
+    ("k", 4, True, "k must be an integer, got True"),
+]
+
+
+@pytest.mark.parametrize("name, n, bad, message", _HOSTILE, ids=[f"{h[0]}={h[2]!r}" for h in _HOSTILE])
+def test_a_refusal_is_the_same_cold_and_warm(name, n, bad, message):
+    """Every public marginal call that takes the parameter refuses the bad
+    value with one message, from cold caches and once the caches hold its
+    tally and its answer."""
+    calls = [(fn, args) for fn, args in _marginal_calls(n) + _subset_calls(n) if _takes(fn, name)]
+    oracle.clear_caches()
+    cold = [_refusal(fn, args, {name: bad}) for fn, args in calls]
+    assert calls and not any(_caches())
+    assert all(got.startswith(message) for got in cold)
+    for fn, args in calls:
+        fn(*args)
+    assert [_refusal(fn, args, {name: bad}) for fn, args in calls] == cold
+
+
+def test_a_cap_lowered_after_the_fill_is_refused_warm(monkeypatch):
+    caps = perm_core.CAP_A, perm_core.CAP_B
+    monkeypatch.setattr(perm_core, "CAP_A", caps[0])
+    monkeypatch.setattr(perm_core, "CAP_B", caps[1])
+    calls = _marginal_calls(4) + _subset_calls(4)
+    oracle.clear_caches()
+    set_enumeration_caps(3, 3)
+    cold = [_refusal(fn, args) for fn, args in calls]
+    assert not any(_caches())
+    assert all(got.startswith("n=4 outside enumeration range 1..3") for got in cold)
+    set_enumeration_caps(*caps)
+    for fn, args in calls:
+        fn(*args)
+    set_enumeration_caps(3, 3)
+    assert [_refusal(fn, args) for fn, args in calls] == cold
+
+
+def test_a_warm_call_only_reads_its_answer(monkeypatch):
+    """A second pass of canonical calls returns the stored answers without
+    validating its arguments again, reading a tally entry, summing a
+    marginal or evaluating a count; after clear_caches a pass reaches all of
+    those again."""
+    calls = _marginal_calls(4) + _subset_calls(4)
+    oracle.clear_caches()
+    first = [fn(*args) for fn, args in calls]
+    guarded = [(oracle, "_marginal"), (oracle, "_poly"), (oracle, "normalize_group"), (oracle, "_check_n"),
+               (oracle, "check_integer"), (oracle, "_cached"), (UniPoly, "eval_int")]
+    reached, warm = set(), [True]
+
+    def spy(name, fn):
+        def call(*args, **kwargs):
+            reached.add(name)
+            if warm[0]:
+                raise AssertionError(f"a warm call reached {name}")
+            return fn(*args, **kwargs)
+        return call
+
+    for owner, name in guarded:
+        monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
+    assert [fn(*args) for fn, args in calls] == first
+    assert not reached
+    oracle.clear_caches()
+    warm[0] = False
+    assert [fn(*args) for fn, args in calls] == first
+    assert reached == {name for _, name in guarded}
 
 
 # ------------------------------------------------------- family tokens

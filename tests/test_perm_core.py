@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from weylruns import perm_core
 from weylruns.errors import DomainError
 from weylruns.perm_core import (
     Permutation,
@@ -30,6 +31,7 @@ from weylruns.perm_core import (
     pos_abs,
     split_family,
     rev,
+    set_enumeration_caps,
     stats_a,
     stats_b,
 )
@@ -217,7 +219,20 @@ def test_iter_group_errors():
         list(iter_group("B", 99))
     with pytest.raises(DomainError):
         list(iter_group("X", 3))
+    for not_a_name in (None, 3, ["B"]):
+        with pytest.raises(DomainError, match="unknown group"):
+            list(iter_group(not_a_name, 3))
 
+
+@pytest.mark.parametrize("bad", ["9", 3.5, True, 0, -2], ids=repr)
+def test_a_bad_cap_is_refused_and_neither_cap_changes(monkeypatch, bad):
+    caps = perm_core.CAP_A, perm_core.CAP_B
+    monkeypatch.setattr(perm_core, "CAP_A", caps[0])
+    monkeypatch.setattr(perm_core, "CAP_B", caps[1])
+    for kwargs in ({"cap_a": bad}, {"cap_b": bad}, {"cap_a": 5, "cap_b": bad}, {"cap_a": bad, "cap_b": 5}):
+        with pytest.raises(DomainError, match="cap_[ab] must be"):
+            set_enumeration_caps(**kwargs)
+        assert (perm_core.CAP_A, perm_core.CAP_B) == caps
 
 
 def test_family_tokens_split_into_group_and_parity():
