@@ -455,18 +455,22 @@ def _stored(group: str, n, key: tuple, workers: int | None, subsets: bool = Fals
     workers, or None: then the call takes its full path, which checks the rest
     and stores the answer (_memo).  Only the checks an answered call can still
     fail run here: n an int within the group's cap, read now, and an explicit
-    worker count.  A BiPoly is copied, as its terms dict is mutable.
+    worker count.  A BiPoly is copied, as its terms dict is mutable.  An
+    argument that cannot be hashed, or a group that == compares elementwise
+    (a numpy array), also takes the full path, which refuses it.
     """
-    cache = _SUBSET_CACHE if subsets else _JOINT_A_CACHE if group == "A" else _JOINT_B_CACHE
-    if type(n) is int and n <= (perm_core.CAP_A if group == "A" else perm_core.CAP_B):
-        try:
-            hit = cache[n][1].get(key)
-        except (KeyError, TypeError):  # no tally yet, or an unhashable argument
+    if type(n) is not int:
+        return None
+    try:
+        type_a = group == "A"
+        if n > (perm_core.CAP_A if type_a else perm_core.CAP_B):
             return None
-        if hit is not None and workers is not None:
-            resolve_workers(workers)
-        return hit.copy() if type(hit) is BiPoly else hit
-    return None
+        hit = (_SUBSET_CACHE if subsets else _JOINT_A_CACHE if type_a else _JOINT_B_CACHE)[n][1].get(key)
+    except (KeyError, TypeError, ValueError):  # no tally yet, an unhashable argument, or an array group
+        return None
+    if hit is not None and workers is not None:
+        resolve_workers(workers)
+    return hit.copy() if type(hit) is BiPoly else hit
 
 
 def _memo(entry: tuple[np.ndarray, dict], key: tuple, marginal):
@@ -550,6 +554,12 @@ def _sum_b(counts, n, *, biv, group="B", signed=None, end=None, first=None, alte
 # Public distribution API
 # =====================================================================
 
+def _one_of(value, options) -> bool:
+    """Whether value is a string among options.  Anything else, such as a
+    numpy array, whose == is elementwise, is never compared with them."""
+    return isinstance(value, str) and value in options
+
+
 # The sign statistics each group allows.
 _GROUP_SIGNS = {
     "A": ("none", "inv_a"),
@@ -565,9 +575,15 @@ _REQUESTS = frozenset(
     for first in ((None,) if group == "A" else (None, "positive", "negative")))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SignedDistributionRequest:
-    """Selector for one enumeration: group, size, sign, end and first-letter filters."""
+    """Selector for one enumeration: group, size, sign, end and first-letter filters.
+
+    The fields are written straight into the instance dict, which costs less
+    than the generated frozen __init__'s one object.__setattr__ per field.
+    Canonical fields are accepted with one lookup in _REQUESTS; anything else
+    is validated in full, with an alias group such as "b" normalised.
+    """
 
     group: str
     n: int
@@ -575,31 +591,35 @@ class SignedDistributionRequest:
     end_restriction: str | None = None
     first_letter_sign: str | None = None
 
-    def __post_init__(self):
-        fields = self.group, self.sign_statistic, self.end_restriction, self.first_letter_sign
+    def __init__(self, group: str, n: int, sign_statistic: str = "none",
+                 end_restriction: str | None = None, first_letter_sign: str | None = None):
+        fields = self.__dict__
+        fields.update(group=group, n=n, sign_statistic=sign_statistic, end_restriction=end_restriction,
+                      first_letter_sign=first_letter_sign)
         try:
-            if type(self.n) is int and (self.n > 1 or fields[0] != "A" or fields[2] is None) and fields in _REQUESTS:
+            if (type(n) is int and (group, sign_statistic, end_restriction, first_letter_sign) in _REQUESTS
+                    and (n > 1 or end_restriction is None or group != "A")):
                 return
         except TypeError:  # an unhashable field, refused below
             pass
-        object.__setattr__(self, "group", normalize_group(self.group))
-        check_integer(self.n)
-        if self.sign_statistic not in SIGN_STATISTICS:
-            raise DomainError(f"unknown sign statistic {self.sign_statistic!r}")
-        if self.sign_statistic not in _GROUP_SIGNS[self.group]:
-            raise DomainError(f"sign statistic {self.sign_statistic} incompatible with group {self.group}")
-        if self.end_restriction is not None:
-            if self.group == "A":
-                if self.end_restriction not in ("aa", "ad", "da", "dd"):
+        group = fields["group"] = normalize_group(group)
+        check_integer(n)
+        if not _one_of(sign_statistic, SIGN_STATISTICS):
+            raise DomainError(f"unknown sign statistic {sign_statistic!r}")
+        if sign_statistic not in _GROUP_SIGNS[group]:
+            raise DomainError(f"sign statistic {sign_statistic} incompatible with group {group}")
+        if end_restriction is not None:
+            if group == "A":
+                if not _one_of(end_restriction, ("aa", "ad", "da", "dd")):
                     raise DomainError("type A end restriction must be one of aa/ad/da/dd")
-                if self.n < 2:
+                if n < 2:
                     raise DomainError("type A end classes need n >= 2")
-            elif self.end_restriction not in ("a", "d"):
+            elif not _one_of(end_restriction, ("a", "d")):
                 raise DomainError("type B/D end restriction must be 'a' or 'd'")
-        if self.first_letter_sign is not None:
-            if self.group == "A":
+        if first_letter_sign is not None:
+            if group == "A":
                 raise DomainError("first-letter sign filter applies to signed groups only")
-            if self.first_letter_sign not in ("positive", "negative"):
+            if not _one_of(first_letter_sign, ("positive", "negative")):
                 raise DomainError("first letter sign must be 'positive' or 'negative'")
 
 
@@ -612,7 +632,7 @@ def dist_runs(req: SignedDistributionRequest, variable: str = "t", workers: int 
     key = ("dist", variable, req.group, req.sign_statistic, req.end_restriction, req.first_letter_sign)
     if (hit := _stored(req.group, req.n, key, workers)) is not None:
         return hit
-    if variable not in ("t", "pq"):
+    if not _one_of(variable, ("t", "pq")):
         raise DomainError(f"unknown variable selector {variable!r}")
     _check_n(req.group, req.n)
     biv = variable == "pq"
@@ -649,7 +669,7 @@ def class_poly_a(n: int, cls: str, signed: bool = True, workers: int | None = No
     _check_n("A", n)
     if n < 2:
         raise DomainError("the four end classes are undefined for n = 1")
-    if cls not in ("aa", "ad", "da", "dd"):
+    if not _one_of(cls, ("aa", "ad", "da", "dd")):
         raise DomainError(f"unknown class {cls!r}")
     return _memo(joint_a(n, workers), ("class", cls, bool(signed)),
                  lambda counts: _sum_a(counts, n, biv=True, signed=signed, first=cls[0], last=cls[1]))
@@ -661,7 +681,7 @@ def count_alternating(group: str, n: int, parity: str = "all", workers: int | No
         return hit
     group = normalize_group(group)
     _check_n(group, n)
-    if parity not in ("all", "plus", "minus"):
+    if not _one_of(parity, ("all", "plus", "minus")):
         raise DomainError(f"unknown parity selector {parity!r}")
     selector = None if parity == "all" else parity
     if group == "A":
@@ -675,7 +695,7 @@ def count_snakes(family: str, n: int, workers: int | None = None) -> int:
     """Snake counts; +/- refinements use inv_B for B and inv_D for D and B-D."""
     if (hit := _stored("B", n, ("snakes", family), workers)) is not None:
         return hit
-    if family not in SNAKE_FAMILIES:
+    if not _one_of(family, SNAKE_FAMILIES):
         raise DomainError(f"unknown snake family {family!r}")
     _check_n("B", n)
     group, parity = split_family(family)
@@ -688,30 +708,29 @@ def count_snakes(family: str, n: int, workers: int | None = None) -> int:
 # Named univariate families (used by the verifier and the CLI tables)
 # =====================================================================
 
+# Each family token's group and part: a parity half ("plus", "minus"), a
+# first-letter sign ("positive", "negative"), or None for the whole group.
+_FAMILY_TOKENS = {
+    prefix + mark: (group, part)
+    for prefix, group in (("R", "A"), ("RB", "B"), ("RD", "D"), ("RB-D", "B-D"))
+    for mark, part in (("", None), ("+", "plus"), ("-", "minus"), (">", "positive"), ("<", "negative"))
+    if group != "A" or mark in ("", "+", "-")
+}
+
+
 def family_poly(token: str, n: int, workers: int | None = None) -> UniPoly:
-    req: SignedDistributionRequest
-    if token in ("R", "R+", "R-"):
-        if token == "R":
-            return dist_runs(SignedDistributionRequest("A", n), "t", workers)
-        plus, minus = dist_runs_parity_split("A", n, workers)
-        return plus if token == "R+" else minus
-    base_map = {"RB": "B", "RD": "D", "RB-D": "B-D"}
-    for prefix, group in base_map.items():
-        if token == prefix:
-            return dist_runs(SignedDistributionRequest(group, n), "t", workers)
-        if token in (prefix + "+", prefix + "-"):
-            plus, minus = dist_runs_parity_split(group, n, workers)
-            return plus if token.endswith("+") else minus
-        if token in (prefix + ">", prefix + "<"):
-            sign = "positive" if token.endswith(">") else "negative"
-            req = SignedDistributionRequest(group, n, first_letter_sign=sign)
-            return dist_runs(req, "t", workers)
-    raise DomainError(f"unknown family token {token!r}")
+    """The univariate run polynomial named by a family token (_FAMILY_TOKENS)."""
+    if not _one_of(token, _FAMILY_TOKENS):
+        raise DomainError(f"unknown family token {token!r}")
+    group, part = _FAMILY_TOKENS[token]
+    if part in ("plus", "minus"):
+        return dist_runs_parity_split(group, n, workers)[part == "minus"]
+    return dist_runs(SignedDistributionRequest(group, n, first_letter_sign=part), "t", workers)
 
 
 def signed_uni(group: str, n: int, workers: int | None = None) -> UniPoly:
     """The signed univariate run polynomial of the group (its own length)."""
-    group = group if group in perm_core.GROUPS else normalize_group(group)
+    group = group if _one_of(group, perm_core.GROUPS) else normalize_group(group)
     stat = {"A": "inv_a", "B": "inv_b", "D": "inv_d"}.get(group)
     if stat is None:
         raise DomainError("signed univariate polynomial defined for A, B, D")
@@ -893,7 +912,7 @@ def _subset_cell(side: str, n: int, k: int, end: str, workers: int | None) -> Bi
     _check_n("B", n)
     if n < 3:
         raise DomainError("cancellation subsets need n >= 3")
-    if end not in ("a", "d"):
+    if not _one_of(end, ("a", "d")):
         raise DomainError("end must be 'a' or 'd'")
 
     def signed_sum(codes):
@@ -995,8 +1014,8 @@ def snake_subset_contribution(n: int, k: int, parity: str = "all", workers: int 
     check_integer(k, "k")
     if not 1 <= k <= 4:
         raise DomainError("snake subset index must be 1..4")
-    weight = {"all": (1, 1), "plus": (1, 0), "minus": (0, 1)}.get(parity)
-    if weight is None:
+    if not _one_of(parity, ("all", "plus", "minus")):
         raise DomainError(f"unknown parity selector {parity!r}")
+    weight = {"all": (1, 1), "plus": (1, 0), "minus": (0, 1)}[parity]
     return _memo(_subset_scan(n, workers), ("L", k, parity),
                  lambda codes: int(_subset_parts(codes, n)[1][k] @ weight))

@@ -16,6 +16,7 @@ All statistics functions accept plain sequences; the `Permutation` /
 from __future__ import annotations
 
 import itertools
+import numbers
 import operator
 from dataclasses import dataclass
 from math import factorial
@@ -295,12 +296,13 @@ def group_order(group: str, n: int) -> int:
 
 
 def check_integer(value, name: str = "n") -> None:
-    """Refuse a value that is not an integer: a float, string, None or bool.
+    """Refuse a value that is not an integer: a float, string, None, bool or
+    array.  A numpy integer scalar is an integer.
 
     A float or bool equal to an integer would otherwise hit the cache entry
-    of that integer.
+    of that integer, and an array would be compared elementwise.
     """
-    if type(value) is not int and (isinstance(value, bool) or not hasattr(value, "__index__")):
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise DomainError(f"{name} must be an integer, got {value!r}")
 
 

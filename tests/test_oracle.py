@@ -1,9 +1,11 @@
 """The brute-force enumeration oracles and their internal consistency."""
 
 import ast
+import copy
 import dataclasses
 import hashlib
 import inspect
+import pickle
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from itertools import islice, permutations, product
@@ -124,6 +126,109 @@ def test_the_request_table_agrees_with_the_full_validation(monkeypatch, n):
     accepted = {fields for fields, got in zip(combos, table) if type(got) is tuple and fields[0] in perm_core.GROUPS}
     want = set() if n == 3.0 else {f for f in requests if n > 1 or f[0] != "A" or f[2] is None}
     assert accepted == want
+
+
+_REQUEST_FIELDS = [("group", str, dataclasses.MISSING), ("n", int, dataclasses.MISSING),
+                   ("sign_statistic", str, "none"), ("end_restriction", "str | None", None),
+                   ("first_letter_sign", "str | None", None)]
+
+
+def test_the_request_keeps_its_dataclass_contract():
+    """Fields, signature, replace, frozenness, equality, hash, repr, pickling
+    and deep copies are those of a generated frozen dataclass."""
+    # the generated frozen dataclass of the same fields, with no validation
+    plain_request = dataclasses.make_dataclass(
+        "SignedDistributionRequest",
+        [field[:2] if field[2] is dataclasses.MISSING else field for field in _REQUEST_FIELDS], frozen=True)
+    fields = dataclasses.fields(SignedDistributionRequest)
+    assert [(f.name, f.default) for f in fields] == [(name, default) for name, _, default in _REQUEST_FIELDS]
+    assert dataclasses.is_dataclass(SignedDistributionRequest)
+    params = inspect.signature(SignedDistributionRequest).parameters.values()
+    empty = {dataclasses.MISSING: inspect.Parameter.empty}
+    assert [(p.name, p.default) for p in params] == [(name, empty.get(default, default))
+                                                     for name, _, default in _REQUEST_FIELDS]
+    assert SignedDistributionRequest.__match_args__ == tuple(name for name, _, _ in _REQUEST_FIELDS)
+
+    requests = [SignedDistributionRequest(*args) for args in (
+        ("A", 4), ("A", 4, "inv_a", "ad"), ("B", 4, "inv_b", "a", "positive"), ("B-D", 3, "none", None, "negative"))]
+    for req in requests:
+        plain = plain_request(*(getattr(req, name) for name, _, _ in _REQUEST_FIELDS))
+        assert repr(req) == repr(plain) and hash(req) == hash(plain)
+        assert req == SignedDistributionRequest(**dataclasses.asdict(req)) and req != plain
+        for twin in (pickle.loads(pickle.dumps(req)), copy.deepcopy(req), copy.copy(req)):
+            assert type(twin) is SignedDistributionRequest and twin == req and hash(twin) == hash(req)
+        for name, _, _ in _REQUEST_FIELDS:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(req, name, "B")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(req, name)
+    assert len(set(requests + [copy.deepcopy(r) for r in requests])) == len(requests)
+
+    # replace builds through the same validation
+    req = requests[2]
+    assert dataclasses.replace(req, n=5) == SignedDistributionRequest("B", 5, "inv_b", "a", "positive")
+    assert dataclasses.replace(req, group="d", sign_statistic="inv_d").group == "D"
+    with pytest.raises(DomainError, match="incompatible with group A"):
+        dataclasses.replace(req, group="A")
+
+
+@pytest.mark.parametrize("alias, group", [("a", "A"), ("b", "B"), ("d", "D"), ("b-d", "B-D"), ("bmd", "B-D"),
+                                          ("B_MINUS_D", "B-D"), ("bminusd", "B-D")])
+def test_a_request_normalizes_an_alias_group(alias, group):
+    req = SignedDistributionRequest(alias, 4)
+    assert req.group == group and req == SignedDistributionRequest(group, 4)
+    assert hash(req) == hash(SignedDistributionRequest(group, 4))
+    assert repr(req).startswith(f"SignedDistributionRequest(group={group!r}")
+
+
+def test_a_canonical_request_is_not_validated_again(monkeypatch):
+    """Building a request from canonical fields reads the table of them and
+    calls none of the validators; an alias group goes through them."""
+    reached = set()
+
+    def spy(name, fn):
+        def call(*args, **kwargs):
+            reached.add(name)
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("normalize_group", "check_integer", "_check_n"):
+        monkeypatch.setattr(oracle, name, spy(name, getattr(oracle, name)))
+    for n in (1, 2, 4):
+        for group, sign, end, first in oracle._REQUESTS:
+            if n > 1 or group != "A" or end is None:
+                SignedDistributionRequest(group, n, sign, end, first)
+                SignedDistributionRequest(group, n, sign_statistic=sign, end_restriction=end, first_letter_sign=first)
+    assert not reached
+    SignedDistributionRequest("b", 4)
+    assert reached == {"normalize_group", "check_integer"}
+
+
+# (field, bad value, start of the refusal)
+_BAD_FIELDS = [
+    ("group", np.array(["A", "B"]), "unknown group array("),
+    ("group", ["B"], "unknown group ['B']"),
+    ("n", np.array([3, 4]), "n must be an integer, got array("),
+    ("n", np.array(4), "n must be an integer, got array(4)"),
+    ("sign_statistic", np.array(["none", "inv_b"]), "unknown sign statistic array("),
+    ("sign_statistic", ["none"], "unknown sign statistic ['none']"),
+    ("end_restriction", np.array(["a", "d"]), "type B/D end restriction must be 'a' or 'd'"),
+    ("end_restriction", ["a"], "type B/D end restriction must be 'a' or 'd'"),
+    ("first_letter_sign", np.array(["positive", "negative"]), "first letter sign must be"),
+    ("first_letter_sign", ["positive"], "first letter sign must be"),
+]
+
+
+@pytest.mark.parametrize("field, bad, message", _BAD_FIELDS, ids=[f"{f[0]}={f[1]!r}" for f in _BAD_FIELDS])
+@pytest.mark.parametrize("n", [1, 4])
+def test_a_request_refuses_an_array_or_list_field(field, bad, message, n):
+    fields = {"group": "B", "n": n, field: bad}
+    with pytest.raises(DomainError) as info:
+        SignedDistributionRequest(**fields)
+    assert str(info.value).startswith(message)
+    if field not in ("group", "n"):  # an A request compares the end and the first letter too
+        with pytest.raises(DomainError):
+            SignedDistributionRequest(**{**fields, "group": "A"})
 
 
 def test_class_polynomials():
@@ -785,14 +890,13 @@ def _refusal(fn, args, changes=()):
     """The DomainError message of fn(*args) with the named parameters changed."""
     changes = dict(changes)
     with pytest.raises(DomainError) as info:
+        bound = inspect.signature(fn).bind(*args)
         if fn is dist_runs:
-            req, *rest = args
+            req = bound.arguments["req"]
             fields = {f.name: changes.pop(f.name, getattr(req, f.name)) for f in dataclasses.fields(req)}
-            dist_runs(SignedDistributionRequest(**fields), *rest, **changes)
-        else:
-            bound = inspect.signature(fn).bind(*args)
-            bound.arguments.update(changes)
-            fn(*bound.args, **bound.kwargs)
+            bound.arguments["req"] = SignedDistributionRequest(**fields)
+        bound.arguments.update(changes)
+        fn(*bound.args, **bound.kwargs)
     return str(info.value)
 
 
@@ -811,6 +915,20 @@ _HOSTILE = [
     ("k", 4, 2.0, "k must be an integer, got 2.0"),
     ("k", 4, "2", "k must be an integer, got '2'"),
     ("k", 4, True, "k must be an integer, got True"),
+    # arrays and lists, whose == is elementwise or which cannot be hashed
+    ("n", 4, np.array([3, 4]), "n must be an integer, got array([3, 4])"),
+    ("n", 4, np.array(4), "n must be an integer, got array(4)"),
+    ("workers", 4, np.array([1, 2]), "worker count must be an integer, got array([1, 2])"),
+    ("group", 4, np.array(["A", "B"]), "unknown group array(['A', 'B']"),
+    ("group", 4, ["B"], "unknown group ['B']"),
+    ("token", 4, np.array(["R", "RB"]), "unknown family token array(['R', 'RB']"),
+    ("family", 4, np.array(["B", "D"]), "unknown snake family array(['B', 'D']"),
+    ("cls", 4, np.array(["aa", "ad"]), "unknown class array(['aa', 'ad']"),
+    ("variable", 4, np.array(["t", "pq"]), "unknown variable selector array(['t', 'pq']"),
+    ("parity", 4, np.array(["all", "plus"]), "unknown parity selector array(['all', 'plus']"),
+    ("parity", 4, ["all"], "unknown parity selector ['all']"),
+    ("end", 4, np.array(["a", "d"]), "end must be 'a' or 'd'"),
+    ("k", 4, np.array([1, 2]), "k must be an integer, got array([1, 2])"),
 ]
 
 

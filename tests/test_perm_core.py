@@ -3,6 +3,7 @@
 import itertools
 from math import comb
 
+import numpy as np
 import pytest
 
 from weylruns import perm_core
@@ -12,6 +13,7 @@ from weylruns.perm_core import (
     SignedPermutation,
     altruns_a,
     altruns_b,
+    check_integer,
     classify_end_b,
     classify_ends,
     classify_ends_a,
@@ -233,6 +235,14 @@ def test_a_bad_cap_is_refused_and_neither_cap_changes(monkeypatch, bad):
         with pytest.raises(DomainError, match="cap_[ab] must be"):
             set_enumeration_caps(**kwargs)
         assert (perm_core.CAP_A, perm_core.CAP_B) == caps
+
+
+def test_check_integer_takes_integer_scalars_only():
+    for good in (3, 0, -2, np.int64(3), np.uint8(3)):
+        check_integer(good)
+    for bad in (3.0, True, np.bool_(True), "3", None, np.array(3), np.array([3, 4]), [3]):
+        with pytest.raises(DomainError, match="k must be an integer"):
+            check_integer(bad, "k")
 
 
 def test_family_tokens_split_into_group_and_parity():
