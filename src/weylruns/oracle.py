@@ -4,9 +4,9 @@ Everything here is obtained by walking a whole group and tallying exact
 integer statistics; closed-form evaluators never feed back into this module,
 so oracle-vs-formula comparisons stay two independent routes.
 
-There is one walk per group: `_perm_blocks` / `_signed_blocks` yield the
-elements in the contract order as int8 blocks, and vectorized kernels count
-them through int64 bincounts and np.add.at (counting only, no floating
+There are two walks: `_perm_blocks` yields S_n, and `_signed_blocks` yields
+B_n from it, each in the contract order as int8 blocks.  Vectorized kernels
+count them through int64 bincounts and np.add.at (counting only, no floating
 point).  A word's peaks, valleys, end classes and alternation depend only on
 its ascent code: its adjacent-pair ascent bits, behind a 0 sentinel for
 signed words, packed into an integer, with a cached table per code length
@@ -21,32 +21,36 @@ over codes and parity bits, cached as it is, with no decode step:
 * the B tally counts[c, inv(|w|) mod 2, neg mod 2] over B_n, c the signed code;
 * the subset tally, which classifies B_n into the cancellation subsets and
   the snakes of D_n into the staircase subsets L^1..L^4 (its layout is at
-  `_expand_subsets`).  It walks S_n, not B_n: a word of B_n is a
+  `_expand_subsets`).  It walks no group of its own.  A word of B_n is a
   permutation u = |w| and a sign mask m, and its subset code is a function
   of m and of the key (c, i, j, o, inv(u) mod 2) of u, with c the ascent
   code of u, i < j the positions of the letters n-1 and n, and o the order
-  of the last pair left without them.  The walk counts the S_n ranks per
-  key, and the non-empty keys are then crossed with all 2^n masks.
+  of the last pair left without them.  The key is fixed by u', u with
+  those two letters deleted, and by where and in which order they sit, so
+  the key counts are the A tally of S_(n-2) crossed with the n(n-1)
+  insertions (`_subset_keys`).  The non-empty keys are then crossed with
+  all 2^n masks.
 
 Every distribution is a marginal of one of them: code filters are columns of
 `_code_table`, parity filters and signs a weight over the parity axes.
 
 Work is split over contiguous lexicographic rank ranges of the underlying
 permutation index space, none shorter than a minimum part (5040 ranks of
-S_n, for the A and subset tallies; 2^17 words of B_n, for the joint B tally
-and the snake list), so small scans start no thread pool.  Each
-range is seeked, not stepped: `_perm_blocks` unranks the range's start
-directly, so a worker walks only its own ranks.  Partial count arrays merge
-by integer addition, so the result is bitwise identical for any worker
-count.
+S_n for the A tally, 2^17 words of B_n for the B tally), so small scans
+start no thread pool; the subset tally's mask crossing splits its keys in
+the same way (see `_expand_subsets`).  Each range is seeked, not stepped:
+`_perm_blocks` unranks the range's start directly, so a worker walks only
+its own ranks.  Partial count arrays merge by integer addition, so the
+result is bitwise identical for any worker count.
 Successful full-group scans are cached per n, each with the answers
 already read from it, keyed by the public call: a repeated query is one
 dictionary read (`_stored`), and `clear_caches` drops a tally and its
 answers together.  It empties every store made by `new_cache`, `verify`'s
 check outcomes included, so a run after it is cold throughout.  The
 test suite keeps a pure-Python walk over perm_core's statistics as the
-reference for all three tallies and for every marginal, and a direct numpy
-walk of B_n as a second reference for the subset tally.
+reference for all three tallies and for every marginal, a direct numpy
+walk of B_n as a second reference for the subset tally, and a walk of S_n
+that counts the subset keys as a reference for `_subset_keys`.
 """
 
 from __future__ import annotations
@@ -113,11 +117,13 @@ def clear_caches() -> None:
 def resolve_workers(workers: int | None) -> int:
     """The worker count: the argument, else WEYLRUNS_THREADS, else 1.
 
-    A non-integer or a count below 1 raises DomainError; counts above
-    MAX_WORKERS are clamped to it.
+    A non-integer (a bool too) or a count below 1 raises DomainError;
+    counts above MAX_WORKERS are clamped to it.
     """
     raw = workers if workers is not None else (os.environ.get("WEYLRUNS_THREADS") or 1)
     try:
+        if type(raw) is bool:  # operator.index would read True as 1
+            raise TypeError
         count = int(raw) if isinstance(raw, str) else operator.index(raw)
     except (TypeError, ValueError):
         raise DomainError(f"worker count must be an integer, got {raw!r}") from None
@@ -242,11 +248,6 @@ def _perm_blocks(n: int, lo: int, hi: int, chunk: int):
         lo += rows
 
 
-def _split_a(fn, n: int, workers: int | None):
-    """_run_split over the ranks of S_n, in parts of at least one suffix table."""
-    return _run_split(fn, factorial(n), workers, factorial(min(n, _SUFFIX_LETTERS)))
-
-
 # =====================================================================
 # Statistics kernel
 #
@@ -345,10 +346,9 @@ def _sign_lanes(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 # Block sizes, in words.  Each block costs the same few dozen numpy calls,
 # and every call hands the GIL between workers, so the joint B kernel reads
-# big blocks.  The snake walk keeps the matching words of each block, so it
-# reads smaller ones, and no part of a split of B_n is smaller than one of
-# those.  The S_n kernels' block is smaller again, to keep their peak
-# memory within a few MB.
+# big blocks.  No part of a split of B_n is smaller than _B_BLOCK words.
+# The S_n kernel's block is smaller again, to keep its peak memory within a
+# few MB.
 _JOINT_B_BLOCK = 1 << 19
 _B_BLOCK = 1 << 17
 _A_BLOCK = 1 << 16
@@ -378,11 +378,6 @@ def _signed_blocks(n: int, lo: int, hi: int, block: int):
         yield full[s:e]
         rank_lo += words.shape[0]
         lo = rank_lo << n
-
-
-def _split_b(fn, n: int, workers: int | None):
-    """_run_split over the ambient indices of B_n, in parts of at least _B_BLOCK words."""
-    return _run_split(fn, factorial(n) << n, workers, _B_BLOCK)
 
 
 def _by_sign_parity(n: int, lo: int, rows: int, table: np.ndarray) -> np.ndarray:
@@ -415,15 +410,18 @@ def _scan_b_numpy(n: int, lo: int, hi: int) -> np.ndarray:
 
 
 def scan_joint_a(n: int, workers: int | None = 1) -> np.ndarray:
-    """Uncached A tally counts[c, inv mod 2] over S_n."""
+    """Uncached A tally counts[c, inv mod 2] over S_n, split in parts of at
+    least one suffix table."""
     _check_n("A", n)
-    return sum(_split_a(lambda a, b: _scan_a_numpy(n, a, b), n, workers))
+    block = factorial(min(n, _SUFFIX_LETTERS))
+    return sum(_run_split(lambda a, b: _scan_a_numpy(n, a, b), factorial(n), workers, block))
 
 
 def scan_joint_b(n: int, workers: int | None = 1) -> np.ndarray:
-    """Uncached B tally counts[c, inv(|w|) mod 2, neg mod 2] over B_n."""
+    """Uncached B tally counts[c, inv(|w|) mod 2, neg mod 2] over B_n, split
+    in parts of at least _B_BLOCK words."""
     _check_n("B", n)
-    return sum(_split_b(lambda a, b: _scan_b_numpy(n, a, b), n, workers))
+    return sum(_run_split(lambda a, b: _scan_b_numpy(n, a, b), factorial(n) << n, workers, _B_BLOCK))
 
 
 def _cached(cache: dict, n: int, scan, workers: int | None) -> tuple[np.ndarray, dict]:
@@ -663,14 +661,19 @@ def dist_runs_parity_split(group: str, n: int, workers: int | None = None) -> tu
 
 
 def class_poly_a(n: int, cls: str, signed: bool = True, workers: int | None = None) -> BiPoly:
-    """Bivariate peak/valley sum over one of the four first/last classes of S_n."""
-    if (hit := _stored("A", n, ("class", cls, signed), workers)) is not None:
+    """Bivariate peak/valley sum over one of the four first/last classes of S_n.
+
+    `signed` must be a bool or a numpy bool; 1, which hashes like True, is
+    refused as well."""
+    if type(signed) is bool and (hit := _stored("A", n, ("class", cls, signed), workers)) is not None:
         return hit
     _check_n("A", n)
     if n < 2:
         raise DomainError("the four end classes are undefined for n = 1")
     if not _one_of(cls, ("aa", "ad", "da", "dd")):
         raise DomainError(f"unknown class {cls!r}")
+    if not isinstance(signed, (bool, np.bool_)):
+        raise DomainError(f"signed must be a bool, got {signed!r}")
     return _memo(joint_a(n, workers), ("class", cls, bool(signed)),
                  lambda counts: _sum_a(counts, n, biv=True, signed=signed, first=cls[0], last=cls[1]))
 
@@ -785,31 +788,33 @@ def _subset_parts(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return codes[:2 * side].reshape(2, 10, 2, base, base, 2), codes[2 * side:].reshape(5, 2)
 
 
-# The subset tally is read from S_n (see the module docstring).  Bit p of a
-# sign mask m is set when letter p is negative.  The key's o is the order
-# bit of the last pair left once the letters n-1 and n are deleted, read
-# behind a 0 sentinel, so at n = 3 it is 1.  _subset_hist counts the S_n
-# ranks per key, and _expand_subsets crosses the non-empty keys with all
-# 2^n masks.
+def _subset_keys(n: int) -> np.ndarray:
+    """Counts of the key (c, i, j, o, inv(u) mod 2) over u in S_n: one row
+    per (c, i, j, o), one column per inv(u) mod 2.
 
-def _subset_hist(n: int, lo: int, hi: int) -> np.ndarray:
-    """Counts of the key (c, i, j, o, inv2) over the S_n ranks [lo, hi), as a
-    (2^(n-1) * n * n * 2, 2) array: one row per (c, i, j, o), one column per inv2."""
-    acc = np.zeros((1 << (n - 1)) * n * n * 4, dtype=np.int64)
-    for words in _perm_blocks(n, lo, hi, _A_BLOCK):
-        rows = words.shape[0]
-        big = words >= n - 1
-        i = np.argmax(big, axis=1)
-        j = n - 1 - np.argmax(big[:, ::-1], axis=1)
-        o = 1  # at n = 3 the one letter left rises from the sentinel
-        if n >= 4:
-            rest = words[~big].reshape(rows, n - 2)
-            o = rest[:, -2] < rest[:, -1]
-        key = (_ascent_codes(words, signed=False).astype(np.int64) * n + i) * n + j
-        key = (key * 2 + o) * 2 + _inv_parity(n, lo, rows)
-        acc += np.bincount(key, minlength=acc.size)
-        lo += rows
-    return acc.reshape(-1, 2)
+    Crossed from the A tally of S_(n-2): u is u' with n-1 and n inserted at
+    positions i < j in one of two orders.  A pair of u' keeps its bit unless
+    a large letter now sits between its letters; (x, large) rises, (large, x)
+    falls, and the large pair rises when n-1 comes first.  o is the top bit
+    of the code of u', 1 for n <= 3, and the large letters add
+    i + j + [n-1 first] inversions mod 2.  Codes collide, hence np.add.at.
+    """
+    small = _scan_a_numpy(n - 2, 0, factorial(n - 2)) if n > 2 else np.array([[1, 0]])
+    bits = (np.arange(len(small))[:, None] >> np.arange(max(n - 3, 0))) & 1
+    o = bits[:, -1:] if n >= 4 else 1
+    pairs = list(itertools.combinations(range(n), 2))
+    rests = np.array([[p for p in range(n) if p not in ij] for ij in pairs], dtype=np.int64)
+    rises = np.array([sum(1 << (p - 1) for p in ij if p > 0 and p - 1 not in ij) for ij in pairs])  # (x, large)
+    i, j = np.array(pairs).T
+    # c[code of u', insertion]: bit q of u' moves to the pair of u that starts
+    # at its left letter; if a large letter split it, that pair rises anyway
+    c = bits @ (1 << rests.reshape(len(pairs), n - 2)[:, :-1]).T | rises
+    acc = np.zeros(((1 << (n - 1)) * n * n * 2, 2), dtype=np.int64)
+    for up in (0, 1):  # up: n-1 comes first, so an adjacent large pair rises
+        row = (((c | (up & (j == i + 1)) << i) * n + i) * n + j) * 2 + o
+        for b in (0, 1):
+            np.add.at(acc, (row, b ^ ((i + j + up) & 1)), small[:, b:b + 1])
+    return acc
 
 
 def _signed_code(c: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
@@ -833,7 +838,7 @@ def _add_parities(acc: np.ndarray, codes: np.ndarray, counts: np.ndarray) -> Non
 
 
 def _expand_subsets(hist: np.ndarray, n: int, workers: int | None) -> np.ndarray:
-    """The subset codes of B_n from the S_n key counts of _subset_hist.
+    """The subset codes of B_n from the S_n key counts of _subset_keys.
 
     Codes below one side hold the type B cell (k, end, pk, val) with the
     inv_B parity bit; the next side holds the type D cell over D_n with the
@@ -888,13 +893,13 @@ def _expand_subsets(hist: np.ndarray, n: int, workers: int | None) -> np.ndarray
 
 
 def scan_subsets(n: int, workers: int | None = 1) -> np.ndarray:
-    """Uncached subset tally of B_n: the code array of _expand_subsets.
-    The cancellation subsets need n >= 3; at n = 2 only the snakes are counted."""
+    """Uncached subset tally of B_n: the code array of _expand_subsets, whose
+    mask crossing alone splits over the workers.  The cancellation subsets
+    need n >= 3; at n = 2 only the snakes are counted."""
     _check_n("B", n)
     if n < 2:
         raise DomainError("subset classification needs n >= 2")
-    parts = _split_a(lambda a, b: _subset_hist(n, a, b), n, workers)
-    return _expand_subsets(sum(parts), n, workers)
+    return _expand_subsets(_subset_keys(n), n, workers)
 
 
 def _subset_scan(n: int, workers: int | None = None) -> tuple[np.ndarray, dict]:
@@ -939,7 +944,7 @@ def build_T(n: int, end: str) -> list[tuple[int, ...]]:
     Ascent side appends (n-1, n) or (-n, -(n-1)); descent side (n, n-1) or
     (-(n-1), -n); bases are the printed one- and two-letter sets.
     """
-    if end not in ("a", "d"):
+    if not _one_of(end, ("a", "d")):
         raise DomainError("end must be 'a' or 'd'")
     check_integer(n)
     if n < 1:
@@ -955,7 +960,7 @@ def build_T(n: int, end: str) -> list[tuple[int, ...]]:
 def t_contribution(words, kind: str = "B") -> BiPoly:
     """Signed bivariate sum over a T set, the words of build_T (kind "D"
     restricts to D_n, inv_D sign)."""
-    if kind not in ("B", "D"):
+    if not _one_of(kind, ("B", "D")):
         raise DomainError(f"T-set sums are of kind 'B' or 'D', got {kind!r}")
     terms: dict[tuple[int, int], int] = {}
     for w in words:
@@ -969,24 +974,8 @@ def t_contribution(words, kind: str = "B") -> BiPoly:
 
 
 # =====================================================================
-# Snakes: word lists and the staircase partition of Snake(D_n)
+# Snakes: the staircase partition of Snake(D_n)
 # =====================================================================
-
-def snake_words_b(n: int, workers: int | None = None) -> list[tuple[int, ...]]:
-    """All snakes of B_n in the contract enumeration order."""
-    _check_n("B", n)
-    _, _, first, _, alt = _code_table(n, signed=True)
-    snakes = (first & alt).astype(bool)
-
-    def scan(lo: int, hi: int) -> list[tuple[int, ...]]:
-        out = []
-        for w in _signed_blocks(n, lo, hi, _B_BLOCK):
-            out.extend(map(tuple, w[snakes[_ascent_codes(w, signed=True)]].tolist()))
-        return out
-
-    parts = _split_b(scan, n, workers)
-    return [w for part in parts for w in part]
-
 
 def snake_subset_l(word) -> int:
     """Index 1..4 in the snake partition (positions and signs of the top pair)."""

@@ -31,6 +31,8 @@ SNAKE_FAMILIES = ("B", "B+", "B-", "D", "B-D", "D+", "D-", "B-D+", "B-D-")
 def split_family(token: str) -> tuple[str, str]:
     """The group and the parity ("all", "plus" or "minus") of an alternating
     or snake family token such as "B-D+"; the group is not validated."""
+    if not isinstance(token, str):
+        raise DomainError(f"unknown family token {token!r}")
     group = token.rstrip("+-")
     parity = {"": "all", "+": "plus", "-": "minus"}.get(token[len(group):])
     if parity is None:
@@ -215,10 +217,10 @@ def classify_end_b(w) -> str:
 
 
 def classify_ends(w, kind: str):
-    kind = kind.upper()
-    if kind == "A":
+    upper = kind.upper() if isinstance(kind, str) else None
+    if upper == "A":
         return classify_ends_a(w)
-    if kind == "B":
+    if upper == "B":
         return classify_end_b(w)
     raise DomainError(f"unknown type {kind!r}")
 
@@ -244,7 +246,7 @@ def flip_sgn(w) -> tuple[int, ...]:
 
 def is_alternating(w, kind: str = "A") -> bool:
     """Down-up test w_1 > w_2 < w_3 > ...; single letters are alternating."""
-    if kind.upper() not in ("A", "B"):
+    if not isinstance(kind, str) or kind.upper() not in ("A", "B"):
         raise DomainError(f"unknown type {kind!r}")
     w = _word(w)
     for i in range(len(w) - 1):

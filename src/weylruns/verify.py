@@ -118,13 +118,15 @@ def _n0_count(kind: str, family: str) -> int:
     """The stated n = 0 count of a family: kind "E" alternating, "S" snakes."""
     try:
         return _N0_COUNTS[(kind, family)]
-    except KeyError:
+    except (KeyError, TypeError):  # an unknown or an unhashable token
         raise DomainError(f"no n = 0 count for the {'snake' if kind == 'S' else 'alternating'} "
                           f"family {family!r}") from None
 
 
 def alt_count(family: str, n: int, workers=None) -> int:
     """Alternating count for an EGF family token, honoring n = 0 conventions."""
+    if type(n) is not int:  # 0.0 or False would read the n = 0 convention
+        perm_core.check_integer(n)
     if n == 0:
         return _n0_count("E", family)
     group, parity = perm_core.split_family(family)
@@ -132,6 +134,8 @@ def alt_count(family: str, n: int, workers=None) -> int:
 
 
 def snake_count(family: str, n: int, workers=None) -> int:
+    if type(n) is not int:
+        perm_core.check_integer(n)
     if n == 0:
         return _n0_count("S", family)
     return oracle.count_snakes(family, n, workers)
@@ -720,12 +724,10 @@ def run_checks(
             perm_core.check_integer(bound, name)
     if n_min is not None and n_max is not None and n_min > n_max:
         raise DomainError(f"empty range: n_min={n_min} > n_max={n_max}")
-    if theorem_id == "all":
-        idents = sorted(REGISTRY)
-    elif theorem_id in REGISTRY:
-        idents = [theorem_id]
-    else:
+    # an array's == would compare its elements, and a list cannot be hashed
+    if not isinstance(theorem_id, str) or (theorem_id != "all" and theorem_id not in REGISTRY):
         raise DomainError(f"unknown theorem id {theorem_id!r}; see available_ids()")
+    idents = sorted(REGISTRY) if theorem_id == "all" else [theorem_id]
     report = Report()
     for ident in idents:  # in id order; within an id, n ascends
         entry = REGISTRY[ident]

@@ -39,7 +39,6 @@ from weylruns.oracle import (
     signed_uni,
     snake_subset_contribution,
     snake_subset_l,
-    snake_words_b,
     subset_contribution_b,
     subset_contribution_d,
     subset_index_b,
@@ -54,7 +53,6 @@ from weylruns.perm_core import (
     inv_b,
     inv_d,
     is_alternating,
-    is_snake_b,
     iter_group,
     negatives,
     peaks_valleys_a,
@@ -299,10 +297,14 @@ def test_scan_subsets_matches_reference(n, workers):
     assert np.array_equal(scan_subsets(n, workers), reference.subsets(n))
 
 
-@settings(max_examples=20, deadline=None)
-@given(n=st.integers(1, 5), workers=WORKERS)
-def test_snake_words_match_reference(n, workers):
-    assert snake_words_b(n, workers) == [w for w in iter_group("B", n) if is_snake_b(w)]
+def test_snake_words_match_reference():
+    """The snake codes of the signed code table, which the snake counts and
+    the subset tally read, pick out exactly the snakes of B_1..B_5, in order."""
+    for n in range(1, 6):
+        _, _, first, _, alt = oracle._code_table(n, signed=True)
+        words = np.concatenate(list(oracle._signed_blocks(n, 0, factorial(n) << n, 1 << 17)))
+        snakes = words[(first & alt).astype(bool)[oracle._ascent_codes(words, signed=True)]]
+        assert list(map(tuple, snakes.tolist())) == reference.snake_words(n)
 
 
 @settings(max_examples=30, deadline=None)
@@ -466,7 +468,6 @@ def test_code_tables_match_perm_core(n, signed):
 KERNELS = {
     "A": (oracle._scan_a_numpy, 1, 8, lambda n: factorial(n)),
     "B": (oracle._scan_b_numpy, 1, 5, lambda n: factorial(n) << n),
-    "subsets": (oracle._subset_hist, 2, 8, lambda n: factorial(n)),
 }
 
 
@@ -475,7 +476,6 @@ KERNELS = {
        cuts=st.lists(st.integers(0, factorial(8)), max_size=6))
 @example(kind="A", n=8, cuts=[13441, 26879])
 @example(kind="B", n=5, cuts=[1, 1000, 2049])
-@example(kind="subsets", n=8, cuts=[31, 5041, 30000])
 def test_partials_over_any_cuts_sum_to_the_whole(kind, n, cuts):
     kernel, n_min, n_max, size = KERNELS[kind]
     n = min(max(n, n_min), n_max)
@@ -504,6 +504,40 @@ def test_subset_tally_matches_the_direct_b_walk(n, workers):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_direct_b_walk_matches_reference(n):
     assert np.array_equal(direct_walk.subsets(n), reference.subsets(n))
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_subset_keys_match_a_walk_of_s_n(n):
+    """The key counts crossed from S_(n-2) equal those read word by word
+    from a walk of S_n."""
+    assert np.array_equal(oracle._subset_keys(n), direct_walk.subset_keys(n))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_a_subset_fill_walks_only_s_n_minus_2(monkeypatch, n):
+    """A subset fill generates the words of S_(n-2) and no word of S_n or
+    B_n (the B walk also draws its blocks from _perm_blocks)."""
+    sizes = []
+    blocks = oracle._perm_blocks
+
+    def spy(size, *args):
+        sizes.append(size)
+        return blocks(size, *args)
+
+    monkeypatch.setattr(oracle, "_perm_blocks", spy)
+    scan_subsets(n, workers=2)
+    assert sizes == [n - 2]
+
+
+def test_a_subset_fill_is_not_refused_by_the_s_n_cap(monkeypatch):
+    """The subset tally reads S_(n-2) through the A kernel, not through the
+    capped A tally, so caps (3, 9) refuse no subset query of B_6."""
+    want = subset_contribution_b(6, 8, "a"), snake_subset_contribution(6, 4, "plus")
+    monkeypatch.setattr(perm_core, "CAP_A", perm_core.CAP_A)
+    monkeypatch.setattr(perm_core, "CAP_B", perm_core.CAP_B)
+    oracle.clear_caches()
+    set_enumeration_caps(3, 9)
+    assert (subset_contribution_b(6, 8, "a"), snake_subset_contribution(6, 4, "plus")) == want
 
 
 def test_subset_tally_over_eight_parts_of_s8():
@@ -535,11 +569,10 @@ def test_scans_within_one_block_start_no_pool(monkeypatch):
     assert np.array_equal(scan_joint_a(7, workers=8), reference.joint_a(7))
     assert np.array_equal(scan_joint_b(5, workers=8), reference.joint_b(5))
     assert np.array_equal(scan_subsets(5, workers=8), reference.subsets(5))
-    assert len(snake_words_b(5, workers=8)) == count_snakes("B", 5)
 
 
 def test_subset_fills_to_n7_start_no_pool(monkeypatch):
-    """The S_n walk and the mask crossing of every subset fill that
+    """The S_(n-2) walk and the mask crossing of every subset fill that
     `verify --theorem all` makes (n <= 7) run in the calling thread."""
     def no_pool(*_args, **_kwargs):
         raise AssertionError("a thread pool started")
@@ -726,9 +759,7 @@ def test_snake_counts():
 
 
 def test_snake_words_and_subsets():
-    words = snake_words_b(4)
-    assert len(words) == count_snakes("B", 4)
-    assert all(is_snake_b(w) for w in words)
+    assert len(reference.snake_words(4)) == count_snakes("B", 4)
     for n in (3, 4, 5):
         for k in (1, 2, 3):
             assert snake_subset_contribution(n, k, "plus") == snake_subset_contribution(
@@ -759,7 +790,7 @@ def test_snake_subsets_read_the_cached_tally(monkeypatch):
 
 
 def test_snake_subset_l_membership():
-    for w in snake_words_b(4):
+    for w in reference.snake_words(4):
         if negatives(w) % 2 == 0:
             assert snake_subset_l(w) in (1, 2, 3, 4)
 
@@ -909,6 +940,7 @@ _HOSTILE = [
     ("n", 3, 3.0, "n must be an integer, got 3.0"),
     ("n", 1, True, "n must be an integer, got True"),
     ("workers", 4, 0, "worker count must be at least 1, got 0"),
+    ("workers", 4, True, "worker count must be an integer, got True"),
     ("group", 4, None, "unknown group None"),
     ("group", 4, 3, "unknown group 3"),
     ("k", 4, 1.5, "k must be an integer, got 1.5"),
@@ -929,6 +961,11 @@ _HOSTILE = [
     ("parity", 4, ["all"], "unknown parity selector ['all']"),
     ("end", 4, np.array(["a", "d"]), "end must be 'a' or 'd'"),
     ("k", 4, np.array([1, 2]), "k must be an integer, got array([1, 2])"),
+    # class_poly_a's flag: 1 would read True's answer, an array has no truth value
+    ("signed", 4, 1, "signed must be a bool, got 1"),
+    ("signed", 4, "no", "signed must be a bool, got 'no'"),
+    ("signed", 4, [True], "signed must be a bool, got [True]"),
+    ("signed", 4, np.array([True, False]), "signed must be a bool, got array([ True, False])"),
 ]
 
 

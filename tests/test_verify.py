@@ -111,6 +111,34 @@ def test_count_helpers_refuse_a_family_without_a_count(count, family, n):
         count(family, n)
 
 
+_T3 = oracle.build_T(3, "a")
+
+# (function, arguments, start of the refusal): a selector that is not a
+# string, which each of these once answered, or refused with another error
+_NOT_A_STRING = [
+    (run_checks, (np.array(["all"]),), "unknown theorem id array(['all']"),
+    (run_checks, (["all"],), "unknown theorem id ['all']"),
+    (oracle.build_T, (3, np.array(["a"])), "end must be 'a' or 'd'"),
+    (oracle.build_T, (3, np.array(["a", "d"])), "end must be 'a' or 'd'"),
+    (oracle.t_contribution, (_T3, np.array(["B"])), "T-set sums are of kind 'B' or 'D', got array(['B']"),
+    (oracle.t_contribution, (_T3, np.array(["B", "D"])), "T-set sums are of kind 'B' or 'D', got array(["),
+    (perm_core.split_family, (1,), "unknown family token 1"),
+    (alt_count, (["A"], 3), "unknown family token ['A']"),
+    (alt_count, (["A"], 0), "no n = 0 count for the alternating family ['A']"),
+    (perm_core.is_alternating, ((2, 1, 3), 3), "unknown type 3"),
+    (perm_core.classify_ends, ((2, 1, 3), 3), "unknown type 3"),
+    (perm_core.classify_ends, ((2, 1, 3), np.array(["A"])), "unknown type array(['A']"),
+]
+
+
+@pytest.mark.parametrize("fn, args, message", _NOT_A_STRING,
+                         ids=[f"{fn.__name__}-{i}" for i, (fn, _, _) in enumerate(_NOT_A_STRING)])
+def test_a_selector_that_is_not_a_string_is_refused(fn, args, message):
+    with pytest.raises(DomainError) as info:
+        fn(*args)
+    assert str(info.value).startswith(message)
+
+
 @pytest.mark.parametrize(
     "ident",
     ["thm-class-biv", "rec-class-biv", "thm-b-main", "thm-d-main", "lem-b-flipsgn",
@@ -218,7 +246,7 @@ _WORKER_CALLS = {
 }
 
 
-@pytest.mark.parametrize("bad", [0, -3, "abc", 1.5])
+@pytest.mark.parametrize("bad", [0, -3, "abc", 1.5, True])
 @pytest.mark.parametrize("call", sorted(_WORKER_CALLS))
 def test_bad_worker_count_is_refused_cold_and_warm(call, bad):
     from weylruns import oracle
@@ -232,12 +260,14 @@ def test_bad_worker_count_is_refused_cold_and_warm(call, bad):
 
 
 # n that are not integers; True and the floats equal the integers whose cache
-# entries they would otherwise hit
-_NOT_INTEGERS = [3.0, 3.5, "3", None, True]
+# entries they would otherwise hit, and 0.0 and False the n = 0 of the counts
+_NOT_INTEGERS = [3.0, 3.5, "3", None, True, 0.0, False]
 # call -> (the call at n, integer n that fill the caches it reads)
 _N_CALLS = {
     "dist_runs": (lambda n: dist_runs(SignedDistributionRequest("B", n), "t"), (1, 3)),
     "count_snakes": (lambda n: count_snakes("B", n), (1, 3)),
+    "alt_count": (lambda n: alt_count("B", n), (0, 3)),
+    "snake_count": (lambda n: snake_count("B", n), (0, 3)),
     "class_poly_a": (lambda n: class_poly_a(n, "aa"), (3,)),
     "joint_a": (oracle.joint_a, (3,)),
     "joint_b": (oracle.joint_b, (3,)),
