@@ -1,16 +1,17 @@
 """The sign-reversing maps behind the cancellation lemmas.
 
-Each map acts on words of B_n (tuples) and is exercised exhaustively by the
-test suite on its stated domain: it must be an involution (or a bijection
-onto its stated codomain), preserve the stated statistics, and flip the
-stated length parity.  The two "large letters" of a word are the ones of
-absolute value n and n-1.
+Each map acts on words of B_n (tuples); the two "large letters" of a word are
+the ones of absolute value n and n-1.  `run_involution_suite` checks every map
+exhaustively, one row of ROWS per map and domain: it must be an involution,
+keep the row's statistics (the first fixes the domain) and flip its parities.
 """
 
 from __future__ import annotations
 
+from . import perm_core
 from .errors import DomainError
-from .perm_core import pos_abs
+from .oracle import snake_subset_l, subset_index_b, subset_index_d
+from .perm_core import negatives, pos_abs
 
 
 def _large_positions(word) -> tuple[int, int]:
@@ -32,7 +33,7 @@ def swap_far_pair(word) -> tuple[int, ...]:
 
 
 def swap_adjacent_pair(word) -> tuple[int, ...]:
-    """Same exchange for adjacent large letters (not at the word's end)."""
+    """Same exchange for adjacent large letters (B^3,4, and L^2,3 of the snakes)."""
     i, j = _large_positions(word)
     if j - i != 1:
         raise DomainError("large letters are not adjacent")
@@ -40,12 +41,9 @@ def swap_adjacent_pair(word) -> tuple[int, ...]:
 
 
 def _exchange(word, i, j):
-    x, y = word[i], word[j]
+    sign = 1 if (word[i] > 0) == (word[j] > 0) else -1
     out = list(word)
-    if (x > 0) == (y > 0):
-        out[i], out[j] = y, x
-    else:
-        out[i], out[j] = -y, -x
+    out[i], out[j] = sign * word[j], sign * word[i]
     return tuple(out)
 
 
@@ -58,8 +56,7 @@ def reverse_last_pair(word) -> tuple[int, ...]:
     """
     if len(word) < 2:
         raise DomainError("need at least two letters")
-    x, y = word[-2], word[-1]
-    return word[:-2] + (-y, -x)
+    return word[:-2] + (-word[-1], -word[-2])
 
 
 def resign_large_pair(word) -> tuple[int, ...]:
@@ -70,13 +67,11 @@ def resign_large_pair(word) -> tuple[int, ...]:
     preserves peaks and valleys and flips the type D parity.
     """
     i, j = _large_positions(word)
-    x, y = word[i], word[j]
-    if (x > 0) == (y > 0):
+    if (word[i] > 0) == (word[j] > 0):
         raise DomainError("large letters must carry opposite signs")
     out = list(word)
-    n = len(word)
-    out[i] = n if x == n - 1 else (n - 1 if x == n else (-n if x == -(n - 1) else -(n - 1)))
-    out[j] = n if y == n - 1 else (n - 1 if y == n else (-n if y == -(n - 1) else -(n - 1)))
+    for k in (i, j):
+        out[k] = (2 * len(word) - 1 - abs(word[k])) * (1 if word[k] > 0 else -1)
     return tuple(out)
 
 
@@ -87,9 +82,7 @@ def flip_smallest(word) -> tuple[int, ...]:
     parity (and moves between D and B-D).
     """
     k = pos_abs(word, 1) - 1
-    out = list(word)
-    out[k] = -out[k]
-    return tuple(out)
+    return word[:k] + (-word[k],) + word[k + 1:]
 
 
 def cross_resign_12(word) -> tuple[int, ...]:
@@ -106,108 +99,73 @@ def cross_resign_12(word) -> tuple[int, ...]:
 
 
 # ------------------------------------------------------------ property suite
+#
+# The statistics by name; "D subset" and "snake subset" (the L^k of a snake)
+# are 0 off D_n.  A parity is 0 or 1: it flips when a word and its image differ.
+STATS = {
+    "B subset": subset_index_b,
+    "D subset": lambda w: 0 if negatives(w) % 2 else subset_index_d(w),
+    "end": perm_core.classify_end_b,
+    "peak/valley sets": perm_core.peaks_valleys_b,
+    "peak/valley counts": lambda w: tuple(map(len, perm_core.peaks_valleys_b(w))),
+    "negatives": negatives,
+    "negative parity": lambda w: negatives(w) % 2,
+    "inv_B parity": lambda w: perm_core.inv_b(w) % 2,
+    "inv_D parity": lambda w: perm_core.inv_d(w) % 2,
+    "alternation": perm_core.is_alternating,
+    "snake subset": lambda w: snake_subset_l(w) if perm_core.is_snake_b(w) and negatives(w) % 2 == 0 else 0,
+}
 
-def _pair_map_failures(tag, word, mapper, *, expect_sets, negs_exact, k, end, in_d, fails):
-    from .oracle import subset_index_b, subset_index_d
-    from .perm_core import classify_end_b, inv_b, inv_d, negatives, peaks_valleys_b
+# (tag, map, least n, values, kept, flipped): the map acts on the words of
+# B_n whose statistic kept[0] takes one of the values.
+_B, _INV_B, _INV_D = ("B subset", "end", "negative parity"), ("inv_B parity",), ("inv_D parity",)
+ROWS = (
+    ("far-pair on B^1,2", swap_far_pair, 3, {1, 2}, _B + ("negatives", "peak/valley sets"), _INV_B),
+    ("adjacent-pair on B^3,4", swap_adjacent_pair, 3, {3, 4}, _B + ("negatives", "peak/valley counts"), _INV_B),
+    ("last-pair on B^5,6,7", reverse_last_pair, 3, {5, 6, 7}, _B + ("peak/valley counts",), _INV_B),
+    ("far-pair on D^1,2", swap_far_pair, 3, {1, 2}, ("D subset",), _INV_D),
+    ("adjacent-pair on D^3,4", swap_adjacent_pair, 3, {3, 4}, ("D subset",), _INV_D),
+    ("last-pair on D^5,6,7", reverse_last_pair, 3, {5, 6, 7}, ("D subset",), _INV_D),
+    ("resign on D^9", resign_large_pair, 3, {9}, ("D subset", "end", "peak/valley sets"), _INV_D),
+    ("flip-smallest on alternating words", flip_smallest, 1, {True}, ("alternation",), _INV_B + ("negative parity",)),
+    ("cross-resign on alternating words", cross_resign_12, 2, {True}, ("alternation", "negative parity"), _INV_D),
+    ("far-pair on L^1", swap_far_pair, 2, {1}, ("snake subset",), _INV_D),
+    ("adjacent-pair on L^2,3", swap_adjacent_pair, 2, {2, 3}, ("snake subset",), _INV_D),
+)
 
-    img = mapper(word)
-    if mapper(img) != word:
-        fails.append(f"{tag}: not an involution at {word}")
-        return
-    if classify_end_b(img) != end or subset_index_b(img) != k:
-        fails.append(f"{tag}: image leaves the subset at {word} -> {img}")
-    pw, vw = peaks_valleys_b(word)
-    pi, vi = peaks_valleys_b(img)
-    if expect_sets:
-        if pw != pi or vw != vi:
-            fails.append(f"{tag}: peak/valley sets move at {word} -> {img}")
-    elif len(pw) != len(pi) or len(vw) != len(vi):
-        fails.append(f"{tag}: peak/valley counts move at {word} -> {img}")
-    if inv_b(word) % 2 == inv_b(img) % 2:
-        fails.append(f"{tag}: type B parity not flipped at {word}")
-    if negs_exact and negatives(word) != negatives(img):
-        fails.append(f"{tag}: negative count moves at {word}")
-    if (negatives(word) - negatives(img)) % 2 != 0:
-        fails.append(f"{tag}: negative parity moves at {word}")
-    if in_d:
-        if negatives(img) % 2 != 0 or subset_index_d(img) != subset_index_d(word):
-            fails.append(f"{tag}: D subset moves at {word} -> {img}")
-        if inv_d(word) % 2 == inv_d(img) % 2:
-            fails.append(f"{tag}: type D parity not flipped at {word}")
+
+class _Stats(dict):
+    """The statistics of one word by name, each computed on first use."""
+
+    def __init__(self, word):
+        self.word = word
+
+    def __missing__(self, name):
+        value = self[name] = STATS[name](self.word)
+        return value
 
 
 def run_involution_suite(n: int) -> list[str]:
-    """Exhaustively check every cancellation map on its stated domain in B_n.
-
-    Returns human-readable failure descriptions (empty means all maps are
-    involutions that preserve their statistics and flip their parities).
-    """
-    from .oracle import snake_subset_l, subset_index_b, subset_index_d
-    from .perm_core import (
-        classify_end_b,
-        inv_b,
-        inv_d,
-        is_alternating,
-        is_snake_b,
-        iter_group,
-        negatives,
-        peaks_valleys_b,
-    )
-
+    """Check every row of ROWS on its whole domain in B_n.  Returns the
+    failures, each led by its row's tag; none means every map passes."""
     fails: list[str] = []
-    for w in iter_group("B", n):
-        in_d = negatives(w) % 2 == 0
-        if n >= 3:
-            k = subset_index_b(w)
-            end = classify_end_b(w)
-            in_d_side = in_d and subset_index_d(w) == k  # k = 9 handled separately
-            if k in (1, 2):
-                _pair_map_failures("far-pair", w, swap_far_pair, expect_sets=True,
-                                   negs_exact=True, k=k, end=end, in_d=in_d_side, fails=fails)
-            elif k in (3, 4):
-                _pair_map_failures("adjacent-pair", w, swap_adjacent_pair, expect_sets=False,
-                                   negs_exact=True, k=k, end=end, in_d=in_d_side, fails=fails)
-            elif k in (5, 6, 7):
-                _pair_map_failures("last-pair", w, reverse_last_pair, expect_sets=False,
-                                   negs_exact=False, k=k, end=end, in_d=in_d_side, fails=fails)
-            if in_d and subset_index_d(w) == 9:
-                img = resign_large_pair(w)
-                pw, vw = peaks_valleys_b(w)
-                pi, vi = peaks_valleys_b(img)
-                if resign_large_pair(img) != w:
-                    fails.append(f"resign: not an involution at {w}")
-                if negatives(img) % 2 != 0 or subset_index_d(img) != 9 or classify_end_b(img) != end:
-                    fails.append(f"resign: image leaves D^9 at {w} -> {img}")
-                if pw != pi or vw != vi:
-                    fails.append(f"resign: peak/valley sets move at {w} -> {img}")
-                if inv_d(w) % 2 == inv_d(img) % 2:
-                    fails.append(f"resign: type D parity not flipped at {w}")
-        if is_alternating(w):
-            img = flip_smallest(w)
-            if flip_smallest(img) != w or not is_alternating(img):
-                fails.append(f"flip-smallest: breaks alternation at {w}")
-            if inv_b(w) % 2 == inv_b(img) % 2:
-                fails.append(f"flip-smallest: type B parity not flipped at {w}")
-            if (negatives(w) - negatives(img)) % 2 == 0:
-                fails.append(f"flip-smallest: should cross between D and B-D at {w}")
-            if n >= 2:
-                img = cross_resign_12(w)
-                if cross_resign_12(img) != w or not is_alternating(img):
-                    fails.append(f"cross-resign: breaks alternation at {w}")
-                if (negatives(w) - negatives(img)) % 2 != 0:
-                    fails.append(f"cross-resign: changes negative parity at {w}")
-                if inv_d(w) % 2 == inv_d(img) % 2:
-                    fails.append(f"cross-resign: type D parity not flipped at {w}")
-        if in_d and n >= 2 and is_snake_b(w):
-            lk = snake_subset_l(w)
-            mapper = swap_far_pair if lk == 1 else swap_adjacent_pair
-            if lk in (1, 2, 3):
-                img = mapper(w)
-                if mapper(img) != w:
-                    fails.append(f"snake-L{lk}: not an involution at {w}")
-                if not is_snake_b(img) or snake_subset_l(img) != lk or negatives(img) % 2 != 0:
-                    fails.append(f"snake-L{lk}: image leaves the subset at {w} -> {img}")
-                if inv_d(w) % 2 == inv_d(img) % 2:
-                    fails.append(f"snake-L{lk}: type D parity not flipped at {w}")
+    for w in perm_core.iter_group("B", n):
+        stat = _Stats(w)
+        for tag, mapper, min_n, values, kept, flipped in ROWS:
+            if n < min_n or stat[kept[0]] not in values:
+                continue
+            img = mapper(w)
+            try:
+                back = mapper(img)
+            except DomainError:  # the image left the map's domain
+                back = None
+            if back != w:
+                fails.append(f"{tag}: not an involution at {w} -> {img}")
+                continue
+            at = _Stats(img)
+            # img lies in the domain and maps back to w, so its own turn compares the pair
+            if img < w and at[kept[0]] in values:
+                continue
+            fails += [f"{tag}: {name} moves at {w} -> {img}" for name in kept if stat[name] != at[name]]
+            fails += [f"{tag}: {name} not flipped at {w} -> {img}" for name in flipped if stat[name] == at[name]]
     return fails

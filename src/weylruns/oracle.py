@@ -46,7 +46,9 @@ Successful full-group scans are cached per n, each with the answers
 already read from it, keyed by the public call: a repeated query is one
 dictionary read (`_stored`), and `clear_caches` drops a tally and its
 answers together.  It empties every store made by `new_cache`, `verify`'s
-check outcomes included, so a run after it is cold throughout.  The
+check outcomes included, so a run after it walks and checks everything
+again.  The one result memo it keeps is `closed_forms._recurrence_table`,
+a pure-formula memo that each n also hits for n - 1 within a run.  The
 test suite keeps a pure-Python walk over perm_core's statistics as the
 reference for all three tallies and for every marginal, a direct numpy
 walk of B_n as a second reference for the subset tally, and a walk of S_n

@@ -16,6 +16,19 @@ from .errors import DomainError
 NEG_INF = float("-inf")
 
 
+def _power(base, k: int, one):
+    """base**k by square-and-multiply, starting from the identity `one`."""
+    if k < 0:
+        raise DomainError("negative power")
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        base = base * base
+        k >>= 1
+    return out
+
+
 class UniPoly:
     """Univariate polynomial; coefficient of t^k at index k."""
 
@@ -91,15 +104,7 @@ class UniPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "UniPoly":
-        if k < 0:
-            raise DomainError("negative power")
-        out, base = UniPoly.one(), self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, UniPoly.one())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
@@ -177,15 +182,7 @@ class BiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "BiPoly":
-        if k < 0:
-            raise DomainError("negative power")
-        out, base = BiPoly.const(1), self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, BiPoly.const(1))
 
     def swap_vars(self) -> "BiPoly":
         """p <-> q."""

@@ -16,8 +16,9 @@ tables), `_equal_check`, and `chk_main`, `chk_uni`, `chk_cancel` and
 `oracle.new_cache`, and returns a copy of it on every call.  So a check,
 with its closed forms and word-by-word passes, runs once until
 `oracle.clear_caches`, which drops the outcomes with the oracle's tallies;
-a run after it does all its work again.  The EGF coefficients of the closed
-forms are the exception: `_formula_coeff` keeps them for the whole process.
+a run after it does all its work again.  The one result memo it keeps is
+`closed_forms._recurrence_table`, a pure-formula memo that each n also hits
+for n - 1 within a run.
 
 The alternating B-D± EGF id is special: the printed closed form disagrees
 with its own lemma, so that check verifies the lemma-level facts and the
@@ -30,7 +31,7 @@ from __future__ import annotations
 import copy
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from math import factorial
 from typing import Callable
 
@@ -179,11 +180,10 @@ def _moment_check(n, workers, *, tokens, drop):
     return _result(n, failures, f"k=1..{max_k} on {','.join(tokens)}")
 
 
-@lru_cache(maxsize=None)
 def _formula_coeff(kind, family, n, exact=False):
-    """The n-th EGF coefficient of a family's closed form, computed once per
-    process: exact, or as the integer count it must be.  Kind "alt-corrected"
-    is the corrected B-D± form, with family "+" or "-"."""
+    """The n-th EGF coefficient of a family's closed form: exact, or as the
+    integer count it must be.  Kind "alt-corrected" is the corrected B-D±
+    form, with family "+" or "-"."""
     build = {"alt": series.egf_alt, "snake": series.egf_snakes,
              "alt-corrected": series.egf_alt_bmd_pm_corrected}[kind]
     s = build(family, n + 1)

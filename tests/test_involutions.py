@@ -2,6 +2,7 @@
 
 import pytest
 
+from weylruns import involutions
 from weylruns.errors import DomainError
 from weylruns.involutions import (
     cross_resign_12,
@@ -12,7 +13,7 @@ from weylruns.involutions import (
     swap_adjacent_pair,
     swap_far_pair,
 )
-from weylruns.perm_core import inv_b, inv_d, is_alternating, peaks_valleys_b
+from weylruns.perm_core import inv_b, inv_d, is_alternating, peaks_valleys_b, pos_abs
 
 
 def test_swap_far_pair_same_sign():
@@ -72,3 +73,50 @@ def test_cross_resign_12():
 @pytest.mark.parametrize("n", range(1, 6))
 def test_involution_suite_small(n):
     assert run_involution_suite(n) == []
+
+
+def _swap_large(word):
+    """The two large letters exchanged as they stand, signs included: the
+    far and adjacent exchanges without re-signing, and a re-sign that also
+    swaps the signs."""
+    i, j = involutions._large_positions(word)
+    out = list(word)
+    out[i], out[j] = word[j], word[i]
+    return tuple(out)
+
+
+def _flip_two(word):
+    k = pos_abs(word, 2) - 1
+    return word[:k] + (-word[k],) + word[k + 1:]
+
+
+def _cross_unsigned(word):
+    p1, p2 = pos_abs(word, 1) - 1, pos_abs(word, 2) - 1
+    out = list(word)
+    out[p1], out[p2] = word[p2], word[p1]
+    return tuple(out)
+
+
+# name -> (a map, a broken version of it, the tag its failures must carry)
+MUTANTS = {
+    "far-unsigned": (swap_far_pair, _swap_large, "far-pair"),
+    "adjacent-unsigned": (swap_adjacent_pair, _swap_large, "adjacent-pair"),
+    "last-pair-unnegated": (reverse_last_pair, lambda w: w[:-2] + (w[-1], w[-2]), "last-pair"),
+    "last-pair-identity": (reverse_last_pair, lambda w: w, "last-pair"),
+    "resign-swaps-signs": (resign_large_pair, _swap_large, "resign"),
+    "flip-letter-2": (flip_smallest, _flip_two, "flip-smallest"),
+    "cross-resign-unsigned": (cross_resign_12, _cross_unsigned, "cross-resign"),
+}
+
+
+@pytest.mark.parametrize("n", range(3, 6))
+@pytest.mark.parametrize("mutant", list(MUTANTS))
+def test_the_suite_reports_a_broken_map(monkeypatch, mutant, n):
+    """Every row that uses the broken map reads it in place of the map, and
+    the suite reports failures, all tagged with that map."""
+    original, broken, tag = MUTANTS[mutant]
+    rows = tuple((row[0], broken if row[1] is original else row[1], *row[2:]) for row in involutions.ROWS)
+    monkeypatch.setattr(involutions, "ROWS", rows)
+    fails = run_involution_suite(n)
+    assert fails
+    assert all(fail.startswith(tag) for fail in fails), fails[:5]
