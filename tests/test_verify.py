@@ -198,6 +198,31 @@ def test_a_descent_rule_that_never_settles_fails_the_check(monkeypatch, cold_cac
     assert not outcome.passed and "the length tally holds" in outcome.detail
 
 
+class _Walked(Exception):
+    pass
+
+
+def test_word_by_word_checks_work_once_per_n(monkeypatch):
+    """cor-inv-bd and the T-set ids run once until oracle.clear_caches():
+    a rerun sorts no word and builds no T set."""
+    from weylruns import oracle, verify
+
+    def walked(*_args, **_kwargs):
+        raise _Walked
+
+    runs = (("cor-inv-bd", 1, 6), ("lem-b-minus-t", None, None), ("lem-d-minus-t", None, None))
+    oracle.clear_caches()
+    assert all(run_checks(*run).ok for run in runs)
+    monkeypatch.setattr(verify, "_descent_sort", walked)
+    for name in ("build_T", "t_contribution", "subset_index_b"):
+        monkeypatch.setattr(oracle, name, walked)
+    assert all(run_checks(*run).ok for run in runs)
+    oracle.clear_caches()
+    for run in runs:
+        with pytest.raises(_Walked):
+            run_checks(*run)
+
+
 @pytest.mark.parametrize("moved,detail", [
     (False, "the length tally holds 47 words, not |B_3| = 48"),
     (True, "1 words break inv_B = inv_D + |Negs|"),
@@ -276,6 +301,27 @@ def test_non_integer_bounds_are_refused_cold_and_warm(bound, bad):
 CLOSED_FORMS = sorted(name for name, fn in vars(cf).items()
                       if callable(fn) and getattr(fn, "__module__", None) == cf.__name__
                       and not name.startswith("_"))
+
+
+class _Evaluated(Exception):
+    pass
+
+
+def test_a_warm_rerun_evaluates_no_closed_form(monkeypatch):
+    """Once run, `run_checks("all")` evaluates no closed form until
+    oracle.clear_caches(), and reports the same outcomes."""
+    oracle.clear_caches()
+    first = run_checks("all").to_json()
+
+    def evaluated(*_args):
+        raise _Evaluated
+
+    for name in CLOSED_FORMS:
+        monkeypatch.setattr(cf, name, evaluated)
+    assert run_checks("all").to_json() == first
+    oracle.clear_caches()
+    with pytest.raises(_Evaluated):
+        run_checks("all")
 
 
 @pytest.fixture
