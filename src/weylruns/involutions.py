@@ -10,14 +10,8 @@ from __future__ import annotations
 
 from . import perm_core
 from .errors import DomainError
-from .oracle import snake_subset_l, subset_index_b, subset_index_d
+from .oracle import _large_positions, snake_subset_l, subset_index_b, subset_index_d
 from .perm_core import negatives, pos_abs
-
-
-def _large_positions(word) -> tuple[int, int]:
-    n = len(word)
-    i, j = sorted((pos_abs(word, n), pos_abs(word, n - 1)))
-    return i - 1, j - 1  # 0-based
 
 
 def swap_far_pair(word) -> tuple[int, ...]:

@@ -42,17 +42,18 @@ the same way (see `_expand_subsets`).  Each range is seeked, not stepped:
 `_perm_blocks` unranks the range's start directly, so a worker walks only
 its own ranks.  Partial count arrays merge by integer addition, so the
 result is bitwise identical for any worker count.
-Successful full-group scans are cached per n, each with the answers
-already read from it, keyed by the public call: a repeated query is one
-dictionary read (`_stored`), and `clear_caches` drops a tally and its
-answers together.  It empties every store made by `new_cache`, `verify`'s
-check outcomes included, so a run after it walks and checks everything
-again.  The one result memo it keeps is `closed_forms._recurrence_table`,
-a pure-formula memo that each n also hits for n - 1 within a run.  The
-test suite keeps a pure-Python walk over perm_core's statistics as the
-reference for all three tallies and for every marginal, a direct numpy
-walk of B_n as a second reference for the subset tally, and a walk of S_n
-that counts the subset keys as a reference for `_subset_keys`.
+One store, `_TALLIES`, keeps each tally by (kind, n), kind "A", "B" or
+"subsets", beside the answers read from it, keyed by the public call.
+`_answer` alone scans a tally and sums a new answer; a repeated query is one
+dict read (`_stored`).  `clear_caches` empties every store made by
+`new_cache`, `verify`'s check outcomes included, so a run after it walks and
+checks everything again.  The one result memo it keeps is
+`closed_forms._recurrence_table`, a pure-formula memo that each n also hits
+for n - 1 within a run.  The test suite keeps a pure-Python walk over
+perm_core's statistics as the reference for all three tallies and for every
+marginal, a direct numpy walk of B_n as a second reference for the subset
+tally, and a walk of S_n that counts the subset keys as a reference for
+`_subset_keys`.
 """
 
 from __future__ import annotations
@@ -73,8 +74,6 @@ from .perm_core import (
     SNAKE_FAMILIES,
     _check_n,
     check_integer,
-    classify_end_b,
-    delete_abs,
     inv_b,
     inv_d,
     negatives,
@@ -102,10 +101,8 @@ def new_cache() -> dict:
     return store
 
 
-# n -> (count array, answers already read from it); see _cached
-_JOINT_A_CACHE: dict[int, tuple[np.ndarray, dict]] = new_cache()
-_JOINT_B_CACHE: dict[int, tuple[np.ndarray, dict]] = new_cache()
-_SUBSET_CACHE: dict[int, tuple[np.ndarray, dict]] = new_cache()
+# (kind, n) -> (count array, answers already read from it); see _answer
+_TALLIES: dict[tuple[str, int], tuple[np.ndarray, dict]] = new_cache()
 
 
 def clear_caches() -> None:
@@ -426,46 +423,20 @@ def scan_joint_b(n: int, workers: int | None = 1) -> np.ndarray:
     return sum(_run_split(lambda a, b: _scan_b_numpy(n, a, b), factorial(n) << n, workers, _B_BLOCK))
 
 
-def _cached(cache: dict, n: int, scan, workers: int | None) -> tuple[np.ndarray, dict]:
-    """The (tally, answers) entry of `cache` for n, scanned on a miss.
-
-    The answers dict holds what public calls already read from the tally,
-    keyed by the call (see _stored); it lives and is dropped with its tally.  A hit
-    still refuses what a scan would: an n that is not an integer (3.0 or
-    True would read n = 3's entry) and an explicit bad worker count; None is
-    not resolved there, since that reads the environment.  A hit reads the
-    cache without the lock: a dict lookup is atomic under the GIL, and an
-    entry is stored whole.
-    """
-    if type(n) is not int:
-        check_integer(n)
-    hit = cache.get(n)
-    if hit is not None:
-        if workers is not None:
-            resolve_workers(workers)
-        return hit
-    entry = scan(n, workers), {}
-    with _CACHE_LOCK:
-        cache[n] = entry
-    return entry
-
-
-def _stored(group: str, n, key: tuple, workers: int | None, subsets: bool = False):
+def _stored(kind: str, n, key: tuple, workers: int | None):
     """The answer kept under `key`, a public call's arguments but n and
-    workers, or None: then the call takes its full path, which checks the rest
-    and stores the answer (_memo).  Only the checks an answered call can still
-    fail run here: n an int within the group's cap, read now, and an explicit
-    worker count.  A BiPoly is copied, as its terms dict is mutable.  An
-    argument that cannot be hashed, or a group that == compares elementwise
-    (a numpy array), also takes the full path, which refuses it.
-    """
+    workers, or None, which sends the call down its full path (_answer).
+    kind is "A", "subsets", or a group as the caller got it (the B tally).
+    Only the checks an answered call can still fail run here: n an int within
+    the cap, read now, and an explicit worker count.  An unhashable argument
+    or an array group (its == is elementwise) also takes the full path."""
     if type(n) is not int:
         return None
     try:
-        type_a = group == "A"
+        type_a = kind == "A"
         if n > (perm_core.CAP_A if type_a else perm_core.CAP_B):
             return None
-        hit = (_SUBSET_CACHE if subsets else _JOINT_A_CACHE if type_a else _JOINT_B_CACHE)[n][1].get(key)
+        hit = _TALLIES["A" if type_a else "subsets" if kind == "subsets" else "B", n][1].get(key)
     except (KeyError, TypeError, ValueError):  # no tally yet, an unhashable argument, or an array group
         return None
     if hit is not None and workers is not None:
@@ -473,25 +444,27 @@ def _stored(group: str, n, key: tuple, workers: int | None, subsets: bool = Fals
     return hit.copy() if type(hit) is BiPoly else hit
 
 
-def _memo(entry: tuple[np.ndarray, dict], key: tuple, marginal):
-    """marginal(tally) for a (tally, answers) entry, stored under `key`, the
-    canonical form of an accepted call (see _stored).  Threads that ask for
-    one key at once may each compute it; they store equal values."""
+def _answer(kind: str, n: int, key: tuple, workers: int | None, marginal):
+    """marginal(tally) of the kind's tally at a checked n, stored under `key`,
+    an accepted call's canonical form.  A missing tally is scanned and stored
+    whole; the kind's scan is looked up on each fill, so one patched by name
+    runs.  A hit reads the store without the lock (a dict lookup is atomic
+    under the GIL) and still refuses an explicit bad worker count.  Threads
+    that ask for one new key at once store equal values.  A BiPoly is copied,
+    as its terms dict is mutable."""
+    entry = _TALLIES.get((kind, n))
+    if entry is None:
+        scan = {"A": scan_joint_a, "B": scan_joint_b, "subsets": scan_subsets}[kind]
+        entry = scan(n, workers), {}
+        with _CACHE_LOCK:
+            _TALLIES[kind, n] = entry
+    elif workers is not None:
+        resolve_workers(workers)
     tally, answers = entry
     hit = answers.get(key)
     if hit is None:
         hit = answers[key] = marginal(tally)
     return hit.copy() if type(hit) is BiPoly else hit
-
-
-def joint_a(n: int, workers: int | None = None) -> tuple[np.ndarray, dict]:
-    """The cached (tally, answers) entry of S_n."""
-    return _cached(_JOINT_A_CACHE, n, scan_joint_a, workers)
-
-
-def joint_b(n: int, workers: int | None = None) -> tuple[np.ndarray, dict]:
-    """The cached (tally, answers) entry of B_n."""
-    return _cached(_JOINT_B_CACHE, n, scan_joint_b, workers)
 
 
 # =====================================================================
@@ -638,10 +611,10 @@ def dist_runs(req: SignedDistributionRequest, variable: str = "t", workers: int 
     biv = variable == "pq"
     if req.group == "A":
         first, last = req.end_restriction or (None, None)
-        return _memo(joint_a(req.n, workers), key, lambda counts: _sum_a(
+        return _answer("A", req.n, key, workers, lambda counts: _sum_a(
             counts, req.n, biv=biv, signed=req.sign_statistic == "inv_a", first=first, last=last))
     signed = req.sign_statistic if req.sign_statistic != "none" else None
-    return _memo(joint_b(req.n, workers), key, lambda counts: _sum_b(counts, req.n, biv=biv, group=req.group,
+    return _answer("B", req.n, key, workers, lambda counts: _sum_b(counts, req.n, biv=biv, group=req.group,
                  signed=signed, end=req.end_restriction, first=req.first_letter_sign))
 
 
@@ -656,9 +629,9 @@ def dist_runs_parity_split(group: str, n: int, workers: int | None = None) -> tu
     group = normalize_group(group)
     _check_n(group, n)
     if group == "A":
-        return _memo(joint_a(n, workers), ("parity", group), lambda counts: tuple(
+        return _answer("A", n, ("parity", group), workers, lambda counts: tuple(
             _sum_a(counts, n, biv=False, parity=half) for half in ("plus", "minus")))
-    return _memo(joint_b(n, workers), ("parity", group), lambda counts: tuple(
+    return _answer("B", n, ("parity", group), workers, lambda counts: tuple(
         _sum_b(counts, n, biv=False, group=group, parity=half) for half in ("plus", "minus")))
 
 
@@ -676,8 +649,8 @@ def class_poly_a(n: int, cls: str, signed: bool = True, workers: int | None = No
         raise DomainError(f"unknown class {cls!r}")
     if not isinstance(signed, (bool, np.bool_)):
         raise DomainError(f"signed must be a bool, got {signed!r}")
-    return _memo(joint_a(n, workers), ("class", cls, bool(signed)),
-                 lambda counts: _sum_a(counts, n, biv=True, signed=signed, first=cls[0], last=cls[1]))
+    return _answer("A", n, ("class", cls, bool(signed)), workers,
+                   lambda counts: _sum_a(counts, n, biv=True, signed=signed, first=cls[0], last=cls[1]))
 
 
 def count_alternating(group: str, n: int, parity: str = "all", workers: int | None = None) -> int:
@@ -690,9 +663,9 @@ def count_alternating(group: str, n: int, parity: str = "all", workers: int | No
         raise DomainError(f"unknown parity selector {parity!r}")
     selector = None if parity == "all" else parity
     if group == "A":
-        return _memo(joint_a(n, workers), ("alt", group, parity), lambda counts: _sum_a(
+        return _answer("A", n, ("alt", group, parity), workers, lambda counts: _sum_a(
             counts, n, biv=False, alternating=True, parity=selector).eval_int(1))
-    return _memo(joint_b(n, workers), ("alt", group, parity), lambda counts: _sum_b(
+    return _answer("B", n, ("alt", group, parity), workers, lambda counts: _sum_b(
         counts, n, biv=False, group=group, alternating=True, parity=selector).eval_int(1))
 
 
@@ -705,7 +678,7 @@ def count_snakes(family: str, n: int, workers: int | None = None) -> int:
     _check_n("B", n)
     group, parity = split_family(family)
     # a snake is an alternating word with a positive first letter
-    return _memo(joint_b(n, workers), ("snakes", family), lambda counts: _sum_b(counts, n, biv=False, group=group,
+    return _answer("B", n, ("snakes", family), workers, lambda counts: _sum_b(counts, n, biv=False, group=group,
                  first="positive", alternating=True, parity=None if parity == "all" else parity).eval_int(1))
 
 
@@ -746,6 +719,34 @@ def signed_uni(group: str, n: int, workers: int | None = None) -> UniPoly:
 # The eight / nine cancellation subsets and the T sets
 # =====================================================================
 
+def _large_positions(word) -> tuple[int, int]:
+    """The 0-based positions i < j of the letters of absolute value n and n-1
+    in a word of B_n, found in one pass; a word that lacks one is refused."""
+    letters = list(map(abs, word))
+    try:
+        i, j = letters.index(len(word)), letters.index(len(word) - 1)
+    except ValueError:
+        pos_abs(word, len(word)), pos_abs(word, len(word) - 1)  # the refusal names the missing letter
+        raise
+    return (i, j) if i < j else (j, i)
+
+
+def _staircase(word, i: int, j: int) -> int:
+    """snake_subset_l of a word whose large letters sit at positions i < j."""
+    return 1 if j - i > 1 else 2 if j < len(word) - 1 else 3 if (word[i] > 0) != (word[j] > 0) else 4
+
+
+def _subset_k(word, i: int, j: int) -> int:
+    """subset_index_b of a word of n >= 3 letters whose large letters sit at
+    positions i < j, by the rule of _expand_subsets: 2L - 1 when the deleted
+    word, behind the sentinel 0, keeps the end class, else 2L, with L = 4 the
+    other way round (8, 7)."""
+    rest = [0] + [x for p, x in enumerate(word) if p != i and p != j]
+    match = (rest[-2] < rest[-1]) == (word[-2] < word[-1])
+    l_idx = _staircase(word, i, j)
+    return 2 * l_idx - (match ^ (l_idx == 4))
+
+
 def subset_index_b(word) -> int:
     """Index 1..8 of the word's cancellation subset (within its end side).
 
@@ -754,27 +755,17 @@ def subset_index_b(word) -> int:
     end class of the two-letter-deleted word (sentinel rules apply).  Subsets
     {1,3,5,8} are those whose deleted word matches the word's own end class.
     """
-    n = len(word)
-    if n < 3:
+    if len(word) < 3:
         raise DomainError("cancellation subsets need n >= 3")
-    i, j = sorted((pos_abs(word, n), pos_abs(word, n - 1)))
-    match = classify_end_b(delete_abs(word, (n, n - 1))) == classify_end_b(word)
-    if j - i > 1:
-        return 1 if match else 2
-    if abs(word[-1]) < n - 1:
-        return 3 if match else 4
-    if (word[-2] > 0) != (word[-1] > 0):
-        return 5 if match else 6
-    return 8 if match else 7
+    return _subset_k(word, *_large_positions(word))
 
 
 def subset_index_d(word) -> int:
     """Index 1..9; 9 collects the words whose deleted word leaves D."""
-    n = len(word)
-    i, j = pos_abs(word, n), pos_abs(word, n - 1)
-    if (word[i - 1] < 0) != (word[j - 1] < 0):
+    i, j = _large_positions(word)
+    if (word[i] < 0) != (word[j] < 0):
         return 9
-    return subset_index_b(word)
+    return _subset_k(word, i, j) if len(word) >= 3 else subset_index_b(word)  # which refuses n < 3
 
 
 def _subset_side(n: int) -> int:
@@ -904,13 +895,8 @@ def scan_subsets(n: int, workers: int | None = 1) -> np.ndarray:
     return _expand_subsets(_subset_keys(n), n, workers)
 
 
-def _subset_scan(n: int, workers: int | None = None) -> tuple[np.ndarray, dict]:
-    """The cached (subset codes, answers) entry of B_n."""
-    return _cached(_SUBSET_CACHE, n, scan_subsets, workers)
-
-
 def _subset_cell(side: str, n: int, k: int, end: str, workers: int | None) -> BiPoly:
-    if type(k) is int and (hit := _stored("B", n, (side, k, end), workers, subsets=True)) is not None:
+    if type(k) is int and (hit := _stored("subsets", n, (side, k, end), workers)) is not None:
         return hit
     check_integer(k, "k")
     top = 8 if side == "B" else 9
@@ -927,7 +913,7 @@ def _subset_cell(side: str, n: int, k: int, end: str, workers: int | None) -> Bi
         pk, val = np.indices(cell.shape[:2]).reshape(2, -1)
         return _poly(pk, val, (cell[..., 0] - cell[..., 1]).reshape(-1), True)
 
-    return _memo(_subset_scan(n, workers), (side, k, end), signed_sum)
+    return _answer("subsets", n, (side, k, end), workers, signed_sum)
 
 
 def subset_contribution_b(n: int, k: int, end: str, workers: int | None = None) -> BiPoly:
@@ -981,17 +967,9 @@ def t_contribution(words, kind: str = "B") -> BiPoly:
 
 def snake_subset_l(word) -> int:
     """Index 1..4 in the snake partition (positions and signs of the top pair)."""
-    n = len(word)
-    if n < 2:
+    if len(word) < 2:
         raise DomainError("snake subsets need n >= 2")
-    i, j = sorted((pos_abs(word, n), pos_abs(word, n - 1)))
-    if j - i > 1:
-        return 1
-    if abs(word[-1]) < n - 1:
-        return 2
-    if (word[-2] > 0) != (word[-1] > 0):
-        return 3
-    return 4
+    return _staircase(word, *_large_positions(word))
 
 
 def snake_subset_contribution(n: int, k: int, parity: str = "all", workers: int | None = None) -> int:
@@ -999,7 +977,7 @@ def snake_subset_contribution(n: int, k: int, parity: str = "all", workers: int 
 
     A marginal of the subset tally; no scan runs once it is cached.
     """
-    if type(k) is int and (hit := _stored("B", n, ("L", k, parity), workers, subsets=True)) is not None:
+    if type(k) is int and (hit := _stored("subsets", n, ("L", k, parity), workers)) is not None:
         return hit
     _check_n("B", n)
     check_integer(k, "k")
@@ -1008,5 +986,5 @@ def snake_subset_contribution(n: int, k: int, parity: str = "all", workers: int 
     if not _one_of(parity, ("all", "plus", "minus")):
         raise DomainError(f"unknown parity selector {parity!r}")
     weight = {"all": (1, 1), "plus": (1, 0), "minus": (0, 1)}[parity]
-    return _memo(_subset_scan(n, workers), ("L", k, parity),
-                 lambda codes: int(_subset_parts(codes, n)[1][k] @ weight))
+    return _answer("subsets", n, ("L", k, parity), workers,
+                   lambda codes: int(_subset_parts(codes, n)[1][k] @ weight))

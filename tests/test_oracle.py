@@ -775,7 +775,9 @@ def test_snake_words_and_subsets():
 
 def test_snake_subsets_read_the_cached_tally(monkeypatch):
     n = 5
-    oracle._subset_scan(n)
+    oracle.clear_caches()
+    subset_contribution_b(n, 1, "a")
+    assert ("subsets", n) in oracle._TALLIES
 
     def no_scan(*_args):
         raise AssertionError("a scan started")
@@ -884,14 +886,35 @@ def test_a_repeated_query_does_not_read_the_tally(n):
     oracle.clear_caches()
     calls = _marginal_calls(n) + _subset_calls(n)
     first = [fn(*args) for fn, args in calls]
-    caches = oracle._JOINT_A_CACHE, oracle._JOINT_B_CACHE, oracle._SUBSET_CACHE
-    for cache in caches:
-        for counts, _ in cache.values():
-            counts[...] = 0
+    for counts, _ in oracle._TALLIES.values():
+        counts[...] = 0
     assert [fn(*args) for fn, args in calls] == first
     oracle.clear_caches()
-    assert not any(caches)
+    assert not oracle._TALLIES
     assert [fn(*args) for fn, args in calls] == first
+
+
+def test_a_cold_pass_scans_each_tally_once(monkeypatch):
+    """From cold, every marginal and subset call at one n runs each scan once,
+    through the one store, which then holds just those three tallies until
+    clear_caches."""
+    oracle.clear_caches()
+    scans = []
+
+    def counted(name, scan):
+        def run(*args):
+            scans.append(name)
+            return scan(*args)
+        return run
+
+    for name in ("scan_joint_a", "scan_joint_b", "scan_subsets"):
+        monkeypatch.setattr(oracle, name, counted(name, getattr(oracle, name)))
+    for fn, args in _marginal_calls(4) + _subset_calls(4):
+        fn(*args)
+    assert sorted(scans) == ["scan_joint_a", "scan_joint_b", "scan_subsets"]
+    assert set(oracle._TALLIES) == {("A", 4), ("B", 4), ("subsets", 4)}
+    oracle.clear_caches()
+    assert not oracle._TALLIES
 
 
 def test_concurrent_queries_agree_with_serial_ones():
@@ -929,10 +952,6 @@ def _refusal(fn, args, changes=()):
         bound.arguments.update(changes)
         fn(*bound.args, **bound.kwargs)
     return str(info.value)
-
-
-def _caches():
-    return oracle._JOINT_A_CACHE, oracle._JOINT_B_CACHE, oracle._SUBSET_CACHE
 
 
 # (parameter, size of the calls that fill the caches, bad value, start of the refusal)
@@ -977,7 +996,7 @@ def test_a_refusal_is_the_same_cold_and_warm(name, n, bad, message):
     calls = [(fn, args) for fn, args in _marginal_calls(n) + _subset_calls(n) if _takes(fn, name)]
     oracle.clear_caches()
     cold = [_refusal(fn, args, {name: bad}) for fn, args in calls]
-    assert calls and not any(_caches())
+    assert calls and not oracle._TALLIES
     assert all(got.startswith(message) for got in cold)
     for fn, args in calls:
         fn(*args)
@@ -992,7 +1011,7 @@ def test_a_cap_lowered_after_the_fill_is_refused_warm(monkeypatch):
     oracle.clear_caches()
     set_enumeration_caps(3, 3)
     cold = [_refusal(fn, args) for fn, args in calls]
-    assert not any(_caches())
+    assert not oracle._TALLIES
     assert all(got.startswith("n=4 outside enumeration range 1..3") for got in cold)
     set_enumeration_caps(*caps)
     for fn, args in calls:
@@ -1010,7 +1029,7 @@ def test_a_warm_call_only_reads_its_answer(monkeypatch):
     oracle.clear_caches()
     first = [fn(*args) for fn, args in calls]
     guarded = [(oracle, "_marginal"), (oracle, "_poly"), (oracle, "normalize_group"), (oracle, "_check_n"),
-               (oracle, "check_integer"), (oracle, "_cached"), (UniPoly, "eval_int")]
+               (oracle, "check_integer"), (oracle, "_answer"), (UniPoly, "eval_int")]
     reached, warm = set(), [True]
 
     def spy(name, fn):

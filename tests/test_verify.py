@@ -9,7 +9,14 @@ import pytest
 from weylruns import closed_forms as cf
 from weylruns import oracle, perm_core, verify
 from weylruns.errors import DomainError
-from weylruns.oracle import SignedDistributionRequest, class_poly_a, count_snakes, dist_runs
+from weylruns.oracle import (
+    SignedDistributionRequest,
+    class_poly_a,
+    count_alternating,
+    count_snakes,
+    dist_runs,
+    subset_contribution_b,
+)
 from weylruns.poly import BiPoly, UniPoly
 from weylruns.series import ALT_FAMILIES, egf_alt, egf_snakes
 from weylruns.verify import (
@@ -269,8 +276,10 @@ _N_CALLS = {
     "alt_count": (lambda n: alt_count("B", n), (0, 3)),
     "snake_count": (lambda n: snake_count("B", n), (0, 3)),
     "class_poly_a": (lambda n: class_poly_a(n, "aa"), (3,)),
-    "joint_a": (oracle.joint_a, (3,)),
-    "joint_b": (oracle.joint_b, (3,)),
+    # the A and B tallies, each read through a public count
+    "joint_a": (lambda n: count_alternating("A", n), (3,)),
+    "joint_b": (lambda n: count_alternating("B", n), (3,)),
+    "subset_contribution_b": (lambda n: subset_contribution_b(n, 1, "a"), (3,)),
 }
 
 
