@@ -4,18 +4,21 @@ Everything here is obtained by walking a whole group and tallying exact
 integer statistics; closed-form evaluators never feed back into this module,
 so oracle-vs-formula comparisons stay two independent routes.
 
-There are two walks: `_perm_blocks` yields S_n, and `_signed_blocks` yields
-B_n from it, each in the contract order as int8 blocks.  Vectorized kernels
-count them through int64 bincounts and np.add.at (counting only, no floating
-point).  A word's peaks, valleys, end classes and alternation depend only on
-its ascent code: its adjacent-pair ascent bits, behind a 0 sentinel for
-signed words, packed into an integer, with a cached table per code length
-(`_code_table`).  Inversion parity is never counted pair by pair.  It is
-read per rank of S_n, from a cached parity per suffix-table row xored with
-one constant per prefix, and for B_n it is taken once per permutation of
-absolute values and broadcast over the 2^n sign masks (inv_D = inv(|w|),
-inv_B = inv(|w|) + neg (mod 2)).  So each tally is an int64 count array
-over codes and parity bits, cached as it is, with no decode step:
+Every walk seeks S_n ranks through one block generator, `_perm_blocks`,
+which yields the words of a rank range in lexicographic order as int8
+blocks.  The B walk crosses each block with the 2^n sign masks
+(`_cross_signs`), so no code addresses a B_n word by its own index.
+Vectorized kernels count the words through int64 bincounts and np.add.at
+(counting only, no floating point).  A word's peaks, valleys, end classes
+and alternation depend only on its ascent code: its adjacent-pair ascent
+bits, behind a 0 sentinel for signed words, packed into an integer, with a
+cached table per code length (`_code_table`).  Inversion parity is never
+counted pair by pair.  It is read per rank of S_n, from a cached parity per
+suffix-table row xored with one constant per prefix, and for B_n it is
+taken once per permutation of absolute values and broadcast over the 2^n
+sign masks (inv_D = inv(|w|), inv_B = inv(|w|) + neg (mod 2)).  So each
+tally is an int64 count array over codes and parity bits, cached as it is,
+with no decode step:
 
 * the A tally counts[c, inv mod 2] over S_n, c the unsigned code;
 * the B tally counts[c, inv(|w|) mod 2, neg mod 2] over B_n, c the signed code;
@@ -34,14 +37,14 @@ over codes and parity bits, cached as it is, with no decode step:
 Every distribution is a marginal of one of them: code filters are columns of
 `_code_table`, parity filters and signs a weight over the parity axes.
 
-Work is split over contiguous lexicographic rank ranges of the underlying
-permutation index space, none shorter than a minimum part (5040 ranks of
-S_n for the A tally, 2^17 words of B_n for the B tally), so small scans
-start no thread pool; the subset tally's mask crossing splits its keys in
-the same way (see `_expand_subsets`).  Each range is seeked, not stepped:
-`_perm_blocks` unranks the range's start directly, so a worker walks only
-its own ranks.  Partial count arrays merge by integer addition, so the
-result is bitwise identical for any worker count.
+Work is split over contiguous lexicographic rank ranges of S_n, none
+shorter than a minimum part (5040 ranks for the A tally, and for the B
+tally max(1, 2^17 >> n) ranks, whose sign crossings hold 2^17 words), so
+small scans start no thread pool; the subset tally's mask crossing splits
+its keys in the same way (see `_expand_subsets`).  Each range is seeked,
+not stepped: `_perm_blocks` unranks the range's start directly, so a
+worker walks only its own ranks.  Partial count arrays merge by integer
+addition, so the result is bitwise identical for any worker count.
 One store, `_TALLIES`, keeps each tally by (kind, n), kind "A", "B" or
 "subsets", beside the answers read from it, keyed by the public call.
 `_answer` alone scans a tally and sums a new answer; a repeated query is one
@@ -49,7 +52,9 @@ dict read (`_stored`).  `clear_caches` empties every store made by
 `new_cache`, `verify`'s check outcomes included, so a run after it walks and
 checks everything again.  The one result memo it keeps is
 `closed_forms._recurrence_table`, a pure-formula memo that each n also hits
-for n - 1 within a run.  The test suite keeps a pure-Python walk over
+for n - 1 within a run; it also keeps the `functools.cache` tables
+(`_suffix_table`, `_code_table`, `_sign_lanes`), which depend on n alone
+and hold no result.  The test suite keeps a pure-Python walk over
 perm_core's statistics as the reference for all three tallies and for every
 marginal, a direct numpy walk of B_n as a second reference for the subset
 tally, and a walk of S_n that counts the subset keys as a reference for
@@ -58,6 +63,7 @@ tally, and a walk of S_n that counts the subset keys as a reference for
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import os
@@ -166,7 +172,6 @@ def _run_split(fn, total: int, workers: int | None, block: int):
 # table, m = min(n, _SUFFIX_LETTERS).  At 7 the table is 35 KB and each
 # prefix unrank is spread over 5040 rows.
 _SUFFIX_LETTERS = 7
-_SUFFIX_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _digit_parity(p, radices):
@@ -184,14 +189,12 @@ def _digit_parity(p, radices):
     return total & 1
 
 
+@functools.cache
 def _suffix_table(m: int) -> tuple[np.ndarray, np.ndarray]:
     """The (m!, m) lexicographic table of S_m on the letters 0..m-1, as int8,
     and the inversion parity of each row, as uint8."""
-    if m not in _SUFFIX_TABLES:
-        table = np.array(list(itertools.permutations(range(m))), dtype=np.int8)
-        parity = _digit_parity(np.arange(len(table)), range(1, m + 1)).astype(np.uint8)
-        _SUFFIX_TABLES[m] = table, parity
-    return _SUFFIX_TABLES[m]
+    table = np.array(list(itertools.permutations(range(m))), dtype=np.int8)
+    return table, _digit_parity(np.arange(len(table)), range(1, m + 1)).astype(np.uint8)
 
 
 def _unrank_prefix(n: int, k: int, p: int) -> tuple[list[int], np.ndarray]:
@@ -259,12 +262,10 @@ def _perm_blocks(n: int, lo: int, hi: int, chunk: int):
 # permutation of absolute values, inv_D(w) = inv(|w|) and inv_B(w) =
 # inv(|w|) + neg(w) (mod 2) (Bjorner-Brenti, Combinatorics of Coxeter
 # Groups, Prop. 8.1.1 and 8.2.1), so one parity per permutation is broadcast
-# over its 2^n sign masks (_by_sign_parity, _parity_table).
+# over its 2^n sign masks (_parity_table).
 # =====================================================================
 
-_CODE_TABLES: dict[tuple[int, bool], tuple[np.ndarray, ...]] = {}
-
-
+@functools.cache
 def _code_table(n: int, signed: bool) -> tuple[np.ndarray, ...]:
     """(pk, val, first, last, alt) of an n-letter word, indexed by its ascent code.
 
@@ -275,17 +276,14 @@ def _code_table(n: int, signed: bool) -> tuple[np.ndarray, ...]:
     for the one-letter S_1 word); alt is 1 when the word's own pairs fall,
     rise, fall, ...
     """
-    key = (n, signed)
-    if key not in _CODE_TABLES:
-        nbits = n if signed else n - 1
-        bits = (np.arange(1 << nbits)[:, None] >> np.arange(nbits)) & 1
-        pk = (bits[:, :-1] > bits[:, 1:]).sum(1)
-        val = (bits[:, :-1] < bits[:, 1:]).sum(1)
-        first, last = (bits[:, 0], bits[:, -1]) if nbits else (np.ones(1, dtype=np.int64),) * 2
-        own = bits[:, 1:] if signed else bits
-        alt = (own == np.arange(own.shape[1]) % 2).all(1).astype(np.int64)
-        _CODE_TABLES[key] = pk, val, first, last, alt
-    return _CODE_TABLES[key]
+    nbits = n if signed else n - 1
+    bits = (np.arange(1 << nbits)[:, None] >> np.arange(nbits)) & 1
+    pk = (bits[:, :-1] > bits[:, 1:]).sum(1)
+    val = (bits[:, :-1] < bits[:, 1:]).sum(1)
+    first, last = (bits[:, 0], bits[:, -1]) if nbits else (np.ones(1, dtype=np.int64),) * 2
+    own = bits[:, 1:] if signed else bits
+    alt = (own == np.arange(own.shape[1]) % 2).all(1).astype(np.int64)
+    return pk, val, first, last, alt
 
 
 def _ascent_codes(words: np.ndarray, signed: bool) -> np.ndarray:
@@ -326,9 +324,7 @@ def _scan_a_numpy(n: int, lo: int, hi: int) -> np.ndarray:
     return acc.reshape(-1, 2)
 
 
-_SIGN_LANES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _sign_lanes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Per sign mask, the 8-byte lanes that negate its letters in a packed word.
 
@@ -336,55 +332,38 @@ def _sign_lanes(n: int) -> tuple[np.ndarray, np.ndarray]:
     its byte as (x ^ 0xFF) + 1, which never carries into the next byte, so
     one xor and one add per lane negate every masked letter at once.
     """
-    if n not in _SIGN_LANES:
-        flip = np.zeros((1 << n, -(-n // 8) * 8), dtype=np.uint8)
-        flip[:, :n] = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1) * 0xFF
-        _SIGN_LANES[n] = flip.view(np.uint64), (flip & 1).view(np.uint64)
-    return _SIGN_LANES[n]
+    flip = np.zeros((1 << n, -(-n // 8) * 8), dtype=np.uint8)
+    flip[:, :n] = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1) * 0xFF
+    return flip.view(np.uint64), (flip & 1).view(np.uint64)
+
+
+def _cross_signs(words: np.ndarray) -> np.ndarray:
+    """The (M * 2^n, n) int8 block of signed words over an (M, n) block of
+    S_n: each permutation with its sign masks 0 .. 2^n - 1 in turn, which is
+    the contract order of B_n.  Each permutation is packed into 8-byte lanes
+    and crossed with all its masks at once (see _sign_lanes)."""
+    n = words.shape[1]
+    flip, one = _sign_lanes(n)
+    nmasks, nlanes = flip.shape
+    packed = np.zeros((len(words), nlanes * 8), dtype=np.int8)
+    packed[:, :n] = words
+    lanes = packed.view(np.uint64)
+    full = np.empty((len(words), nmasks, nlanes), dtype=np.uint64)
+    for i in range(nlanes):
+        np.bitwise_xor(lanes[:, None, i], flip[None, :, i], out=full[:, :, i])
+        full[:, :, i] += one[None, :, i]
+    return full.reshape(-1, nlanes).view(np.int8)[:, :n]
 
 
 # Block sizes, in words.  Each block costs the same few dozen numpy calls,
 # and every call hands the GIL between workers, so the joint B kernel reads
-# big blocks.  No part of a split of B_n is smaller than _B_BLOCK words.
-# The S_n kernel's block is smaller again, to keep its peak memory within a
-# few MB.
+# big blocks: max(1, _JOINT_B_BLOCK >> n) permutations, crossed with their
+# 2^n sign masks.  No part of a split of B_n is smaller than _B_BLOCK words,
+# max(1, _B_BLOCK >> n) permutations.  The S_n kernel's block is smaller
+# again, to keep its peak memory within a few MB.
 _JOINT_B_BLOCK = 1 << 19
 _B_BLOCK = 1 << 17
 _A_BLOCK = 1 << 16
-
-
-def _signed_blocks(n: int, lo: int, hi: int, block: int):
-    """(M, n) int8 blocks of signed words covering ambient indices [lo, hi),
-    each from max(1, block >> n) permutations.
-
-    Each permutation is packed into 8-byte lanes and crossed with all its
-    sign masks at once (see _sign_lanes).
-    """
-    flip, one = _sign_lanes(n)
-    nmasks, nlanes = flip.shape
-    rank_lo, rank_hi = lo >> n, (hi + nmasks - 1) >> n
-    for words in _perm_blocks(n, rank_lo, rank_hi, max(1, block >> n)):
-        packed = np.zeros((len(words), nlanes * 8), dtype=np.int8)
-        packed[:, :n] = words
-        lanes = packed.view(np.uint64)
-        full = np.empty((len(words), nmasks, nlanes), dtype=np.uint64)
-        for i in range(nlanes):
-            np.bitwise_xor(lanes[:, None, i], flip[None, :, i], out=full[:, :, i])
-            full[:, :, i] += one[None, :, i]
-        full = full.reshape(-1, nlanes).view(np.int8)[:, :n]
-        base = rank_lo << n
-        s, e = max(lo - base, 0), min(hi - base, full.shape[0])
-        yield full[s:e]
-        rank_lo += words.shape[0]
-        lo = rank_lo << n
-
-
-def _by_sign_parity(n: int, lo: int, rows: int, table: np.ndarray) -> np.ndarray:
-    """table[inv(|w|) mod 2, sign mask of w] for the B_n words w of ambient
-    indices [lo, lo + rows): one parity per permutation, read by _inv_parity."""
-    rank, skip = lo >> n, lo & ((1 << n) - 1)
-    perms = (skip + rows + (1 << n) - 1) >> n
-    return table[_inv_parity(n, rank, perms)].reshape(-1)[skip:skip + rows]
 
 
 def _parity_table(n: int) -> np.ndarray:
@@ -395,14 +374,17 @@ def _parity_table(n: int) -> np.ndarray:
 
 
 def _scan_b_numpy(n: int, lo: int, hi: int) -> np.ndarray:
-    """The B tally counts[c, inv(|w|) mod 2, neg mod 2] of the B_n ambient
-    indices [lo, hi)."""
+    """The B tally counts[c, inv(|w|) mod 2, neg mod 2] of the B_n words whose
+    |w| has an S_n rank in [lo, hi)."""
     parities = _parity_table(n)
     acc = np.zeros(4 << n, dtype=np.int64)
-    for w in _signed_blocks(n, lo, hi, _JOINT_B_BLOCK):
-        rows = w.shape[0]
-        key = np.left_shift(_ascent_codes(w, signed=True), 2, dtype=np.int16)
-        key |= _by_sign_parity(n, lo, rows, parities)
+    for perms in _perm_blocks(n, lo, hi, max(1, _JOINT_B_BLOCK >> n)):
+        rows = perms.shape[0]
+        # `words` stays bound until the next crossing replaces it: freeing
+        # each crossed block inside the loop made B_8 fills 15-25 % slower
+        words = _cross_signs(perms)
+        key = np.left_shift(_ascent_codes(words, signed=True), 2, dtype=np.int16)
+        key |= parities[_inv_parity(n, lo, rows)].reshape(-1)
         acc += np.bincount(key, minlength=acc.size)
         lo += rows
     return acc.reshape(-1, 2, 2)
@@ -418,9 +400,10 @@ def scan_joint_a(n: int, workers: int | None = 1) -> np.ndarray:
 
 def scan_joint_b(n: int, workers: int | None = 1) -> np.ndarray:
     """Uncached B tally counts[c, inv(|w|) mod 2, neg mod 2] over B_n, split
-    in parts of at least _B_BLOCK words."""
+    over the S_n ranks of |w| in parts of at least _B_BLOCK words."""
     _check_n("B", n)
-    return sum(_run_split(lambda a, b: _scan_b_numpy(n, a, b), factorial(n) << n, workers, _B_BLOCK))
+    block = max(1, _B_BLOCK >> n)
+    return sum(_run_split(lambda a, b: _scan_b_numpy(n, a, b), factorial(n), workers, block))
 
 
 def _stored(kind: str, n, key: tuple, workers: int | None):
@@ -762,10 +745,10 @@ def subset_index_b(word) -> int:
 
 def subset_index_d(word) -> int:
     """Index 1..9; 9 collects the words whose deleted word leaves D."""
+    if len(word) < 3:
+        raise DomainError("cancellation subsets need n >= 3")
     i, j = _large_positions(word)
-    if (word[i] < 0) != (word[j] < 0):
-        return 9
-    return _subset_k(word, i, j) if len(word) >= 3 else subset_index_b(word)  # which refuses n < 3
+    return 9 if (word[i] < 0) != (word[j] < 0) else _subset_k(word, i, j)
 
 
 def _subset_side(n: int) -> int:
@@ -841,7 +824,7 @@ def _expand_subsets(hist: np.ndarray, n: int, workers: int | None) -> np.ndarray
     least one chunk; the parts' code arrays are summed.
     """
     base, side = n + 1, _subset_side(n)
-    pk, val, first, last, alt = _code_table(n, signed=True)
+    pk, val, first, last, alt = _code_table(n, True)
     cells = (last * base + pk) * base + val  # the code's (end, pk, val) cell
     snakes = (first & alt).astype(bool)
     masks = np.arange(1 << n)

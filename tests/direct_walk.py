@@ -8,9 +8,10 @@ are crossed with every sign mask.  Two walks check that route:
   letters, so it checks the crossing from S_(n-2);
 * `subsets` visits every signed word of B_n and locates the letters n-1
   and n with argsorts, so it checks the whole tally.  It shares with the
-  oracle only the block generators, `_ascent_codes`, the code tables and
-  the inversion parities, and returns the same code array as
-  `oracle._expand_subsets`, so the two compare exactly.
+  oracle only the block generator and its sign crossing (`signed_blocks`),
+  `_ascent_codes`, the code tables and the inversion parities, and returns
+  the same code array as `oracle._expand_subsets`, so the two compare
+  exactly.
 """
 
 from math import factorial
@@ -41,19 +42,26 @@ def subset_keys(n: int) -> np.ndarray:
     return acc.reshape(-1, 2)
 
 
-def subset_codes(n: int, lo: int, hi: int) -> np.ndarray:
-    """Subset codes (see `oracle._expand_subsets`) of B_n over ambient indices [lo, hi)."""
+def signed_blocks(n: int, lo: int, hi: int):
+    """Yield (words, bits) per block: the B_n words whose |w| has an S_n rank
+    in [lo, hi), in contract order, and 2 * (inv(|w|) mod 2) + (neg mod 2) of
+    each, one parity per permutation as the B kernel reads it."""
+    parities = oracle._parity_table(n)
+    for perms in oracle._perm_blocks(n, lo, hi, max(1, (1 << 17) >> n)):
+        yield oracle._cross_signs(perms), parities[oracle._inv_parity(n, lo, len(perms))].reshape(-1)
+        lo += len(perms)
+
+
+def subsets(n: int) -> np.ndarray:
+    """The subset codes of B_n (n >= 2), as `oracle.scan_subsets` returns them."""
     base, side = n + 1, oracle._subset_side(n)
-    pk, val, first, last, alt = oracle._code_table(n, signed=True)
+    pk, val, first, last, alt = oracle._code_table(n, True)
     cells = (last * base + pk) * base + val
     snakes = (first & alt).astype(bool)
-    parities = oracle._parity_table(n)
     acc = np.zeros(2 * side + 10, dtype=np.int64)
-    for w in oracle._signed_blocks(n, lo, hi, 1 << 17):
+    for w, parity in signed_blocks(n, 0, factorial(n)):
         m = w.shape[0]
         asc = oracle._ascent_codes(w, signed=True)
-        parity = oracle._by_sign_parity(n, lo, m, parities)
-        lo += m
         invd2, neg2 = parity >> 1, parity & 1
         in_d = neg2 == 0
         absw = np.abs(w)
@@ -79,7 +87,3 @@ def subset_codes(n: int, lo: int, hi: int) -> np.ndarray:
         acc += np.bincount(np.concatenate(codes), minlength=acc.size)
     return acc
 
-
-def subsets(n: int) -> np.ndarray:
-    """The subset codes of B_n (n >= 2), as `oracle.scan_subsets` returns them."""
-    return subset_codes(n, 0, factorial(n) << n)

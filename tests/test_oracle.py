@@ -297,12 +297,20 @@ def test_scan_subsets_matches_reference(n, workers):
     assert np.array_equal(scan_subsets(n, workers), reference.subsets(n))
 
 
+def _signed_words(n: int, lo: int, hi: int) -> np.ndarray:
+    """The B_n words whose |w| has an S_n rank in [lo, hi), in contract order."""
+    blocks = [words for words, _ in direct_walk.signed_blocks(n, lo, hi)]
+    return np.concatenate(blocks) if blocks else np.empty((0, n), dtype=np.int8)
+
+
 def test_snake_words_match_reference():
     """The snake codes of the signed code table, which the snake counts and
-    the subset tally read, pick out exactly the snakes of B_1..B_5, in order."""
+    the subset tally read, pick out exactly the snakes of B_1..B_5, in order,
+    whichever S_n rank the sign crossing is cut at."""
     for n in range(1, 6):
-        _, _, first, _, alt = oracle._code_table(n, signed=True)
-        words = np.concatenate(list(oracle._signed_blocks(n, 0, factorial(n) << n, 1 << 17)))
+        _, _, first, _, alt = oracle._code_table(n, True)
+        cut = factorial(n) // 3
+        words = np.concatenate([_signed_words(n, 0, cut), _signed_words(n, cut, factorial(n))])
         snakes = words[(first & alt).astype(bool)[oracle._ascent_codes(words, signed=True)]]
         assert list(map(tuple, snakes.tolist())) == reference.snake_words(n)
 
@@ -322,15 +330,18 @@ def test_snake_subset_contribution_matches_brute_force(n, k, parity, workers):
 
 @pytest.mark.parametrize("group,n", [("A", 4), ("A", 8), ("B", 3), ("D", 3)])
 def test_block_slices_cover(group, n):
-    """Blocks over contiguous ambient index ranges concatenate to the group.
+    """Blocks over contiguous S_n rank ranges concatenate to the group; for
+    B and D each block of permutations is crossed with its sign masks.
 
     At A n = 8 the inner cuts fall inside blocks of one unranked prefix.
     """
-    total = factorial(n) if group == "A" else factorial(n) << n
+    total = factorial(n)
     cuts = [0, total // 3 + 1, 2 * total // 3 - 1, total]
     pieces = []
     for lo, hi in zip(cuts, cuts[1:]):
-        blocks = oracle._perm_blocks(n, lo, hi, 5) if group == "A" else oracle._signed_blocks(n, lo, hi, 5)
+        blocks = oracle._perm_blocks(n, lo, hi, 5)
+        if group != "A":
+            blocks = map(oracle._cross_signs, blocks)
         pieces.extend(tuple(w) for block in blocks for w in block.tolist())
     if group == "D":
         pieces = [w for w in pieces if negatives(w) % 2 == 0]
@@ -369,9 +380,8 @@ def _pairwise_parities(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (inv_d2 + (words < 0).sum(1)) & 1, inv_d2
 
 
-def _factorized_parities(n: int, lo: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """(inv_B mod 2, inv_D mod 2) of the B_n words at [lo, lo + rows), as the kernel reads them."""
-    bits = oracle._by_sign_parity(n, lo, rows, oracle._parity_table(n))
+def _factorized_parities(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(inv_B mod 2, inv_D mod 2) from the kernel's bits 2 * inv(|w|) + neg (mod 2)."""
     inv2, neg2 = bits >> 1, bits & 1
     return inv2 ^ neg2, inv2
 
@@ -379,30 +389,33 @@ def _factorized_parities(n: int, lo: int, rows: int) -> tuple[np.ndarray, np.nda
 @pytest.mark.parametrize("n", range(1, 8))
 def test_factorized_parities_match_pairwise_counts(n):
     """inv_D = inv(|w|) and inv_B = inv(|w|) + neg (mod 2) on all of B_n."""
-    lo = 0
-    for words in oracle._signed_blocks(n, 0, factorial(n) << n, 1 << 17):
-        got = _factorized_parities(n, lo, words.shape[0])
+    seen = 0
+    for words, bits in direct_walk.signed_blocks(n, 0, factorial(n)):
+        got = _factorized_parities(bits)
         want = _pairwise_parities(words)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        lo += words.shape[0]
-    assert lo == factorial(n) << n
+        seen += words.shape[0]
+    assert seen == factorial(n) << n
 
 
 def test_factorized_parities_match_perm_core():
     for n in range(1, 5):
         words = list(iter_group("B", n))
-        invb2, invd2 = _factorized_parities(n, 0, len(words))
+        invb2, invd2 = _factorized_parities(np.concatenate(
+            [bits for _, bits in direct_walk.signed_blocks(n, 0, factorial(n))]))
         assert invb2.tolist() == [inv_b(w) & 1 for w in words]
         assert invd2.tolist() == [inv_d(w) & 1 for w in words]
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(1, 6), ends=st.lists(st.integers(0, factorial(6) << 6), min_size=2, max_size=2))
+@given(n=st.integers(1, 6), ends=st.lists(st.integers(0, factorial(6)), min_size=2, max_size=2))
 def test_factorized_parities_over_any_range(n, ends):
-    lo, hi = sorted(e % ((factorial(n) << n) + 1) for e in ends)
-    words = list(oracle._signed_blocks(n, lo, hi, 1 << 17))
-    words = np.concatenate(words) if words else np.empty((0, n), dtype=np.int8)
-    got, want = _factorized_parities(n, lo, hi - lo), _pairwise_parities(words)
+    """The parities hold over any S_n rank range: its prefix constants and
+    suffix-table rows are read from its first rank on."""
+    lo, hi = sorted(e % (factorial(n) + 1) for e in ends)
+    blocks = list(direct_walk.signed_blocks(n, lo, hi))
+    bits = np.concatenate([b for _, b in blocks]) if blocks else np.empty(0, dtype=np.uint8)
+    got, want = _factorized_parities(bits), _pairwise_parities(_signed_words(n, lo, hi))
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
@@ -467,7 +480,7 @@ def test_code_tables_match_perm_core(n, signed):
 
 KERNELS = {
     "A": (oracle._scan_a_numpy, 1, 8, lambda n: factorial(n)),
-    "B": (oracle._scan_b_numpy, 1, 5, lambda n: factorial(n) << n),
+    "B": (oracle._scan_b_numpy, 1, 5, lambda n: factorial(n)),
 }
 
 
@@ -475,7 +488,7 @@ KERNELS = {
 @given(kind=st.sampled_from(sorted(KERNELS)), n=st.integers(1, 8),
        cuts=st.lists(st.integers(0, factorial(8)), max_size=6))
 @example(kind="A", n=8, cuts=[13441, 26879])
-@example(kind="B", n=5, cuts=[1, 1000, 2049])
+@example(kind="B", n=5, cuts=[1, 31, 64])
 def test_partials_over_any_cuts_sum_to_the_whole(kind, n, cuts):
     kernel, n_min, n_max, size = KERNELS[kind]
     n = min(max(n, n_min), n_max)
@@ -491,6 +504,29 @@ def test_worker_count_does_not_change_tallies():
     assert np.array_equal(scan_joint_a(7, workers=1), scan_joint_a(7, workers=8))
     assert np.array_equal(scan_joint_b(5, workers=1), scan_joint_b(5, workers=8))
     assert np.array_equal(scan_subsets(5, workers=1), scan_subsets(5, workers=8))
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4, 5])
+def test_a_split_b_walk_counts_whole_permutations(monkeypatch, workers):
+    """The B_7 walk splits its 7! S_n ranks into min(workers, 4) parts of at
+    least 2^17 words; each part counts all 2^7 sign masks of each of its
+    permutations, and the parts sum to the one-worker tally."""
+    whole = scan_joint_b(7, 1)
+    kernel, parts = oracle._scan_b_numpy, []
+
+    def spy(n, lo, hi):
+        part = kernel(n, lo, hi)
+        parts.append((lo, hi, int(part.sum())))
+        return part
+
+    monkeypatch.setattr(oracle, "_scan_b_numpy", spy)
+    assert np.array_equal(scan_joint_b(7, workers), whole)
+    parts.sort()
+    assert len(parts) == min(workers, factorial(7) * 2**7 // oracle._B_BLOCK)
+    assert [lo for lo, _, _ in parts] == [0] + [hi for _, hi, _ in parts[:-1]]
+    assert parts[-1][1] == factorial(7)
+    for lo, hi, words in parts:
+        assert words == (hi - lo) << 7 and words >= oracle._B_BLOCK
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -547,9 +583,11 @@ def test_subset_tally_over_eight_parts_of_s8():
 
 def test_signed_codes_from_unsigned_codes_and_masks():
     """The signed ascent code of every word of B_1..B_6 is a function of the
-    ascent code of |w| and the sign mask."""
+    ascent code of |w| and the sign mask; the words are crossed from S_n
+    ranks cut inside the walk."""
     for n in range(1, 7):
-        words = np.concatenate(list(oracle._signed_blocks(n, 0, factorial(n) << n, 1 << 17)))
+        cut = factorial(n) // 2 + 1
+        words = np.concatenate([_signed_words(n, 0, cut), _signed_words(n, cut, factorial(n))])
         c = oracle._ascent_codes(np.abs(words), signed=False).astype(np.int64)
         m = ((words < 0) << np.arange(n)).sum(axis=1)
         assert np.array_equal(oracle._signed_code(c, m, n), oracle._ascent_codes(words, signed=True))
@@ -666,6 +704,9 @@ def test_subset_index_examples():
     assert subset_index_d((1, 2, 3, 4, 5)) == 8
     with pytest.raises(DomainError):
         subset_index_b((1, 2))
+    for word in ((1, -2), (1, 2), (1,)):  # a pair of unlike signs would read as subset 9
+        with pytest.raises(DomainError, match="cancellation subsets need n >= 3"):
+            subset_index_d(word)
     with pytest.raises(DomainError):
         subset_contribution_b(2, 1, "a")
 
