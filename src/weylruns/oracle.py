@@ -14,7 +14,7 @@ and alternation depend only on its ascent code: its adjacent-pair ascent
 bits, behind a 0 sentinel for signed words, packed into an integer, with a
 cached table per code length (`_code_table`).  Inversion parity is never
 counted pair by pair.  It is read per rank of S_n, from a cached parity per
-suffix-table row xored with one constant per prefix, and for B_n it is
+suffix-table word xored with one constant per prefix, and for B_n it is
 taken once per permutation of absolute values and broadcast over the 2^n
 sign masks (inv_D = inv(|w|), inv_B = inv(|w|) + neg (mod 2)).  So each
 tally is an int64 count array over codes and parity bits, cached as it is,
@@ -53,7 +53,7 @@ dict read (`_stored`).  `clear_caches` empties every store made by
 checks everything again.  The one result memo it keeps is
 `closed_forms._recurrence_table`, a pure-formula memo that each n also hits
 for n - 1 within a run; it also keeps the `functools.cache` tables
-(`_suffix_table`, `_code_table`, `_sign_lanes`), which depend on n alone
+(`_suffix_table`, `_code_table`, `_sign_table`), which depend on n alone
 and hold no result.  The test suite keeps a pure-Python walk over
 perm_core's statistics as the reference for all three tallies and for every
 marginal, a direct numpy walk of B_n as a second reference for the subset
@@ -170,7 +170,7 @@ def _run_split(fn, total: int, workers: int | None, block: int):
 
 # Words of S_n are an unranked prefix plus a suffix read from the cached S_m
 # table, m = min(n, _SUFFIX_LETTERS).  At 7 the table is 35 KB and each
-# prefix unrank is spread over 5040 rows.
+# prefix unrank is spread over 5040 words.
 _SUFFIX_LETTERS = 7
 
 
@@ -191,10 +191,11 @@ def _digit_parity(p, radices):
 
 @functools.cache
 def _suffix_table(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (m!, m) lexicographic table of S_m on the letters 0..m-1, as int8,
-    and the inversion parity of each row, as uint8."""
-    table = np.array(list(itertools.permutations(range(m))), dtype=np.int8)
-    return table, _digit_parity(np.arange(len(table)), range(1, m + 1)).astype(np.uint8)
+    """The lexicographic table of S_m on the letters 0..m-1, column-major: an
+    (m, m!) int8 array whose column s is the word of rank s, and the
+    inversion parity of each word, as uint8."""
+    table = np.array(list(itertools.permutations(range(m))), dtype=np.int8).T.copy()
+    return table, _digit_parity(np.arange(table.shape[1]), range(1, m + 1)).astype(np.uint8)
 
 
 def _unrank_prefix(n: int, k: int, p: int) -> tuple[list[int], np.ndarray]:
@@ -217,7 +218,7 @@ def _prefix_runs(n: int, lo: int, rows: int):
     """Split the S_n ranks [lo, lo + rows) into runs that share one prefix.
 
     Yields (at, p, s, take): rows at .. at+take-1 of the range are the words
-    of prefix p whose suffixes are rows s .. s+take-1 of the S_m table.
+    of prefix p whose suffixes are columns s .. s+take-1 of the S_m table.
     """
     size = factorial(min(n, _SUFFIX_LETTERS))
     at = 0
@@ -232,21 +233,23 @@ def _perm_blocks(n: int, lo: int, hi: int, chunk: int):
     """int8 blocks of at most `chunk` rows: the S_n words of ranks [lo, hi).
 
     Rank r = p*m! + s with m = min(n, _SUFFIX_LETTERS): the length-(n-m)
-    prefix is the Lehmer unrank of p, and the suffix is row s of the S_m table
-    relabelled through the letters the prefix leaves.  The walk seeks to lo
-    directly, so a range costs only its own rows, and the rows come out in
-    lexicographic order.
+    prefix is the Lehmer unrank of p, and the suffix is column s of the S_m
+    table relabelled through the letters the prefix leaves.  Each block is
+    filled as an (n, rows) array, one letter position per row, and yielded as
+    its (rows, n) transpose, so the kernel reads each position in place.  The
+    walk seeks to lo directly, so a range costs only its own rows, and the
+    rows come out in lexicographic order.
     """
     table, _ = _suffix_table(min(n, _SUFFIX_LETTERS))
-    k = n - table.shape[1]
+    k = n - len(table)
     while lo < hi:
         rows = min(chunk, hi - lo)
-        block = np.empty((rows, n), dtype=np.int8)
+        block = np.empty((n, rows), dtype=np.int8)
         for at, p, s, take in _prefix_runs(n, lo, rows):
             prefix, rest = _unrank_prefix(n, k, p)
-            block[at:at + take, :k] = prefix
-            block[at:at + take, k:] = rest[table[s:s + take]]
-        yield block
+            block[:k, at:at + take] = np.reshape(prefix, (k, 1))
+            block[k:, at:at + take] = rest[table[:, s:s + take]]
+        yield block.T
         lo += rows
 
 
@@ -258,11 +261,16 @@ def _perm_blocks(n: int, lo: int, hi: int, chunk: int):
 # classes and alternation depend only on the word's ascent code
 # (_code_table).  Inversion parity depends only on the rank: relabelling a
 # suffix keeps its order, so inv = (Lehmer digits of the prefix) +
-# inv(suffix-table row) (_inv_parity).  For w in B_n with |w| its
+# inv(suffix-table word) (_inv_parity).  For w in B_n with |w| its
 # permutation of absolute values, inv_D(w) = inv(|w|) and inv_B(w) =
 # inv(|w|) + neg(w) (mod 2) (Bjorner-Brenti, Combinatorics of Coxeter
 # Groups, Prop. 8.1.1 and 8.2.1), so one parity per permutation is broadcast
 # over its 2^n sign masks (_parity_table).
+#
+# Blocks are column-major: _perm_blocks and _cross_signs fill an (n, M)
+# array, one letter position per row, and hand out its (M, n) transpose, so
+# the ascent bits compare whole rows of the buffer in place and no block is
+# copied into another layout.
 # =====================================================================
 
 @functools.cache
@@ -287,7 +295,8 @@ def _code_table(n: int, signed: bool) -> tuple[np.ndarray, ...]:
 
 
 def _ascent_codes(words: np.ndarray, signed: bool) -> np.ndarray:
-    """The ascent code (see _code_table) of each row of an (M, n) word block."""
+    """The ascent code (see _code_table) of each row of an (M, n) word block,
+    read one letter position at a time; a column-major block is not copied."""
     cols = np.ascontiguousarray(words.T)
     nbits = len(cols) - 1 + signed
     dtype = np.uint8 if nbits <= 8 else np.uint16
@@ -302,7 +311,7 @@ def _ascent_codes(words: np.ndarray, signed: bool) -> np.ndarray:
 def _inv_parity(n: int, lo: int, rows: int) -> np.ndarray:
     """inv mod 2 of the S_n words of ranks [lo, lo + rows), as uint8.
 
-    The parity of each suffix-table row, xored with one constant per prefix.
+    The parity of each suffix-table word, xored with one constant per prefix.
     """
     m = min(n, _SUFFIX_LETTERS)
     _, row_parity = _suffix_table(m)
@@ -325,42 +334,28 @@ def _scan_a_numpy(n: int, lo: int, hi: int) -> np.ndarray:
 
 
 @functools.cache
-def _sign_lanes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per sign mask, the 8-byte lanes that negate its letters in a packed word.
-
-    Bit i of a mask negates letter i.  A letter x in 1..n is negated within
-    its byte as (x ^ 0xFF) + 1, which never carries into the next byte, so
-    one xor and one add per lane negate every masked letter at once.
-    """
-    flip = np.zeros((1 << n, -(-n // 8) * 8), dtype=np.uint8)
-    flip[:, :n] = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1) * 0xFF
-    return flip.view(np.uint64), (flip & 1).view(np.uint64)
+def _sign_table(n: int) -> np.ndarray:
+    """The (n, 2^n) int8 table of +-1 whose column m negates the letters of
+    sign mask m: bit i of m negates letter i."""
+    return (1 - 2 * ((np.arange(1 << n) >> np.arange(n)[:, None]) & 1)).astype(np.int8)
 
 
 def _cross_signs(words: np.ndarray) -> np.ndarray:
     """The (M * 2^n, n) int8 block of signed words over an (M, n) block of
     S_n: each permutation with its sign masks 0 .. 2^n - 1 in turn, which is
-    the contract order of B_n.  Each permutation is packed into 8-byte lanes
-    and crossed with all its masks at once (see _sign_lanes)."""
+    the contract order of B_n.  One broadcast multiply over the masks fills
+    it column-major, one letter position per row, as _perm_blocks does."""
     n = words.shape[1]
-    flip, one = _sign_lanes(n)
-    nmasks, nlanes = flip.shape
-    packed = np.zeros((len(words), nlanes * 8), dtype=np.int8)
-    packed[:, :n] = words
-    lanes = packed.view(np.uint64)
-    full = np.empty((len(words), nmasks, nlanes), dtype=np.uint64)
-    for i in range(nlanes):
-        np.bitwise_xor(lanes[:, None, i], flip[None, :, i], out=full[:, :, i])
-        full[:, :, i] += one[None, :, i]
-    return full.reshape(-1, nlanes).view(np.int8)[:, :n]
+    return (words.T[:, :, None] * _sign_table(n)[:, None, :]).reshape(n, -1).T
 
 
-# Block sizes, in words.  Each block costs the same few dozen numpy calls,
-# and every call hands the GIL between workers, so the joint B kernel reads
-# big blocks: max(1, _JOINT_B_BLOCK >> n) permutations, crossed with their
-# 2^n sign masks.  No part of a split of B_n is smaller than _B_BLOCK words,
-# max(1, _B_BLOCK >> n) permutations.  The S_n kernel's block is smaller
-# again, to keep its peak memory within a few MB.
+# Block sizes, in words of n int8 letters.  Each block costs the same few
+# dozen numpy calls, and every call hands the GIL between workers, so the
+# joint B kernel reads big blocks: max(1, _JOINT_B_BLOCK >> n) permutations,
+# whose sign crossing is one (n, 2^19) array of n * 512 KB.  No part of a
+# split of B_n is smaller than _B_BLOCK words, max(1, _B_BLOCK >> n)
+# permutations.  The S_n kernel's (n, 2^16) blocks keep its peak memory
+# within a few MB.
 _JOINT_B_BLOCK = 1 << 19
 _B_BLOCK = 1 << 17
 _A_BLOCK = 1 << 16
@@ -381,7 +376,8 @@ def _scan_b_numpy(n: int, lo: int, hi: int) -> np.ndarray:
     for perms in _perm_blocks(n, lo, hi, max(1, _JOINT_B_BLOCK >> n)):
         rows = perms.shape[0]
         # `words` stays bound until the next crossing replaces it: freeing
-        # each crossed block inside the loop made B_8 fills 15-25 % slower
+        # each crossed block inside the loop made B_8 fills about 25 % slower
+        # at 1 worker and 12 % at 2 (medians of 30 alternating fills)
         words = _cross_signs(perms)
         key = np.left_shift(_ascent_codes(words, signed=True), 2, dtype=np.int16)
         key |= parities[_inv_parity(n, lo, rows)].reshape(-1)

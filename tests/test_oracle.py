@@ -370,6 +370,20 @@ def test_perm_blocks_seek_to_the_end_of_s11():
     assert [tuple(w) for b in blocks for w in b.tolist()] == want
 
 
+def test_kernel_blocks_are_column_major_in_contract_order():
+    """Every block of _perm_blocks and of _cross_signs is the transpose of an
+    (n, M) buffer, so the (n, M) layout that _ascent_codes reads is that
+    buffer and no copy.  The ranges start and end inside a suffix table, the
+    S_8 one in the next table.  The crossing keeps the contract order of B_n."""
+    for n, lo, hi in ((3, 1, 5), (7, 100, 4000), (8, 5000, 5100)):
+        for block in oracle._perm_blocks(n, lo, hi, 37):
+            for words in (block, oracle._cross_signs(block)):
+                assert np.shares_memory(np.ascontiguousarray(words.T), words), (n, words.shape)
+    for n in range(1, 7):
+        crossed = [w for b in oracle._perm_blocks(n, 0, factorial(n), 7) for w in oracle._cross_signs(b).tolist()]
+        assert list(map(tuple, crossed)) == list(iter_group("B", n))
+
+
 # ------------------------------------- statistics kernel against brute force
 
 def _pairwise_parities(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -504,6 +518,32 @@ def test_worker_count_does_not_change_tallies():
     assert np.array_equal(scan_joint_a(7, workers=1), scan_joint_a(7, workers=8))
     assert np.array_equal(scan_joint_b(5, workers=1), scan_joint_b(5, workers=8))
     assert np.array_equal(scan_subsets(5, workers=1), scan_subsets(5, workers=8))
+
+
+# md5 of the raw tallies' bytes, taken from the walk with row-major blocks
+TALLY_MD5 = {
+    "A": ["076933ff9904d1110d896e2c525e39e5", "a410e51dfd02c8cb9ca11803914f068a",
+          "4b7565ddc681658dae8a2c1b4ee6c66e", "804b2f74db30ce0797eab16da5d6a57c",
+          "e6d1bc0c27c6a30683902cf025778aa7", "37b40125e21f9e5e90a80fc6454289a5",
+          "0931aa142cf091d9ef14523cf44f7094", "dd63e06910f416b66d77a1c763ae9b83",
+          "94aa633d148ec89577181aabb400d064", "768fc1842b1d2464918c7b8bde305a70"],
+    "B": ["718b1f13b1a1ab2b4006e1b8f87e3b87", "7b6e993ef4858b34404084e5c56100f8",
+          "e6f82fbab01fea832a494bd7d45edca2", "a435eb910ded28e732da55f88b78fe4a",
+          "16ac578279aa8b24def2ec1d31fd19ea", "21ef49d1e108e2af7cb35b19effb34c7",
+          "31871d254d40f17a560cb8c1121e6fde", "fccff9784620c390fa9a1dfc8c8e318a"],
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_raw_tallies_keep_their_digests(workers):
+    """scan_joint_a over S_1..S_10 and scan_joint_b over B_1..B_8, byte for
+    byte, beyond the reference walks' S_7 and B_5."""
+    for kind, scan, shape in (("A", scan_joint_a, lambda n: (1 << max(n - 1, 0), 2)),
+                              ("B", scan_joint_b, lambda n: (1 << n, 2, 2))):
+        for n, want in enumerate(TALLY_MD5[kind], 1):
+            tally = scan(n, workers)
+            assert tally.dtype == np.dtype("<i8") and tally.shape == shape(n), (kind, n)
+            assert hashlib.md5(tally.tobytes()).hexdigest() == want, (kind, n)
 
 
 @pytest.mark.parametrize("workers", [2, 3, 4, 5])

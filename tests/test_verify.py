@@ -172,7 +172,7 @@ def test_length_decomposition_is_checked_by_brute_force(monkeypatch, cold_caches
     for name in ("inv_a", "inv_b", "inv_d", "iter_group", "negatives"):
         monkeypatch.setattr(perm_core, name, forbidden)
         assert not hasattr(verify, name)
-    for name in ("_perm_blocks", "_cross_signs", "_sign_lanes", "_inv_parity", "_code_table",
+    for name in ("_perm_blocks", "_cross_signs", "_sign_table", "_inv_parity", "_code_table",
                  "_parity_table", "_suffix_table"):
         monkeypatch.setattr(oracle, name, forbidden)
     assert run_checks("cor-inv-bd", 1, 6).ok
