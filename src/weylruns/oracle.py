@@ -4,12 +4,13 @@ Everything here is obtained by walking a whole group and tallying exact
 integer statistics; closed-form evaluators never feed back into this module,
 so oracle-vs-formula comparisons stay two independent routes.
 
-Every walk seeks S_n ranks through one block generator, `_perm_blocks`,
-which yields the words of a rank range in lexicographic order as int8
-blocks.  The B walk crosses each block with the 2^n sign masks
-(`_cross_signs`), so no code addresses a B_n word by its own index.
-Vectorized kernels count the words through int64 bincounts and np.add.at
-(counting only, no floating point).  A word's peaks, valleys, end classes
+A rank of S_n is a Lehmer-unranked prefix and a column of a cached S_m
+table.  The A count makes no word (`_scan_a_numpy`); the B walk seeks S_n
+ranks through one block generator, `_perm_blocks`, which yields the words
+of a rank range in lexicographic order as int8 blocks, and crosses each
+block with the 2^n sign masks (`_cross_signs`), so no code addresses a B_n
+word by its own index.  Kernels count through int64 bincounts, an einsum
+and np.add.at (no floating point).  A word's peaks, valleys, end classes
 and alternation depend only on its ascent code: its adjacent-pair ascent
 bits, behind a 0 sentinel for signed words, packed into an integer, with a
 cached table per code length (`_code_table`).  Inversion parity is never
@@ -37,9 +38,9 @@ with no decode step:
 Every distribution is a marginal of one of them: code filters are columns of
 `_code_table`, parity filters and signs a weight over the parity axes.
 
-Work is split over contiguous lexicographic rank ranges of S_n, none
-shorter than a minimum part (5040 ranks for the A tally, and for the B
-tally max(1, 2^17 >> n) ranks, whose sign crossings hold 2^17 words), so
+The A count runs in the calling thread: all of S_11 takes under 1 ms.  The B
+walk splits over contiguous lexicographic rank ranges of S_n, none shorter
+than max(1, 2^17 >> n) ranks, whose sign crossings hold 2^17 words, so
 small scans start no thread pool; the subset tally's mask crossing splits
 its keys in the same way (see `_expand_subsets`).  Each range is seeked,
 not stepped: `_perm_blocks` unranks the range's start directly, so a
@@ -56,9 +57,9 @@ for n - 1 within a run; it also keeps the `functools.cache` tables
 (`_suffix_table`, `_code_table`, `_sign_table`), which depend on n alone
 and hold no result.  The test suite keeps a pure-Python walk over
 perm_core's statistics as the reference for all three tallies and for every
-marginal, a direct numpy walk of B_n as a second reference for the subset
-tally, and a walk of S_n that counts the subset keys as a reference for
-`_subset_keys`.
+marginal, word-by-word numpy walks of S_n ranges and of B_n as second
+references for the A count and the subset tally, and a walk of S_n that
+counts the subset keys as a reference for `_subset_keys`.
 """
 
 from __future__ import annotations
@@ -190,12 +191,13 @@ def _digit_parity(p, radices):
 
 
 @functools.cache
-def _suffix_table(m: int) -> tuple[np.ndarray, np.ndarray]:
+def _suffix_table(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The lexicographic table of S_m on the letters 0..m-1, column-major: an
-    (m, m!) int8 array whose column s is the word of rank s, and the
-    inversion parity of each word, as uint8."""
+    (m, m!) int8 array whose column s is the word of rank s; the inversion
+    parity of each word, as uint8; and its key code << 1 | parity, as int64."""
     table = np.array(list(itertools.permutations(range(m))), dtype=np.int8).T.copy()
-    return table, _digit_parity(np.arange(table.shape[1]), range(1, m + 1)).astype(np.uint8)
+    parity = _digit_parity(np.arange(table.shape[1]), range(1, m + 1)).astype(np.uint8)
+    return table, parity, _ascent_codes(table.T, signed=False).astype(np.int64) << 1 | parity
 
 
 def _unrank_prefix(n: int, k: int, p: int) -> tuple[list[int], np.ndarray]:
@@ -240,7 +242,7 @@ def _perm_blocks(n: int, lo: int, hi: int, chunk: int):
     walk seeks to lo directly, so a range costs only its own rows, and the
     rows come out in lexicographic order.
     """
-    table, _ = _suffix_table(min(n, _SUFFIX_LETTERS))
+    table, *_ = _suffix_table(min(n, _SUFFIX_LETTERS))
     k = n - len(table)
     while lo < hi:
         rows = min(chunk, hi - lo)
@@ -314,22 +316,52 @@ def _inv_parity(n: int, lo: int, rows: int) -> np.ndarray:
     The parity of each suffix-table word, xored with one constant per prefix.
     """
     m = min(n, _SUFFIX_LETTERS)
-    _, row_parity = _suffix_table(m)
+    row_parity = _suffix_table(m)[1]
     out = np.empty(rows, dtype=np.uint8)
     for at, p, s, take in _prefix_runs(n, lo, rows):
         out[at:at + take] = row_parity[s:s + take] ^ _digit_parity(p, range(m + 1, n + 1))
     return out
 
 
+def _prefix_classes(n: int, m: int, first: int, stop: int):
+    """(code, parity, t) of the S_n prefixes first .. stop-1, of n - m letters, from
+    their Lehmer digits d_i (see _unrank_prefix): pair i rises when d_i <= d_(i+1),
+    inv is the digit sum, and t, the letters left below the last, the last digit."""
+    p, digits = np.arange(first, stop), []
+    for radix in range(m + 1, n + 1):
+        p, digit = np.divmod(p, radix)
+        digits.insert(0, digit)
+    code = sum((a <= b).astype(np.int64) << i for i, (a, b) in enumerate(itertools.pairwise(digits)))
+    return code, sum(digits) & 1, digits[-1]
+
+
 def _scan_a_numpy(n: int, lo: int, hi: int) -> np.ndarray:
-    """The A tally counts[c, inv mod 2] of the S_n ranks [lo, hi)."""
+    """The A tally counts[c, inv mod 2] of the S_n ranks [lo, hi), counted
+    without words.  Rank p * m! + s is prefix p, of k letters, and column s
+    (see _perm_blocks).  Code bits 0 .. k-2 are the prefix's, bit k-1 rises
+    when the column's first letter index is at least the prefix's t, the bits
+    from k up and the parity (xor the prefix's) are the column's key's."""
+    m = min(n, _SUFFIX_LETTERS)
+    k, size, keys = n - m, factorial(m), _suffix_table(m)[2]
+    if k == 0:
+        return np.bincount(keys[lo:hi], minlength=1 << n).reshape(-1, 2)
     acc = np.zeros(1 << n, dtype=np.int64)
-    for words in _perm_blocks(n, lo, hi, _A_BLOCK):
-        rows = words.shape[0]
-        key = np.left_shift(_ascent_codes(words, signed=False), 1, dtype=np.int16)
-        key |= _inv_parity(n, lo, rows)
-        acc += np.bincount(key, minlength=acc.size)
-        lo += rows
+    first, stop = -(-lo // size), hi // size  # the full prefixes
+    if first < stop:
+        code, parity, t = _prefix_classes(n, m, first, stop)
+        classes = np.bincount((code * 2 + parity) * (m + 1) + t, minlength=(m + 1) << k)
+        by_first = np.bincount(np.arange(size) // (size // m) << m | keys, minlength=m << m).reshape(m, -1)
+        rises = np.pad(by_first[::-1].cumsum(0)[::-1], ((0, 1), (0, 0)))  # [t]: first letter at index >= t
+        # cols[j, t, code, prefix parity y, parity q]: the column keys of parity y ^ q
+        cols = np.stack([rises[0] - rises, rises]).reshape(2, m + 1, -1, 2)[..., [[0, 1], [1, 0]]]
+        acc += np.einsum("xyt,jtsyq->sjxq", classes.reshape(-1, 2, m + 1), cols).reshape(-1)
+    head = min(hi, first * size)
+    for a, b in ((lo, head), (max(head, stop * size), hi)):  # the partial runs
+        if a < b:
+            p, s = divmod(a, size)
+            code, parity, t = _prefix_classes(n, m, p, p + 1)
+            run, rise = keys[s:s + b - a], np.arange(s, s + b - a) // (size // m) >= t
+            acc += np.bincount((run >> 1) << (k + 1) | rise << k | code << 1 | (run & 1) ^ parity, minlength=1 << n)
     return acc.reshape(-1, 2)
 
 
@@ -354,11 +386,9 @@ def _cross_signs(words: np.ndarray) -> np.ndarray:
 # joint B kernel reads big blocks: max(1, _JOINT_B_BLOCK >> n) permutations,
 # whose sign crossing is one (n, 2^19) array of n * 512 KB.  No part of a
 # split of B_n is smaller than _B_BLOCK words, max(1, _B_BLOCK >> n)
-# permutations.  The S_n kernel's (n, 2^16) blocks keep its peak memory
-# within a few MB.
+# permutations.
 _JOINT_B_BLOCK = 1 << 19
 _B_BLOCK = 1 << 17
-_A_BLOCK = 1 << 16
 
 
 def _parity_table(n: int) -> np.ndarray:
@@ -387,11 +417,11 @@ def _scan_b_numpy(n: int, lo: int, hi: int) -> np.ndarray:
 
 
 def scan_joint_a(n: int, workers: int | None = 1) -> np.ndarray:
-    """Uncached A tally counts[c, inv mod 2] over S_n, split in parts of at
-    least one suffix table."""
+    """Uncached A tally counts[c, inv mod 2] over S_n, counted in the calling
+    thread; the worker count is checked, as for every scan, but not split."""
     _check_n("A", n)
-    block = factorial(min(n, _SUFFIX_LETTERS))
-    return sum(_run_split(lambda a, b: _scan_a_numpy(n, a, b), factorial(n), workers, block))
+    resolve_workers(workers)
+    return _scan_a_numpy(n, 0, factorial(n))
 
 
 def scan_joint_b(n: int, workers: int | None = 1) -> np.ndarray:

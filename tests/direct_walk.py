@@ -1,4 +1,9 @@
-"""Direct numpy walks for the subset tally, kept as cross-checks.
+"""Direct numpy walks of S_n and B_n, kept as cross-checks.
+
+`walk_a` is the A tally of a rank range read word by word: each word of
+`oracle._perm_blocks` gets its ascent code from its letters and its
+inversion parity from its rank.  It checks `oracle._scan_a_numpy`, which
+counts the range without generating a word.
 
 `oracle.scan_subsets` reads the subset tally from S_(n-2): the key counts
 of S_n are crossed from its A tally (`oracle._subset_keys`), and the keys
@@ -19,6 +24,18 @@ from math import factorial
 import numpy as np
 
 from weylruns import oracle
+
+
+def walk_a(n: int, lo: int, hi: int) -> np.ndarray:
+    """The A tally counts[c, inv mod 2] of the S_n ranks [lo, hi), word by word."""
+    acc = np.zeros(1 << n, dtype=np.int64)
+    for words in oracle._perm_blocks(n, lo, hi, 1 << 16):
+        rows = words.shape[0]
+        key = np.left_shift(oracle._ascent_codes(words, signed=False), 1, dtype=np.int16)
+        key |= oracle._inv_parity(n, lo, rows)
+        acc += np.bincount(key, minlength=acc.size)
+        lo += rows
+    return acc.reshape(-1, 2)
 
 
 def subset_keys(n: int) -> np.ndarray:

@@ -354,8 +354,10 @@ def test_block_slices_cover(group, n):
 @example(n=9, ends=[37 * factorial(7) + 11, factorial(9) - 3], chunk=4096)
 @example(n=8, ends=[factorial(7) - 1, 3 * factorial(7) + 1], chunk=1)
 def test_perm_blocks_seek_in_lexicographic_order(n, ends, chunk):
-    """Any rank range unranks to the same rows as stepping through permutations."""
+    """Any rank range unranks to the same rows as stepping through permutations.
+    A range is cut to 64 blocks, so a small chunk draws a short range."""
     lo, hi = sorted(e % (factorial(n) + 1) for e in ends)
+    hi = min(hi, lo + 64 * chunk)
     blocks = list(oracle._perm_blocks(n, lo, hi, chunk))
     assert all(0 < b.shape[0] <= chunk and b.dtype == np.int8 for b in blocks)
     got = np.concatenate(blocks) if blocks else np.empty((0, n), dtype=np.int8)
@@ -490,6 +492,62 @@ def test_code_tables_match_perm_core(n, signed):
         assert tuple(int(col[code]) for col in table) == want, (code, w)
 
 
+# ------------------------------------------- the word-free A kernel
+
+def _a_tallies_match(monkeypatch, letters: int) -> bool:
+    """Whether scan_joint_a, and the sum of the A kernel's parts cut at rank
+    n!/3 + 1, equal the reference walk on S_1..S_7 when the suffix table has
+    `letters` letters, so prefixes of up to 6 letters, their junctions and
+    (from 2 letters) partial runs are counted."""
+    monkeypatch.setattr(oracle, "_SUFFIX_LETTERS", letters)
+    for n in range(1, 8):
+        total, want = factorial(n), reference.joint_a(n)
+        cut = total // 3 + 1
+        parts = oracle._scan_a_numpy(n, 0, cut) + oracle._scan_a_numpy(n, cut, total)
+        if not (np.array_equal(scan_joint_a(n), want) and np.array_equal(parts, want)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("letters", [1, 2, 3, 4])
+def test_short_suffix_tables_match_the_reference(monkeypatch, letters):
+    assert _a_tallies_match(monkeypatch, letters)
+
+
+def _reversed_bits(code, width: int):
+    return sum(((code >> i) & 1) << (width - 1 - i) for i in range(width))
+
+
+# Each mutant rewrites the (code, parity, t) that _prefix_classes returns.  t
+# is at most m, and a first letter index at most m - 1, so capping t + 1 at m
+# changes no junction beyond the mutation.
+PREFIX_MUTANTS = {
+    "junction threshold t + 1": lambda n, m, code, parity, t: (code, parity, np.minimum(t + 1, m)),
+    "prefix parity dropped": lambda n, m, code, parity, t: (code, 0 * parity, t),
+    "prefix code bits reversed": lambda n, m, code, parity, t: (_reversed_bits(code, n - m - 1), parity, t),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(PREFIX_MUTANTS))
+def test_the_short_suffix_check_catches_a_broken_prefix_rule(monkeypatch, mutant):
+    classes = oracle._prefix_classes
+    monkeypatch.setattr(oracle, "_prefix_classes",
+                        lambda n, m, *span: PREFIX_MUTANTS[mutant](n, m, *classes(n, m, *span)))
+    assert not all(_a_tallies_match(monkeypatch, letters) for letters in range(1, 5))
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(8, 10), ends=st.lists(st.integers(0, factorial(10)), min_size=2, max_size=2))
+@example(n=8, ends=[factorial(7) + 3, 2 * factorial(7) - 5])
+@example(n=10, ends=[7 * factorial(7) - 3, 20 * factorial(7) + 5])
+@example(n=9, ends=[11, 11])
+def test_a_kernel_matches_the_word_walk(n, ends):
+    """The A count of any rank range of S_8..S_10, one partial run or two
+    with full prefixes between, equals the word-by-word walk of the range."""
+    lo, hi = sorted(e % (factorial(n) + 1) for e in ends)
+    assert np.array_equal(oracle._scan_a_numpy(n, lo, hi), direct_walk.walk_a(n, lo, hi))
+
+
 # --------------------------------------------------------- worker splits
 
 KERNELS = {
@@ -520,13 +578,15 @@ def test_worker_count_does_not_change_tallies():
     assert np.array_equal(scan_subsets(5, workers=1), scan_subsets(5, workers=8))
 
 
-# md5 of the raw tallies' bytes, taken from the walk with row-major blocks
+# md5 of the raw tallies' bytes, taken from the walk with row-major blocks;
+# S_11's from the A word walk with column-major blocks
 TALLY_MD5 = {
     "A": ["076933ff9904d1110d896e2c525e39e5", "a410e51dfd02c8cb9ca11803914f068a",
           "4b7565ddc681658dae8a2c1b4ee6c66e", "804b2f74db30ce0797eab16da5d6a57c",
           "e6d1bc0c27c6a30683902cf025778aa7", "37b40125e21f9e5e90a80fc6454289a5",
           "0931aa142cf091d9ef14523cf44f7094", "dd63e06910f416b66d77a1c763ae9b83",
-          "94aa633d148ec89577181aabb400d064", "768fc1842b1d2464918c7b8bde305a70"],
+          "94aa633d148ec89577181aabb400d064", "768fc1842b1d2464918c7b8bde305a70",
+          "400ceee6b8cca0b49094db0a15442049"],
     "B": ["718b1f13b1a1ab2b4006e1b8f87e3b87", "7b6e993ef4858b34404084e5c56100f8",
           "e6f82fbab01fea832a494bd7d45edca2", "a435eb910ded28e732da55f88b78fe4a",
           "16ac578279aa8b24def2ec1d31fd19ea", "21ef49d1e108e2af7cb35b19effb34c7",
@@ -536,7 +596,7 @@ TALLY_MD5 = {
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_raw_tallies_keep_their_digests(workers):
-    """scan_joint_a over S_1..S_10 and scan_joint_b over B_1..B_8, byte for
+    """scan_joint_a over S_1..S_11 and scan_joint_b over B_1..B_8, byte for
     byte, beyond the reference walks' S_7 and B_5."""
     for kind, scan, shape in (("A", scan_joint_a, lambda n: (1 << max(n - 1, 0), 2)),
                               ("B", scan_joint_b, lambda n: (1 << n, 2, 2))):
@@ -591,18 +651,23 @@ def test_subset_keys_match_a_walk_of_s_n(n):
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_a_subset_fill_walks_only_s_n_minus_2(monkeypatch, n):
-    """A subset fill generates the words of S_(n-2) and no word of S_n or
-    B_n (the B walk also draws its blocks from _perm_blocks)."""
-    sizes = []
-    blocks = oracle._perm_blocks
+    """A subset fill counts the whole of S_(n-2) through the A kernel, once,
+    and generates no word of any group (the B walk draws its blocks from
+    _perm_blocks)."""
+    calls = []
+    kernel = oracle._scan_a_numpy
 
-    def spy(size, *args):
-        sizes.append(size)
-        return blocks(size, *args)
+    def spy(*args):
+        calls.append(args)
+        return kernel(*args)
 
-    monkeypatch.setattr(oracle, "_perm_blocks", spy)
+    def no_words(*_args):
+        raise AssertionError("a subset fill generated words")
+
+    monkeypatch.setattr(oracle, "_scan_a_numpy", spy)
+    monkeypatch.setattr(oracle, "_perm_blocks", no_words)
     scan_subsets(n, workers=2)
-    assert sizes == [n - 2]
+    assert calls == [(n - 2, 0, factorial(n - 2))]
 
 
 def test_a_subset_fill_is_not_refused_by_the_s_n_cap(monkeypatch):
@@ -864,6 +929,7 @@ def test_snake_subsets_read_the_cached_tally(monkeypatch):
         raise AssertionError("a scan started")
 
     monkeypatch.setattr(oracle, "_perm_blocks", no_scan)
+    monkeypatch.setattr(oracle, "_scan_a_numpy", no_scan)
     want = oracle._subset_parts(reference.subsets(n), n)[1]
     for k in range(1, 5):
         for bit, parity in enumerate(("plus", "minus")):
