@@ -25,15 +25,13 @@ with no decode step:
 * the B tally counts[c, inv(|w|) mod 2, neg mod 2] over B_n, c the signed code;
 * the subset tally, which classifies B_n into the cancellation subsets and
   the snakes of D_n into the staircase subsets L^1..L^4 (its layout is at
-  `_expand_subsets`).  It walks no group of its own.  A word of B_n is a
-  permutation u = |w| and a sign mask m, and its subset code is a function
-  of m and of the key (c, i, j, o, inv(u) mod 2) of u, with c the ascent
-  code of u, i < j the positions of the letters n-1 and n, and o the order
-  of the last pair left without them.  The key is fixed by u', u with
-  those two letters deleted, and by where and in which order they sit, so
-  the key counts are the A tally of S_(n-2) crossed with the n(n-1)
-  insertions (`_subset_keys`).  The non-empty keys are then crossed with
-  all 2^n masks.
+  `scan_subsets`).  It walks no group of its own.  A word w of B_n is a
+  word w' of B_(n-2) with +-(n-1) and +-n inserted at positions i < j, and
+  each field of w's subset code is fixed by the insertion and by the cell
+  (c', inv(|w'|) mod 2, neg mod 2) of w' in the B tally of B_(n-2).  So
+  the subset tally is that stored tally crossed with the 4n(n-1)
+  insertions (`_insertions`), by the insertion argument of the run
+  recurrences (Bona, Combinatorics of Permutations, ch. 1).
 
 Every distribution is a marginal of one of them: code filters are columns of
 `_code_table`, parity filters and signs a weight over the parity axes.
@@ -41,25 +39,24 @@ Every distribution is a marginal of one of them: code filters are columns of
 The A count runs in the calling thread: all of S_11 takes under 1 ms.  The B
 walk splits over contiguous lexicographic rank ranges of S_n, none shorter
 than max(1, 2^17 >> n) ranks, whose sign crossings hold 2^17 words, so
-small scans start no thread pool; the subset tally's mask crossing splits
-its keys in the same way (see `_expand_subsets`).  Each range is seeked,
-not stepped: `_perm_blocks` unranks the range's start directly, so a
-worker walks only its own ranks.  Partial count arrays merge by integer
-addition, so the result is bitwise identical for any worker count.
+small scans start no thread pool.  Each range is seeked, not stepped:
+`_perm_blocks` unranks the range's start directly, so a worker walks only
+its own ranks.  Partial count arrays merge by integer addition, so the
+result is bitwise identical for any worker count.  The subset crossing runs
+in the calling thread; its worker count reaches only the B_(n-2) fill.
 One store, `_TALLIES`, keeps each tally by (kind, n), kind "A", "B" or
 "subsets", beside the answers read from it, keyed by the public call.
-`_answer` alone scans a tally and sums a new answer; a repeated query is one
-dict read (`_stored`).  `clear_caches` empties every store made by
-`new_cache`, `verify`'s check outcomes included, so a run after it walks and
-checks everything again.  The one result memo it keeps is
+`_tally` alone scans a tally, and `_answer` alone sums a new answer; a
+repeated query is one dict read (`_stored`).  `clear_caches` empties every
+store made by `new_cache`, `verify`'s check outcomes included, so a run
+after it walks and checks everything again.  The one result memo it keeps is
 `closed_forms._recurrence_table`, a pure-formula memo that each n also hits
 for n - 1 within a run; it also keeps the `functools.cache` tables
 (`_suffix_table`, `_code_table`, `_sign_table`), which depend on n alone
 and hold no result.  The test suite keeps a pure-Python walk over
 perm_core's statistics as the reference for all three tallies and for every
 marginal, word-by-word numpy walks of S_n ranges and of B_n as second
-references for the A count and the subset tally, and a walk of S_n that
-counts the subset keys as a reference for `_subset_keys`.
+references for the A count and the subset tally.
 """
 
 from __future__ import annotations
@@ -453,14 +450,13 @@ def _stored(kind: str, n, key: tuple, workers: int | None):
     return hit.copy() if type(hit) is BiPoly else hit
 
 
-def _answer(kind: str, n: int, key: tuple, workers: int | None, marginal):
-    """marginal(tally) of the kind's tally at a checked n, stored under `key`,
-    an accepted call's canonical form.  A missing tally is scanned and stored
-    whole; the kind's scan is looked up on each fill, so one patched by name
-    runs.  A hit reads the store without the lock (a dict lookup is atomic
-    under the GIL) and still refuses an explicit bad worker count.  Threads
-    that ask for one new key at once store equal values.  A BiPoly is copied,
-    as its terms dict is mutable."""
+def _tally(kind: str, n: int, workers: int | None) -> tuple[np.ndarray, dict]:
+    """The store's entry for the kind's tally at a checked n: the count array
+    and the answers already read from it.  A missing tally is scanned and
+    stored whole; the kind's scan is looked up on each fill, so one patched
+    by name runs.  A hit reads the store without the lock (a dict lookup is
+    atomic under the GIL) and still refuses an explicit bad worker count.
+    Threads that fill one tally at once store equal arrays."""
     entry = _TALLIES.get((kind, n))
     if entry is None:
         scan = {"A": scan_joint_a, "B": scan_joint_b, "subsets": scan_subsets}[kind]
@@ -469,7 +465,15 @@ def _answer(kind: str, n: int, key: tuple, workers: int | None, marginal):
             _TALLIES[kind, n] = entry
     elif workers is not None:
         resolve_workers(workers)
-    tally, answers = entry
+    return entry
+
+
+def _answer(kind: str, n: int, key: tuple, workers: int | None, marginal):
+    """marginal(tally) of the kind's tally at a checked n (_tally), stored
+    under `key`, an accepted call's canonical form.  Threads that ask for one
+    new key at once store equal values.  A BiPoly is copied, as its terms
+    dict is mutable."""
+    tally, answers = _tally(kind, n, workers)
     hit = answers.get(key)
     if hit is None:
         hit = answers[key] = marginal(tally)
@@ -747,7 +751,7 @@ def _staircase(word, i: int, j: int) -> int:
 
 def _subset_k(word, i: int, j: int) -> int:
     """subset_index_b of a word of n >= 3 letters whose large letters sit at
-    positions i < j, by the rule of _expand_subsets: 2L - 1 when the deleted
+    positions i < j, by the rule of scan_subsets: 2L - 1 when the deleted
     word, behind the sentinel 0, keeps the end class, else 2L, with L = 4 the
     other way round (8, 7)."""
     rest = [0] + [x for p, x in enumerate(word) if p != i and p != j]
@@ -783,125 +787,76 @@ def _subset_side(n: int) -> int:
 
 
 def _subset_parts(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The subset codes of B_n (see _expand_subsets) as two views:
+    """The subset codes of B_n (see scan_subsets) as two views:
     cells[side, k, end, pk, val, sign] with side 0 for B and 1 for D and end
     1 for an ascent, and snakes[l, inv_D mod 2]."""
     base, side = n + 1, _subset_side(n)
     return codes[:2 * side].reshape(2, 10, 2, base, base, 2), codes[2 * side:].reshape(5, 2)
 
 
-def _subset_keys(n: int) -> np.ndarray:
-    """Counts of the key (c, i, j, o, inv(u) mod 2) over u in S_n: one row
-    per (c, i, j, o), one column per inv(u) mod 2.
+def _insertions(n: int) -> dict[str, np.ndarray]:
+    """The 4n(n-1) ways to insert +-(n-1) and +-n into a word w' of B_(n-2),
+    one row per insertion: the letters vi, vj at positions i < j of the new
+    word w, and what each field of w's subset code takes from them.
 
-    Crossed from the A tally of S_(n-2): u is u' with n-1 and n inserted at
-    positions i < j in one of two orders.  A pair of u' keeps its bit unless
-    a large letter now sits between its letters; (x, large) rises, (large, x)
-    falls, and the large pair rises when n-1 comes first.  o is the top bit
-    of the code of u', 1 for n <= 3, and the large letters add
-    i + j + [n-1 first] inversions mod 2.  Codes collide, hence np.add.at.
+    move[:, q] is 1 << p when bit q of the signed code c' of w' becomes bit p
+    of w's code c, and 0 when a large letter now splits its pair.  rise holds
+    the bits of the pairs with a large letter L: (x, L) rises when L > 0,
+    (L, x) when L < 0, and an adjacent large pair when vi < vj.  inv(|w|)
+    gains (n-1-i) + (n-1-j) - [n-1 at i] and neg gains the two sign bits, mod
+    2.  l is the staircase subset L, flip is [L = 4], whose k pair is
+    numbered the other way round, and d9 says the large signs differ.
     """
-    small = _scan_a_numpy(n - 2, 0, factorial(n - 2)) if n > 2 else np.array([[1, 0]])
-    bits = (np.arange(len(small))[:, None] >> np.arange(max(n - 3, 0))) & 1
-    o = bits[:, -1:] if n >= 4 else 1
-    pairs = list(itertools.combinations(range(n), 2))
-    rests = np.array([[p for p in range(n) if p not in ij] for ij in pairs], dtype=np.int64)
-    rises = np.array([sum(1 << (p - 1) for p in ij if p > 0 and p - 1 not in ij) for ij in pairs])  # (x, large)
-    i, j = np.array(pairs).T
-    # c[code of u', insertion]: bit q of u' moves to the pair of u that starts
-    # at its left letter; if a large letter split it, that pair rises anyway
-    c = bits @ (1 << rests.reshape(len(pairs), n - 2)[:, :-1]).T | rises
-    acc = np.zeros(((1 << (n - 1)) * n * n * 2, 2), dtype=np.int64)
-    for up in (0, 1):  # up: n-1 comes first, so an adjacent large pair rises
-        row = (((c | (up & (j == i + 1)) << i) * n + i) * n + j) * 2 + o
-        for b in (0, 1):
-            np.add.at(acc, (row, b ^ ((i + j + up) & 1)), small[:, b:b + 1])
-    return acc
+    i, j, top, si, sj = np.array([(i, j, top, si, sj) for i, j in itertools.combinations(range(n), 2)
+                                  for top in (n - 1, n) for si in (1, -1) for sj in (1, -1)]).T
+    vi, vj = si * top, sj * (2 * n - 1 - top)
+    # the places, behind the sentinel, of w''s sentinel and letters in w
+    at = np.array([[0] + [p + 1 for p in range(n) if p != a and p != b] for a, b in zip(i, j)])
+    apart, inside = j > i + 1, j < n - 1
+    rise = ((vi > 0) << i | (apart & (vj > 0)) << j | (apart & (vi < 0)) << (i + 1)
+            | (inside & (vj < 0)) << (j + 1) | (~apart & (vi < vj)) << j)
+    l_idx = np.where(apart, 1, np.where(inside, 2, np.where(si == sj, 4, 3)))
+    return {"i": i, "j": j, "vi": vi, "vj": vj, "move": np.where(np.diff(at) == 1, 1 << at[:, :-1], 0),
+            "rise": rise, "inv": (2 * n - 2 - i - j - (top == n - 1)) & 1, "neg": (si != sj) * 1,
+            "l": l_idx, "flip": (l_idx == 4) * 1, "d9": si != sj}
 
 
-def _signed_code(c: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
-    """The signed ascent code (see _code_table) of the word with |w| of unsigned
-    ascent code c and sign mask m.
-
-    Bit 0 says letter 0 is positive.  Pair p rises with |w| when the signs
-    L, R of its letters are both positive, against |w| when both are
-    negative, and exactly when L is negative if they differ:
-    rise = L ^ (a & ~(L ^ R)), with a the pair's bit of c.
-    """
-    left = m << 1
-    return ((left ^ ((c << 1) & ~(left ^ m))) & ((1 << n) - 1)) | (~m & 1)
-
-
-def _add_parities(acc: np.ndarray, codes: np.ndarray, counts: np.ndarray) -> None:
-    """Add counts[..., b] at codes ^ b; bit 0 of each code is its parity bit
-    for even inv(|w|), and b is inv(|w|) mod 2."""
-    np.add.at(acc, codes, counts[..., 0])
-    np.add.at(acc, codes ^ 1, counts[..., 1])
-
-
-def _expand_subsets(hist: np.ndarray, n: int, workers: int | None) -> np.ndarray:
-    """The subset codes of B_n from the S_n key counts of _subset_keys.
+def scan_subsets(n: int, workers: int | None = 1) -> np.ndarray:
+    """Uncached subset tally of B_n: the B tally of B_(n-2), read from the
+    store (its fill alone takes the workers), crossed with _insertions(n).
+    The cancellation subsets need n >= 3; at n = 2 only the snakes of the
+    empty word's insertions are counted.
 
     Codes below one side hold the type B cell (k, end, pk, val) with the
     inv_B parity bit; the next side holds the type D cell over D_n with the
     inv_D bit; after both, 2 * L + (inv_D mod 2) counts the snakes of D_n in
-    staircase subset L (see _subset_parts).  The non-empty keys are crossed with the masks in
-    chunks of about 2^18 cells, and split over the workers in parts of at
-    least one chunk; the parts' code arrays are summed.
+    staircase subset L (see _subset_parts).  k refines L: 2L - 1 when the
+    code's top bit matches that of w', else 2L, with L = 4 the other way
+    round (8, 7); the D side reads 9 when the large signs differ.
     """
-    base, side = n + 1, _subset_side(n)
-    pk, val, first, last, alt = _code_table(n, True)
-    cells = (last * base + pk) * base + val  # the code's (end, pk, val) cell
-    snakes = (first & alt).astype(bool)
-    masks = np.arange(1 << n)
-    neg2 = _digit_parity(masks, [2] * n)
-    # the last two positions left once positions i < j are deleted; -1 is
-    # the sentinel, whose sign bit is 0 in `signs`
-    q1, q2 = np.zeros((2, n, n), dtype=np.int64)
-    for i, j in itertools.combinations(range(n), 2):
-        q1[i, j], q2[i, j] = ([-1, -1] + [p for p in range(n) if p not in (i, j)])[-2:]
-    signs = masks << 1
-    keys = np.nonzero(hist.any(1))[0]
-    step = max(1, (1 << 18) >> n)
-
-    def cross(lo: int, hi: int) -> np.ndarray:
-        acc = np.zeros(2 * side + 10, dtype=np.int64)
-        for at in range(lo, hi, step):
-            key = keys[at:min(at + step, hi), None]
-            counts = np.broadcast_to(hist[key], (len(key), len(masks), 2))
-            key, o = key >> 1, key & 1
-            key, j = np.divmod(key, n)
-            c, i = np.divmod(key, n)
-            asc = _signed_code(c, masks, n)
-            sign_i, sign_j = (masks >> i) & 1, (masks >> j) & 1
-            l_idx = np.where(j - i > 1, 1, np.where(j < n - 1, 2, np.where(sign_i == sign_j, 4, 3)))
-            in_d = np.broadcast_to(neg2 == 0, asc.shape)
-            snake = in_d & snakes[asc]
-            _add_parities(acc, (2 * side + l_idx * 2)[snake], counts[snake])
-            if n < 3:
-                continue
-            left, right = (signs >> (q1[i, j] + 1)) & 1, (signs >> (q2[i, j] + 1)) & 1
-            match = (left ^ (o & ~(left ^ right))) == last[asc]
-            # k_B refines L: 2L - 1 when the deleted word keeps the end class,
-            # else 2L; the L = 4 pair is numbered the other way round (8, 7).
-            k = 2 * l_idx - (match ^ (l_idx == 4))
-            kd = np.where(sign_i != sign_j, 9, k)
-            cell = cells[asc] * 2
-            _add_parities(acc, k * 4 * base * base + cell + neg2, counts)
-            _add_parities(acc, (side + kd * 4 * base * base + cell)[in_d], counts[in_d])
-        return acc
-
-    return sum(_run_split(cross, len(keys), workers, step))
-
-
-def scan_subsets(n: int, workers: int | None = 1) -> np.ndarray:
-    """Uncached subset tally of B_n: the code array of _expand_subsets, whose
-    mask crossing alone splits over the workers.  The cancellation subsets
-    need n >= 3; at n = 2 only the snakes are counted."""
     _check_n("B", n)
     if n < 2:
         raise DomainError("subset classification needs n >= 2")
-    return _expand_subsets(_subset_keys(n), n, workers)
+    resolve_workers(workers)
+    small = _tally("B", n - 2, workers)[0] if n > 2 else np.array([[[1, 0], [0, 0]]])
+    rows, base, side = _insertions(n), n + 1, _subset_side(n)
+    pk, val, first, last, alt = _code_table(n, True)
+    code = np.arange(len(small))[:, None]
+    c = ((code >> np.arange(n - 2)) & 1) @ rows["move"].T | rows["rise"]  # c[c', row]
+    cells = ((last * base + pk) * base + val)[c] * 2
+    # counts[c', row, inv(|w'|) mod 2] of the w' whose w lies in D_n, and
+    # inv(|w|) mod 2 for each (row, inv(|w'|) mod 2)
+    in_d = small[:, :, rows["neg"]].transpose(0, 2, 1)
+    inv = rows["inv"][:, None] ^ np.arange(2)
+    acc = np.zeros(2 * side + 10, dtype=np.int64)
+    if n >= 3:
+        match = (code >> (n - 3) & 1) == last[c]
+        k = (2 * rows["l"] - (match ^ rows["flip"])) * 4 * base * base
+        inv_b = inv[..., None] ^ rows["neg"][:, None, None] ^ np.arange(2)  # [row, inv(|w'|), neg(w')]
+        np.add.at(acc, (k + cells)[..., None, None] + inv_b, small[:, None])
+        np.add.at(acc, side + (np.where(rows["d9"], 9 * 4 * base * base, k) + cells)[..., None] + inv, in_d)
+    np.add.at(acc, 2 * side + 2 * rows["l"][:, None] + inv, (in_d * (first & alt)[c][..., None]).sum(0))
+    return acc
 
 
 def _subset_cell(side: str, n: int, k: int, end: str, workers: int | None) -> BiPoly:

@@ -5,18 +5,14 @@
 inversion parity from its rank.  It checks `oracle._scan_a_numpy`, which
 counts the range without generating a word.
 
-`oracle.scan_subsets` reads the subset tally from S_(n-2): the key counts
-of S_n are crossed from its A tally (`oracle._subset_keys`), and the keys
-are crossed with every sign mask.  Two walks check that route:
-
-* `subset_keys` walks S_n and reads each permutation's key from its
-  letters, so it checks the crossing from S_(n-2);
-* `subsets` visits every signed word of B_n and locates the letters n-1
-  and n with argsorts, so it checks the whole tally.  It shares with the
-  oracle only the block generator and its sign crossing (`signed_blocks`),
-  `_ascent_codes`, the code tables and the inversion parities, and returns
-  the same code array as `oracle._expand_subsets`, so the two compare
-  exactly.
+`subsets` checks `oracle.scan_subsets`, which crosses the stored B tally
+of B_(n-2) with the insertions of +-(n-1) and +-n (`oracle._insertions`).
+It visits every signed word of B_n and locates the letters n-1 and n with
+argsorts.  It shares with the oracle only the block generator and its sign
+crossing (`signed_blocks`), `_ascent_codes`, the code tables and the
+inversion parities; of these the crossing reads the code tables itself, and
+the rest only through the B_(n-2) tally.  It returns the same code array as
+`oracle.scan_subsets`, so the two compare exactly.
 """
 
 from math import factorial
@@ -33,27 +29,6 @@ def walk_a(n: int, lo: int, hi: int) -> np.ndarray:
         rows = words.shape[0]
         key = np.left_shift(oracle._ascent_codes(words, signed=False), 1, dtype=np.int16)
         key |= oracle._inv_parity(n, lo, rows)
-        acc += np.bincount(key, minlength=acc.size)
-        lo += rows
-    return acc.reshape(-1, 2)
-
-
-def subset_keys(n: int) -> np.ndarray:
-    """Counts of the key (c, i, j, o, inv(u) mod 2) over u in S_n, laid out
-    as `oracle._subset_keys` returns them, by a walk of S_n."""
-    acc = np.zeros((1 << (n - 1)) * n * n * 4, dtype=np.int64)
-    lo = 0
-    for words in oracle._perm_blocks(n, 0, factorial(n), 1 << 16):
-        rows = words.shape[0]
-        big = words >= n - 1
-        i = np.argmax(big, axis=1)
-        j = n - 1 - np.argmax(big[:, ::-1], axis=1)
-        o = 1  # at n <= 3 the letter left, if any, rises from the 0 sentinel
-        if n >= 4:
-            rest = words[~big].reshape(rows, n - 2)
-            o = rest[:, -2] < rest[:, -1]
-        key = (oracle._ascent_codes(words, signed=False).astype(np.int64) * n + i) * n + j
-        key = (key * 2 + o) * 2 + oracle._inv_parity(n, lo, rows)
         acc += np.bincount(key, minlength=acc.size)
         lo += rows
     return acc.reshape(-1, 2)

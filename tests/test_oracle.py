@@ -3,6 +3,7 @@
 import ast
 import copy
 import dataclasses
+import functools
 import hashlib
 import inspect
 import pickle
@@ -606,6 +607,24 @@ def test_raw_tallies_keep_their_digests(workers):
             assert hashlib.md5(tally.tobytes()).hexdigest() == want, (kind, n)
 
 
+# md5 of scan_subsets(n) for n = 2..9, taken from the route that crossed the
+# S_n subset keys with every sign mask
+SUBSET_MD5 = ["e2e543af31f4ea2b0a8cf7487cb51fe6", "8df34f0e269496e100d195c39ba4df70",
+              "241c33076a8d3b5fc9cee265023e2080", "47ab3e7cd62ed2878cfacde2e4b1f7dd",
+              "cfae562dfcb6db538242524e1cf59afe", "43b5f547c4229446154e13818f19f153",
+              "fc167de64b90ef12e9ed8631f28e5d1a", "7088b47c0313a5c9575da644609ee702"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_subset_tallies_keep_their_digests(cold_caches, workers):
+    """scan_subsets over B_2..B_9, byte for byte, each B_(n-2) tally filled
+    at the given worker count, beyond the reference walk's B_5."""
+    for n, want in enumerate(SUBSET_MD5, 2):
+        codes = scan_subsets(n, workers)
+        assert codes.dtype == np.dtype("<i8") and codes.shape == (2 * oracle._subset_side(n) + 10,), n
+        assert hashlib.md5(codes.tobytes()).hexdigest() == want, n
+
+
 @pytest.mark.parametrize("workers", [2, 3, 4, 5])
 def test_a_split_b_walk_counts_whole_permutations(monkeypatch, workers):
     """The B_7 walk splits its 7! S_n ranks into min(workers, 4) parts of at
@@ -629,11 +648,10 @@ def test_a_split_b_walk_counts_whole_permutations(monkeypatch, workers):
         assert words == (hi - lo) << 7 and words >= oracle._B_BLOCK
 
 
-@pytest.mark.parametrize("n", [6, 7])
-@pytest.mark.parametrize("workers", [1, 3])
-def test_subset_tally_matches_the_direct_b_walk(n, workers):
-    """The tally read from S_n keys crossed with sign masks equals a walk of
-    every signed word of B_n."""
+@pytest.mark.parametrize("workers, n", [(1, 6), (1, 7), (3, 6), (3, 7), (1, 8)])
+def test_subset_tally_matches_the_direct_b_walk(cold_caches, workers, n):
+    """The tally crossed from the B_(n-2) tally, filled at the given worker
+    count, equals a walk of every signed word of B_n."""
     assert np.array_equal(scan_subsets(n, workers), direct_walk.subsets(n))
 
 
@@ -642,37 +660,65 @@ def test_direct_b_walk_matches_reference(n):
     assert np.array_equal(direct_walk.subsets(n), reference.subsets(n))
 
 
-@pytest.mark.parametrize("n", range(2, 10))
-def test_subset_keys_match_a_walk_of_s_n(n):
-    """The key counts crossed from S_(n-2) equal those read word by word
-    from a walk of S_n."""
-    assert np.array_equal(oracle._subset_keys(n), direct_walk.subset_keys(n))
+# Each mutant rewrites one field of the insertion table (oracle._insertions)
+# at size n, reading each row's positions and letters (i, j, vi, vj) to find
+# the bits it perturbs.
+INSERTION_MUTANTS = {
+    "(x, L) rise sign flipped": lambda n, t: {**t, "rise": t["rise"] ^ (1 << t["i"] | (t["j"] > t["i"] + 1) << t["j"])},
+    "(L, x) rise sign flipped": lambda n, t: {
+        **t, "rise": t["rise"] ^ ((t["j"] > t["i"] + 1) << (t["i"] + 1) | (t["j"] < n - 1) << (t["j"] + 1))},
+    "adjacent large pair compared the wrong way": lambda n, t: {
+        **t, "rise": t["rise"] ^ (t["j"] == t["i"] + 1) << t["j"]},
+    "split pairs kept": lambda n, t: {**t, "move": np.where(t["move"], t["move"], 1 << np.arange(n - 2))},
+    "inv gain without -[n-1 at i]": lambda n, t: {**t, "inv": t["inv"] ^ (abs(t["vi"]) == n - 1)},
+    "neg gain dropped": lambda n, t: {**t, "neg": 0 * t["neg"]},
+    "match not inverted at L = 4": lambda n, t: {**t, "flip": 0 * t["flip"]},
+    "D index 9 taken on equal signs": lambda n, t: {**t, "d9": ~t["d9"]},
+}
+
+_reference_subsets = functools.cache(reference.subsets)
+
+
+@pytest.mark.parametrize("mutant", sorted(INSERTION_MUTANTS))
+def test_the_reference_catches_a_broken_insertion_rule(monkeypatch, mutant):
+    """The subset tally equals the reference walk for n = 2..5, and each
+    mutant of the insertion table breaks it at some n <= 5."""
+    def agrees(n):
+        return np.array_equal(scan_subsets(n), _reference_subsets(n))
+
+    assert all(agrees(n) for n in range(2, 6))
+    table = oracle._insertions
+    monkeypatch.setattr(oracle, "_insertions", lambda n: INSERTION_MUTANTS[mutant](n, table(n)))
+    assert not all(agrees(n) for n in range(2, 6))
 
 
 @pytest.mark.parametrize("n", range(3, 9))
-def test_a_subset_fill_walks_only_s_n_minus_2(monkeypatch, n):
-    """A subset fill counts the whole of S_(n-2) through the A kernel, once,
-    and generates no word of any group (the B walk draws its blocks from
-    _perm_blocks)."""
+def test_a_subset_fill_walks_only_s_n_minus_2(cold_caches, monkeypatch, n):
+    """From cold, a subset fill walks B_(n-2), over the ranks of S_(n-2),
+    through one scan_joint_b call and counts no S_n; once the B_(n-2) tally
+    is stored, a subset fill runs no scan and generates no word."""
     calls = []
-    kernel = oracle._scan_a_numpy
 
-    def spy(*args):
-        calls.append(args)
-        return kernel(*args)
+    def spy(name, fn):
+        def call(*args):
+            calls.append((name, *args))
+            return fn(*args)
+        return call
 
-    def no_words(*_args):
-        raise AssertionError("a subset fill generated words")
-
-    monkeypatch.setattr(oracle, "_scan_a_numpy", spy)
-    monkeypatch.setattr(oracle, "_perm_blocks", no_words)
-    scan_subsets(n, workers=2)
-    assert calls == [(n - 2, 0, factorial(n - 2))]
+    for name in ("scan_joint_a", "scan_joint_b", "_scan_a_numpy", "_perm_blocks"):
+        monkeypatch.setattr(oracle, name, spy(name, getattr(oracle, name)))
+    want = scan_subsets(n, workers=2)
+    assert [call[:2] for call in calls if not call[0].startswith("_")] == [("scan_joint_b", n - 2)]
+    assert not [call for call in calls if call[0] == "_scan_a_numpy"]
+    assert ("B", n - 2) in oracle._TALLIES
+    calls.clear()
+    assert np.array_equal(scan_subsets(n, workers=2), want)
+    assert not calls
 
 
 def test_a_subset_fill_is_not_refused_by_the_s_n_cap(monkeypatch):
-    """The subset tally reads S_(n-2) through the A kernel, not through the
-    capped A tally, so caps (3, 9) refuse no subset query of B_6."""
+    """The subset tally reads the B_(n-2) tally, and no A tally, so caps
+    (3, 9), which refuse S_4, refuse no subset query of B_6."""
     want = subset_contribution_b(6, 8, "a"), snake_subset_contribution(6, 4, "plus")
     monkeypatch.setattr(perm_core, "CAP_A", perm_core.CAP_A)
     monkeypatch.setattr(perm_core, "CAP_B", perm_core.CAP_B)
@@ -682,20 +728,13 @@ def test_a_subset_fill_is_not_refused_by_the_s_n_cap(monkeypatch):
 
 
 def test_subset_tally_over_eight_parts_of_s8():
+    """_ranges cuts S_8 into eight parts, and the subset tally of B_8 is the
+    same whether its B_6 fill is given 1 worker or 8, cold each time."""
     assert len(oracle._ranges(factorial(8), 8, factorial(7))) == 8
-    assert np.array_equal(scan_subsets(8, 1), scan_subsets(8, 8))
-
-
-def test_signed_codes_from_unsigned_codes_and_masks():
-    """The signed ascent code of every word of B_1..B_6 is a function of the
-    ascent code of |w| and the sign mask; the words are crossed from S_n
-    ranks cut inside the walk."""
-    for n in range(1, 7):
-        cut = factorial(n) // 2 + 1
-        words = np.concatenate([_signed_words(n, 0, cut), _signed_words(n, cut, factorial(n))])
-        c = oracle._ascent_codes(np.abs(words), signed=False).astype(np.int64)
-        m = ((words < 0) << np.arange(n)).sum(axis=1)
-        assert np.array_equal(oracle._signed_code(c, m, n), oracle._ascent_codes(words, signed=True))
+    oracle.clear_caches()
+    one = scan_subsets(8, 1)
+    oracle.clear_caches()
+    assert np.array_equal(one, scan_subsets(8, 8))
 
 
 def test_parts_are_never_below_one_block():
@@ -715,33 +754,25 @@ def test_scans_within_one_block_start_no_pool(monkeypatch):
 
 
 def test_subset_fills_to_n7_start_no_pool(monkeypatch):
-    """The S_(n-2) walk and the mask crossing of every subset fill that
+    """The B_(n-2) fill and the insertion crossing of every subset fill that
     `verify --theorem all` makes (n <= 7) run in the calling thread."""
     def no_pool(*_args, **_kwargs):
         raise AssertionError("a thread pool started")
 
     serial = {n: scan_subsets(n, workers=1) for n in range(2, 8)}
+    oracle.clear_caches()
     monkeypatch.setattr(oracle, "ThreadPoolExecutor", no_pool)
     for n, want in serial.items():
         assert np.array_equal(scan_subsets(n, workers=MAX_WORKERS), want)
 
 
-def test_subset_crossing_splits_over_workers_at_n9(monkeypatch):
-    parts = []
-    ranges = oracle._ranges
-
-    def spy(total, workers, block=1):
-        out = ranges(total, workers, block)
-        parts.append((block, len(out)))
-        return out
-
-    monkeypatch.setattr(oracle, "_ranges", spy)
+def test_subset_crossing_splits_over_workers_at_n9(cold_caches):
+    """The worker count reaches only the B_7 fill: a cold fill at 1 worker
+    and a crossing of the stored B_7 tally at 2 keep one digest."""
     for workers in (1, 2):
         codes = scan_subsets(9, workers)
         assert codes.dtype == np.dtype("<i8")
         assert hashlib.md5(codes.tobytes()).hexdigest() == "7088b47c0313a5c9575da644609ee702"
-    # the crossing's parts are whole chunks of 2^18 cells, 512 keys at n = 9
-    assert parts[-1] == (512, 2)
 
 
 def test_worker_counts_are_validated_and_clamped(monkeypatch):
@@ -781,6 +812,48 @@ def _import_closure(module: str) -> set[str]:
             seen.add(module)
             todo.extend(_package_imports(module))
     return seen
+
+
+def _private_names(tree: ast.Module) -> dict[str, ast.stmt]:
+    """The module-level private names (_x, not dunder) a module defines, each
+    with the statement that defines it."""
+    found = {}
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)]
+        else:
+            continue
+        found.update((name, stmt) for name in names if name.startswith("_") and not name.startswith("__"))
+    return found
+
+
+def _used_names(node: ast.AST) -> set[str]:
+    """Every name a node reads: bare names, attributes and imported names."""
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            used.add(sub.name)
+    return used
+
+
+def test_every_private_name_in_src_has_a_user():
+    """Each module-level private name in src/weylruns is read somewhere in
+    src/ outside the statement that defines it, so no helper is left
+    behind without a caller."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(oracle.__file__).parent.glob("*.py"))}
+    reads = [(stmt, _used_names(stmt)) for tree in trees.values() for stmt in tree.body]
+    orphans = [f"{module}:{name}" for module, tree in trees.items()
+               for name, definition in _private_names(tree).items()
+               if not any(stmt is not definition and name in used for stmt, used in reads)]
+    assert not orphans
 
 
 def test_oracle_is_independent_of_the_closed_forms():
@@ -1043,8 +1116,8 @@ def test_a_repeated_query_does_not_read_the_tally(n):
 
 def test_a_cold_pass_scans_each_tally_once(monkeypatch):
     """From cold, every marginal and subset call at one n runs each scan once,
-    through the one store, which then holds just those three tallies until
-    clear_caches."""
+    through the one store, which then holds just those three tallies and the
+    B_(n-2) tally that the subset fill reads, until clear_caches."""
     oracle.clear_caches()
     scans = []
 
@@ -1058,8 +1131,8 @@ def test_a_cold_pass_scans_each_tally_once(monkeypatch):
         monkeypatch.setattr(oracle, name, counted(name, getattr(oracle, name)))
     for fn, args in _marginal_calls(4) + _subset_calls(4):
         fn(*args)
-    assert sorted(scans) == ["scan_joint_a", "scan_joint_b", "scan_subsets"]
-    assert set(oracle._TALLIES) == {("A", 4), ("B", 4), ("subsets", 4)}
+    assert sorted(scans) == ["scan_joint_a", "scan_joint_b", "scan_joint_b", "scan_subsets"]
+    assert set(oracle._TALLIES) == {("A", 4), ("B", 4), ("B", 2), ("subsets", 4)}
     oracle.clear_caches()
     assert not oracle._TALLIES
 
