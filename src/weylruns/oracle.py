@@ -4,22 +4,28 @@ Everything here is obtained by walking a whole group and tallying exact
 integer statistics; closed-form evaluators never feed back into this module,
 so oracle-vs-formula comparisons stay two independent routes.
 
-A rank of S_n is a Lehmer-unranked prefix and a column of a cached S_m
-table.  The A count makes no word (`_scan_a_numpy`); the B walk seeks S_n
-ranks through one block generator, `_perm_blocks`, which yields the words
-of a rank range in lexicographic order as int8 blocks, and crosses each
-block with the 2^n sign masks (`_cross_signs`), so no code addresses a B_n
-word by its own index.  Kernels count through int64 bincounts, an einsum
-and np.add.at (no floating point).  A word's peaks, valleys, end classes
-and alternation depend only on its ascent code: its adjacent-pair ascent
-bits, behind a 0 sentinel for signed words, packed into an integer, with a
-cached table per code length (`_code_table`).  Inversion parity is never
-counted pair by pair.  It is read per rank of S_n, from a cached parity per
-suffix-table word xored with one constant per prefix, and for B_n it is
-taken once per permutation of absolute values and broadcast over the 2^n
-sign masks (inv_D = inv(|w|), inv_B = inv(|w|) + neg (mod 2)).  So each
-tally is an int64 count array over codes and parity bits, cached as it is,
-with no decode step:
+A rank of S_n is a prefix of k = n - m letters, read from its Lehmer digits,
+and a column of a cached S_m table, m = min(n, _SUFFIX_LETTERS) with
+_SUFFIX_LETTERS = 7.  The A count makes no word (`_scan_a_numpy`).  The B
+count walks words only for the suffixes: `_scan_b_numpy` reads the S_m
+table's columns as int8 blocks on the letters 1..m and crosses each block
+with the 2^m sign masks (`_cross_signs`).  Relabelling a suffix through the
+letters its prefix leaves keeps every comparison within it, so this one walk
+serves every prefix; for k >= 1 the signed prefixes (`_signed_prefixes`) are
+crossed with it by the junction rule (`_JUNCTION`), which reads only the
+signs at the junction and where the suffix's first letter falls among the
+prefix's last (`_cross_prefixes_b`).  So B_1..B_7 are walked word by word
+and B_8 and B_9 cost the B_7 walk plus one einsum.  Kernels count through
+int64 bincounts, einsums and np.add.at (no floating point).  A word's peaks,
+valleys, end classes and alternation depend only on its ascent code: its
+adjacent-pair ascent bits, behind a 0 sentinel for signed words, packed into
+an integer, with a cached table per code length (`_code_table`).  Inversion
+parity is never counted pair by pair.  It is a cached parity per
+suffix-table word xored with the parity of the prefix's Lehmer digit sum,
+and for B_n it is taken once per permutation of absolute values and
+broadcast over the sign masks (inv_D = inv(|w|), inv_B = inv(|w|) + neg
+(mod 2)).  So each tally is an int64 count array over codes and parity
+bits, cached as it is, with no decode step:
 
 * the A tally counts[c, inv mod 2] over S_n, c the unsigned code;
 * the B tally counts[c, inv(|w|) mod 2, neg mod 2] over B_n, c the signed code;
@@ -37,26 +43,27 @@ Every distribution is a marginal of one of them: code filters are columns of
 `_code_table`, parity filters and signs a weight over the parity axes.
 
 The A count runs in the calling thread: all of S_11 takes under 1 ms.  The B
-walk splits over contiguous lexicographic rank ranges of S_n, none shorter
-than max(1, 2^17 >> n) ranks, whose sign crossings hold 2^17 words, so
-small scans start no thread pool.  Each range is seeked, not stepped:
-`_perm_blocks` unranks the range's start directly, so a worker walks only
-its own ranks.  Partial count arrays merge by integer addition, so the
-result is bitwise identical for any worker count.  The subset crossing runs
-in the calling thread; its worker count reaches only the B_(n-2) fill.
-One store, `_TALLIES`, keeps each tally by (kind, n), kind "A", "B" or
-"subsets", beside the answers read from it, keyed by the public call.
-`_tally` alone scans a tally, and `_answer` alone sums a new answer; a
-repeated query is one dict read (`_stored`).  `clear_caches` empties every
-store made by `new_cache`, `verify`'s check outcomes included, so a run
-after it walks and checks everything again.  The one result memo it keeps is
-`closed_forms._recurrence_table`, a pure-formula memo that each n also hits
-for n - 1 within a run; it also keeps the `functools.cache` tables
-(`_suffix_table`, `_code_table`, `_sign_table`), which depend on n alone
-and hold no result.  The test suite keeps a pure-Python walk over
-perm_core's statistics as the reference for all three tallies and for every
-marginal, word-by-word numpy walks of S_n ranges and of B_n as second
-references for the A count and the subset tally.
+suffix walk splits over contiguous ranges of the S_m table's columns, none
+shorter than max(1, 2^17 >> m) columns, whose sign crossings hold 2^17
+words, so small scans start no thread pool; a worker slices only its own
+columns.  Partial count arrays merge by integer addition before the prefix
+crossing, so the result is bitwise identical for any worker count.  The
+subset crossing runs in the calling thread; its worker count reaches only
+the B_(n-2) fill.  One store, `_TALLIES`, keeps each tally by (kind, n),
+kind "A", "B" or "subsets", beside the answers read from it, keyed by the
+public call.  `_tally` alone scans a tally, and `_answer` alone sums a new
+answer; a repeated query is one dict read (`_stored`).  `clear_caches`
+empties every store made by `new_cache`, `verify`'s check outcomes included,
+so a run after it walks and checks everything again.  The one result memo it
+keeps is `closed_forms._recurrence_table`, a pure-formula memo that each n
+also hits for n - 1 within a run; it also keeps the `functools.cache` tables
+(`_suffix_table`, `_code_table`, `_sign_table`), which depend on n alone and
+hold no result.  The test suite keeps a pure-Python walk over perm_core's
+statistics as the reference for all three tallies and for every marginal.
+Its `direct_walk` module keeps the seekable block generator of S_n rank
+ranges that the walks used before the word-free counts, and word-by-word
+numpy walks over it of S_n and of B_n, as second references for the A count,
+the B count and the subset tally.
 """
 
 from __future__ import annotations
@@ -166,9 +173,9 @@ def _run_split(fn, total: int, workers: int | None, block: int):
 # counts[c, inv(|w|) mod 2, neg mod 2] over B_n (see the module docstring)
 # =====================================================================
 
-# Words of S_n are an unranked prefix plus a suffix read from the cached S_m
-# table, m = min(n, _SUFFIX_LETTERS).  At 7 the table is 35 KB and each
-# prefix unrank is spread over 5040 words.
+# A rank of S_n is a prefix of n - m letters and a column of the cached S_m
+# table, m = min(n, _SUFFIX_LETTERS).  At 7 the table is 35 KB, and its B
+# walk (_scan_b_numpy) is that of B_7.
 _SUFFIX_LETTERS = 7
 
 
@@ -197,61 +204,6 @@ def _suffix_table(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return table, parity, _ascent_codes(table.T, signed=False).astype(np.int64) << 1 | parity
 
 
-def _unrank_prefix(n: int, k: int, p: int) -> tuple[list[int], np.ndarray]:
-    """The first k letters of the S_n words of ranks p*(n-k)! .. (p+1)*(n-k)! - 1,
-    and the sorted letters left for their suffixes.
-
-    p is read as a Lehmer code in mixed radix n, n-1, .., n-k+1 (Knuth, TAOCP
-    4A, 7.2.1.2): digit i picks the letter of that rank among those unused.
-    """
-    digits = []
-    for radix in range(n - k + 1, n + 1):
-        p, digit = divmod(p, radix)
-        digits.append(digit)
-    letters = list(range(1, n + 1))
-    prefix = [letters.pop(d) for d in reversed(digits)]
-    return prefix, np.array(letters, dtype=np.int8)
-
-
-def _prefix_runs(n: int, lo: int, rows: int):
-    """Split the S_n ranks [lo, lo + rows) into runs that share one prefix.
-
-    Yields (at, p, s, take): rows at .. at+take-1 of the range are the words
-    of prefix p whose suffixes are columns s .. s+take-1 of the S_m table.
-    """
-    size = factorial(min(n, _SUFFIX_LETTERS))
-    at = 0
-    while at < rows:
-        p, s = divmod(lo + at, size)
-        take = min(size - s, rows - at)
-        yield at, p, s, take
-        at += take
-
-
-def _perm_blocks(n: int, lo: int, hi: int, chunk: int):
-    """int8 blocks of at most `chunk` rows: the S_n words of ranks [lo, hi).
-
-    Rank r = p*m! + s with m = min(n, _SUFFIX_LETTERS): the length-(n-m)
-    prefix is the Lehmer unrank of p, and the suffix is column s of the S_m
-    table relabelled through the letters the prefix leaves.  Each block is
-    filled as an (n, rows) array, one letter position per row, and yielded as
-    its (rows, n) transpose, so the kernel reads each position in place.  The
-    walk seeks to lo directly, so a range costs only its own rows, and the
-    rows come out in lexicographic order.
-    """
-    table, *_ = _suffix_table(min(n, _SUFFIX_LETTERS))
-    k = n - len(table)
-    while lo < hi:
-        rows = min(chunk, hi - lo)
-        block = np.empty((n, rows), dtype=np.int8)
-        for at, p, s, take in _prefix_runs(n, lo, rows):
-            prefix, rest = _unrank_prefix(n, k, p)
-            block[:k, at:at + take] = np.reshape(prefix, (k, 1))
-            block[k:, at:at + take] = rest[table[:, s:s + take]]
-        yield block.T
-        lo += rows
-
-
 # =====================================================================
 # Statistics kernel
 #
@@ -260,16 +212,17 @@ def _perm_blocks(n: int, lo: int, hi: int, chunk: int):
 # classes and alternation depend only on the word's ascent code
 # (_code_table).  Inversion parity depends only on the rank: relabelling a
 # suffix keeps its order, so inv = (Lehmer digits of the prefix) +
-# inv(suffix-table word) (_inv_parity).  For w in B_n with |w| its
-# permutation of absolute values, inv_D(w) = inv(|w|) and inv_B(w) =
-# inv(|w|) + neg(w) (mod 2) (Bjorner-Brenti, Combinatorics of Coxeter
-# Groups, Prop. 8.1.1 and 8.2.1), so one parity per permutation is broadcast
-# over its 2^n sign masks (_parity_table).
+# inv(suffix-table word) (_prefix_classes, _suffix_table).  For w in B_n
+# with |w| its permutation of absolute values, inv_D(w) = inv(|w|) and
+# inv_B(w) = inv(|w|) + neg(w) (mod 2) (Bjorner-Brenti, Combinatorics of
+# Coxeter Groups, Prop. 8.1.1 and 8.2.1), so one parity per permutation is
+# broadcast over its 2^m sign masks (_scan_b_numpy).
 #
-# Blocks are column-major: _perm_blocks and _cross_signs fill an (n, M)
-# array, one letter position per row, and hand out its (M, n) transpose, so
-# the ascent bits compare whole rows of the buffer in place and no block is
-# copied into another layout.
+# Blocks are column-major: _scan_b_numpy slices (m, M) blocks of table
+# columns and _cross_signs fills an (m, M * 2^m) array, one letter position
+# per row; each is handed out as its transpose, so the ascent bits compare
+# whole rows of the buffer in place and no block is copied into another
+# layout.
 # =====================================================================
 
 @functools.cache
@@ -307,22 +260,9 @@ def _ascent_codes(words: np.ndarray, signed: bool) -> np.ndarray:
     return bits.sum(0, dtype=dtype)
 
 
-def _inv_parity(n: int, lo: int, rows: int) -> np.ndarray:
-    """inv mod 2 of the S_n words of ranks [lo, lo + rows), as uint8.
-
-    The parity of each suffix-table word, xored with one constant per prefix.
-    """
-    m = min(n, _SUFFIX_LETTERS)
-    row_parity = _suffix_table(m)[1]
-    out = np.empty(rows, dtype=np.uint8)
-    for at, p, s, take in _prefix_runs(n, lo, rows):
-        out[at:at + take] = row_parity[s:s + take] ^ _digit_parity(p, range(m + 1, n + 1))
-    return out
-
-
 def _prefix_classes(n: int, m: int, first: int, stop: int):
     """(code, parity, t) of the S_n prefixes first .. stop-1, of n - m letters, from
-    their Lehmer digits d_i (see _unrank_prefix): pair i rises when d_i <= d_(i+1),
+    their Lehmer digits d_i in mixed radix n, .., m+1: pair i rises when d_i <= d_(i+1),
     inv is the digit sum, and t, the letters left below the last, the last digit."""
     p, digits = np.arange(first, stop), []
     for radix in range(m + 1, n + 1):
@@ -335,9 +275,10 @@ def _prefix_classes(n: int, m: int, first: int, stop: int):
 def _scan_a_numpy(n: int, lo: int, hi: int) -> np.ndarray:
     """The A tally counts[c, inv mod 2] of the S_n ranks [lo, hi), counted
     without words.  Rank p * m! + s is prefix p, of k letters, and column s
-    (see _perm_blocks).  Code bits 0 .. k-2 are the prefix's, bit k-1 rises
-    when the column's first letter index is at least the prefix's t, the bits
-    from k up and the parity (xor the prefix's) are the column's key's."""
+    of the S_m table relabelled through the letters p leaves.  Code bits
+    0 .. k-2 are the prefix's, bit k-1 rises when the column's first letter
+    index is at least the prefix's t, the bits from k up and the parity (xor
+    the prefix's) are the column's key's."""
     m = min(n, _SUFFIX_LETTERS)
     k, size, keys = n - m, factorial(m), _suffix_table(m)[2]
     if k == 0:
@@ -373,44 +314,91 @@ def _cross_signs(words: np.ndarray) -> np.ndarray:
     """The (M * 2^n, n) int8 block of signed words over an (M, n) block of
     S_n: each permutation with its sign masks 0 .. 2^n - 1 in turn, which is
     the contract order of B_n.  One broadcast multiply over the masks fills
-    it column-major, one letter position per row, as _perm_blocks does."""
+    it column-major, one letter position per row."""
     n = words.shape[1]
     return (words.T[:, :, None] * _sign_table(n)[:, None, :]).reshape(n, -1).T
 
 
-# Block sizes, in words of n int8 letters.  Each block costs the same few
+# Block sizes, in words of m int8 letters.  Each block costs the same few
 # dozen numpy calls, and every call hands the GIL between workers, so the
-# joint B kernel reads big blocks: max(1, _JOINT_B_BLOCK >> n) permutations,
-# whose sign crossing is one (n, 2^19) array of n * 512 KB.  No part of a
-# split of B_n is smaller than _B_BLOCK words, max(1, _B_BLOCK >> n)
-# permutations.
+# suffix walk reads big blocks: max(1, _JOINT_B_BLOCK >> m) columns, whose
+# sign crossing is one (m, 2^19) array of m * 512 KB.  No part of a split of
+# the walk is smaller than _B_BLOCK words, max(1, _B_BLOCK >> m) columns.
 _JOINT_B_BLOCK = 1 << 19
 _B_BLOCK = 1 << 17
 
 
-def _parity_table(n: int) -> np.ndarray:
-    """The (2, 2^n) grid 2 * (inv(|w|) mod 2) + (neg(w) mod 2) over the sign
-    masks, as uint8."""
-    neg2 = _digit_parity(np.arange(1 << n), [2] * n)
-    return (np.arange(2)[:, None] * 2 + neg2).astype(np.uint8)
-
-
 def _scan_b_numpy(n: int, lo: int, hi: int) -> np.ndarray:
-    """The B tally counts[c, inv(|w|) mod 2, neg mod 2] of the B_n words whose
-    |w| has an S_n rank in [lo, hi)."""
-    parities = _parity_table(n)
-    acc = np.zeros(4 << n, dtype=np.int64)
-    for perms in _perm_blocks(n, lo, hi, max(1, _JOINT_B_BLOCK >> n)):
-        rows = perms.shape[0]
+    """The suffix walk of B_n: counts[j, c, inv mod 2, neg mod 2] of the
+    signed words over columns [lo, hi) of the S_m table, m = min(n,
+    _SUFFIX_LETTERS), on the letters 1..m, each with its 2^m sign masks.  c
+    is the word's signed code and j the index of the column's first letter;
+    at m = n it is the B tally of B_n split by j (see _cross_prefixes_b)."""
+    m = min(n, _SUFFIX_LETTERS)
+    table, parity, _ = _suffix_table(m)
+    # bits[j * 2 + inv, mask]: a column's j and inv and the mask's neg as key bits beside code << 2
+    row, chunk = np.arange(2 * m)[:, None], max(1, _JOINT_B_BLOCK >> m)
+    bits = (row >> 1 << (m + 2) | (row & 1) << 1 | _digit_parity(np.arange(1 << m), [2] * m)).astype(np.int16)
+    acc = np.zeros(m << (m + 2), dtype=np.int64)
+    for at in range(lo, hi, chunk):
+        cols = slice(at, min(hi, at + chunk))
         # `words` stays bound until the next crossing replaces it: freeing
         # each crossed block inside the loop made B_8 fills about 25 % slower
         # at 1 worker and 12 % at 2 (medians of 30 alternating fills)
-        words = _cross_signs(perms)
+        words = _cross_signs((table[:, cols] + 1).T)
         key = np.left_shift(_ascent_codes(words, signed=True), 2, dtype=np.int16)
-        key |= parities[_inv_parity(n, lo, rows)].reshape(-1)
+        key |= bits[table[0, cols] * 2 + parity[cols]].reshape(-1)
         acc += np.bincount(key, minlength=acc.size)
-        lo += rows
-    return acc.reshape(-1, 2, 2)
+    return acc.reshape(m, -1, 2, 2)
+
+
+def _signed_prefixes(n: int, m: int):
+    """(code, g, t, inv, neg) of the signed prefixes of B_n, of k = n - m
+    letters: each S_n prefix of _prefix_classes (a row) with each of its 2^k
+    sign masks (a column; bit i negates letter i).  Code bit 0 is set when
+    the first letter is positive; a pair with equal signs rises when its
+    unsigned bit differs from "both negative", one with unequal signs when
+    its left letter is negative.  g is 1 when the last letter is positive,
+    inv is the parity of the digit sum and neg that of the popcount."""
+    k = n - m
+    unsigned, inv, t = _prefix_classes(n, m, 0, factorial(n) // factorial(m))
+    neg = np.arange(1 << k)[:, None] >> np.arange(k) & 1  # [mask, letter]: 1 when negative
+    code = 1 - neg[:, 0]
+    for i in range(1, k):
+        left, right = neg[:, i - 1], neg[:, i]
+        code = code | np.where(left == right, (unsigned[:, None] >> (i - 1) & 1) ^ left, left) << i
+    return np.broadcast_arrays(code, 1 - neg[:, -1], t[:, None], inv[:, None], neg.sum(1) & 1)
+
+
+# _JUNCTION[g, f, j >= t]: whether the pair across the prefix and the suffix
+# rises, g and f being 1 when the prefix's last letter and the suffix's first
+# are positive.  With equal signs it compares |w|'s letters, and the suffix's
+# first letter lies above the prefix's last when j >= t (see _prefix_classes).
+_JUNCTION = np.array([[[1, 0], [1, 1]], [[0, 0], [0, 1]]])
+
+
+def _cross_prefixes_b(n: int, walk: np.ndarray) -> np.ndarray:
+    """The B tally of B_n from its suffix walk walk[j, c, inv, neg] (see
+    _scan_b_numpy): j summed out when the walk is all of B_n, else crossed
+    with the signed prefixes (_signed_prefixes) in one einsum.  Code bits
+    0 .. k-1 are the prefix's, bit k is the junction's (_JUNCTION), the bits
+    from k + 1 up are the suffix's above its bit 0, f, and both parities
+    are the xor of the prefix's and the suffix's."""
+    m = len(walk)
+    k = n - m
+    if k == 0:
+        return walk.sum(0)
+    code, g, t, inv, neg = _signed_prefixes(n, m)
+    classes = np.bincount(((((code * 2 + g) * (m + 1) + t) * 2 + inv) * 2 + neg).ravel(),
+                          minlength=(8 * (m + 1)) << k).reshape(-1, 2, m + 1, 2, 2)
+    above = np.pad(walk[::-1].cumsum(0)[::-1], ((0, 1), (0, 0), (0, 0), (0, 0)))  # [t]: j >= t
+    # split[x, t, h, f, inv, neg]: the suffixes of code h << 1 | f with j >= t (x = 1) or not
+    split = np.stack([above[0] - above, above]).reshape(2, m + 1, -1, 2, 2, 2)
+    rises = np.eye(2, dtype=np.int64)[_JUNCTION]  # [g, f, x, junction bit r]
+    xor = [[0, 1], [1, 0]]
+    # cols[g, t, r, h, prefix inv y, inv q, prefix neg z, neg w]: the suffixes of parities y ^ q, z ^ w
+    cols = np.einsum("gfxr,xthfqw->gtrhqw", rises, split)[..., xor, :][..., xor]
+    return np.einsum("cgtyz,gtrhyqzw->hrcqw", classes, cols).reshape(-1, 2, 2)
 
 
 def scan_joint_a(n: int, workers: int | None = 1) -> np.ndarray:
@@ -422,11 +410,13 @@ def scan_joint_a(n: int, workers: int | None = 1) -> np.ndarray:
 
 
 def scan_joint_b(n: int, workers: int | None = 1) -> np.ndarray:
-    """Uncached B tally counts[c, inv(|w|) mod 2, neg mod 2] over B_n, split
-    over the S_n ranks of |w| in parts of at least _B_BLOCK words."""
+    """Uncached B tally counts[c, inv(|w|) mod 2, neg mod 2] over B_n: the
+    suffix walk, split over the S_m table's columns in parts of at least
+    _B_BLOCK words, crossed with the signed prefixes (_cross_prefixes_b)."""
     _check_n("B", n)
-    block = max(1, _B_BLOCK >> n)
-    return sum(_run_split(lambda a, b: _scan_b_numpy(n, a, b), factorial(n), workers, block))
+    m = min(n, _SUFFIX_LETTERS)
+    parts = _run_split(lambda a, b: _scan_b_numpy(n, a, b), factorial(m), workers, max(1, _B_BLOCK >> m))
+    return _cross_prefixes_b(n, sum(parts))
 
 
 def _stored(kind: str, n, key: tuple, workers: int | None):

@@ -340,7 +340,7 @@ def test_block_slices_cover(group, n):
     cuts = [0, total // 3 + 1, 2 * total // 3 - 1, total]
     pieces = []
     for lo, hi in zip(cuts, cuts[1:]):
-        blocks = oracle._perm_blocks(n, lo, hi, 5)
+        blocks = direct_walk.perm_blocks(n, lo, hi, 5)
         if group != "A":
             blocks = map(oracle._cross_signs, blocks)
         pieces.extend(tuple(w) for block in blocks for w in block.tolist())
@@ -359,7 +359,7 @@ def test_perm_blocks_seek_in_lexicographic_order(n, ends, chunk):
     A range is cut to 64 blocks, so a small chunk draws a short range."""
     lo, hi = sorted(e % (factorial(n) + 1) for e in ends)
     hi = min(hi, lo + 64 * chunk)
-    blocks = list(oracle._perm_blocks(n, lo, hi, chunk))
+    blocks = list(direct_walk.perm_blocks(n, lo, hi, chunk))
     assert all(0 < b.shape[0] <= chunk and b.dtype == np.int8 for b in blocks)
     got = np.concatenate(blocks) if blocks else np.empty((0, n), dtype=np.int8)
     want = np.array(list(islice(permutations(range(1, n + 1)), lo, hi)), dtype=np.int8)
@@ -367,24 +367,49 @@ def test_perm_blocks_seek_in_lexicographic_order(n, ends, chunk):
 
 
 def test_perm_blocks_seek_to_the_end_of_s11():
-    blocks = list(oracle._perm_blocks(11, factorial(11) - 5, factorial(11), 4096))
+    blocks = list(direct_walk.perm_blocks(11, factorial(11) - 5, factorial(11), 4096))
     top = (11, 10, 9, 8, 7, 6, 5, 4)
     want = [top + tail for tail in list(permutations((1, 2, 3)))[1:]]
     assert [tuple(w) for b in blocks for w in b.tolist()] == want
 
 
-def test_kernel_blocks_are_column_major_in_contract_order():
-    """Every block of _perm_blocks and of _cross_signs is the transpose of an
-    (n, M) buffer, so the (n, M) layout that _ascent_codes reads is that
-    buffer and no copy.  The ranges start and end inside a suffix table, the
-    S_8 one in the next table.  The crossing keeps the contract order of B_n."""
+def _column_major(words: np.ndarray) -> bool:
+    """Whether an (M, n) block is the transpose of an (n, M) buffer, so the
+    (n, M) layout that _ascent_codes reads is that buffer and no copy."""
+    return np.shares_memory(np.ascontiguousarray(words.T), words)
+
+
+def test_kernel_blocks_are_column_major_in_contract_order(monkeypatch):
+    """Every block of direct_walk.perm_blocks, of the B suffix walk's table
+    columns and of their sign crossings is column-major.  The perm_blocks
+    ranges start and end inside a suffix table, the S_8 one in the next
+    table; the suffix walk's blocks are 37 columns.  Both crossings keep the
+    contract order of B_n."""
     for n, lo, hi in ((3, 1, 5), (7, 100, 4000), (8, 5000, 5100)):
-        for block in oracle._perm_blocks(n, lo, hi, 37):
+        for block in direct_walk.perm_blocks(n, lo, hi, 37):
             for words in (block, oracle._cross_signs(block)):
-                assert np.shares_memory(np.ascontiguousarray(words.T), words), (n, words.shape)
+                assert _column_major(words), (n, words.shape)
     for n in range(1, 7):
-        crossed = [w for b in oracle._perm_blocks(n, 0, factorial(n), 7) for w in oracle._cross_signs(b).tolist()]
+        crossed = [w for b in direct_walk.perm_blocks(n, 0, factorial(n), 7) for w in oracle._cross_signs(b).tolist()]
         assert list(map(tuple, crossed)) == list(iter_group("B", n))
+    cross, walked = oracle._cross_signs, []
+
+    def spy(perms):
+        words = cross(perms)
+        assert _column_major(perms) and _column_major(words), (perms.shape, words.shape)
+        walked.extend(map(tuple, words.tolist()))
+        return words
+
+    monkeypatch.setattr(oracle, "_cross_signs", spy)
+    for n in range(1, 7):
+        monkeypatch.setattr(oracle, "_JOINT_B_BLOCK", 37 << n)
+        walked.clear()
+        oracle._scan_b_numpy(n, 0, factorial(n))
+        assert walked == list(iter_group("B", n))
+    monkeypatch.setattr(oracle, "_JOINT_B_BLOCK", 37 << 7)
+    walked.clear()
+    oracle._scan_b_numpy(9, 100, 4000)
+    assert len(walked) == 3900 << 7
 
 
 # ------------------------------------- statistics kernel against brute force
@@ -444,10 +469,10 @@ def test_suffix_table_parity_matches_pairwise_counts(n, at, rows):
     """Row parity xor prefix constant gives inv mod 2 on rank ranges of S_8..S_10."""
     lo = at % factorial(n)
     hi = min(lo + rows, factorial(n))
-    words = np.concatenate(list(oracle._perm_blocks(n, lo, hi, 4096)))
+    words = np.concatenate(list(direct_walk.perm_blocks(n, lo, hi, 4096)))
     iu, ju = np.triu_indices(n, 1)
     want = (words[:, iu] > words[:, ju]).sum(1) & 1
-    assert np.array_equal(oracle._inv_parity(n, lo, hi - lo), want)
+    assert np.array_equal(direct_walk.inv_parity(n, lo, hi - lo), want)
 
 
 def _word_with_ascents(bits, size: int) -> list[int]:
@@ -537,6 +562,68 @@ def test_the_short_suffix_check_catches_a_broken_prefix_rule(monkeypatch, mutant
     assert not all(_a_tallies_match(monkeypatch, letters) for letters in range(1, 5))
 
 
+# ------------------------------------------- the signed prefix crossing
+
+def _b_tallies_match(monkeypatch, letters: int, workers: int) -> bool:
+    """Whether scan_joint_b at the given worker count, and the B suffix walk
+    in two parts cut at column m!/3 + 1 crossed with the signed prefixes,
+    equal the reference walk on B_1..B_6 when the suffix table has `letters`
+    letters, so prefixes of up to 5 letters and their junctions are counted.
+    A part may be one column, so 3 workers split every walk of 3 or more."""
+    monkeypatch.setattr(oracle, "_SUFFIX_LETTERS", letters)
+    monkeypatch.setattr(oracle, "_B_BLOCK", 1)
+    for n in range(1, 7):
+        total, want = factorial(min(n, letters)), reference.joint_b(n)
+        cut = total // 3 + 1
+        parts = oracle._scan_b_numpy(n, 0, cut) + oracle._scan_b_numpy(n, cut, total)
+        if not (np.array_equal(scan_joint_b(n, workers), want)
+                and np.array_equal(oracle._cross_prefixes_b(n, parts), want)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("letters", [1, 2, 3, 4])
+def test_short_suffix_tables_match_the_b_reference(monkeypatch, letters, workers):
+    assert _b_tallies_match(monkeypatch, letters, workers)
+
+
+def _rewrite(rewrite):
+    """A mutant of _signed_prefixes: its (code, g, t, inv, neg) rewritten,
+    given the suffix table's size m."""
+    return lambda signed_prefixes: lambda n, m: rewrite(m, *signed_prefixes(n, m))
+
+
+# Each row names an attribute of the prefix crossing and maps its value to
+# the mutant.  t is at most m, and j at most m - 1, so capping t + 1 at m
+# changes no junction beyond the mutation.
+B_PREFIX_MUTANTS = {
+    "mixed-sign junction rule swapped": ("_JUNCTION", lambda table: table.transpose(1, 0, 2)),
+    "j >= t read as j > t when g = f = +": ("_signed_prefixes", _rewrite(
+        lambda m, code, g, t, inv, neg: (code, g, np.where(g == 1, np.minimum(t + 1, m), t), inv, neg))),
+    "prefix neg parity dropped": ("_signed_prefixes", _rewrite(
+        lambda m, code, g, t, inv, neg: (code, g, t, inv, 0 * neg))),
+    "bit 0 read as first letter negative": ("_signed_prefixes", _rewrite(
+        lambda m, code, g, t, inv, neg: (code ^ 1, g, t, inv, neg))),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(B_PREFIX_MUTANTS))
+def test_the_short_suffix_check_catches_a_broken_signed_prefix_rule(monkeypatch, mutant):
+    name, mutate = B_PREFIX_MUTANTS[mutant]
+    monkeypatch.setattr(oracle, name, mutate(getattr(oracle, name)))
+    assert not all(_b_tallies_match(monkeypatch, letters, 1) for letters in range(1, 5))
+
+
+def test_b_tally_matches_the_direct_walk_at_b8():
+    """scan_joint_b(8), the S_7 suffix walk crossed with the 16 signed
+    one-letter prefixes, equals the word-by-word walk of all of B_8 at 1 and
+    2 workers."""
+    want = direct_walk.walk_b(8, 0, factorial(8))
+    for workers in (1, 2):
+        assert np.array_equal(scan_joint_b(8, workers), want)
+
+
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(8, 10), ends=st.lists(st.integers(0, factorial(10)), min_size=2, max_size=2))
 @example(n=8, ends=[factorial(7) + 3, 2 * factorial(7) - 5])
@@ -580,7 +667,8 @@ def test_worker_count_does_not_change_tallies():
 
 
 # md5 of the raw tallies' bytes, taken from the walk with row-major blocks;
-# S_11's from the A word walk with column-major blocks
+# S_11's from the A word walk with column-major blocks, and B_9's from the B
+# word walk of every signed word at 1 and 2 workers
 TALLY_MD5 = {
     "A": ["076933ff9904d1110d896e2c525e39e5", "a410e51dfd02c8cb9ca11803914f068a",
           "4b7565ddc681658dae8a2c1b4ee6c66e", "804b2f74db30ce0797eab16da5d6a57c",
@@ -591,14 +679,15 @@ TALLY_MD5 = {
     "B": ["718b1f13b1a1ab2b4006e1b8f87e3b87", "7b6e993ef4858b34404084e5c56100f8",
           "e6f82fbab01fea832a494bd7d45edca2", "a435eb910ded28e732da55f88b78fe4a",
           "16ac578279aa8b24def2ec1d31fd19ea", "21ef49d1e108e2af7cb35b19effb34c7",
-          "31871d254d40f17a560cb8c1121e6fde", "fccff9784620c390fa9a1dfc8c8e318a"],
+          "31871d254d40f17a560cb8c1121e6fde", "fccff9784620c390fa9a1dfc8c8e318a",
+          "b11e747b074c9c0e8d906ece6314a20d"],
 }
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_raw_tallies_keep_their_digests(workers):
-    """scan_joint_a over S_1..S_11 and scan_joint_b over B_1..B_8, byte for
-    byte, beyond the reference walks' S_7 and B_5."""
+    """scan_joint_a over S_1..S_11 and scan_joint_b over B_1..B_9, byte for
+    byte, beyond the reference walks' S_7 and B_6."""
     for kind, scan, shape in (("A", scan_joint_a, lambda n: (1 << max(n - 1, 0), 2)),
                               ("B", scan_joint_b, lambda n: (1 << n, 2, 2))):
         for n, want in enumerate(TALLY_MD5[kind], 1):
@@ -705,7 +794,7 @@ def test_a_subset_fill_walks_only_s_n_minus_2(cold_caches, monkeypatch, n):
             return fn(*args)
         return call
 
-    for name in ("scan_joint_a", "scan_joint_b", "_scan_a_numpy", "_perm_blocks"):
+    for name in ("scan_joint_a", "scan_joint_b", "_scan_a_numpy", "_scan_b_numpy"):
         monkeypatch.setattr(oracle, name, spy(name, getattr(oracle, name)))
     want = scan_subsets(n, workers=2)
     assert [call[:2] for call in calls if not call[0].startswith("_")] == [("scan_joint_b", n - 2)]
@@ -728,9 +817,8 @@ def test_a_subset_fill_is_not_refused_by_the_s_n_cap(monkeypatch):
 
 
 def test_subset_tally_over_eight_parts_of_s8():
-    """_ranges cuts S_8 into eight parts, and the subset tally of B_8 is the
-    same whether its B_6 fill is given 1 worker or 8, cold each time."""
-    assert len(oracle._ranges(factorial(8), 8, factorial(7))) == 8
+    """The subset tally of B_8 is the same whether its B_6 fill is given 1
+    worker or 8, cold each time."""
     oracle.clear_caches()
     one = scan_subsets(8, 1)
     oracle.clear_caches()
@@ -1001,7 +1089,7 @@ def test_snake_subsets_read_the_cached_tally(monkeypatch):
     def no_scan(*_args):
         raise AssertionError("a scan started")
 
-    monkeypatch.setattr(oracle, "_perm_blocks", no_scan)
+    monkeypatch.setattr(oracle, "_scan_b_numpy", no_scan)
     monkeypatch.setattr(oracle, "_scan_a_numpy", no_scan)
     want = oracle._subset_parts(reference.subsets(n), n)[1]
     for k in range(1, 5):

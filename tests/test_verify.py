@@ -172,8 +172,8 @@ def test_length_decomposition_is_checked_by_brute_force(monkeypatch, cold_caches
     for name in ("inv_a", "inv_b", "inv_d", "iter_group", "negatives"):
         monkeypatch.setattr(perm_core, name, forbidden)
         assert not hasattr(verify, name)
-    for name in ("_perm_blocks", "_cross_signs", "_sign_table", "_inv_parity", "_code_table",
-                 "_parity_table", "_suffix_table", "_scan_a_numpy", "_prefix_classes"):
+    for name in ("_cross_signs", "_sign_table", "_code_table", "_suffix_table", "_scan_a_numpy",
+                 "_scan_b_numpy", "_prefix_classes"):
         monkeypatch.setattr(oracle, name, forbidden)
     assert run_checks("cor-inv-bd", 1, 6).ok
     # a D descent at 0 off by one misses the words with w_1 + w_2 = -1
