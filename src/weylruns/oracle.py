@@ -6,26 +6,24 @@ so oracle-vs-formula comparisons stay two independent routes.
 
 A rank of S_n is a prefix of k = n - m letters, read from its Lehmer digits,
 and a column of a cached S_m table, m = min(n, _SUFFIX_LETTERS) with
-_SUFFIX_LETTERS = 7.  The A count makes no word (`_scan_a_numpy`).  The B
-count walks words only for the suffixes: `_scan_b_numpy` reads the S_m
-table's columns as int8 blocks on the letters 1..m and crosses each block
-with the 2^m sign masks (`_cross_signs`).  Relabelling a suffix through the
-letters its prefix leaves keeps every comparison within it, so this one walk
-serves every prefix; for k >= 1 the signed prefixes (`_signed_prefixes`) are
-crossed with it by the junction rule (`_JUNCTION`), which reads only the
-signs at the junction and where the suffix's first letter falls among the
-prefix's last (`_cross_prefixes_b`).  So B_1..B_7 are walked word by word
-and B_8 and B_9 cost the B_7 walk plus one einsum.  Kernels count through
-int64 bincounts, einsums and np.add.at (no floating point).  A word's peaks,
-valleys, end classes and alternation depend only on its ascent code: its
-adjacent-pair ascent bits, behind a 0 sentinel for signed words, packed into
-an integer, with a cached table per code length (`_code_table`).  Inversion
-parity is never counted pair by pair.  It is a cached parity per
-suffix-table word xored with the parity of the prefix's Lehmer digit sum,
-and for B_n it is taken once per permutation of absolute values and
-broadcast over the sign masks (inv_D = inv(|w|), inv_B = inv(|w|) + neg
-(mod 2)).  So each tally is an int64 count array over codes and parity
-bits, cached as it is, with no decode step:
+_SUFFIX_LETTERS = 7.  The A count makes no word (`_scan_a_numpy`).  B_1..B_7
+are walked word by word: `_scan_b_numpy` reads the S_n table's columns as
+int8 blocks on the letters 1..n and crosses each block with the 2^n sign
+masks (`_cross_signs`).  Above B_7 a word of B_n is a word of B_(n-1) with
++-n inserted, and the insertion fixes how its code and parities change, so
+the B tally of B_n is the stored one of B_(n-1) crossed with the 2n
+insertions (`_top_insertions`): B_8 and B_9 cost the B_7 walk plus two
+small crossings.  Kernels count through int64 bincounts, einsums and
+np.add.at (no floating point).  A word's peaks, valleys, end classes and
+alternation depend only on its ascent code: its adjacent-pair ascent bits,
+behind a 0 sentinel for signed words, packed into an integer, with a cached
+table per code length (`_code_table`).  Inversion parity is never counted
+pair by pair.  It is a cached parity per suffix-table word xored with the
+parity of the prefix's Lehmer digit sum, and in the B walk it is taken once
+per permutation of absolute values and broadcast over the sign masks
+(inv_D = inv(|w|), inv_B = inv(|w|) + neg (mod 2)).  So each tally is an
+int64 count array over codes and parity bits, cached as it is, with no
+decode step:
 
 * the A tally counts[c, inv mod 2] over S_n, c the unsigned code;
 * the B tally counts[c, inv(|w|) mod 2, neg mod 2] over B_n, c the signed code;
@@ -43,27 +41,28 @@ Every distribution is a marginal of one of them: code filters are columns of
 `_code_table`, parity filters and signs a weight over the parity axes.
 
 The A count runs in the calling thread: all of S_11 takes under 1 ms.  The B
-suffix walk splits over contiguous ranges of the S_m table's columns, none
-shorter than max(1, 2^17 >> m) columns, whose sign crossings hold 2^17
-words, so small scans start no thread pool; a worker slices only its own
-columns.  Partial count arrays merge by integer addition before the prefix
-crossing, so the result is bitwise identical for any worker count.  The
-subset crossing runs in the calling thread; its worker count reaches only
-the B_(n-2) fill.  One store, `_TALLIES`, keeps each tally by (kind, n),
-kind "A", "B" or "subsets", beside the answers read from it, keyed by the
-public call.  `_tally` alone scans a tally, and `_answer` alone sums a new
-answer; a repeated query is one dict read (`_stored`).  `clear_caches`
-empties every store made by `new_cache`, `verify`'s check outcomes included,
-so a run after it walks and checks everything again.  The one result memo it
-keeps is `closed_forms._recurrence_table`, a pure-formula memo that each n
-also hits for n - 1 within a run; it also keeps the `functools.cache` tables
-(`_suffix_table`, `_code_table`, `_sign_table`), which depend on n alone and
-hold no result.  The test suite keeps a pure-Python walk over perm_core's
+walk splits over contiguous ranges of the S_n table's columns, none shorter
+than max(1, 2^17 >> n) columns, whose sign crossings hold 2^17 words, so
+small scans start no thread pool; a worker slices only its own columns.
+Partial count arrays merge by integer addition, so the result is bitwise
+identical for any worker count.  The insertion crossings, of B_n above B_7
+and of the subset tally, run in the calling thread; their worker count
+reaches only a walk of B_7 or below.  One store, `_TALLIES`, keeps each
+tally by (kind, n), kind "A", "B" or "subsets", beside the answers read
+from it, keyed by the public call.  `_tally` alone scans a tally, and
+`_answer` alone sums a new answer; a repeated query is one dict read
+(`_stored`).  `clear_caches` empties every store made by `new_cache`,
+`verify`'s check outcomes included, so a run after it walks and checks
+everything again.  The one result memo it keeps is
+`closed_forms._recurrence_table`, a pure-formula memo that each n also hits
+for n - 1 within a run; it also keeps the `functools.cache` tables
+(`_suffix_table`, `_code_table`, `_sign_table`), which depend on n alone
+and hold no result.  The test suite keeps a pure-Python walk over perm_core's
 statistics as the reference for all three tallies and for every marginal.
 Its `direct_walk` module keeps the seekable block generator of S_n rank
 ranges that the walks used before the word-free counts, and word-by-word
 numpy walks over it of S_n and of B_n, as second references for the A count,
-the B count and the subset tally.
+the B tally above B_7 and the subset tally.
 """
 
 from __future__ import annotations
@@ -174,8 +173,8 @@ def _run_split(fn, total: int, workers: int | None, block: int):
 # =====================================================================
 
 # A rank of S_n is a prefix of n - m letters and a column of the cached S_m
-# table, m = min(n, _SUFFIX_LETTERS).  At 7 the table is 35 KB, and its B
-# walk (_scan_b_numpy) is that of B_7.
+# table, m = min(n, _SUFFIX_LETTERS).  At 7 the table is 35 KB.  B_n is
+# walked (_scan_b_numpy) up to n = _SUFFIX_LETTERS and inserted into above.
 _SUFFIX_LETTERS = 7
 
 
@@ -216,10 +215,10 @@ def _suffix_table(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # with |w| its permutation of absolute values, inv_D(w) = inv(|w|) and
 # inv_B(w) = inv(|w|) + neg(w) (mod 2) (Bjorner-Brenti, Combinatorics of
 # Coxeter Groups, Prop. 8.1.1 and 8.2.1), so one parity per permutation is
-# broadcast over its 2^m sign masks (_scan_b_numpy).
+# broadcast over its 2^n sign masks (_scan_b_numpy).
 #
-# Blocks are column-major: _scan_b_numpy slices (m, M) blocks of table
-# columns and _cross_signs fills an (m, M * 2^m) array, one letter position
+# Blocks are column-major: _scan_b_numpy slices (n, M) blocks of table
+# columns and _cross_signs fills an (n, M * 2^n) array, one letter position
 # per row; each is handed out as its transpose, so the ascent bits compare
 # whole rows of the buffer in place and no block is copied into another
 # layout.
@@ -319,86 +318,51 @@ def _cross_signs(words: np.ndarray) -> np.ndarray:
     return (words.T[:, :, None] * _sign_table(n)[:, None, :]).reshape(n, -1).T
 
 
-# Block sizes, in words of m int8 letters.  Each block costs the same few
+# Block sizes, in words of n int8 letters.  Each block costs the same few
 # dozen numpy calls, and every call hands the GIL between workers, so the
-# suffix walk reads big blocks: max(1, _JOINT_B_BLOCK >> m) columns, whose
-# sign crossing is one (m, 2^19) array of m * 512 KB.  No part of a split of
-# the walk is smaller than _B_BLOCK words, max(1, _B_BLOCK >> m) columns.
+# B walk reads big blocks: max(1, _JOINT_B_BLOCK >> n) columns, whose
+# sign crossing is one (n, 2^19) array of n * 512 KB.  No part of a split of
+# the walk is smaller than _B_BLOCK words, max(1, _B_BLOCK >> n) columns.
 _JOINT_B_BLOCK = 1 << 19
 _B_BLOCK = 1 << 17
 
 
 def _scan_b_numpy(n: int, lo: int, hi: int) -> np.ndarray:
-    """The suffix walk of B_n: counts[j, c, inv mod 2, neg mod 2] of the
-    signed words over columns [lo, hi) of the S_m table, m = min(n,
-    _SUFFIX_LETTERS), on the letters 1..m, each with its 2^m sign masks.  c
-    is the word's signed code and j the index of the column's first letter;
-    at m = n it is the B tally of B_n split by j (see _cross_prefixes_b)."""
-    m = min(n, _SUFFIX_LETTERS)
-    table, parity, _ = _suffix_table(m)
-    # bits[j * 2 + inv, mask]: a column's j and inv and the mask's neg as key bits beside code << 2
-    row, chunk = np.arange(2 * m)[:, None], max(1, _JOINT_B_BLOCK >> m)
-    bits = (row >> 1 << (m + 2) | (row & 1) << 1 | _digit_parity(np.arange(1 << m), [2] * m)).astype(np.int16)
-    acc = np.zeros(m << (m + 2), dtype=np.int64)
+    """The B tally counts[c, inv(|w|) mod 2, neg mod 2] of the signed words
+    over columns [lo, hi) of the S_n table, n <= _SUFFIX_LETTERS, on the
+    letters 1..n, each with its 2^n sign masks; c is the word's signed code."""
+    table, parity, _ = _suffix_table(n)
+    # bits[inv, mask]: a column's inv and the mask's neg as key bits beside code << 2
+    bits = (np.arange(2)[:, None] << 1 | _digit_parity(np.arange(1 << n), [2] * n)).astype(np.int16)
+    acc, chunk = np.zeros(4 << n, dtype=np.int64), max(1, _JOINT_B_BLOCK >> n)
     for at in range(lo, hi, chunk):
         cols = slice(at, min(hi, at + chunk))
         # `words` stays bound until the next crossing replaces it: freeing
-        # each crossed block inside the loop made B_8 fills about 25 % slower
-        # at 1 worker and 12 % at 2 (medians of 30 alternating fills)
+        # each crossed block inside the loop made a walk of B_8 about 25 %
+        # slower at 1 worker and 12 % at 2 (medians of 30 alternating fills)
         words = _cross_signs((table[:, cols] + 1).T)
         key = np.left_shift(_ascent_codes(words, signed=True), 2, dtype=np.int16)
-        key |= bits[table[0, cols] * 2 + parity[cols]].reshape(-1)
+        key |= bits[parity[cols]].reshape(-1)
         acc += np.bincount(key, minlength=acc.size)
-    return acc.reshape(m, -1, 2, 2)
+    return acc.reshape(-1, 2, 2)
 
 
-def _signed_prefixes(n: int, m: int):
-    """(code, g, t, inv, neg) of the signed prefixes of B_n, of k = n - m
-    letters: each S_n prefix of _prefix_classes (a row) with each of its 2^k
-    sign masks (a column; bit i negates letter i).  Code bit 0 is set when
-    the first letter is positive; a pair with equal signs rises when its
-    unsigned bit differs from "both negative", one with unequal signs when
-    its left letter is negative.  g is 1 when the last letter is positive,
-    inv is the parity of the digit sum and neg that of the popcount."""
-    k = n - m
-    unsigned, inv, t = _prefix_classes(n, m, 0, factorial(n) // factorial(m))
-    neg = np.arange(1 << k)[:, None] >> np.arange(k) & 1  # [mask, letter]: 1 when negative
-    code = 1 - neg[:, 0]
-    for i in range(1, k):
-        left, right = neg[:, i - 1], neg[:, i]
-        code = code | np.where(left == right, (unsigned[:, None] >> (i - 1) & 1) ^ left, left) << i
-    return np.broadcast_arrays(code, 1 - neg[:, -1], t[:, None], inv[:, None], neg.sum(1) & 1)
+def _top_insertions(n: int) -> dict[str, np.ndarray]:
+    """The 2n ways to insert +-n into a word w' of B_(n-1), one row per
+    insertion: the position i of the letter in the new word w, and neg, 1
+    when the letter is -n.
 
-
-# _JUNCTION[g, f, j >= t]: whether the pair across the prefix and the suffix
-# rises, g and f being 1 when the prefix's last letter and the suffix's first
-# are positive.  With equal signs it compares |w|'s letters, and the suffix's
-# first letter lies above the prefix's last when j >= t (see _prefix_classes).
-_JUNCTION = np.array([[[1, 0], [1, 1]], [[0, 0], [0, 1]]])
-
-
-def _cross_prefixes_b(n: int, walk: np.ndarray) -> np.ndarray:
-    """The B tally of B_n from its suffix walk walk[j, c, inv, neg] (see
-    _scan_b_numpy): j summed out when the walk is all of B_n, else crossed
-    with the signed prefixes (_signed_prefixes) in one einsum.  Code bits
-    0 .. k-1 are the prefix's, bit k is the junction's (_JUNCTION), the bits
-    from k + 1 up are the suffix's above its bit 0, f, and both parities
-    are the xor of the prefix's and the suffix's."""
-    m = len(walk)
-    k = n - m
-    if k == 0:
-        return walk.sum(0)
-    code, g, t, inv, neg = _signed_prefixes(n, m)
-    classes = np.bincount(((((code * 2 + g) * (m + 1) + t) * 2 + inv) * 2 + neg).ravel(),
-                          minlength=(8 * (m + 1)) << k).reshape(-1, 2, m + 1, 2, 2)
-    above = np.pad(walk[::-1].cumsum(0)[::-1], ((0, 1), (0, 0), (0, 0), (0, 0)))  # [t]: j >= t
-    # split[x, t, h, f, inv, neg]: the suffixes of code h << 1 | f with j >= t (x = 1) or not
-    split = np.stack([above[0] - above, above]).reshape(2, m + 1, -1, 2, 2, 2)
-    rises = np.eye(2, dtype=np.int64)[_JUNCTION]  # [g, f, x, junction bit r]
-    xor = [[0, 1], [1, 0]]
-    # cols[g, t, r, h, prefix inv y, inv q, prefix neg z, neg w]: the suffixes of parities y ^ q, z ^ w
-    cols = np.einsum("gfxr,xthfqw->gtrhqw", rises, split)[..., xor, :][..., xor]
-    return np.einsum("cgtyz,gtrhyqzw->hrcqw", classes, cols).reshape(-1, 2, 2)
+    move[:, q] is 1 << p when bit q of the signed code c' of w' becomes bit p
+    of w's code c: the bits below i stay, the pair the letter splits drops
+    out, and the bits above it move up by one.  rise holds the bits of the
+    pairs with the letter: (x, +n) rises at bit i, and (-n, x) at bit i + 1
+    unless -n is last.  inv(|w|) gains n-1-i and neg gains [-n], mod 2.
+    """
+    i, neg = np.divmod(np.arange(2 * n), 2)
+    q = np.arange(n - 1)
+    move = np.where(q < i[:, None], 1 << q, np.where(q > i[:, None], 1 << (q + 1), 0))
+    rise = np.where(neg == 1, (i < n - 1) << (i + 1), 1 << i)
+    return {"i": i, "move": move, "rise": rise, "inv": (n - 1 - i) & 1, "neg": neg}
 
 
 def scan_joint_a(n: int, workers: int | None = 1) -> np.ndarray:
@@ -410,13 +374,22 @@ def scan_joint_a(n: int, workers: int | None = 1) -> np.ndarray:
 
 
 def scan_joint_b(n: int, workers: int | None = 1) -> np.ndarray:
-    """Uncached B tally counts[c, inv(|w|) mod 2, neg mod 2] over B_n: the
-    suffix walk, split over the S_m table's columns in parts of at least
-    _B_BLOCK words, crossed with the signed prefixes (_cross_prefixes_b)."""
+    """Uncached B tally counts[c, inv(|w|) mod 2, neg mod 2] over B_n.  Up to
+    _SUFFIX_LETTERS it is walked (_scan_b_numpy), split over the S_n table's
+    columns in parts of at least _B_BLOCK words.  Above, it is the B tally of
+    B_(n-1), read from the store (its fill alone takes the workers), crossed
+    with _top_insertions(n)."""
     _check_n("B", n)
-    m = min(n, _SUFFIX_LETTERS)
-    parts = _run_split(lambda a, b: _scan_b_numpy(n, a, b), factorial(m), workers, max(1, _B_BLOCK >> m))
-    return _cross_prefixes_b(n, sum(parts))
+    if n <= _SUFFIX_LETTERS:
+        return sum(_run_split(lambda a, b: _scan_b_numpy(n, a, b), factorial(n), workers, max(1, _B_BLOCK >> n)))
+    resolve_workers(workers)
+    small, rows = _tally("B", n - 1, workers)[0], _top_insertions(n)
+    c = ((np.arange(len(small))[:, None] >> np.arange(n - 1)) & 1) @ rows["move"].T | rows["rise"]  # c[c', row]
+    # [row, inv(|w'|), neg(w')]: the parity bits of w
+    bits = (rows["inv"][:, None, None] ^ np.arange(2)[:, None]) << 1 | rows["neg"][:, None, None] ^ np.arange(2)
+    acc = np.zeros(4 << n, dtype=np.int64)
+    np.add.at(acc, (c << 2)[..., None, None] | bits, small[:, None])
+    return acc.reshape(-1, 2, 2)
 
 
 def _stored(kind: str, n, key: tuple, workers: int | None):

@@ -12,8 +12,8 @@ its ascent code from its letters and its inversion parity from its rank.
 It checks `oracle._scan_a_numpy`, which counts the range without
 generating a word.  `walk_b` is the B tally the same way: each permutation
 of a rank range crossed with its 2^n sign masks (`signed_blocks`).  It
-checks `oracle.scan_joint_b`, which walks only the S_m suffixes and crosses
-them with the signed prefixes.
+checks `oracle.scan_joint_b` above B_7, where the walked B_7 tally has +-n
+inserted into it one letter at a time (`oracle._top_insertions`).
 
 `subsets` checks `oracle.scan_subsets`, which crosses the stored B tally
 of B_(n-2) with the insertions of +-(n-1) and +-n (`oracle._insertions`).

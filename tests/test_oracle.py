@@ -20,7 +20,7 @@ import reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weylruns import oracle, perm_core
+from weylruns import cli, oracle, perm_core
 from weylruns.errors import DomainError
 from weylruns.oracle import (
     MAX_WORKERS,
@@ -380,11 +380,12 @@ def _column_major(words: np.ndarray) -> bool:
 
 
 def test_kernel_blocks_are_column_major_in_contract_order(monkeypatch):
-    """Every block of direct_walk.perm_blocks, of the B suffix walk's table
-    columns and of their sign crossings is column-major.  The perm_blocks
-    ranges start and end inside a suffix table, the S_8 one in the next
-    table; the suffix walk's blocks are 37 columns.  Both crossings keep the
-    contract order of B_n."""
+    """Every block of direct_walk.perm_blocks, of the B walk's table columns
+    and of their sign crossings is column-major.  The perm_blocks ranges
+    start and end inside a suffix table, the S_8 one in the next table; the
+    B walk's blocks are 37 columns, and a walk of B_7 columns [100, 4000)
+    crosses all of their words.  Both crossings keep the contract order of
+    B_n."""
     for n, lo, hi in ((3, 1, 5), (7, 100, 4000), (8, 5000, 5100)):
         for block in direct_walk.perm_blocks(n, lo, hi, 37):
             for words in (block, oracle._cross_signs(block)):
@@ -408,7 +409,7 @@ def test_kernel_blocks_are_column_major_in_contract_order(monkeypatch):
         assert walked == list(iter_group("B", n))
     monkeypatch.setattr(oracle, "_JOINT_B_BLOCK", 37 << 7)
     walked.clear()
-    oracle._scan_b_numpy(9, 100, 4000)
+    oracle._scan_b_numpy(7, 100, 4000)
     assert len(walked) == 3900 << 7
 
 
@@ -518,6 +519,36 @@ def test_code_tables_match_perm_core(n, signed):
         assert tuple(int(col[code]) for col in table) == want, (code, w)
 
 
+# Each mutant rewrites the (pk, val, first, last, alt) that _code_table(n, signed)
+# returns.  Of its max(n - 2 + signed, 0) adjacent bit pairs, those that do not
+# rise (val counts the rising ones) are peaks when a peak is read as >=.
+CODE_TABLE_MUTANTS = {
+    "a peak read as >=": lambda n, signed, pk, val, *ends: (max(n - 2 + signed, 0) - val, val, *ends),
+    "pk and val swapped on the signed table": lambda n, signed, pk, val, *ends: (
+        (val, pk, *ends) if signed else (pk, val, *ends)),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(CODE_TABLE_MUTANTS))
+def test_the_reference_catches_a_broken_code_table(cold_caches, monkeypatch, mutant):
+    """The bivariate run distributions of S_1..S_5, and of the words of
+    B_1..B_5 with a positive first letter, equal the reference sums, and each
+    mutant of the code tables breaks one of them.  (Over all of B_n, negating
+    every letter swaps peaks and valleys, so that sum cannot tell them apart.)"""
+    calls = [(dist_runs, (SignedDistributionRequest(*request), "pq"))
+             for n in range(1, 6) for request in (("A", n), ("B", n, "none", None, "positive"))]
+
+    def agrees():
+        oracle.clear_caches()
+        return all(fn(*args) == reference.answer(fn, args) for fn, args in calls)
+
+    assert agrees()
+    table = oracle._code_table
+    monkeypatch.setattr(oracle, "_code_table",
+                        lambda n, signed: CODE_TABLE_MUTANTS[mutant](n, signed, *table(n, signed)))
+    assert not agrees()
+
+
 # ------------------------------------------- the word-free A kernel
 
 def _a_tallies_match(monkeypatch, letters: int) -> bool:
@@ -562,66 +593,97 @@ def test_the_short_suffix_check_catches_a_broken_prefix_rule(monkeypatch, mutant
     assert not all(_a_tallies_match(monkeypatch, letters) for letters in range(1, 5))
 
 
-# ------------------------------------------- the signed prefix crossing
+# ------------------------------------------- the B insertion above the walk
 
 def _b_tallies_match(monkeypatch, letters: int, workers: int) -> bool:
-    """Whether scan_joint_b at the given worker count, and the B suffix walk
-    in two parts cut at column m!/3 + 1 crossed with the signed prefixes,
-    equal the reference walk on B_1..B_6 when the suffix table has `letters`
-    letters, so prefixes of up to 5 letters and their junctions are counted.
-    A part may be one column, so 3 workers split every walk of 3 or more."""
+    """Whether scan_joint_b at the given worker count equals the reference
+    walk on B_1..B_6, from cold caches, when the suffix table has `letters`
+    letters: B_(letters+1)..B_6 are then inserted into the stored tallies
+    below them.  For n <= letters, the B walk in two parts cut at column
+    n!/3 + 1 must equal it too.  A part may be one column, so 3 workers
+    split every walk of 3 or more letters."""
     monkeypatch.setattr(oracle, "_SUFFIX_LETTERS", letters)
     monkeypatch.setattr(oracle, "_B_BLOCK", 1)
+    oracle.clear_caches()
     for n in range(1, 7):
-        total, want = factorial(min(n, letters)), reference.joint_b(n)
-        cut = total // 3 + 1
-        parts = oracle._scan_b_numpy(n, 0, cut) + oracle._scan_b_numpy(n, cut, total)
-        if not (np.array_equal(scan_joint_b(n, workers), want)
-                and np.array_equal(oracle._cross_prefixes_b(n, parts), want)):
+        want = reference.joint_b(n)
+        if not np.array_equal(scan_joint_b(n, workers), want):
             return False
+        if n <= letters:
+            total = factorial(n)
+            cut = total // 3 + 1
+            if not np.array_equal(oracle._scan_b_numpy(n, 0, cut) + oracle._scan_b_numpy(n, cut, total), want):
+                return False
     return True
 
 
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("letters", [1, 2, 3, 4])
-def test_short_suffix_tables_match_the_b_reference(monkeypatch, letters, workers):
+def test_short_suffix_tables_match_the_b_reference(cold_caches, monkeypatch, letters, workers):
     assert _b_tallies_match(monkeypatch, letters, workers)
 
 
-def _rewrite(rewrite):
-    """A mutant of _signed_prefixes: its (code, g, t, inv, neg) rewritten,
-    given the suffix table's size m."""
-    return lambda signed_prefixes: lambda n, m: rewrite(m, *signed_prefixes(n, m))
-
-
-# Each row names an attribute of the prefix crossing and maps its value to
-# the mutant.  t is at most m, and j at most m - 1, so capping t + 1 at m
-# changes no junction beyond the mutation.
-B_PREFIX_MUTANTS = {
-    "mixed-sign junction rule swapped": ("_JUNCTION", lambda table: table.transpose(1, 0, 2)),
-    "j >= t read as j > t when g = f = +": ("_signed_prefixes", _rewrite(
-        lambda m, code, g, t, inv, neg: (code, g, np.where(g == 1, np.minimum(t + 1, m), t), inv, neg))),
-    "prefix neg parity dropped": ("_signed_prefixes", _rewrite(
-        lambda m, code, g, t, inv, neg: (code, g, t, inv, 0 * neg))),
-    "bit 0 read as first letter negative": ("_signed_prefixes", _rewrite(
-        lambda m, code, g, t, inv, neg: (code ^ 1, g, t, inv, neg))),
+# Each mutant rewrites one field of the insertion table (oracle._top_insertions)
+# at size n, reading each row's position i and sign to find the bits it perturbs.
+B_INSERTION_MUTANTS = {
+    "+n and -n rise bits swapped": lambda n, t: {
+        **t, "rise": np.where(t["neg"] == 1, 1 << t["i"], (t["i"] < n - 1) << (t["i"] + 1))},
+    "split pair kept": lambda n, t: {**t, "move": np.where(t["move"], t["move"], 1 << np.arange(n - 1))},
+    "inv gain read as n - i": lambda n, t: {**t, "inv": (n - t["i"]) & 1},
+    "neg gain dropped": lambda n, t: {**t, "neg": 0 * t["neg"]},
+    "-n inserted first sets bit 0": lambda n, t: {**t, "rise": t["rise"] | (t["neg"] & (t["i"] == 0))},
 }
 
 
-@pytest.mark.parametrize("mutant", sorted(B_PREFIX_MUTANTS))
-def test_the_short_suffix_check_catches_a_broken_signed_prefix_rule(monkeypatch, mutant):
-    name, mutate = B_PREFIX_MUTANTS[mutant]
-    monkeypatch.setattr(oracle, name, mutate(getattr(oracle, name)))
-    assert not all(_b_tallies_match(monkeypatch, letters, 1) for letters in range(1, 5))
+@pytest.mark.parametrize("mutant", sorted(B_INSERTION_MUTANTS))
+def test_the_short_suffix_check_catches_a_broken_b_insertion_rule(cold_caches, monkeypatch, mutant):
+    """With a one-letter suffix table, B_2..B_6 are all inserted; each mutant
+    of the insertion table breaks the comparison with the reference."""
+    assert _b_tallies_match(monkeypatch, 1, 1)
+    table = oracle._top_insertions
+    monkeypatch.setattr(oracle, "_top_insertions", lambda n: B_INSERTION_MUTANTS[mutant](n, table(n)))
+    assert not _b_tallies_match(monkeypatch, 1, 1)
 
 
 def test_b_tally_matches_the_direct_walk_at_b8():
-    """scan_joint_b(8), the S_7 suffix walk crossed with the 16 signed
-    one-letter prefixes, equals the word-by-word walk of all of B_8 at 1 and
-    2 workers."""
+    """scan_joint_b(8), the B_7 walk with +-8 inserted, equals the
+    word-by-word walk of all of B_8, with B_7 walked cold at 1 and at 2
+    workers."""
     want = direct_walk.walk_b(8, 0, factorial(8))
     for workers in (1, 2):
+        oracle.clear_caches()
         assert np.array_equal(scan_joint_b(8, workers), want)
+
+
+def test_b_fills_above_b7_walk_only_b7(cold_caches, monkeypatch, capsys):
+    """From cold, a B_9 fill walks B_7 alone and stores the B_7 and B_8
+    tallies; with B_7 stored, a B_8 fill walks nothing; and a cold `verify
+    --theorem all` walks B_7 exactly as often as a 1-worker B_7 fill does,
+    so B_8 and B_9 walk nothing of their own."""
+    calls, kernel = [], oracle._scan_b_numpy
+
+    def spy(n, lo, hi):
+        calls.append(n)
+        return kernel(n, lo, hi)
+
+    monkeypatch.setattr(oracle, "_scan_b_numpy", spy)
+    for workers in (1, 2):
+        oracle.clear_caches()
+        calls.clear()
+        scan_joint_b(9, workers)
+        assert calls and set(calls) == {7}
+        assert ("B", 7) in oracle._TALLIES and ("B", 8) in oracle._TALLIES
+    calls.clear()
+    scan_joint_b(8, 2)
+    assert not calls
+    oracle.clear_caches()
+    scan_joint_b(7, 1)
+    one_fill = list(calls)
+    oracle.clear_caches()
+    calls.clear()
+    assert cli.main(["verify", "--theorem", "all", "--threads", "1"]) == 0
+    capsys.readouterr()
+    assert max(calls) == 7 and calls.count(7) == len(one_fill) == 1
 
 
 @settings(max_examples=20, deadline=None)
