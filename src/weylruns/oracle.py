@@ -1,26 +1,27 @@
 """Brute-force oracles: every distribution in the package, by exhaustion.
 
-Everything here is obtained by walking a whole group and tallying exact
-integer statistics; closed-form evaluators never feed back into this module,
-so oracle-vs-formula comparisons stay two independent routes.
+Everything here is an exact integer tally of a whole group, walked word by
+word or counted by insertion from the tally of a smaller one; closed-form
+evaluators never feed back into this module, so oracle-vs-formula
+comparisons stay two independent routes.
 
-A rank of S_n is a prefix of k = n - m letters, read from its Lehmer digits,
-and a column of a cached S_m table, m = min(n, _SUFFIX_LETTERS) with
-_SUFFIX_LETTERS = 7.  The A count makes no word (`_scan_a_numpy`).  B_1..B_7
-are walked word by word: `_scan_b_numpy` reads the S_n table's columns as
-int8 blocks on the letters 1..n and crosses each block with the 2^n sign
-masks (`_cross_signs`).  Above B_7 a word of B_n is a word of B_(n-1) with
-+-n inserted, and the insertion fixes how its code and parities change, so
-the B tally of B_n is the stored one of B_(n-1) crossed with the 2n
-insertions (`_top_insertions`): B_8 and B_9 cost the B_7 walk plus two
-small crossings.  Kernels count through int64 bincounts, einsums and
-np.add.at (no floating point).  A word's peaks, valleys, end classes and
-alternation depend only on its ascent code: its adjacent-pair ascent bits,
-behind a 0 sentinel for signed words, packed into an integer, with a cached
-table per code length (`_code_table`).  Inversion parity is never counted
-pair by pair.  It is a cached parity per suffix-table word xored with the
-parity of the prefix's Lehmer digit sum, and in the B walk it is taken once
-per permutation of absolute values and broadcast over the sign masks
+S_n, and B_n above B_7, are counted by insertion, the argument behind the
+run recurrences (Bona, Combinatorics of Permutations, ch. 1): a word of S_n
+or B_n is one of S_(n-1) or B_(n-1) with n or +-n inserted, which fixes how
+its code and parities change.  So the tally at n is the stored one at n - 1
+crossed with the insertions (`_top_insertions`, indexed once per n by
+`_top_index`) in one np.add.at (`_insert_top`); the A step is the +n rows
+of the B step, and the A chain, from the one word of S_1, makes no word.
+B_1..B_7 are walked: `_scan_b_numpy` reads the columns of a cached table of
+S_n (`_suffix_table`) as int8 blocks on the letters 1..n and crosses each
+block with the 2^n sign masks (`_cross_signs`).  Kernels count through
+int64 bincounts and np.add.at (no floating point).  A word's peaks,
+valleys, end classes and alternation depend only on its ascent code: its
+adjacent-pair ascent bits, behind a 0 sentinel for signed words, packed
+into an integer, with a cached table per code length (`_code_table`).
+Inversion parity is never counted pair by pair: inserting n at position i
+adds n-1-i, and the walk reads a cached parity per table column, once per
+permutation of absolute values, broadcast over the sign masks
 (inv_D = inv(|w|), inv_B = inv(|w|) + neg (mod 2)).  So each tally is an
 int64 count array over codes and parity bits, cached as it is, with no
 decode step:
@@ -34,13 +35,12 @@ decode step:
   each field of w's subset code is fixed by the insertion and by the cell
   (c', inv(|w'|) mod 2, neg mod 2) of w' in the B tally of B_(n-2).  So
   the subset tally is that stored tally crossed with the 4n(n-1)
-  insertions (`_insertions`), by the insertion argument of the run
-  recurrences (Bona, Combinatorics of Permutations, ch. 1).
+  insertions (`_insertions`), by the same insertion argument.
 
 Every distribution is a marginal of one of them: code filters are columns of
 `_code_table`, parity filters and signs a weight over the parity axes.
 
-The A count runs in the calling thread: all of S_11 takes under 1 ms.  The B
+The A chain runs in the calling thread: S_1..S_11 take under 1 ms.  The B
 walk splits over contiguous ranges of the S_n table's columns, none shorter
 than max(1, 2^17 >> n) columns, whose sign crossings hold 2^17 words, so
 small scans start no thread pool; a worker slices only its own columns.
@@ -56,13 +56,14 @@ from it, keyed by the public call.  `_tally` alone scans a tally, and
 everything again.  The one result memo it keeps is
 `closed_forms._recurrence_table`, a pure-formula memo that each n also hits
 for n - 1 within a run; it also keeps the `functools.cache` tables
-(`_suffix_table`, `_code_table`, `_sign_table`), which depend on n alone
-and hold no result.  The test suite keeps a pure-Python walk over perm_core's
-statistics as the reference for all three tallies and for every marginal.
+(`_suffix_table`, `_code_table`, `_sign_table`, `_top_index`), which
+depend on n alone and hold no result.  The test suite keeps a pure-Python
+walk over perm_core's statistics as the reference for all three tallies
+and for every marginal.
 Its `direct_walk` module keeps the seekable block generator of S_n rank
 ranges that the walks used before the word-free counts, and word-by-word
-numpy walks over it of S_n and of B_n, as second references for the A count,
-the B tally above B_7 and the subset tally.
+numpy walks over it of S_n and of B_n, as second references for the A
+chain, the B tally above B_7 and the subset tally.
 """
 
 from __future__ import annotations
@@ -172,9 +173,8 @@ def _run_split(fn, total: int, workers: int | None, block: int):
 # counts[c, inv(|w|) mod 2, neg mod 2] over B_n (see the module docstring)
 # =====================================================================
 
-# A rank of S_n is a prefix of n - m letters and a column of the cached S_m
-# table, m = min(n, _SUFFIX_LETTERS).  At 7 the table is 35 KB.  B_n is
-# walked (_scan_b_numpy) up to n = _SUFFIX_LETTERS and inserted into above.
+# B_n is walked (_scan_b_numpy) up to n = _SUFFIX_LETTERS, over the cached
+# S_n table (35 KB at 7), and inserted into above.
 _SUFFIX_LETTERS = 7
 
 
@@ -194,13 +194,12 @@ def _digit_parity(p, radices):
 
 
 @functools.cache
-def _suffix_table(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _suffix_table(m: int) -> tuple[np.ndarray, np.ndarray]:
     """The lexicographic table of S_m on the letters 0..m-1, column-major: an
-    (m, m!) int8 array whose column s is the word of rank s; the inversion
-    parity of each word, as uint8; and its key code << 1 | parity, as int64."""
+    (m, m!) int8 array whose column s is the word of rank s, and the
+    inversion parity of each word, as uint8, for the B walk."""
     table = np.array(list(itertools.permutations(range(m))), dtype=np.int8).T.copy()
-    parity = _digit_parity(np.arange(table.shape[1]), range(1, m + 1)).astype(np.uint8)
-    return table, parity, _ascent_codes(table.T, signed=False).astype(np.int64) << 1 | parity
+    return table, _digit_parity(np.arange(table.shape[1]), range(1, m + 1)).astype(np.uint8)
 
 
 # =====================================================================
@@ -209,13 +208,13 @@ def _suffix_table(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # Every statistic of a word comes from two table reads; no word is compared
 # letter against letter beyond its adjacent pairs.  Peaks, valleys, end
 # classes and alternation depend only on the word's ascent code
-# (_code_table).  Inversion parity depends only on the rank: relabelling a
-# suffix keeps its order, so inv = (Lehmer digits of the prefix) +
-# inv(suffix-table word) (_prefix_classes, _suffix_table).  For w in B_n
-# with |w| its permutation of absolute values, inv_D(w) = inv(|w|) and
-# inv_B(w) = inv(|w|) + neg(w) (mod 2) (Bjorner-Brenti, Combinatorics of
-# Coxeter Groups, Prop. 8.1.1 and 8.2.1), so one parity per permutation is
-# broadcast over its 2^n sign masks (_scan_b_numpy).
+# (_code_table).  In the walk, inversion parity is the table column's
+# (_suffix_table).  For w in B_n with |w| its permutation of absolute
+# values, inv_D(w) = inv(|w|) and inv_B(w) = inv(|w|) + neg(w) (mod 2)
+# (Bjorner-Brenti, Combinatorics of Coxeter Groups, Prop. 8.1.1 and 8.2.1),
+# so one parity per permutation is broadcast over its 2^n sign masks
+# (_scan_b_numpy).  Above the walk, and for every S_n, an insertion carries
+# each cell of the tally below to its cell at n (_top_index).
 #
 # Blocks are column-major: _scan_b_numpy slices (n, M) blocks of table
 # columns and _cross_signs fills an (n, M * 2^n) array, one letter position
@@ -259,49 +258,6 @@ def _ascent_codes(words: np.ndarray, signed: bool) -> np.ndarray:
     return bits.sum(0, dtype=dtype)
 
 
-def _prefix_classes(n: int, m: int, first: int, stop: int):
-    """(code, parity, t) of the S_n prefixes first .. stop-1, of n - m letters, from
-    their Lehmer digits d_i in mixed radix n, .., m+1: pair i rises when d_i <= d_(i+1),
-    inv is the digit sum, and t, the letters left below the last, the last digit."""
-    p, digits = np.arange(first, stop), []
-    for radix in range(m + 1, n + 1):
-        p, digit = np.divmod(p, radix)
-        digits.insert(0, digit)
-    code = sum((a <= b).astype(np.int64) << i for i, (a, b) in enumerate(itertools.pairwise(digits)))
-    return code, sum(digits) & 1, digits[-1]
-
-
-def _scan_a_numpy(n: int, lo: int, hi: int) -> np.ndarray:
-    """The A tally counts[c, inv mod 2] of the S_n ranks [lo, hi), counted
-    without words.  Rank p * m! + s is prefix p, of k letters, and column s
-    of the S_m table relabelled through the letters p leaves.  Code bits
-    0 .. k-2 are the prefix's, bit k-1 rises when the column's first letter
-    index is at least the prefix's t, the bits from k up and the parity (xor
-    the prefix's) are the column's key's."""
-    m = min(n, _SUFFIX_LETTERS)
-    k, size, keys = n - m, factorial(m), _suffix_table(m)[2]
-    if k == 0:
-        return np.bincount(keys[lo:hi], minlength=1 << n).reshape(-1, 2)
-    acc = np.zeros(1 << n, dtype=np.int64)
-    first, stop = -(-lo // size), hi // size  # the full prefixes
-    if first < stop:
-        code, parity, t = _prefix_classes(n, m, first, stop)
-        classes = np.bincount((code * 2 + parity) * (m + 1) + t, minlength=(m + 1) << k)
-        by_first = np.bincount(np.arange(size) // (size // m) << m | keys, minlength=m << m).reshape(m, -1)
-        rises = np.pad(by_first[::-1].cumsum(0)[::-1], ((0, 1), (0, 0)))  # [t]: first letter at index >= t
-        # cols[j, t, code, prefix parity y, parity q]: the column keys of parity y ^ q
-        cols = np.stack([rises[0] - rises, rises]).reshape(2, m + 1, -1, 2)[..., [[0, 1], [1, 0]]]
-        acc += np.einsum("xyt,jtsyq->sjxq", classes.reshape(-1, 2, m + 1), cols).reshape(-1)
-    head = min(hi, first * size)
-    for a, b in ((lo, head), (max(head, stop * size), hi)):  # the partial runs
-        if a < b:
-            p, s = divmod(a, size)
-            code, parity, t = _prefix_classes(n, m, p, p + 1)
-            run, rise = keys[s:s + b - a], np.arange(s, s + b - a) // (size // m) >= t
-            acc += np.bincount((run >> 1) << (k + 1) | rise << k | code << 1 | (run & 1) ^ parity, minlength=1 << n)
-    return acc.reshape(-1, 2)
-
-
 @functools.cache
 def _sign_table(n: int) -> np.ndarray:
     """The (n, 2^n) int8 table of +-1 whose column m negates the letters of
@@ -331,7 +287,7 @@ def _scan_b_numpy(n: int, lo: int, hi: int) -> np.ndarray:
     """The B tally counts[c, inv(|w|) mod 2, neg mod 2] of the signed words
     over columns [lo, hi) of the S_n table, n <= _SUFFIX_LETTERS, on the
     letters 1..n, each with its 2^n sign masks; c is the word's signed code."""
-    table, parity, _ = _suffix_table(n)
+    table, parity = _suffix_table(n)
     # bits[inv, mask]: a column's inv and the mask's neg as key bits beside code << 2
     bits = (np.arange(2)[:, None] << 1 | _digit_parity(np.arange(1 << n), [2] * n)).astype(np.int16)
     acc, chunk = np.zeros(4 << n, dtype=np.int64), max(1, _JOINT_B_BLOCK >> n)
@@ -365,31 +321,54 @@ def _top_insertions(n: int) -> dict[str, np.ndarray]:
     return {"i": i, "move": move, "rise": rise, "inv": (n - 1 - i) & 1, "neg": neg}
 
 
+@functools.cache
+def _top_index(n: int, signed: bool) -> np.ndarray:
+    """index[c', row, parity bits of w'] is the flat cell of w in the tally
+    of n letters, for each cell of w' in the tally of n - 1 and each row of
+    _top_insertions(n).  Unsigned, w' is in S_(n-1), a signed word whose
+    letters are all positive: only the +n rows apply, to the signed code
+    c' << 1 | 1, and w's code is the signed one shifted right by one.  A
+    cache made anew reads a patched _top_insertions."""
+    rows = _top_insertions(n)
+    if not signed:
+        rows = {field: col[rows["neg"] == 0] for field, col in rows.items()}
+    codes = np.arange(1 << (n - 1)) if signed else np.arange(1 << (n - 2)) << 1 | 1
+    c = ((codes[:, None] >> np.arange(n - 1)) & 1) @ rows["move"].T | rows["rise"]  # c[c', row]
+    inv = rows["inv"][:, None] ^ np.arange(2)  # [row, inv(|w'|)]: inv(|w|) mod 2
+    if not signed:
+        return (c >> 1 << 1)[..., None] | inv
+    return (c << 2)[..., None, None] | (inv << 1)[..., None] | rows["neg"][:, None, None] ^ np.arange(2)
+
+
+def _insert_top(kind: str, n: int, workers: int | None) -> np.ndarray:
+    """The kind's tally at n: the stored one at n - 1, read through _tally
+    (its fill alone takes the workers), crossed with _top_index(n) in one
+    np.add.at."""
+    small = _tally(kind, n - 1, workers)[0]
+    acc = np.zeros(2 * small.size, dtype=np.int64)
+    np.add.at(acc, _top_index(n, kind == "B"), small[:, None])
+    return acc.reshape(-1, *small.shape[1:])
+
+
 def scan_joint_a(n: int, workers: int | None = 1) -> np.ndarray:
-    """Uncached A tally counts[c, inv mod 2] over S_n, counted in the calling
+    """Uncached A tally counts[c, inv mod 2] over S_n: the S_(n-1) tally with
+    n inserted (_insert_top), from the one word of S_1, in the calling
     thread; the worker count is checked, as for every scan, but not split."""
     _check_n("A", n)
     resolve_workers(workers)
-    return _scan_a_numpy(n, 0, factorial(n))
+    return _insert_top("A", n, workers) if n > 1 else np.array([[1, 0]])
 
 
 def scan_joint_b(n: int, workers: int | None = 1) -> np.ndarray:
     """Uncached B tally counts[c, inv(|w|) mod 2, neg mod 2] over B_n.  Up to
     _SUFFIX_LETTERS it is walked (_scan_b_numpy), split over the S_n table's
-    columns in parts of at least _B_BLOCK words.  Above, it is the B tally of
-    B_(n-1), read from the store (its fill alone takes the workers), crossed
-    with _top_insertions(n)."""
+    columns in parts of at least _B_BLOCK words.  Above, it is the B_(n-1)
+    tally with +-n inserted (_insert_top)."""
     _check_n("B", n)
     if n <= _SUFFIX_LETTERS:
         return sum(_run_split(lambda a, b: _scan_b_numpy(n, a, b), factorial(n), workers, max(1, _B_BLOCK >> n)))
     resolve_workers(workers)
-    small, rows = _tally("B", n - 1, workers)[0], _top_insertions(n)
-    c = ((np.arange(len(small))[:, None] >> np.arange(n - 1)) & 1) @ rows["move"].T | rows["rise"]  # c[c', row]
-    # [row, inv(|w'|), neg(w')]: the parity bits of w
-    bits = (rows["inv"][:, None, None] ^ np.arange(2)[:, None]) << 1 | rows["neg"][:, None, None] ^ np.arange(2)
-    acc = np.zeros(4 << n, dtype=np.int64)
-    np.add.at(acc, (c << 2)[..., None, None] | bits, small[:, None])
-    return acc.reshape(-1, 2, 2)
+    return _insert_top("B", n, workers)
 
 
 def _stored(kind: str, n, key: tuple, workers: int | None):

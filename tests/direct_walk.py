@@ -9,11 +9,12 @@ walks through the patched table.
 
 `walk_a` is the A tally of a rank range read word by word: each word gets
 its ascent code from its letters and its inversion parity from its rank.
-It checks `oracle._scan_a_numpy`, which counts the range without
-generating a word.  `walk_b` is the B tally the same way: each permutation
-of a rank range crossed with its 2^n sign masks (`signed_blocks`).  It
-checks `oracle.scan_joint_b` above B_7, where the walked B_7 tally has +-n
-inserted into it one letter at a time (`oracle._top_insertions`).
+It checks `oracle.scan_joint_a`, which inserts n into the stored S_(n-1)
+tally without generating a word.  `walk_b` is the B tally the same way:
+each permutation of a rank range crossed with its 2^n sign masks
+(`signed_blocks`).  It checks `oracle.scan_joint_b` above B_7, where the
+walked B_7 tally has +-n inserted into it one letter at a time
+(`oracle._top_insertions`).
 
 `subsets` checks `oracle.scan_subsets`, which crosses the stored B tally
 of B_(n-2) with the insertions of +-(n-1) and +-n (`oracle._insertions`).

@@ -549,48 +549,58 @@ def test_the_reference_catches_a_broken_code_table(cold_caches, monkeypatch, mut
     assert not agrees()
 
 
-# ------------------------------------------- the word-free A kernel
+# ------------------------------------------- the A tally by insertion
 
-def _a_tallies_match(monkeypatch, letters: int) -> bool:
-    """Whether scan_joint_a, and the sum of the A kernel's parts cut at rank
-    n!/3 + 1, equal the reference walk on S_1..S_7 when the suffix table has
-    `letters` letters, so prefixes of up to 6 letters, their junctions and
-    (from 2 letters) partial runs are counted."""
-    monkeypatch.setattr(oracle, "_SUFFIX_LETTERS", letters)
-    for n in range(1, 8):
-        total, want = factorial(n), reference.joint_a(n)
-        cut = total // 3 + 1
-        parts = oracle._scan_a_numpy(n, 0, cut) + oracle._scan_a_numpy(n, cut, total)
-        if not (np.array_equal(scan_joint_a(n), want) and np.array_equal(parts, want)):
-            return False
-    return True
+def _a_tallies_match(workers: int) -> bool:
+    """Whether scan_joint_a at the given worker count equals the reference
+    walk on S_1..S_7, from cold caches, so that S_2..S_7 are each inserted
+    into the stored tally below."""
+    oracle.clear_caches()
+    return all(np.array_equal(scan_joint_a(n, workers), reference.joint_a(n)) for n in range(1, 8))
 
 
-@pytest.mark.parametrize("letters", [1, 2, 3, 4])
-def test_short_suffix_tables_match_the_reference(monkeypatch, letters):
-    assert _a_tallies_match(monkeypatch, letters)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_insertion_matches_the_reference(cold_caches, workers):
+    assert _a_tallies_match(workers)
 
 
-def _reversed_bits(code, width: int):
-    return sum(((code >> i) & 1) << (width - 1 - i) for i in range(width))
+def test_a_fills_read_the_stored_tally_below(cold_caches, monkeypatch):
+    """From cold, an S_9 fill at 1 or 2 workers fills each of S_1..S_9 once
+    and stores them all; with S_8 stored, an S_9 fill reads the stored S_8
+    tally and fills nothing else."""
+    fills, scan = [], oracle.scan_joint_a
+    reads, tally = [], oracle._tally
+
+    def spy_fill(n, workers=1):
+        fills.append(n)
+        return scan(n, workers)
+
+    def spy_read(kind, n, workers):
+        reads.append((kind, n))
+        return tally(kind, n, workers)
+
+    monkeypatch.setattr(oracle, "scan_joint_a", spy_fill)
+    monkeypatch.setattr(oracle, "_tally", spy_read)
+    for workers in (1, 2):
+        oracle.clear_caches()
+        fills.clear()
+        count_alternating("A", 9, workers=workers)
+        assert sorted(fills) == list(range(1, 10))
+        assert {key for key in oracle._TALLIES if key[0] == "A"} == {("A", k) for k in range(1, 10)}
+    fills.clear()
+    reads.clear()
+    oracle._TALLIES["A", 8][0][...] = 0  # so a fill that reads S_8 from the store counts nothing
+    assert not oracle.scan_joint_a(9, 2).any()
+    assert fills == [9] and reads == [("A", 8)]
 
 
-# Each mutant rewrites the (code, parity, t) that _prefix_classes returns.  t
-# is at most m, and a first letter index at most m - 1, so capping t + 1 at m
-# changes no junction beyond the mutation.
-PREFIX_MUTANTS = {
-    "junction threshold t + 1": lambda n, m, code, parity, t: (code, parity, np.minimum(t + 1, m)),
-    "prefix parity dropped": lambda n, m, code, parity, t: (code, 0 * parity, t),
-    "prefix code bits reversed": lambda n, m, code, parity, t: (_reversed_bits(code, n - m - 1), parity, t),
-}
-
-
-@pytest.mark.parametrize("mutant", sorted(PREFIX_MUTANTS))
-def test_the_short_suffix_check_catches_a_broken_prefix_rule(monkeypatch, mutant):
-    classes = oracle._prefix_classes
-    monkeypatch.setattr(oracle, "_prefix_classes",
-                        lambda n, m, *span: PREFIX_MUTANTS[mutant](n, m, *classes(n, m, *span)))
-    assert not all(_a_tallies_match(monkeypatch, letters) for letters in range(1, 5))
+def test_a_kernel_matches_the_word_walk(cold_caches):
+    """The S_8 tally, inserted from cold at 1 and at 2 workers, equals the
+    word-by-word walk of all of S_8."""
+    want = direct_walk.walk_a(8, 0, factorial(8))
+    for workers in (1, 2):
+        oracle.clear_caches()
+        assert np.array_equal(scan_joint_a(8, workers), want)
 
 
 # ------------------------------------------- the B insertion above the walk
@@ -624,25 +634,46 @@ def test_short_suffix_tables_match_the_b_reference(cold_caches, monkeypatch, let
 
 
 # Each mutant rewrites one field of the insertion table (oracle._top_insertions)
-# at size n, reading each row's position i and sign to find the bits it perturbs.
+# at size n, reading each row's position i and sign to find the bits it
+# perturbs, and says whether the A check sees it.  The A fill reads the +n rows,
+# picked by neg, so "split pair kept" (bit i is set on a +n row anyway) and the
+# -n-only row leave it whole, and "neg gain dropped" breaks it through the pick.
 B_INSERTION_MUTANTS = {
-    "+n and -n rise bits swapped": lambda n, t: {
-        **t, "rise": np.where(t["neg"] == 1, 1 << t["i"], (t["i"] < n - 1) << (t["i"] + 1))},
-    "split pair kept": lambda n, t: {**t, "move": np.where(t["move"], t["move"], 1 << np.arange(n - 1))},
-    "inv gain read as n - i": lambda n, t: {**t, "inv": (n - t["i"]) & 1},
-    "neg gain dropped": lambda n, t: {**t, "neg": 0 * t["neg"]},
-    "-n inserted first sets bit 0": lambda n, t: {**t, "rise": t["rise"] | (t["neg"] & (t["i"] == 0))},
+    "+n and -n rise bits swapped": (lambda n, t: {
+        **t, "rise": np.where(t["neg"] == 1, 1 << t["i"], (t["i"] < n - 1) << (t["i"] + 1))}, True),
+    "split pair kept": (lambda n, t: {**t, "move": np.where(t["move"], t["move"], 1 << np.arange(n - 1))}, False),
+    "bits above the letter not shifted": (lambda n, t: {
+        **t, "move": np.where(np.arange(n - 1) > t["i"][:, None], 1 << np.arange(n - 1), t["move"])}, True),
+    "inv gain read as n - i": (lambda n, t: {**t, "inv": (n - t["i"]) & 1}, True),
+    "neg gain dropped": (lambda n, t: {**t, "neg": 0 * t["neg"]}, True),
+    "-n inserted first sets bit 0": (lambda n, t: {**t, "rise": t["rise"] | (t["neg"] & (t["i"] == 0))}, False),
 }
 
 
 @pytest.mark.parametrize("mutant", sorted(B_INSERTION_MUTANTS))
 def test_the_short_suffix_check_catches_a_broken_b_insertion_rule(cold_caches, monkeypatch, mutant):
     """With a one-letter suffix table, B_2..B_6 are all inserted; each mutant
-    of the insertion table breaks the comparison with the reference."""
-    assert _b_tallies_match(monkeypatch, 1, 1)
+    of the insertion table breaks the comparison with the B reference, and
+    breaks that of S_1..S_7 with the A reference when its row says so.  The
+    mutant reaches the fills through a new _top_index cache, which the test
+    drops, so no mutated index outlives it."""
+    rewrite, breaks_a = B_INSERTION_MUTANTS[mutant]
+    assert _b_tallies_match(monkeypatch, 1, 1) and _a_tallies_match(1)
     table = oracle._top_insertions
-    monkeypatch.setattr(oracle, "_top_insertions", lambda n: B_INSERTION_MUTANTS[mutant](n, table(n)))
+    monkeypatch.setattr(oracle, "_top_insertions", lambda n: rewrite(n, table(n)))
+    monkeypatch.setattr(oracle, "_top_index", functools.cache(oracle._top_index.__wrapped__))
     assert not _b_tallies_match(monkeypatch, 1, 1)
+    assert _a_tallies_match(1) is not breaks_a
+
+
+def test_each_field_the_a_fill_reads_has_a_mutant_it_catches():
+    """Of the fields of the insertion table that the A fill reads, each is
+    rewritten by some mutant that the A check catches."""
+    table, caught = oracle._top_insertions(5), set()
+    for rewrite, breaks_a in B_INSERTION_MUTANTS.values():
+        if breaks_a:
+            caught |= {field for field, col in rewrite(5, table).items() if not np.array_equal(col, table[field])}
+    assert caught >= {"rise", "move", "inv", "neg"}
 
 
 def test_b_tally_matches_the_direct_walk_at_b8():
@@ -686,38 +717,18 @@ def test_b_fills_above_b7_walk_only_b7(cold_caches, monkeypatch, capsys):
     assert max(calls) == 7 and calls.count(7) == len(one_fill) == 1
 
 
-@settings(max_examples=20, deadline=None)
-@given(n=st.integers(8, 10), ends=st.lists(st.integers(0, factorial(10)), min_size=2, max_size=2))
-@example(n=8, ends=[factorial(7) + 3, 2 * factorial(7) - 5])
-@example(n=10, ends=[7 * factorial(7) - 3, 20 * factorial(7) + 5])
-@example(n=9, ends=[11, 11])
-def test_a_kernel_matches_the_word_walk(n, ends):
-    """The A count of any rank range of S_8..S_10, one partial run or two
-    with full prefixes between, equals the word-by-word walk of the range."""
-    lo, hi = sorted(e % (factorial(n) + 1) for e in ends)
-    assert np.array_equal(oracle._scan_a_numpy(n, lo, hi), direct_walk.walk_a(n, lo, hi))
-
-
 # --------------------------------------------------------- worker splits
 
-KERNELS = {
-    "A": (oracle._scan_a_numpy, 1, 8, lambda n: factorial(n)),
-    "B": (oracle._scan_b_numpy, 1, 5, lambda n: factorial(n)),
-}
-
-
 @settings(max_examples=40, deadline=None)
-@given(kind=st.sampled_from(sorted(KERNELS)), n=st.integers(1, 8),
-       cuts=st.lists(st.integers(0, factorial(8)), max_size=6))
-@example(kind="A", n=8, cuts=[13441, 26879])
-@example(kind="B", n=5, cuts=[1, 31, 64])
-def test_partials_over_any_cuts_sum_to_the_whole(kind, n, cuts):
-    kernel, n_min, n_max, size = KERNELS[kind]
-    n = min(max(n, n_min), n_max)
-    total = size(n)
+@given(n=st.integers(1, 5), cuts=st.lists(st.integers(0, factorial(5)), max_size=6))
+@example(n=5, cuts=[1, 31, 64])
+def test_partials_over_any_cuts_sum_to_the_whole(n, cuts):
+    """The B walk's partials over any cut of the S_n table's columns sum to
+    the walk of them all."""
+    total = factorial(n)
     bounds = [0, *sorted(c % (total + 1) for c in cuts), total]
-    parts = [kernel(n, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    assert np.array_equal(sum(parts), kernel(n, 0, total))
+    parts = [oracle._scan_b_numpy(n, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    assert np.array_equal(sum(parts), oracle._scan_b_numpy(n, 0, total))
 
 
 def test_worker_count_does_not_change_tallies():
@@ -856,11 +867,10 @@ def test_a_subset_fill_walks_only_s_n_minus_2(cold_caches, monkeypatch, n):
             return fn(*args)
         return call
 
-    for name in ("scan_joint_a", "scan_joint_b", "_scan_a_numpy", "_scan_b_numpy"):
+    for name in ("scan_joint_a", "scan_joint_b", "_scan_b_numpy"):
         monkeypatch.setattr(oracle, name, spy(name, getattr(oracle, name)))
     want = scan_subsets(n, workers=2)
     assert [call[:2] for call in calls if not call[0].startswith("_")] == [("scan_joint_b", n - 2)]
-    assert not [call for call in calls if call[0] == "_scan_a_numpy"]
     assert ("B", n - 2) in oracle._TALLIES
     calls.clear()
     assert np.array_equal(scan_subsets(n, workers=2), want)
@@ -1152,7 +1162,7 @@ def test_snake_subsets_read_the_cached_tally(monkeypatch):
         raise AssertionError("a scan started")
 
     monkeypatch.setattr(oracle, "_scan_b_numpy", no_scan)
-    monkeypatch.setattr(oracle, "_scan_a_numpy", no_scan)
+    monkeypatch.setattr(oracle, "_insert_top", no_scan)
     want = oracle._subset_parts(reference.subsets(n), n)[1]
     for k in range(1, 5):
         for bit, parity in enumerate(("plus", "minus")):
@@ -1266,8 +1276,9 @@ def test_a_repeated_query_does_not_read_the_tally(n):
 
 def test_a_cold_pass_scans_each_tally_once(monkeypatch):
     """From cold, every marginal and subset call at one n runs each scan once,
-    through the one store, which then holds just those three tallies and the
-    B_(n-2) tally that the subset fill reads, until clear_caches."""
+    through the one store, which then holds just those three tallies, the
+    B_(n-2) tally that the subset fill reads and the S_1..S_(n-1) tallies
+    that the S_n fill inserts into, until clear_caches."""
     oracle.clear_caches()
     scans = []
 
@@ -1281,8 +1292,8 @@ def test_a_cold_pass_scans_each_tally_once(monkeypatch):
         monkeypatch.setattr(oracle, name, counted(name, getattr(oracle, name)))
     for fn, args in _marginal_calls(4) + _subset_calls(4):
         fn(*args)
-    assert sorted(scans) == ["scan_joint_a", "scan_joint_b", "scan_joint_b", "scan_subsets"]
-    assert set(oracle._TALLIES) == {("A", 4), ("B", 4), ("B", 2), ("subsets", 4)}
+    assert sorted(scans) == ["scan_joint_a"] * 4 + ["scan_joint_b", "scan_joint_b", "scan_subsets"]
+    assert set(oracle._TALLIES) == {("A", 4), ("A", 3), ("A", 2), ("A", 1), ("B", 4), ("B", 2), ("subsets", 4)}
     oracle.clear_caches()
     assert not oracle._TALLIES
 
