@@ -564,6 +564,23 @@ def test_a_insertion_matches_the_reference(cold_caches, workers):
     assert _a_tallies_match(workers)
 
 
+@pytest.mark.parametrize("letters", [1, 2, 3, 4])
+def test_short_suffix_tables_match_the_reference(cold_caches, monkeypatch, letters):
+    """The A fill shares _insert_top and the _top_index cache with the B fills
+    above the suffix table.  With a `letters`-letter table and a fresh index
+    cache, B_n is filled before S_n at each n <= 6, so B_(letters+1)..B_6
+    build their signed index before the unsigned one at the same n, and the
+    stored B tallies sit beside the A ones; S_1..S_7 still equal the A
+    reference."""
+    monkeypatch.setattr(oracle, "_SUFFIX_LETTERS", letters)
+    monkeypatch.setattr(oracle, "_top_index", functools.cache(oracle._top_index.__wrapped__))
+    for n in range(1, 8):
+        if n < 7:
+            count_alternating("B", n)
+        assert np.array_equal(scan_joint_a(n), reference.joint_a(n))
+    assert {key for key in oracle._TALLIES if key[0] == "B"} == {("B", k) for k in range(1, 7)}
+
+
 def test_a_fills_read_the_stored_tally_below(cold_caches, monkeypatch):
     """From cold, an S_9 fill at 1 or 2 workers fills each of S_1..S_9 once
     and stores them all; with S_8 stored, an S_9 fill reads the stored S_8
