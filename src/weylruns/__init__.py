@@ -4,7 +4,6 @@ from .errors import DomainError, IntegrityError
 from .perm_core import (
     Permutation,
     SignedPermutation,
-    StatVector,
     altruns_a,
     altruns_b,
     classify_end_b,

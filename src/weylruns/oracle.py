@@ -52,8 +52,8 @@ tally by (kind, n), kind "A", "B" or "subsets", beside the answers read
 from it, keyed by the public call.  `_tally` alone scans a tally, and
 `_answer` alone sums a new answer; a repeated query is one dict read
 (`_stored`).  `clear_caches` empties every store made by `new_cache`,
-`verify`'s check outcomes included, so a run after it walks and checks
-everything again.  The one result memo it keeps is
+`verify`'s check outcomes and EGF series included, so a run after it walks,
+builds and checks everything again.  The one result memo it keeps is
 `closed_forms._recurrence_table`, a pure-formula memo that each n also hits
 for n - 1 within a run; it also keeps the `functools.cache` tables
 (`_suffix_table`, `_code_table`, `_sign_table`, `_top_index`), which
@@ -118,7 +118,7 @@ _TALLIES: dict[tuple[str, int], tuple[np.ndarray, dict]] = new_cache()
 
 def clear_caches() -> None:
     """Empty every store made by new_cache: the tallies, their marginals, and
-    the check outcomes that `verify` keeps."""
+    the check outcomes and EGF series that `verify` keeps."""
     with _CACHE_LOCK:
         for store in _STORES:
             store.clear()
@@ -435,23 +435,26 @@ def _poly(pk: np.ndarray, val: np.ndarray, counts: np.ndarray, biv: bool):
     return BiPoly(acc) if biv else UniPoly.from_dict(acc)
 
 
-def _marginal(counts: np.ndarray, n: int, signed: bool, weight: np.ndarray, filters, biv: bool):
+def _marginal(counts: np.ndarray, n: int, signed: bool, weight: list[int], filters, biv: bool):
     """The polynomial of a joint tally, each code's counts summed under
-    `weight` over the parity axes.  filters holds a (value, one) pair per
-    first, last and alt column: a code is kept when its bit is value == one,
-    or whatever its bit when value is None."""
+    `weight`, one int per cell of the parity axes in C order.  filters holds
+    a (value, one) pair per first, last and alt column: a code is kept when
+    its bit is value == one, or whatever its bit when value is None."""
     pk, val, *cols = _code_table(n, signed)
-    keep = np.ones(len(pk), dtype=bool)
+    per_code = counts.reshape(len(pk), -1) @ weight
+    keep = None
     for col, (value, one) in zip(cols, filters):
         if value is not None:
-            keep &= col == (value == one)
-    per_code = (counts * weight).reshape(len(pk), -1).sum(1)
-    return _poly(pk[keep], val[keep], per_code[keep], biv)
+            bit = col == (value == one)
+            keep = bit if keep is None else keep & bit
+    if keep is not None:
+        pk, val, per_code = pk[keep], val[keep], per_code[keep]
+    return _poly(pk, val, per_code, biv)
 
 
 def _sum_a(counts, n, *, biv, signed=False, first=None, last=None, alternating=None, parity=None):
     """A marginal of the A tally; the weight runs over inv mod 2."""
-    weight = np.array([1, -1 if signed else 1])
+    weight = [1, -1 if signed else 1]
     if parity is not None:
         weight[1 if parity == "plus" else 0] = 0
     filters = (first, "a"), (last, "a"), (alternating, True)
@@ -465,15 +468,13 @@ def _sum_b(counts, n, *, biv, group="B", signed=None, end=None, first=None, alte
     D / B-D keep an even / odd neg; parity filters by the group's own
     length, inv_B over B and inv_D over D and B-D.
     """
-    inv_d, neg2 = np.indices((2, 2))
-    inv_b = inv_d ^ neg2
-    weight = np.ones((2, 2), dtype=np.int64)
-    if group != "B":
-        weight *= neg2 == (group == "B-D")
-    if parity is not None:
-        weight *= (inv_b if group == "B" else inv_d) == (parity == "minus")
-    if signed is not None:
-        weight *= 1 - 2 * (inv_b if signed == "inv_b" else inv_d)
+    weight = []
+    for inv_d, neg in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        inv_b = inv_d ^ neg
+        kept = ((group == "B" or neg == (group == "B-D"))
+                and (parity is None or (inv_b if group == "B" else inv_d) == (parity == "minus")))
+        sign = -1 if signed is not None and (inv_b if signed == "inv_b" else inv_d) else 1
+        weight.append(sign if kept else 0)
     filters = (first, "positive"), (end, "a"), (alternating, True)
     return _marginal(counts, n, True, weight, filters, biv)
 

@@ -19,7 +19,6 @@ import itertools
 import numbers
 import operator
 from dataclasses import dataclass
-from math import factorial
 from typing import Iterator, Sequence
 
 from .errors import DomainError
@@ -103,14 +102,6 @@ class SignedPermutation:
         return self.negatives % 2 == 0
 
 
-@dataclass(frozen=True)
-class StatVector:
-    pk: int
-    val: int
-    altruns: int
-    inv: int
-
-
 def _word(w) -> Sequence[int]:
     return w.word if isinstance(w, (Permutation, SignedPermutation)) else w
 
@@ -180,16 +171,6 @@ def inv_d(w) -> int:
     return inv_a(w) + _cross_inversions(w)
 
 
-def stats_a(w) -> StatVector:
-    peaks, valleys = peaks_valleys_a(w)
-    return StatVector(len(peaks), len(valleys), len(peaks) + len(valleys) + 1, inv_a(w))
-
-
-def stats_b(w) -> StatVector:
-    peaks, valleys = peaks_valleys_b(w)
-    return StatVector(len(peaks), len(valleys), len(peaks) + len(valleys) + 1, inv_b(w))
-
-
 # ------------------------------------------------------------ end classes
 
 def classify_ends_a(w) -> tuple[str, str]:
@@ -214,15 +195,6 @@ def classify_end_b(w) -> str:
         raise DomainError("empty word has no end class")
     prev = w[n - 2] if n >= 2 else 0
     return "a" if prev < w[n - 1] else "d"
-
-
-def classify_ends(w, kind: str):
-    upper = kind.upper() if isinstance(kind, str) else None
-    if upper == "A":
-        return classify_ends_a(w)
-    if upper == "B":
-        return classify_end_b(w)
-    raise DomainError(f"unknown type {kind!r}")
 
 
 # ------------------------------------------------------------- bijections
@@ -275,27 +247,12 @@ def pos_abs(w, r: int) -> int:
     raise DomainError(f"no letter of absolute value {r} in {w}")
 
 
-def delete_abs(w, values: Sequence[int]) -> tuple[int, ...]:
-    """The word with the letters of the given absolute values removed."""
-    drop = set(values)
-    return tuple(x for x in _word(w) if abs(x) not in drop)
-
-
 # ------------------------------------------------------------- iteration
 #
 # Deterministic order is part of the contract: S_n in lexicographic order;
 # B_n as lexicographic permutations of absolute values crossed with sign
 # masks in binary counting order (bit i of the mask negates position i).
 # D / B-D filter that stream by the parity of the mask popcount.
-
-def group_order(group: str, n: int) -> int:
-    group = normalize_group(group)
-    if group == "A":
-        return factorial(n)
-    if group == "B":
-        return factorial(n) << n
-    return factorial(n) << (n - 1)
-
 
 def check_integer(value, name: str = "n") -> None:
     """Refuse a value that is not an integer: a float, string, None, bool or

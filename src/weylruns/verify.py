@@ -13,12 +13,13 @@ tables), `_equal_check`, and `chk_main`, `chk_uni`, `chk_cancel` and
 `chk_gao_sun` for the twin B_n and D_n statements.
 
 `run_checks` keeps the outcome of each (id, n) check in one store made by
-`oracle.new_cache`, and returns a copy of it on every call.  So a check,
-with its closed forms and word-by-word passes, runs once until
-`oracle.clear_caches`, which drops the outcomes with the oracle's tallies;
-a run after it does all its work again.  The one result memo it keeps is
-`closed_forms._recurrence_table`, a pure-formula memo that each n also hits
-for n - 1 within a run.
+`oracle.new_cache`, and returns a copy of it on every call; a second such
+store keeps each EGF closed form the checks read, one series per family
+(`_formula_coeff`).  So a check, with its closed forms and word-by-word
+passes, runs once until `oracle.clear_caches`, which drops the outcomes and
+the series with the oracle's tallies; a run after it does all its work
+again.  The one result memo it keeps is `closed_forms._recurrence_table`, a
+pure-formula memo that each n also hits for n - 1 within a run.
 
 The alternating B-D± EGF id is special: the printed closed form disagrees
 with its own lemma, so that check verifies the lemma-level facts and the
@@ -180,13 +181,23 @@ def _moment_check(n, workers, *, tokens, drop):
     return _result(n, failures, f"k=1..{max_k} on {','.join(tokens)}")
 
 
+_SERIES = oracle.new_cache()  # (kind, family) -> the family's closed form
+
+
 def _formula_coeff(kind, family, n, exact=False):
     """The n-th EGF coefficient of a family's closed form: exact, or as the
     integer count it must be.  Kind "alt-corrected" is the corrected B-D±
-    form, with family "+" or "-"."""
-    build = {"alt": series.egf_alt, "snake": series.egf_snakes,
-             "alt-corrected": series.egf_alt_bmd_pm_corrected}[kind]
-    s = build(family, n + 1)
+    form, with family "+" or "-".
+
+    Each form is built once, at order max(n + 1, DEFAULT_ORDER), and again
+    only when a larger n needs more terms: truncated EGF arithmetic never
+    changes a coefficient below the order, so every order gives the same
+    n-th coefficient."""
+    s = _SERIES.get((kind, family))
+    if s is None or s.order <= n:
+        build = {"alt": series.egf_alt, "snake": series.egf_snakes,
+                 "alt-corrected": series.egf_alt_bmd_pm_corrected}[kind]
+        s = _SERIES[kind, family] = build(family, max(n + 1, series.DEFAULT_ORDER))
     return s.egf_coeff_exact(n) if exact else s.egf_coeff(n)
 
 
@@ -404,16 +415,19 @@ def chk_zhao_bgt(n, workers):
 
 def _b_zero(cols) -> np.ndarray:
     d = cols[0] < 0
-    cols[0] = np.where(d, -cols[0], cols[0])
+    np.abs(cols[0], out=cols[0])
     return d
 
 
 def _d_zero(cols) -> np.ndarray:
     if len(cols) < 2:  # D_1 is trivial: it has no s_0
         return np.zeros(len(cols[0]), dtype=bool)
-    d = cols[0] + cols[1] < 0
-    cols[0], cols[1] = np.where(d, -cols[1], cols[0]), np.where(d, -cols[0], cols[1])
-    return d
+    # s = w_1 + w_2 where that is negative, else 0; (w_1 - s, w_2 - s) is
+    # (-w_2, -w_1) on the descents and w itself elsewhere
+    s = np.minimum(cols[0] + cols[1], 0)
+    cols[0] -= s
+    cols[1] -= s
+    return s < 0
 
 
 def _descent_sort(words: np.ndarray, zero) -> tuple[np.ndarray, np.ndarray]:
@@ -422,22 +436,30 @@ def _descent_sort(words: np.ndarray, zero) -> tuple[np.ndarray, np.ndarray]:
 
     A row moves in every sweep until it is sorted, and no length exceeds
     n^2, so the sort stops after n^2 + 1 sweeps at most; a wrong descent
-    rule that never settles is cut there.
+    rule that never settles is cut there.  A step adds at most 1 to a
+    length, so no int16 length exceeds n(n^2 + 1), which fits for n <= 31.
+    Every applied step raises the sum of the lengths, so a sweep that
+    leaves the sum unchanged applied nothing.
     """
     n = words.shape[1]
     cols = list(words.T.copy())
-    length = np.zeros(len(words), dtype=np.int64)
+    length = np.zeros(len(words), dtype=np.int16)
+    lo, hi = np.empty_like(cols[0]), np.empty_like(cols[0])
+    d = np.empty(len(words), dtype=bool)
+    total = 0
     for _ in range(n * n + 1):
-        d = zero(cols)
-        length += d
-        moved = d.any()
+        length += zero(cols)
         for i in range(1, n):
-            d = cols[i - 1] > cols[i]
-            # s_i applied where it is a descent leaves the pair increasing
-            cols[i - 1], cols[i] = np.minimum(cols[i - 1], cols[i]), np.maximum(cols[i - 1], cols[i])
+            a, b = cols[i - 1], cols[i]
+            np.greater(a, b, out=d)
             length += d
-            moved |= d.any()
-        if not moved:
+            # s_i applied where it is a descent leaves the pair increasing;
+            # the pair's old columns become the next pair's buffers
+            np.minimum(a, b, out=lo)
+            np.maximum(a, b, out=hi)
+            cols[i - 1], cols[i], lo, hi = lo, hi, a, b
+        last, total = total, int(length.sum())
+        if total == last:
             break
     return length, np.stack(cols, axis=1)
 
@@ -463,7 +485,9 @@ def _length_defects(n: int) -> np.ndarray:
     for words in _signed_word_blocks(n):
         ell_b, _ = _descent_sort(words, _b_zero)
         ell_d, _ = _descent_sort(words, _d_zero)
-        cell = ell_b - ell_d - (words < 0).sum(axis=1) + n * n
+        cell = ell_b - ell_d + n * n
+        for col in words.T:  # minus neg, one column at a time
+            cell -= col < 0
         tally += np.bincount(cell[(cell >= 0) & (cell < size)], minlength=size)
     return tally
 

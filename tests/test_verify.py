@@ -2,13 +2,14 @@
 
 import copy
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from weylruns import closed_forms as cf
-from weylruns import oracle, perm_core, verify
-from weylruns.errors import DomainError
+from weylruns import oracle, perm_core, series, verify
+from weylruns.errors import DomainError, IntegrityError
 from weylruns.oracle import (
     SignedDistributionRequest,
     class_poly_a,
@@ -133,8 +134,6 @@ _NOT_A_STRING = [
     (alt_count, (["A"], 3), "unknown family token ['A']"),
     (alt_count, (["A"], 0), "no n = 0 count for the alternating family ['A']"),
     (perm_core.is_alternating, ((2, 1, 3), 3), "unknown type 3"),
-    (perm_core.classify_ends, ((2, 1, 3), 3), "unknown type 3"),
-    (perm_core.classify_ends, ((2, 1, 3), np.array(["A"])), "unknown type array(['A']"),
 ]
 
 
@@ -352,15 +351,21 @@ def test_a_returned_outcome_is_the_callers_own():
         assert report.to_json() == want
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_descent_sort_lengths_match_inversion_counts(n):
     """Sorting by B descents gives inv_B and ends at the identity; sorting by
     D descents gives inv_D and ends at the identity on D_n and at
-    (-1, 2, .., n) on B_n - D_n."""
+    (-1, 2, .., n) on B_n - D_n.  B_1..B_5 are checked whole, B_6 and B_7
+    on a seeded sample of 3000 words each."""
     from weylruns.verify import _b_zero, _d_zero, _descent_sort
 
-    words = list(perm_core.iter_group("B", n))
-    block = np.array(words, dtype=np.int8).reshape(len(words), n)
+    if n <= 5:
+        block = np.array(list(perm_core.iter_group("B", n)), dtype=np.int8).reshape(-1, n)
+    else:
+        rng = np.random.default_rng(n)
+        letters = rng.permuted(np.tile(np.arange(1, n + 1, dtype=np.int8), (3000, 1)), axis=1)
+        block = letters * rng.choice(np.array([-1, 1], dtype=np.int8), size=letters.shape)
+    words = [tuple(w) for w in block.tolist()]
     ell_b, end_b = _descent_sort(block, _b_zero)
     ell_d, end_d = _descent_sort(block, _d_zero)
     assert ell_b.tolist() == [perm_core.inv_b(w) for w in words]
@@ -370,6 +375,87 @@ def test_descent_sort_lengths_match_inversion_counts(n):
     assert all(tuple(e) == identity for e in end_b.tolist())
     for w, e in zip(words, end_d.tolist()):
         assert tuple(e) == (identity if perm_core.negatives(w) % 2 == 0 else odd)
+
+
+# The s_0 steps as first written, with np.where: the reference for the
+# arithmetic steps that replaced them.
+def _where_b_zero(cols):
+    d = cols[0] < 0
+    cols[0] = np.where(d, -cols[0], cols[0])
+    return d
+
+
+def _where_d_zero(cols):
+    if len(cols) < 2:
+        return np.zeros(len(cols[0]), dtype=bool)
+    d = cols[0] + cols[1] < 0
+    cols[0], cols[1] = np.where(d, -cols[1], cols[0]), np.where(d, -cols[0], cols[1])
+    return d
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("step,reference", [("_b_zero", _where_b_zero), ("_d_zero", _where_d_zero)],
+                         ids=["B", "D"])
+def test_the_s0_steps_match_their_where_reference(step, reference, n):
+    """On every word of B_n, each s_0 step marks the same descents and leaves
+    the same int8 columns as its np.where form; D_1's step changes nothing."""
+    block = np.array(list(perm_core.iter_group("B", n)), dtype=np.int8).reshape(-1, n)
+    got, want = list(block.T.copy()), list(block.T.copy())
+    d = getattr(verify, step)(got)
+    assert d.dtype == bool and np.array_equal(d, reference(want))
+    assert all(g.dtype == np.int8 and np.array_equal(g, w) for g, w in zip(got, want))
+    if step == "_d_zero" and n == 1:
+        assert not d.any() and np.array_equal(got[0], block[:, 0])
+
+
+def test_the_length_tally_sums_every_block():
+    """B_7 comes in 10 blocks, and all 645120 of its words land at d = 0,
+    in cell n^2 = 49."""
+    assert sum(1 for _ in verify._signed_word_blocks(7)) == 10
+    tally = verify._length_defects(7)
+    assert (tally[49], tally.sum()) == (645120, 645120)
+
+
+_FORMS = ([("alt", series.egf_alt, family) for family in ALT_FAMILIES]
+          + [("snake", series.egf_snakes, family) for family in perm_core.SNAKE_FAMILIES]
+          + [("alt-corrected", series.egf_alt_bmd_pm_corrected, sign) for sign in "+-"])
+
+
+def _as_count(coeff):
+    """`coeff()`, or the name of the IntegrityError it raises."""
+    try:
+        return coeff()
+    except IntegrityError:
+        return "IntegrityError"
+
+
+def test_formula_coefficients_match_a_fresh_build(monkeypatch, cold_caches):
+    """For every closed form and n = 0..20, the stored series gives the n-th
+    coefficient of a fresh build at order n + 1, exact and as a count, from
+    an empty store and from a filled one; from empty, ascending n builds a
+    form at DEFAULT_ORDER and again only for each n above it."""
+    orders = []
+    for name in ("egf_alt", "egf_snakes", "egf_alt_bmd_pm_corrected"):
+        def recorded(family, order, _fn=getattr(series, name)):
+            orders.append(order)
+            return _fn(family, order)
+
+        monkeypatch.setattr(series, name, recorded)
+    fresh = {(kind, family, n): build(family, n + 1) for kind, build, family in _FORMS for n in range(21)}
+    top = series.DEFAULT_ORDER
+    for n_order in (range(21), reversed(range(21))):  # the store is empty, then filled
+        for kind, _, family in _FORMS:
+            orders.clear()
+            for n in n_order:
+                want = fresh[kind, family, n]
+                assert verify._formula_coeff(kind, family, n, exact=True) == want.egf_coeff_exact(n)
+                assert _as_count(lambda: verify._formula_coeff(kind, family, n)) == _as_count(
+                    lambda: want.egf_coeff(n))
+            assert orders == (list(range(top, 22)) if isinstance(n_order, range) else [])
+    assert verify._formula_coeff("alt", "A", 20) == 370371188237525
+    assert verify._formula_coeff("alt", "B-D+", 1, exact=True) == Fraction(3, 2)
+    with pytest.raises(IntegrityError):
+        verify._formula_coeff("alt", "B-D+", 1)
 
 
 # The failure text of each shared check, pinned: one id at one n with one
