@@ -31,11 +31,12 @@ decode step:
 * the subset tally, which classifies B_n into the cancellation subsets and
   the snakes of D_n into the staircase subsets L^1..L^4 (its layout is at
   `scan_subsets`).  It walks no group of its own.  A word w of B_n is a
-  word w' of B_(n-2) with +-(n-1) and +-n inserted at positions i < j, and
-  each field of w's subset code is fixed by the insertion and by the cell
-  (c', inv(|w'|) mod 2, neg mod 2) of w' in the B tally of B_(n-2).  So
-  the subset tally is that stored tally crossed with the 4n(n-1)
-  insertions (`_insertions`), by the same insertion argument.
+  word w' of B_(n-2) with +-(n-1) inserted and then +-n, so w's code and
+  parities are the top step of n - 1 composed with that of n (`_top_index`
+  twice), and the rest of its subset code, the staircase subset L of the
+  two large letters and their signs, is fixed by the two rows alone
+  (`_subset_labels`).  So the subset tally is the stored B_(n-2) tally
+  crossed with those 4n(n-1) row pairs, by the same insertion argument.
 
 Every distribution is a marginal of one of them: code filters are columns of
 `_code_table`, parity filters and signs a weight over the parity axes.
@@ -737,36 +738,24 @@ def _subset_parts(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return codes[:2 * side].reshape(2, 10, 2, base, base, 2), codes[2 * side:].reshape(5, 2)
 
 
-def _insertions(n: int) -> dict[str, np.ndarray]:
-    """The 4n(n-1) ways to insert +-(n-1) and +-n into a word w' of B_(n-2),
-    one row per insertion: the letters vi, vj at positions i < j of the new
-    word w, and what each field of w's subset code takes from them.
-
-    move[:, q] is 1 << p when bit q of the signed code c' of w' becomes bit p
-    of w's code c, and 0 when a large letter now splits its pair.  rise holds
-    the bits of the pairs with a large letter L: (x, L) rises when L > 0,
-    (L, x) when L < 0, and an adjacent large pair when vi < vj.  inv(|w|)
-    gains (n-1-i) + (n-1-j) - [n-1 at i] and neg gains the two sign bits, mod
-    2.  l is the staircase subset L, flip is [L = 4], whose k pair is
-    numbered the other way round, and d9 says the large signs differ.
-    """
-    i, j, top, si, sj = np.array([(i, j, top, si, sj) for i, j in itertools.combinations(range(n), 2)
-                                  for top in (n - 1, n) for si in (1, -1) for sj in (1, -1)]).T
-    vi, vj = si * top, sj * (2 * n - 1 - top)
-    # the places, behind the sentinel, of w''s sentinel and letters in w
-    at = np.array([[0] + [p + 1 for p in range(n) if p != a and p != b] for a, b in zip(i, j)])
-    apart, inside = j > i + 1, j < n - 1
-    rise = ((vi > 0) << i | (apart & (vj > 0)) << j | (apart & (vi < 0)) << (i + 1)
-            | (inside & (vj < 0)) << (j + 1) | (~apart & (vi < vj)) << j)
-    l_idx = np.where(apart, 1, np.where(inside, 2, np.where(si == sj, 4, 3)))
-    return {"i": i, "j": j, "vi": vi, "vj": vj, "move": np.where(np.diff(at) == 1, 1 << at[:, :-1], 0),
-            "rise": rise, "inv": (2 * n - 2 - i - j - (top == n - 1)) & 1, "neg": (si != sj) * 1,
-            "l": l_idx, "flip": (l_idx == 4) * 1, "d9": si != sj}
+def _subset_labels(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(l, flip, d9)[r1, r2] for the word w of B_n made from one of B_(n-2)
+    by row r1 of _top_insertions(n - 1), then row r2 of _top_insertions(n):
+    l is the staircase subset L of the positions i < j of the large letters,
+    flip is [L = 4], whose k pair is numbered the other way round, and d9
+    says the large signs differ.  n - 1 ends at position i1 + [i1 >= i2]."""
+    one, two = _top_insertions(n - 1), _top_insertions(n)
+    moved = one["i"][:, None] + (one["i"][:, None] >= two["i"])
+    i, j = np.minimum(moved, two["i"]), np.maximum(moved, two["i"])
+    d9 = one["neg"][:, None] != two["neg"]
+    l_idx = np.where(j > i + 1, 1, np.where(j < n - 1, 2, np.where(d9, 3, 4)))
+    return l_idx, (l_idx == 4) * 1, d9
 
 
 def scan_subsets(n: int, workers: int | None = 1) -> np.ndarray:
     """Uncached subset tally of B_n: the B tally of B_(n-2), read from the
-    store (its fill alone takes the workers), crossed with _insertions(n).
+    store (its fill alone takes the workers), crossed with the top step of
+    n - 1 and then that of n (_top_index), whose labels are _subset_labels.
     The cancellation subsets need n >= 3; at n = 2 only the snakes of the
     empty word's insertions are counted.
 
@@ -782,23 +771,27 @@ def scan_subsets(n: int, workers: int | None = 1) -> np.ndarray:
         raise DomainError("subset classification needs n >= 2")
     resolve_workers(workers)
     small = _tally("B", n - 2, workers)[0] if n > 2 else np.array([[[1, 0], [0, 0]]])
-    rows, base, side = _insertions(n), n + 1, _subset_side(n)
+    base, side = n + 1, _subset_side(n)
     pk, val, first, last, alt = _code_table(n, True)
-    code = np.arange(len(small))[:, None]
-    c = ((code >> np.arange(n - 2)) & 1) @ rows["move"].T | rows["rise"]  # c[c', row]
+    # cell[c', r1 * 2n + r2]: w's flat B_n cell when w''s parity bits are 0;
+    # those of w' XOR into its two low bits, the rest is (c', r1, r2)'s alone
+    step = np.moveaxis(_top_index(n, True), 1, -1).reshape(-1, 2 * n)
+    cell = step[_top_index(n - 1, True)[:, :, 0, 0]].reshape(len(small), -1)
+    l_idx, flip, d9 = (label.reshape(-1) for label in _subset_labels(n))
+    c, neg = cell >> 2, cell[0] & 1
     cells = ((last * base + pk) * base + val)[c] * 2
     # counts[c', row, inv(|w'|) mod 2] of the w' whose w lies in D_n, and
     # inv(|w|) mod 2 for each (row, inv(|w'|) mod 2)
-    in_d = small[:, :, rows["neg"]].transpose(0, 2, 1)
-    inv = rows["inv"][:, None] ^ np.arange(2)
+    in_d = small[:, :, neg].transpose(0, 2, 1)
+    inv = (cell[0] >> 1 & 1)[:, None] ^ np.arange(2)
     acc = np.zeros(2 * side + 10, dtype=np.int64)
     if n >= 3:
-        match = (code >> (n - 3) & 1) == last[c]
-        k = (2 * rows["l"] - (match ^ rows["flip"])) * 4 * base * base
-        inv_b = inv[..., None] ^ rows["neg"][:, None, None] ^ np.arange(2)  # [row, inv(|w'|), neg(w')]
+        match = (np.arange(len(small))[:, None] >> (n - 3) & 1) == last[c]
+        k = (2 * l_idx - (match ^ flip)) * 4 * base * base
+        inv_b = inv[..., None] ^ neg[:, None, None] ^ np.arange(2)  # [row, inv(|w'|), neg(w')]
         np.add.at(acc, (k + cells)[..., None, None] + inv_b, small[:, None])
-        np.add.at(acc, side + (np.where(rows["d9"], 9 * 4 * base * base, k) + cells)[..., None] + inv, in_d)
-    np.add.at(acc, 2 * side + 2 * rows["l"][:, None] + inv, (in_d * (first & alt)[c][..., None]).sum(0))
+        np.add.at(acc, side + (np.where(d9, 9 * 4 * base * base, k) + cells)[..., None] + inv, in_d)
+    np.add.at(acc, 2 * side + 2 * l_idx[:, None] + inv, (in_d * (first & alt)[c][..., None]).sum(0))
     return acc
 
 

@@ -430,9 +430,10 @@ def _d_zero(cols) -> np.ndarray:
     return s < 0
 
 
-def _descent_sort(words: np.ndarray, zero) -> tuple[np.ndarray, np.ndarray]:
-    """(length, end word) of each row of an (M, n) int8 block, by sweeps of
-    s_0 (the step `zero`), s_1, .., s_(n-1) until a sweep applies nothing.
+def _descent_sort(cols: list[np.ndarray], zero) -> np.ndarray:
+    """The length of each word of a block held as a list of its n int8
+    columns, by sweeps of s_0 (the step `zero`), s_1, .., s_(n-1) until a
+    sweep applies nothing; the list is left holding the end word's columns.
 
     A row moves in every sweep until it is sorted, and no length exceeds
     n^2, so the sort stops after n^2 + 1 sweeps at most; a wrong descent
@@ -441,11 +442,10 @@ def _descent_sort(words: np.ndarray, zero) -> tuple[np.ndarray, np.ndarray]:
     Every applied step raises the sum of the lengths, so a sweep that
     leaves the sum unchanged applied nothing.
     """
-    n = words.shape[1]
-    cols = list(words.T.copy())
-    length = np.zeros(len(words), dtype=np.int16)
+    n = len(cols)
+    length = np.zeros(len(cols[0]), dtype=np.int16)
     lo, hi = np.empty_like(cols[0]), np.empty_like(cols[0])
-    d = np.empty(len(words), dtype=bool)
+    d = np.empty(len(cols[0]), dtype=bool)
     total = 0
     for _ in range(n * n + 1):
         length += zero(cols)
@@ -461,7 +461,7 @@ def _descent_sort(words: np.ndarray, zero) -> tuple[np.ndarray, np.ndarray]:
         last, total = total, int(length.sum())
         if total == last:
             break
-    return length, np.stack(cols, axis=1)
+    return length
 
 
 def _signed_word_blocks(n: int):
@@ -483,8 +483,8 @@ def _length_defects(n: int) -> np.ndarray:
     size = 2 * n * n + 1
     tally = np.zeros(size, dtype=np.int64)
     for words in _signed_word_blocks(n):
-        ell_b, _ = _descent_sort(words, _b_zero)
-        ell_d, _ = _descent_sort(words, _d_zero)
+        ell_b = _descent_sort(list(words.T.copy()), _b_zero)
+        ell_d = _descent_sort(list(words.T.copy()), _d_zero)
         cell = ell_b - ell_d + n * n
         for col in words.T:  # minus neg, one column at a time
             cell -= col < 0

@@ -17,7 +17,8 @@ walked B_7 tally has +-n inserted into it one letter at a time
 (`oracle._top_insertions`).
 
 `subsets` checks `oracle.scan_subsets`, which crosses the stored B tally
-of B_(n-2) with the insertions of +-(n-1) and +-n (`oracle._insertions`).
+of B_(n-2) with the top insertion of +-(n-1) and then that of +-n
+(`oracle._top_index` twice, labelled by `oracle._subset_labels`).
 It visits every signed word of B_n and locates the letters n-1 and n with
 argsorts.  It shares with the oracle only the sign crossing
 (`oracle._cross_signs`), `_ascent_codes`, the code tables and the suffix

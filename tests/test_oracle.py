@@ -272,7 +272,7 @@ def test_engines_agree_type_b(n):
     assert np.array_equal(scan_joint_b(n), reference.joint_b(n))
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_engines_agree_subsets(n):
     assert np.array_equal(scan_subsets(n), reference.subsets(n))
 
@@ -519,36 +519,6 @@ def test_code_tables_match_perm_core(n, signed):
         assert tuple(int(col[code]) for col in table) == want, (code, w)
 
 
-# Each mutant rewrites the (pk, val, first, last, alt) that _code_table(n, signed)
-# returns.  Of its max(n - 2 + signed, 0) adjacent bit pairs, those that do not
-# rise (val counts the rising ones) are peaks when a peak is read as >=.
-CODE_TABLE_MUTANTS = {
-    "a peak read as >=": lambda n, signed, pk, val, *ends: (max(n - 2 + signed, 0) - val, val, *ends),
-    "pk and val swapped on the signed table": lambda n, signed, pk, val, *ends: (
-        (val, pk, *ends) if signed else (pk, val, *ends)),
-}
-
-
-@pytest.mark.parametrize("mutant", sorted(CODE_TABLE_MUTANTS))
-def test_the_reference_catches_a_broken_code_table(cold_caches, monkeypatch, mutant):
-    """The bivariate run distributions of S_1..S_5, and of the words of
-    B_1..B_5 with a positive first letter, equal the reference sums, and each
-    mutant of the code tables breaks one of them.  (Over all of B_n, negating
-    every letter swaps peaks and valleys, so that sum cannot tell them apart.)"""
-    calls = [(dist_runs, (SignedDistributionRequest(*request), "pq"))
-             for n in range(1, 6) for request in (("A", n), ("B", n, "none", None, "positive"))]
-
-    def agrees():
-        oracle.clear_caches()
-        return all(fn(*args) == reference.answer(fn, args) for fn, args in calls)
-
-    assert agrees()
-    table = oracle._code_table
-    monkeypatch.setattr(oracle, "_code_table",
-                        lambda n, signed: CODE_TABLE_MUTANTS[mutant](n, signed, *table(n, signed)))
-    assert not agrees()
-
-
 # ------------------------------------------- the A tally by insertion
 
 def _a_tallies_match(workers: int) -> bool:
@@ -648,49 +618,6 @@ def _b_tallies_match(monkeypatch, letters: int, workers: int) -> bool:
 @pytest.mark.parametrize("letters", [1, 2, 3, 4])
 def test_short_suffix_tables_match_the_b_reference(cold_caches, monkeypatch, letters, workers):
     assert _b_tallies_match(monkeypatch, letters, workers)
-
-
-# Each mutant rewrites one field of the insertion table (oracle._top_insertions)
-# at size n, reading each row's position i and sign to find the bits it
-# perturbs, and says whether the A check sees it.  The A fill reads the +n rows,
-# picked by neg, so "split pair kept" (bit i is set on a +n row anyway) and the
-# -n-only row leave it whole, and "neg gain dropped" breaks it through the pick.
-B_INSERTION_MUTANTS = {
-    "+n and -n rise bits swapped": (lambda n, t: {
-        **t, "rise": np.where(t["neg"] == 1, 1 << t["i"], (t["i"] < n - 1) << (t["i"] + 1))}, True),
-    "split pair kept": (lambda n, t: {**t, "move": np.where(t["move"], t["move"], 1 << np.arange(n - 1))}, False),
-    "bits above the letter not shifted": (lambda n, t: {
-        **t, "move": np.where(np.arange(n - 1) > t["i"][:, None], 1 << np.arange(n - 1), t["move"])}, True),
-    "inv gain read as n - i": (lambda n, t: {**t, "inv": (n - t["i"]) & 1}, True),
-    "neg gain dropped": (lambda n, t: {**t, "neg": 0 * t["neg"]}, True),
-    "-n inserted first sets bit 0": (lambda n, t: {**t, "rise": t["rise"] | (t["neg"] & (t["i"] == 0))}, False),
-}
-
-
-@pytest.mark.parametrize("mutant", sorted(B_INSERTION_MUTANTS))
-def test_the_short_suffix_check_catches_a_broken_b_insertion_rule(cold_caches, monkeypatch, mutant):
-    """With a one-letter suffix table, B_2..B_6 are all inserted; each mutant
-    of the insertion table breaks the comparison with the B reference, and
-    breaks that of S_1..S_7 with the A reference when its row says so.  The
-    mutant reaches the fills through a new _top_index cache, which the test
-    drops, so no mutated index outlives it."""
-    rewrite, breaks_a = B_INSERTION_MUTANTS[mutant]
-    assert _b_tallies_match(monkeypatch, 1, 1) and _a_tallies_match(1)
-    table = oracle._top_insertions
-    monkeypatch.setattr(oracle, "_top_insertions", lambda n: rewrite(n, table(n)))
-    monkeypatch.setattr(oracle, "_top_index", functools.cache(oracle._top_index.__wrapped__))
-    assert not _b_tallies_match(monkeypatch, 1, 1)
-    assert _a_tallies_match(1) is not breaks_a
-
-
-def test_each_field_the_a_fill_reads_has_a_mutant_it_catches():
-    """Of the fields of the insertion table that the A fill reads, each is
-    rewritten by some mutant that the A check catches."""
-    table, caught = oracle._top_insertions(5), set()
-    for rewrite, breaks_a in B_INSERTION_MUTANTS.values():
-        if breaks_a:
-            caught |= {field for field, col in rewrite(5, table).items() if not np.array_equal(col, table[field])}
-    assert caught >= {"rise", "move", "inv", "neg"}
 
 
 def test_b_tally_matches_the_direct_walk_at_b8():
@@ -839,36 +766,112 @@ def test_direct_b_walk_matches_reference(n):
     assert np.array_equal(direct_walk.subsets(n), reference.subsets(n))
 
 
-# Each mutant rewrites one field of the insertion table (oracle._insertions)
-# at size n, reading each row's positions and letters (i, j, vi, vj) to find
-# the bits it perturbs.
-INSERTION_MUTANTS = {
-    "(x, L) rise sign flipped": lambda n, t: {**t, "rise": t["rise"] ^ (1 << t["i"] | (t["j"] > t["i"] + 1) << t["j"])},
-    "(L, x) rise sign flipped": lambda n, t: {
-        **t, "rise": t["rise"] ^ ((t["j"] > t["i"] + 1) << (t["i"] + 1) | (t["j"] < n - 1) << (t["j"] + 1))},
-    "adjacent large pair compared the wrong way": lambda n, t: {
-        **t, "rise": t["rise"] ^ (t["j"] == t["i"] + 1) << t["j"]},
-    "split pairs kept": lambda n, t: {**t, "move": np.where(t["move"], t["move"], 1 << np.arange(n - 2))},
-    "inv gain without -[n-1 at i]": lambda n, t: {**t, "inv": t["inv"] ^ (abs(t["vi"]) == n - 1)},
-    "neg gain dropped": lambda n, t: {**t, "neg": 0 * t["neg"]},
-    "match not inverted at L = 4": lambda n, t: {**t, "flip": 0 * t["flip"]},
-    "D index 9 taken on equal signs": lambda n, t: {**t, "d9": ~t["d9"]},
+@pytest.mark.parametrize("n", range(2, 7))
+def test_subset_labels_match_the_inserted_words(n):
+    """For each row r1 of the n - 1 step and r2 of the n step, inserting
+    +-(n-1) and then +-n into 1, .., n-2 at those rows' positions gives a
+    word whose staircase subset is l[r1, r2], with flip = [l = 4] and d9
+    set when the two large letters differ in sign."""
+    one, two = oracle._top_insertions(n - 1), oracle._top_insertions(n)
+    l_idx, flip, d9 = oracle._subset_labels(n)
+    for r1, r2 in product(range(2 * n - 2), range(2 * n)):
+        word = list(range(1, n - 1))
+        word.insert(one["i"][r1], (n - 1) * (-1 if one["neg"][r1] else 1))
+        word.insert(two["i"][r2], n * (-1 if two["neg"][r2] else 1))
+        want = snake_subset_l(word)
+        assert (l_idx[r1, r2], flip[r1, r2], d9[r1, r2]) == (want, want == 4, one["neg"][r1] != two["neg"][r2])
+
+
+# ------------------------------------------- mutants of the shared tables
+
+# Each mutant rewrites what one table returns, for every n: the top step's
+# insertion rows (_top_insertions(n), which reads each row's position i and
+# sign to find the bits it perturbs), a code table (_code_table(n, signed))
+# or the subset crossing's labels (_subset_labels(n)).  It names the
+# comparisons with the reference that catch it (_failed_comparisons).  The
+# A fill reads the +n rows, picked by neg, so "split pair kept" (bit i is set
+# on a +n row anyway) and the -n-only row leave it whole, and "neg gain
+# dropped" breaks it through the pick.  Of a code table's max(n - 2 + signed,
+# 0) adjacent bit pairs, those that do not rise (val counts the rising ones)
+# are peaks when a peak is read as >=.  The subset crossing composes two top
+# steps, so a mutant of both can cancel there: "inv gain read as n - i" adds
+# 1 to each step's gain, and "+n and -n rise bits swapped" reads each word
+# with both large letters negated, which keeps its labels and parities.
+MUTANTS = {
+    "+n and -n rise bits swapped": ("_top_insertions", lambda n, t: {
+        **t, "rise": np.where(t["neg"] == 1, 1 << t["i"], (t["i"] < n - 1) << (t["i"] + 1))}, "A B"),
+    "split pair kept": ("_top_insertions", lambda n, t: {
+        **t, "move": np.where(t["move"], t["move"], 1 << np.arange(n - 1))}, "B subsets"),
+    "bits above the letter not shifted": ("_top_insertions", lambda n, t: {
+        **t, "move": np.where(np.arange(n - 1) > t["i"][:, None], 1 << np.arange(n - 1), t["move"])}, "A B subsets"),
+    "inv gain read as n - i": ("_top_insertions", lambda n, t: {**t, "inv": (n - t["i"]) & 1}, "A B"),
+    "neg gain dropped": ("_top_insertions", lambda n, t: {**t, "neg": 0 * t["neg"]}, "A B subsets"),
+    "-n inserted first sets bit 0": ("_top_insertions", lambda n, t: {
+        **t, "rise": t["rise"] | (t["neg"] & (t["i"] == 0))}, "B subsets"),
+    "a peak read as >=": ("_code_table", lambda n, signed, t: (max(n - 2 + signed, 0) - t[1], *t[1:]),
+                          "A B subsets"),
+    "pk and val swapped on the signed table": ("_code_table", lambda n, signed, t: (
+        (t[1], t[0], *t[2:]) if signed else t), "B subsets"),
+    "L = 3 and 4 swapped": ("_subset_labels", lambda n, t: (np.where(t[0] > 2, 7 - t[0], t[0]), *t[1:]),
+                            "subsets"),
+    "match not inverted at L = 4": ("_subset_labels", lambda n, t: (t[0], 0 * t[1], t[2]), "subsets"),
+    "D index 9 taken on equal signs": ("_subset_labels", lambda n, t: (t[0], t[1], ~t[2]), "subsets"),
 }
 
 _reference_subsets = functools.cache(reference.subsets)
 
 
-@pytest.mark.parametrize("mutant", sorted(INSERTION_MUTANTS))
-def test_the_reference_catches_a_broken_insertion_rule(monkeypatch, mutant):
-    """The subset tally equals the reference walk for n = 2..5, and each
-    mutant of the insertion table breaks it at some n <= 5."""
-    def agrees(n):
-        return np.array_equal(scan_subsets(n), _reference_subsets(n))
+def _runs_match(group: str) -> bool:
+    """Whether the bivariate run distributions of S_1..S_5 (group "A"), or of
+    the words of B_1..B_5 with a positive first letter ("B"), filled from
+    cold caches, equal the reference sums.  (Over all of B_n, negating every
+    letter swaps peaks and valleys, so that sum cannot tell them apart.)"""
+    oracle.clear_caches()
+    requests = [(group, n) if group == "A" else (group, n, "none", None, "positive") for n in range(1, 6)]
+    calls = [(dist_runs, (SignedDistributionRequest(*request), "pq")) for request in requests]
+    return all(fn(*args) == reference.answer(fn, args) for fn, args in calls)
 
-    assert all(agrees(n) for n in range(2, 6))
-    table = oracle._insertions
-    monkeypatch.setattr(oracle, "_insertions", lambda n: INSERTION_MUTANTS[mutant](n, table(n)))
-    assert not all(agrees(n) for n in range(2, 6))
+
+def _failed_comparisons(monkeypatch) -> set[str]:
+    """The comparisons with the reference that fail, each from cold caches:
+    A, the S_1..S_7 tallies and _runs_match("A"); B, the B_1..B_6 tallies
+    inserted from a one-letter suffix table and _runs_match("B") through the
+    same table; subsets, scan_subsets(n) for n = 2..5 over walked B_(n-2)
+    tallies, so that it sees only what the subset crossing reads."""
+    failed = set()
+    if not (_a_tallies_match(1) and _runs_match("A")):
+        failed.add("A")
+    with monkeypatch.context() as patch:
+        if not (_b_tallies_match(patch, 1, 1) and _runs_match("B")):
+            failed.add("B")
+    oracle.clear_caches()
+    if not all(np.array_equal(scan_subsets(n), _reference_subsets(n)) for n in range(2, 6)):
+        failed.add("subsets")
+    return failed
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_the_reference_catches_a_broken_insertion_rule(cold_caches, monkeypatch, mutant):
+    """Every comparison with the reference holds, and each mutant breaks
+    exactly the comparisons its row names, at least one.  A mutated top step
+    reaches the fills through a new _top_index cache, which the test drops,
+    so no mutated index outlives it."""
+    target, rewrite, caught = MUTANTS[mutant]
+    assert caught and not _failed_comparisons(monkeypatch)
+    table = getattr(oracle, target)
+    monkeypatch.setattr(oracle, target, lambda *args: rewrite(*args, table(*args)))
+    monkeypatch.setattr(oracle, "_top_index", functools.cache(oracle._top_index.__wrapped__))
+    assert _failed_comparisons(monkeypatch) == set(caught.split())
+
+
+def test_each_field_the_a_fill_reads_has_a_mutant_it_catches():
+    """Of the fields of the insertion table that the A fill reads, each is
+    rewritten by some mutant that the A comparison catches."""
+    table, caught = oracle._top_insertions(5), set()
+    for target, rewrite, breaks in MUTANTS.values():
+        if target == "_top_insertions" and "A" in breaks.split():
+            caught |= {field for field, col in rewrite(5, table).items() if not np.array_equal(col, table[field])}
+    assert caught >= {"rise", "move", "inv", "neg"}
 
 
 @pytest.mark.parametrize("n", range(3, 9))

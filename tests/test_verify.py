@@ -366,8 +366,9 @@ def test_descent_sort_lengths_match_inversion_counts(n):
         letters = rng.permuted(np.tile(np.arange(1, n + 1, dtype=np.int8), (3000, 1)), axis=1)
         block = letters * rng.choice(np.array([-1, 1], dtype=np.int8), size=letters.shape)
     words = [tuple(w) for w in block.tolist()]
-    ell_b, end_b = _descent_sort(block, _b_zero)
-    ell_d, end_d = _descent_sort(block, _d_zero)
+    end_b, end_d = list(block.T.copy()), list(block.T.copy())
+    ell_b, ell_d = _descent_sort(end_b, _b_zero), _descent_sort(end_d, _d_zero)
+    end_b, end_d = np.stack(end_b, axis=1), np.stack(end_d, axis=1)
     assert ell_b.tolist() == [perm_core.inv_b(w) for w in words]
     assert ell_d.tolist() == [perm_core.inv_d(w) for w in words]
     identity = tuple(range(1, n + 1))
