@@ -5,8 +5,9 @@ bad worker count), 3 internal error: an integrity error (e.g. a non-integer
 EGF coefficient) or any other unexpected exception.  The worker count comes
 from --threads, else the WEYLRUNS_THREADS environment variable, else 1; it
 must be an integer >= 1, and counts above oracle.MAX_WORKERS (32) are
-clamped to it.  Output for fixed inputs is byte-identical across runs and
-worker counts.  A reader that closes stdout early (`| head`) leaves the exit
+clamped to it.  It is validated on every call, but no oracle fill splits
+over it: each runs in the calling thread.  Output for fixed inputs is
+byte-identical across runs and worker counts.  A reader that closes stdout early (`| head`) leaves the exit
 code as it was and adds nothing to stderr.
 """
 

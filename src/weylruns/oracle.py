@@ -1,30 +1,26 @@
 """Brute-force oracles: every distribution in the package, by exhaustion.
 
-Everything here is an exact integer tally of a whole group, walked word by
-word or counted by insertion from the tally of a smaller one; closed-form
+Everything here is an exact integer tally of a whole group, counted by
+insertion from the tally of a smaller one; closed-form
 evaluators never feed back into this module, so oracle-vs-formula
 comparisons stay two independent routes.
 
-S_n, and B_n above B_7, are counted by insertion, the argument behind the
-run recurrences (Bona, Combinatorics of Permutations, ch. 1): a word of S_n
-or B_n is one of S_(n-1) or B_(n-1) with n or +-n inserted, which fixes how
+Every tally is counted by insertion, the argument behind the run
+recurrences (Bona, Combinatorics of Permutations, ch. 1): a word of S_n or
+B_n is one of S_(n-1) or B_(n-1) with n or +-n inserted, which fixes how
 its code and parities change.  So the tally at n is the stored one at n - 1
 crossed with the insertions (`_top_insertions`, indexed once per n by
 `_top_index`) in one np.add.at (`_insert_top`); the A step is the +n rows
-of the B step, and the A chain, from the one word of S_1, makes no word.
-B_1..B_7 are walked: `_scan_b_numpy` reads the columns of a cached table of
-S_n (`_suffix_table`) as int8 blocks on the letters 1..n and crosses each
-block with the 2^n sign masks (`_cross_signs`).  Kernels count through
-int64 bincounts and np.add.at (no floating point).  A word's peaks,
-valleys, end classes and alternation depend only on its ascent code: its
-adjacent-pair ascent bits, behind a 0 sentinel for signed words, packed
-into an integer, with a cached table per code length (`_code_table`).
-Inversion parity is never counted pair by pair: inserting n at position i
-adds n-1-i, and the walk reads a cached parity per table column, once per
-permutation of absolute values, broadcast over the sign masks
-(inv_D = inv(|w|), inv_B = inv(|w|) + neg (mod 2)).  So each tally is an
-int64 count array over codes and parity bits, cached as it is, with no
-decode step:
+of the B step.  The A chain starts from the one word of S_1 and the B chain
+from the one-cell tally of the empty word (`_EMPTY_WORD`), so neither makes
+a word.  Kernels count through int64 np.add.at (no floating point).  A
+word's peaks, valleys, end classes and alternation depend only on its
+ascent code: its adjacent-pair ascent bits, behind a 0 sentinel for signed
+words, packed into an integer, with a cached table per code length
+(`_code_table`).  Inversion parity is never counted pair by pair: inserting
+n at position i adds n-1-i (inv_D = inv(|w|), inv_B = inv(|w|) + neg
+(mod 2)).  So each tally is an int64 count array over codes and parity
+bits, cached as it is, with no decode step:
 
 * the A tally counts[c, inv mod 2] over S_n, c the unsigned code;
 * the B tally counts[c, inv(|w|) mod 2, neg mod 2] over B_n, c the signed code;
@@ -41,42 +37,33 @@ decode step:
 Every distribution is a marginal of one of them: code filters are columns of
 `_code_table`, parity filters and signs a weight over the parity axes.
 
-The A chain runs in the calling thread: S_1..S_11 take under 1 ms.  The B
-walk splits over contiguous ranges of the S_n table's columns, none shorter
-than max(1, 2^17 >> n) columns, whose sign crossings hold 2^17 words, so
-small scans start no thread pool; a worker slices only its own columns.
-Partial count arrays merge by integer addition, so the result is bitwise
-identical for any worker count.  The insertion crossings, of B_n above B_7
-and of the subset tally, run in the calling thread; their worker count
-reaches only a walk of B_7 or below.  One store, `_TALLIES`, keeps each
+Every fill runs in the calling thread: S_1..S_11 take under 1 ms, and
+B_1..B_9 about as long.  Every call validates its worker count and clamps
+it to MAX_WORKERS (`resolve_workers`), but no fill splits, so the result is
+bitwise identical for any worker count.  One store, `_TALLIES`, keeps each
 tally by (kind, n), kind "A", "B" or "subsets", beside the answers read
 from it, keyed by the public call.  `_tally` alone scans a tally, and
 `_answer` alone sums a new answer; a repeated query is one dict read
 (`_stored`).  `clear_caches` empties every store made by `new_cache`,
-`verify`'s check outcomes and EGF series included, so a run after it walks,
-builds and checks everything again.  The one result memo it keeps is
+`verify`'s check outcomes and EGF series included, so a run after it
+fills, builds and checks everything again.  The one result memo it keeps is
 `closed_forms._recurrence_table`, a pure-formula memo that each n also hits
 for n - 1 within a run; it also keeps the `functools.cache` tables
-(`_suffix_table`, `_code_table`, `_sign_table`, `_top_index`), which
-depend on n alone and hold no result.  The test suite keeps a pure-Python
-walk over perm_core's statistics as the reference for all three tallies
-and for every marginal.
-Its `direct_walk` module keeps the seekable block generator of S_n rank
-ranges that the walks used before the word-free counts, and word-by-word
-numpy walks over it of S_n and of B_n, as second references for the A
-chain, the B tally above B_7 and the subset tally.
+(`_code_table`, `_top_index`), which depend on n alone and hold no result.
+The test suite keeps a pure-Python walk over perm_core's statistics as the
+reference for all three tallies and for every marginal.  Its `direct_walk`
+module keeps a seekable block generator of S_n rank ranges, and
+word-by-word numpy walks over it of S_n and of B_n, as second references
+for the A chain, the B chain and the subset tally.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import factorial
 
 import numpy as np
 
@@ -98,7 +85,7 @@ from .poly import BiPoly, UniPoly
 
 SIGN_STATISTICS = ("none", "inv_a", "inv_b", "inv_d")
 
-# Upper bound on the worker threads of one scan; larger requests are clamped.
+# Upper bound on the worker count of a call; larger requests are clamped.
 MAX_WORKERS = 32
 
 _CACHE_LOCK = threading.Lock()
@@ -143,85 +130,18 @@ def resolve_workers(workers: int | None) -> int:
     return min(count, MAX_WORKERS)
 
 
-def _ranges(total: int, workers: int, block: int = 1) -> list[tuple[int, int]]:
-    """Contiguous parts of [0, total): one per worker, but no more than the
-    whole blocks of `block` indices in total, so no part is below one block."""
-    workers = max(1, min(workers, total // block))
-    step, rem = divmod(total, workers)
-    out, start = [], 0
-    for w in range(workers):
-        end = start + step + (1 if w < rem else 0)
-        out.append((start, end))
-        start = end
-    return out
-
-
-def _run_split(fn, total: int, workers: int | None, block: int):
-    """Apply fn(lo, hi) over a contiguous partition and return partials in order.
-
-    `block` is the smallest part, in indices; a scan shorter than two of them
-    runs in the calling thread.
-    """
-    parts = _ranges(total, resolve_workers(workers), block)
-    if len(parts) == 1:
-        return [fn(*parts[0])]
-    with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-        return list(pool.map(lambda r: fn(*r), parts))
-
-
 # =====================================================================
 # Joint statistic tallies: counts[c, inv mod 2] over S_n and
 # counts[c, inv(|w|) mod 2, neg mod 2] over B_n (see the module docstring)
-# =====================================================================
-
-# B_n is walked (_scan_b_numpy) up to n = _SUFFIX_LETTERS, over the cached
-# S_n table (35 KB at 7), and inserted into above.
-_SUFFIX_LETTERS = 7
-
-
-def _digit_parity(p, radices):
-    """Parity of the digit sum of p (an int or an int array) in a mixed radix.
-
-    `radices` runs from the least significant digit up.  In the radices
-    1, 2, .., n the digits of a lexicographic rank of S_n are its word's
-    Lehmer code, whose sum is the word's inversion count (Knuth, TAOCP 4A,
-    7.2.1.2); in radix 2 the digit sum is the popcount.
-    """
-    total = 0
-    for radix in radices:
-        p, digit = divmod(p, radix)
-        total = total + digit
-    return total & 1
-
-
-@functools.cache
-def _suffix_table(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The lexicographic table of S_m on the letters 0..m-1, column-major: an
-    (m, m!) int8 array whose column s is the word of rank s, and the
-    inversion parity of each word, as uint8, for the B walk."""
-    table = np.array(list(itertools.permutations(range(m))), dtype=np.int8).T.copy()
-    return table, _digit_parity(np.arange(table.shape[1]), range(1, m + 1)).astype(np.uint8)
-
-
-# =====================================================================
-# Statistics kernel
 #
 # Every statistic of a word comes from two table reads; no word is compared
-# letter against letter beyond its adjacent pairs.  Peaks, valleys, end
-# classes and alternation depend only on the word's ascent code
-# (_code_table).  In the walk, inversion parity is the table column's
-# (_suffix_table).  For w in B_n with |w| its permutation of absolute
-# values, inv_D(w) = inv(|w|) and inv_B(w) = inv(|w|) + neg(w) (mod 2)
-# (Bjorner-Brenti, Combinatorics of Coxeter Groups, Prop. 8.1.1 and 8.2.1),
-# so one parity per permutation is broadcast over its 2^n sign masks
-# (_scan_b_numpy).  Above the walk, and for every S_n, an insertion carries
-# each cell of the tally below to its cell at n (_top_index).
-#
-# Blocks are column-major: _scan_b_numpy slices (n, M) blocks of table
-# columns and _cross_signs fills an (n, M * 2^n) array, one letter position
-# per row; each is handed out as its transpose, so the ascent bits compare
-# whole rows of the buffer in place and no block is copied into another
-# layout.
+# letter against letter.  Peaks, valleys, end classes and alternation depend
+# only on the word's ascent code (_code_table).  For w in B_n with |w| its
+# permutation of absolute values, inv_D(w) = inv(|w|) and inv_B(w) =
+# inv(|w|) + neg(w) (mod 2) (Bjorner-Brenti, Combinatorics of Coxeter
+# Groups, Prop. 8.1.1 and 8.2.1), so a tally keeps the parities of inv(|w|)
+# and neg, and an insertion carries each cell of the tally below to its
+# cell at n (_top_index).
 # =====================================================================
 
 @functools.cache
@@ -243,65 +163,6 @@ def _code_table(n: int, signed: bool) -> tuple[np.ndarray, ...]:
     own = bits[:, 1:] if signed else bits
     alt = (own == np.arange(own.shape[1]) % 2).all(1).astype(np.int64)
     return pk, val, first, last, alt
-
-
-def _ascent_codes(words: np.ndarray, signed: bool) -> np.ndarray:
-    """The ascent code (see _code_table) of each row of an (M, n) word block,
-    read one letter position at a time; a column-major block is not copied."""
-    cols = np.ascontiguousarray(words.T)
-    nbits = len(cols) - 1 + signed
-    dtype = np.uint8 if nbits <= 8 else np.uint16
-    bits = np.empty((nbits, len(words)), dtype=dtype)
-    if signed:
-        np.greater(cols[0], 0, out=bits[0])
-    np.less(cols[:-1], cols[1:], out=bits[signed:])
-    bits <<= np.arange(nbits, dtype=dtype)[:, None]
-    return bits.sum(0, dtype=dtype)
-
-
-@functools.cache
-def _sign_table(n: int) -> np.ndarray:
-    """The (n, 2^n) int8 table of +-1 whose column m negates the letters of
-    sign mask m: bit i of m negates letter i."""
-    return (1 - 2 * ((np.arange(1 << n) >> np.arange(n)[:, None]) & 1)).astype(np.int8)
-
-
-def _cross_signs(words: np.ndarray) -> np.ndarray:
-    """The (M * 2^n, n) int8 block of signed words over an (M, n) block of
-    S_n: each permutation with its sign masks 0 .. 2^n - 1 in turn, which is
-    the contract order of B_n.  One broadcast multiply over the masks fills
-    it column-major, one letter position per row."""
-    n = words.shape[1]
-    return (words.T[:, :, None] * _sign_table(n)[:, None, :]).reshape(n, -1).T
-
-
-# Block sizes, in words of n int8 letters.  Each block costs the same few
-# dozen numpy calls, and every call hands the GIL between workers, so the
-# B walk reads big blocks: max(1, _JOINT_B_BLOCK >> n) columns, whose
-# sign crossing is one (n, 2^19) array of n * 512 KB.  No part of a split of
-# the walk is smaller than _B_BLOCK words, max(1, _B_BLOCK >> n) columns.
-_JOINT_B_BLOCK = 1 << 19
-_B_BLOCK = 1 << 17
-
-
-def _scan_b_numpy(n: int, lo: int, hi: int) -> np.ndarray:
-    """The B tally counts[c, inv(|w|) mod 2, neg mod 2] of the signed words
-    over columns [lo, hi) of the S_n table, n <= _SUFFIX_LETTERS, on the
-    letters 1..n, each with its 2^n sign masks; c is the word's signed code."""
-    table, parity = _suffix_table(n)
-    # bits[inv, mask]: a column's inv and the mask's neg as key bits beside code << 2
-    bits = (np.arange(2)[:, None] << 1 | _digit_parity(np.arange(1 << n), [2] * n)).astype(np.int16)
-    acc, chunk = np.zeros(4 << n, dtype=np.int64), max(1, _JOINT_B_BLOCK >> n)
-    for at in range(lo, hi, chunk):
-        cols = slice(at, min(hi, at + chunk))
-        # `words` stays bound until the next crossing replaces it: freeing
-        # each crossed block inside the loop made a walk of B_8 about 25 %
-        # slower at 1 worker and 12 % at 2 (medians of 30 alternating fills)
-        words = _cross_signs((table[:, cols] + 1).T)
-        key = np.left_shift(_ascent_codes(words, signed=True), 2, dtype=np.int16)
-        key |= bits[parity[cols]].reshape(-1)
-        acc += np.bincount(key, minlength=acc.size)
-    return acc.reshape(-1, 2, 2)
 
 
 def _top_insertions(n: int) -> dict[str, np.ndarray]:
@@ -341,11 +202,17 @@ def _top_index(n: int, signed: bool) -> np.ndarray:
     return (c << 2)[..., None, None] | (inv << 1)[..., None] | rows["neg"][:, None, None] ^ np.arange(2)
 
 
+# The B tally of B_0: its one word, the empty word, has code 0 and even
+# inv and neg.  The B chain starts from it, as does the subset tally at n = 2.
+_EMPTY_WORD = np.array([[[1, 0], [0, 0]]])
+_EMPTY_WORD.setflags(write=False)
+
+
 def _insert_top(kind: str, n: int, workers: int | None) -> np.ndarray:
-    """The kind's tally at n: the stored one at n - 1, read through _tally
-    (its fill alone takes the workers), crossed with _top_index(n) in one
+    """The kind's tally at n: the stored one at n - 1, read through _tally,
+    or at B_1 the empty word's, crossed with _top_index(n) in one
     np.add.at."""
-    small = _tally(kind, n - 1, workers)[0]
+    small = _tally(kind, n - 1, workers)[0] if n > 1 else _EMPTY_WORD
     acc = np.zeros(2 * small.size, dtype=np.int64)
     np.add.at(acc, _top_index(n, kind == "B"), small[:, None])
     return acc.reshape(-1, *small.shape[1:])
@@ -361,13 +228,10 @@ def scan_joint_a(n: int, workers: int | None = 1) -> np.ndarray:
 
 
 def scan_joint_b(n: int, workers: int | None = 1) -> np.ndarray:
-    """Uncached B tally counts[c, inv(|w|) mod 2, neg mod 2] over B_n.  Up to
-    _SUFFIX_LETTERS it is walked (_scan_b_numpy), split over the S_n table's
-    columns in parts of at least _B_BLOCK words.  Above, it is the B_(n-1)
-    tally with +-n inserted (_insert_top)."""
+    """Uncached B tally counts[c, inv(|w|) mod 2, neg mod 2] over B_n: the
+    B_(n-1) tally with +-n inserted (_insert_top), from the empty word, in
+    the calling thread; the worker count is checked but not split."""
     _check_n("B", n)
-    if n <= _SUFFIX_LETTERS:
-        return sum(_run_split(lambda a, b: _scan_b_numpy(n, a, b), factorial(n), workers, max(1, _B_BLOCK >> n)))
     resolve_workers(workers)
     return _insert_top("B", n, workers)
 
@@ -754,8 +618,8 @@ def _subset_labels(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def scan_subsets(n: int, workers: int | None = 1) -> np.ndarray:
     """Uncached subset tally of B_n: the B tally of B_(n-2), read from the
-    store (its fill alone takes the workers), crossed with the top step of
-    n - 1 and then that of n (_top_index), whose labels are _subset_labels.
+    store, crossed with the top step of n - 1 and then that of n
+    (_top_index), whose labels are _subset_labels.
     The cancellation subsets need n >= 3; at n = 2 only the snakes of the
     empty word's insertions are counted.
 
@@ -770,7 +634,7 @@ def scan_subsets(n: int, workers: int | None = 1) -> np.ndarray:
     if n < 2:
         raise DomainError("subset classification needs n >= 2")
     resolve_workers(workers)
-    small = _tally("B", n - 2, workers)[0] if n > 2 else np.array([[[1, 0], [0, 0]]])
+    small = _tally("B", n - 2, workers)[0] if n > 2 else _EMPTY_WORD
     base, side = n + 1, _subset_side(n)
     pk, val, first, last, alt = _code_table(n, True)
     # cell[c', r1 * 2n + r2]: w's flat B_n cell when w''s parity bits are 0;

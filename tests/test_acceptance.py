@@ -171,7 +171,7 @@ def test_criterion_10_involution_suite():
 def test_criterion_11_worker_determinism():
     with criterion("11: identical results with 1 and 8 workers"):
         assert np.array_equal(scan_joint_a(8, workers=1), scan_joint_a(8, workers=8))
-        # each B_8 fill starts cold, so both walk B_7 at their own worker count
+        # each B_8 fill starts cold, so both insert B_1..B_8 at their own worker count
         b8 = []
         for workers in (1, 8):
             oracle.clear_caches()

@@ -297,8 +297,7 @@ def test_a_cold_run_after_clear_caches_does_all_its_work_again(capsys, monkeypat
     """Every walk, word-by-word pass and closed-form evaluation of `verify
     --theorem all` runs as often after oracle.clear_caches() as in the first
     cold run, and not at all in a warm rerun: no cache outlives clear_caches."""
-    walks = [(verify, "_descent_sort"), (oracle, "_insert_top"), (oracle, "_scan_b_numpy"),
-             (oracle, "_subset_labels"), (oracle, "build_T"),
+    walks = [(verify, "_descent_sort"), (oracle, "_insert_top"), (oracle, "_subset_labels"), (oracle, "build_T"),
              (series, "egf_alt"), (series, "egf_snakes"), (series, "egf_alt_bmd_pm_corrected")]
     walks += [(cf, name) for name, fn in vars(cf).items()
               if callable(fn) and getattr(fn, "__module__", None) == cf.__name__ and not name.startswith("_")]

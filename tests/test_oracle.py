@@ -8,6 +8,7 @@ import hashlib
 import inspect
 import pickle
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from itertools import islice, permutations, product
 from math import factorial
@@ -312,7 +313,7 @@ def test_snake_words_match_reference():
         _, _, first, _, alt = oracle._code_table(n, True)
         cut = factorial(n) // 3
         words = np.concatenate([_signed_words(n, 0, cut), _signed_words(n, cut, factorial(n))])
-        snakes = words[(first & alt).astype(bool)[oracle._ascent_codes(words, signed=True)]]
+        snakes = words[(first & alt).astype(bool)[direct_walk.ascent_codes(words, signed=True)]]
         assert list(map(tuple, snakes.tolist())) == reference.snake_words(n)
 
 
@@ -342,7 +343,7 @@ def test_block_slices_cover(group, n):
     for lo, hi in zip(cuts, cuts[1:]):
         blocks = direct_walk.perm_blocks(n, lo, hi, 5)
         if group != "A":
-            blocks = map(oracle._cross_signs, blocks)
+            blocks = map(direct_walk.cross_signs, blocks)
         pieces.extend(tuple(w) for block in blocks for w in block.tolist())
     if group == "D":
         pieces = [w for w in pieces if negatives(w) % 2 == 0]
@@ -375,25 +376,26 @@ def test_perm_blocks_seek_to_the_end_of_s11():
 
 def _column_major(words: np.ndarray) -> bool:
     """Whether an (M, n) block is the transpose of an (n, M) buffer, so the
-    (n, M) layout that _ascent_codes reads is that buffer and no copy."""
+    (n, M) layout that direct_walk.ascent_codes reads is that buffer and no
+    copy."""
     return np.shares_memory(np.ascontiguousarray(words.T), words)
 
 
 def test_kernel_blocks_are_column_major_in_contract_order(monkeypatch):
-    """Every block of direct_walk.perm_blocks, of the B walk's table columns
-    and of their sign crossings is column-major.  The perm_blocks ranges
-    start and end inside a suffix table, the S_8 one in the next table; the
-    B walk's blocks are 37 columns, and a walk of B_7 columns [100, 4000)
-    crosses all of their words.  Both crossings keep the contract order of
-    B_n."""
+    """Every block of direct_walk.perm_blocks and of its sign crossings is
+    column-major, and the crossings keep the contract order of B_n.  The
+    perm_blocks ranges start and end inside a suffix table, the S_8 one in
+    the next table; walk_b crosses every word of B_1..B_6 in that order, and
+    its walk of B_7 ranks [100, 4000) crosses all of their words."""
     for n, lo, hi in ((3, 1, 5), (7, 100, 4000), (8, 5000, 5100)):
         for block in direct_walk.perm_blocks(n, lo, hi, 37):
-            for words in (block, oracle._cross_signs(block)):
+            for words in (block, direct_walk.cross_signs(block)):
                 assert _column_major(words), (n, words.shape)
     for n in range(1, 7):
-        crossed = [w for b in direct_walk.perm_blocks(n, 0, factorial(n), 7) for w in oracle._cross_signs(b).tolist()]
+        crossed = [w for b in direct_walk.perm_blocks(n, 0, factorial(n), 7)
+                   for w in direct_walk.cross_signs(b).tolist()]
         assert list(map(tuple, crossed)) == list(iter_group("B", n))
-    cross, walked = oracle._cross_signs, []
+    cross, walked = direct_walk.cross_signs, []
 
     def spy(perms):
         words = cross(perms)
@@ -401,15 +403,13 @@ def test_kernel_blocks_are_column_major_in_contract_order(monkeypatch):
         walked.extend(map(tuple, words.tolist()))
         return words
 
-    monkeypatch.setattr(oracle, "_cross_signs", spy)
+    monkeypatch.setattr(direct_walk, "cross_signs", spy)
     for n in range(1, 7):
-        monkeypatch.setattr(oracle, "_JOINT_B_BLOCK", 37 << n)
         walked.clear()
-        oracle._scan_b_numpy(n, 0, factorial(n))
+        direct_walk.walk_b(n, 0, factorial(n))
         assert walked == list(iter_group("B", n))
-    monkeypatch.setattr(oracle, "_JOINT_B_BLOCK", 37 << 7)
     walked.clear()
-    oracle._scan_b_numpy(7, 100, 4000)
+    direct_walk.walk_b(7, 100, 4000)
     assert len(walked) == 3900 << 7
 
 
@@ -505,7 +505,7 @@ def test_code_tables_match_perm_core(n, signed):
     table = oracle._code_table(n, signed)
     words = [_realise(code, n, signed) for code in range(len(table[0]))]
     block = np.array(words, dtype=np.int8).reshape(len(words), n)
-    assert oracle._ascent_codes(block, signed).tolist() == list(range(len(words)))
+    assert direct_walk.ascent_codes(block, signed).tolist() == list(range(len(words)))
     for code, w in enumerate(words):
         if signed:
             SignedPermutation(w)
@@ -535,14 +535,22 @@ def test_a_insertion_matches_the_reference(cold_caches, workers):
 
 
 @pytest.mark.parametrize("letters", [1, 2, 3, 4])
-def test_short_suffix_tables_match_the_reference(cold_caches, monkeypatch, letters):
-    """The A fill shares _insert_top and the _top_index cache with the B fills
-    above the suffix table.  With a `letters`-letter table and a fresh index
-    cache, B_n is filled before S_n at each n <= 6, so B_(letters+1)..B_6
-    build their signed index before the unsigned one at the same n, and the
-    stored B tallies sit beside the A ones; S_1..S_7 still equal the A
-    reference."""
-    monkeypatch.setattr(oracle, "_SUFFIX_LETTERS", letters)
+def test_short_suffix_tables_match_the_reference(monkeypatch, letters):
+    """With a `letters`-letter suffix table, so that each rank of S_n has an
+    (n - letters)-letter unranked prefix, the direct walk of S_1..S_7 equals
+    the reference walk."""
+    monkeypatch.setattr(direct_walk, "SUFFIX_LETTERS", letters)
+    for n in range(1, 8):
+        assert np.array_equal(direct_walk.walk_a(n, 0, factorial(n)), reference.joint_a(n)), n
+
+
+def test_b_fills_build_their_index_before_the_a_fills(cold_caches, monkeypatch):
+    """The A fill shares _insert_top and the _top_index cache with the B
+    fills.  With a fresh index cache, B_n is filled before S_n at each
+    n <= 6, so each n builds its signed index before the unsigned one, and
+    the stored B tallies sit beside the A ones; S_1..S_7 still equal the A
+    reference.  (_a_tallies_match, from a fresh cache, builds them the
+    other way round.)"""
     monkeypatch.setattr(oracle, "_top_index", functools.cache(oracle._top_index.__wrapped__))
     for n in range(1, 8):
         if n < 7:
@@ -590,75 +598,74 @@ def test_a_kernel_matches_the_word_walk(cold_caches):
         assert np.array_equal(scan_joint_a(8, workers), want)
 
 
-# ------------------------------------------- the B insertion above the walk
+# ------------------------------------------- the B tally by insertion
 
-def _b_tallies_match(monkeypatch, letters: int, workers: int) -> bool:
+def _b_tallies_match(workers: int) -> bool:
     """Whether scan_joint_b at the given worker count equals the reference
-    walk on B_1..B_6, from cold caches, when the suffix table has `letters`
-    letters: B_(letters+1)..B_6 are then inserted into the stored tallies
-    below them.  For n <= letters, the B walk in two parts cut at column
-    n!/3 + 1 must equal it too.  A part may be one column, so 3 workers
-    split every walk of 3 or more letters."""
-    monkeypatch.setattr(oracle, "_SUFFIX_LETTERS", letters)
-    monkeypatch.setattr(oracle, "_B_BLOCK", 1)
+    walk on B_1..B_6, from cold caches, so that B_1..B_6 are each inserted
+    into the stored tally below, from the empty word up."""
     oracle.clear_caches()
-    for n in range(1, 7):
-        want = reference.joint_b(n)
-        if not np.array_equal(scan_joint_b(n, workers), want):
-            return False
-        if n <= letters:
-            total = factorial(n)
-            cut = total // 3 + 1
-            if not np.array_equal(oracle._scan_b_numpy(n, 0, cut) + oracle._scan_b_numpy(n, cut, total), want):
-                return False
-    return True
+    return all(np.array_equal(scan_joint_b(n, workers), reference.joint_b(n)) for n in range(1, 7))
 
 
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("letters", [1, 2, 3, 4])
 def test_short_suffix_tables_match_the_b_reference(cold_caches, monkeypatch, letters, workers):
-    assert _b_tallies_match(monkeypatch, letters, workers)
+    """B_1..B_6 inserted at the given worker count equal the reference walk,
+    and so does the direct walk of B_1..B_6 through a `letters`-letter
+    suffix table."""
+    assert _b_tallies_match(workers)
+    monkeypatch.setattr(direct_walk, "SUFFIX_LETTERS", letters)
+    for n in range(1, 7):
+        assert np.array_equal(direct_walk.walk_b(n, 0, factorial(n)), reference.joint_b(n)), n
 
 
-def test_b_tally_matches_the_direct_walk_at_b8():
-    """scan_joint_b(8), the B_7 walk with +-8 inserted, equals the
-    word-by-word walk of all of B_8, with B_7 walked cold at 1 and at 2
-    workers."""
-    want = direct_walk.walk_b(8, 0, factorial(8))
+def test_b_tally_matches_the_direct_walk_at_b8(cold_caches):
+    """scan_joint_b(7) and scan_joint_b(8), inserted from the empty word,
+    equal the word-by-word walks of all of B_7 and B_8, each filled from
+    cold at 1 and at 2 workers."""
+    for n in (7, 8):
+        want = direct_walk.walk_b(n, 0, factorial(n))
+        for workers in (1, 2):
+            oracle.clear_caches()
+            assert np.array_equal(scan_joint_b(n, workers), want), (n, workers)
+
+
+def test_b_fills_read_the_stored_tally_below(cold_caches, monkeypatch, capsys):
+    """From cold, a B_9 fill at 1 or 2 workers inserts each of B_1..B_9 once
+    and stores them all; with B_8 stored, a B_9 fill reads the stored B_8
+    tally and fills nothing else; and a cold `verify --theorem all` inserts
+    each B_n it reads once, from B_1 up."""
+    fills, insert = [], oracle._insert_top
+    reads, tally = [], oracle._tally
+
+    def spy_fill(kind, n, workers):
+        fills.append((kind, n))
+        return insert(kind, n, workers)
+
+    def spy_read(kind, n, workers):
+        reads.append((kind, n))
+        return tally(kind, n, workers)
+
+    monkeypatch.setattr(oracle, "_insert_top", spy_fill)
     for workers in (1, 2):
         oracle.clear_caches()
-        assert np.array_equal(scan_joint_b(8, workers), want)
-
-
-def test_b_fills_above_b7_walk_only_b7(cold_caches, monkeypatch, capsys):
-    """From cold, a B_9 fill walks B_7 alone and stores the B_7 and B_8
-    tallies; with B_7 stored, a B_8 fill walks nothing; and a cold `verify
-    --theorem all` walks B_7 exactly as often as a 1-worker B_7 fill does,
-    so B_8 and B_9 walk nothing of their own."""
-    calls, kernel = [], oracle._scan_b_numpy
-
-    def spy(n, lo, hi):
-        calls.append(n)
-        return kernel(n, lo, hi)
-
-    monkeypatch.setattr(oracle, "_scan_b_numpy", spy)
-    for workers in (1, 2):
-        oracle.clear_caches()
-        calls.clear()
+        fills.clear()
         scan_joint_b(9, workers)
-        assert calls and set(calls) == {7}
-        assert ("B", 7) in oracle._TALLIES and ("B", 8) in oracle._TALLIES
-    calls.clear()
-    scan_joint_b(8, 2)
-    assert not calls
+        assert sorted(fills) == [("B", k) for k in range(1, 10)]
+        assert {key for key in oracle._TALLIES if key[0] == "B"} == {("B", k) for k in range(1, 9)}
+    monkeypatch.setattr(oracle, "_tally", spy_read)
+    fills.clear()
+    oracle._TALLIES["B", 8][0][...] = 0  # so a fill that reads B_8 from the store counts nothing
+    assert not scan_joint_b(9, 2).any()
+    assert fills == [("B", 9)] and reads == [("B", 8)]
+    monkeypatch.setattr(oracle, "_tally", tally)
     oracle.clear_caches()
-    scan_joint_b(7, 1)
-    one_fill = list(calls)
-    oracle.clear_caches()
-    calls.clear()
+    fills.clear()
     assert cli.main(["verify", "--theorem", "all", "--threads", "1"]) == 0
     capsys.readouterr()
-    assert max(calls) == 7 and calls.count(7) == len(one_fill) == 1
+    b_fills = [n for kind, n in fills if kind == "B"]
+    assert sorted(b_fills) == list(range(1, max(b_fills) + 1))
 
 
 # --------------------------------------------------------- worker splits
@@ -667,16 +674,15 @@ def test_b_fills_above_b7_walk_only_b7(cold_caches, monkeypatch, capsys):
 @given(n=st.integers(1, 5), cuts=st.lists(st.integers(0, factorial(5)), max_size=6))
 @example(n=5, cuts=[1, 31, 64])
 def test_partials_over_any_cuts_sum_to_the_whole(n, cuts):
-    """The B walk's partials over any cut of the S_n table's columns sum to
-    the walk of them all."""
+    """The direct B walk's partials over any cut of the S_n ranks sum to
+    the inserted tally."""
     total = factorial(n)
     bounds = [0, *sorted(c % (total + 1) for c in cuts), total]
-    parts = [oracle._scan_b_numpy(n, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    assert np.array_equal(sum(parts), oracle._scan_b_numpy(n, 0, total))
+    parts = [direct_walk.walk_b(n, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    assert np.array_equal(sum(parts), scan_joint_b(n))
 
 
 def test_worker_count_does_not_change_tallies():
-    assert len(oracle._ranges(factorial(8), 8, factorial(7))) == 8
     assert np.array_equal(scan_joint_a(8, workers=1), scan_joint_a(8, workers=8))
     assert np.array_equal(scan_joint_a(7, workers=1), scan_joint_a(7, workers=8))
     assert np.array_equal(scan_joint_b(5, workers=1), scan_joint_b(5, workers=8))
@@ -729,29 +735,6 @@ def test_subset_tallies_keep_their_digests(cold_caches, workers):
         codes = scan_subsets(n, workers)
         assert codes.dtype == np.dtype("<i8") and codes.shape == (2 * oracle._subset_side(n) + 10,), n
         assert hashlib.md5(codes.tobytes()).hexdigest() == want, n
-
-
-@pytest.mark.parametrize("workers", [2, 3, 4, 5])
-def test_a_split_b_walk_counts_whole_permutations(monkeypatch, workers):
-    """The B_7 walk splits its 7! S_n ranks into min(workers, 4) parts of at
-    least 2^17 words; each part counts all 2^7 sign masks of each of its
-    permutations, and the parts sum to the one-worker tally."""
-    whole = scan_joint_b(7, 1)
-    kernel, parts = oracle._scan_b_numpy, []
-
-    def spy(n, lo, hi):
-        part = kernel(n, lo, hi)
-        parts.append((lo, hi, int(part.sum())))
-        return part
-
-    monkeypatch.setattr(oracle, "_scan_b_numpy", spy)
-    assert np.array_equal(scan_joint_b(7, workers), whole)
-    parts.sort()
-    assert len(parts) == min(workers, factorial(7) * 2**7 // oracle._B_BLOCK)
-    assert [lo for lo, _, _ in parts] == [0] + [hi for _, hi, _ in parts[:-1]]
-    assert parts[-1][1] == factorial(7)
-    for lo, hi, words in parts:
-        assert words == (hi - lo) << 7 and words >= oracle._B_BLOCK
 
 
 @pytest.mark.parametrize("workers, n", [(1, 6), (1, 7), (3, 6), (3, 7), (1, 8)])
@@ -832,19 +815,21 @@ def _runs_match(group: str) -> bool:
     return all(fn(*args) == reference.answer(fn, args) for fn, args in calls)
 
 
-def _failed_comparisons(monkeypatch) -> set[str]:
+def _failed_comparisons() -> set[str]:
     """The comparisons with the reference that fail, each from cold caches:
     A, the S_1..S_7 tallies and _runs_match("A"); B, the B_1..B_6 tallies
-    inserted from a one-letter suffix table and _runs_match("B") through the
-    same table; subsets, scan_subsets(n) for n = 2..5 over walked B_(n-2)
-    tallies, so that it sees only what the subset crossing reads."""
+    inserted from the empty word and _runs_match("B"); subsets,
+    scan_subsets(n) for n = 2..5 over B_(n-2) tallies taken from the
+    reference (n = 2 reads the empty word's), so that it sees only what the
+    subset crossing reads."""
     failed = set()
     if not (_a_tallies_match(1) and _runs_match("A")):
         failed.add("A")
-    with monkeypatch.context() as patch:
-        if not (_b_tallies_match(patch, 1, 1) and _runs_match("B")):
-            failed.add("B")
+    if not (_b_tallies_match(1) and _runs_match("B")):
+        failed.add("B")
     oracle.clear_caches()
+    for n in range(1, 4):
+        oracle._TALLIES["B", n] = reference.joint_b(n).copy(), {}
     if not all(np.array_equal(scan_subsets(n), _reference_subsets(n)) for n in range(2, 6)):
         failed.add("subsets")
     return failed
@@ -857,11 +842,11 @@ def test_the_reference_catches_a_broken_insertion_rule(cold_caches, monkeypatch,
     reaches the fills through a new _top_index cache, which the test drops,
     so no mutated index outlives it."""
     target, rewrite, caught = MUTANTS[mutant]
-    assert caught and not _failed_comparisons(monkeypatch)
+    assert caught and not _failed_comparisons()
     table = getattr(oracle, target)
     monkeypatch.setattr(oracle, target, lambda *args: rewrite(*args, table(*args)))
     monkeypatch.setattr(oracle, "_top_index", functools.cache(oracle._top_index.__wrapped__))
-    assert _failed_comparisons(monkeypatch) == set(caught.split())
+    assert _failed_comparisons() == set(caught.split())
 
 
 def test_each_field_the_a_fill_reads_has_a_mutant_it_catches():
@@ -876,9 +861,9 @@ def test_each_field_the_a_fill_reads_has_a_mutant_it_catches():
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_a_subset_fill_walks_only_s_n_minus_2(cold_caches, monkeypatch, n):
-    """From cold, a subset fill walks B_(n-2), over the ranks of S_(n-2),
-    through one scan_joint_b call and counts no S_n; once the B_(n-2) tally
-    is stored, a subset fill runs no scan and generates no word."""
+    """From cold, a subset fill inserts B_1..B_(n-2), one scan_joint_b call
+    and one insertion each, from B_(n-2) down, and counts no S_n; once the
+    B_(n-2) tally is stored, a subset fill runs no scan and no insertion."""
     calls = []
 
     def spy(name, fn):
@@ -887,10 +872,12 @@ def test_a_subset_fill_walks_only_s_n_minus_2(cold_caches, monkeypatch, n):
             return fn(*args)
         return call
 
-    for name in ("scan_joint_a", "scan_joint_b", "_scan_b_numpy"):
+    for name in ("scan_joint_a", "scan_joint_b", "_insert_top"):
         monkeypatch.setattr(oracle, name, spy(name, getattr(oracle, name)))
     want = scan_subsets(n, workers=2)
-    assert [call[:2] for call in calls if not call[0].startswith("_")] == [("scan_joint_b", n - 2)]
+    below = range(n - 2, 0, -1)
+    assert [call[:2] for call in calls if not call[0].startswith("_")] == [("scan_joint_b", k) for k in below]
+    assert [call[1:3] for call in calls if call[0] == "_insert_top"] == [("B", k) for k in below]
     assert ("B", n - 2) in oracle._TALLIES
     calls.clear()
     assert np.array_equal(scan_subsets(n, workers=2), want)
@@ -917,38 +904,23 @@ def test_subset_tally_over_eight_parts_of_s8():
     assert np.array_equal(one, scan_subsets(8, 8))
 
 
-def test_parts_are_never_below_one_block():
-    assert oracle._ranges(100, 8, 30) == [(0, 34), (34, 67), (67, 100)]
-    assert oracle._ranges(29, 8, 30) == [(0, 29)]
-    assert oracle._ranges(5040, 2, 5040) == [(0, 5040)]
-
-
-def test_scans_within_one_block_start_no_pool(monkeypatch):
-    def no_pool(*_args, **_kwargs):
-        raise AssertionError("a thread pool started")
-
-    monkeypatch.setattr(oracle, "ThreadPoolExecutor", no_pool)
-    assert np.array_equal(scan_joint_a(7, workers=8), reference.joint_a(7))
-    assert np.array_equal(scan_joint_b(5, workers=8), reference.joint_b(5))
-    assert np.array_equal(scan_subsets(5, workers=8), reference.subsets(5))
-
-
 def test_subset_fills_to_n7_start_no_pool(monkeypatch):
     """The B_(n-2) fill and the insertion crossing of every subset fill that
-    `verify --theorem all` makes (n <= 7) run in the calling thread."""
-    def no_pool(*_args, **_kwargs):
-        raise AssertionError("a thread pool started")
+    `verify --theorem all` makes (n <= 7) run in the calling thread at any
+    worker count: none starts a thread."""
+    def no_thread(*_args, **_kwargs):
+        raise AssertionError("a thread started")
 
     serial = {n: scan_subsets(n, workers=1) for n in range(2, 8)}
     oracle.clear_caches()
-    monkeypatch.setattr(oracle, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     for n, want in serial.items():
         assert np.array_equal(scan_subsets(n, workers=MAX_WORKERS), want)
 
 
 def test_subset_crossing_splits_over_workers_at_n9(cold_caches):
-    """The worker count reaches only the B_7 fill: a cold fill at 1 worker
-    and a crossing of the stored B_7 tally at 2 keep one digest."""
+    """The worker count splits no fill: a cold fill at 1 worker and a
+    crossing of the stored B_7 tally at 2 keep one digest."""
     for workers in (1, 2):
         codes = scan_subsets(9, workers)
         assert codes.dtype == np.dtype("<i8")
@@ -958,7 +930,6 @@ def test_subset_crossing_splits_over_workers_at_n9(cold_caches):
 def test_worker_counts_are_validated_and_clamped(monkeypatch):
     assert resolve_workers(3) == 3
     assert resolve_workers(10**6) == MAX_WORKERS
-    assert len(oracle._ranges(10**9, resolve_workers(10**6))) == MAX_WORKERS
     for bad in (0, -4, 2.5, "abc"):
         with pytest.raises(DomainError):
             resolve_workers(bad)
@@ -1181,7 +1152,6 @@ def test_snake_subsets_read_the_cached_tally(monkeypatch):
     def no_scan(*_args):
         raise AssertionError("a scan started")
 
-    monkeypatch.setattr(oracle, "_scan_b_numpy", no_scan)
     monkeypatch.setattr(oracle, "_insert_top", no_scan)
     want = oracle._subset_parts(reference.subsets(n), n)[1]
     for k in range(1, 5):
@@ -1296,9 +1266,9 @@ def test_a_repeated_query_does_not_read_the_tally(n):
 
 def test_a_cold_pass_scans_each_tally_once(monkeypatch):
     """From cold, every marginal and subset call at one n runs each scan once,
-    through the one store, which then holds just those three tallies, the
-    B_(n-2) tally that the subset fill reads and the S_1..S_(n-1) tallies
-    that the S_n fill inserts into, until clear_caches."""
+    through the one store, which then holds just those three tallies and
+    the S_1..S_(n-1) and B_1..B_(n-1) tallies that the S_n and B_n fills
+    insert into, the subset fill's B_(n-2) among them, until clear_caches."""
     oracle.clear_caches()
     scans = []
 
@@ -1312,8 +1282,8 @@ def test_a_cold_pass_scans_each_tally_once(monkeypatch):
         monkeypatch.setattr(oracle, name, counted(name, getattr(oracle, name)))
     for fn, args in _marginal_calls(4) + _subset_calls(4):
         fn(*args)
-    assert sorted(scans) == ["scan_joint_a"] * 4 + ["scan_joint_b", "scan_joint_b", "scan_subsets"]
-    assert set(oracle._TALLIES) == {("A", 4), ("A", 3), ("A", 2), ("A", 1), ("B", 4), ("B", 2), ("subsets", 4)}
+    assert sorted(scans) == ["scan_joint_a"] * 4 + ["scan_joint_b"] * 4 + ["scan_subsets"]
+    assert set(oracle._TALLIES) == {(kind, k) for kind in "AB" for k in range(1, 5)} | {("subsets", 4)}
     oracle.clear_caches()
     assert not oracle._TALLIES
 

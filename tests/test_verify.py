@@ -160,7 +160,7 @@ def test_length_decomposition_holds_through_n6():
 
 def test_length_decomposition_is_checked_by_brute_force(monkeypatch, cold_caches):
     """cor-inv-bd counts Coxeter lengths by descent sorting: it reads neither
-    perm_core's inversion counts nor the oracle's walk and tables, and a
+    perm_core's inversion counts nor the oracle's insertion and tables, and a
     wrong descent rule makes it fail."""
     from weylruns import oracle, verify
 
@@ -171,8 +171,7 @@ def test_length_decomposition_is_checked_by_brute_force(monkeypatch, cold_caches
     for name in ("inv_a", "inv_b", "inv_d", "iter_group", "negatives"):
         monkeypatch.setattr(perm_core, name, forbidden)
         assert not hasattr(verify, name)
-    for name in ("_cross_signs", "_sign_table", "_code_table", "_suffix_table", "_top_index",
-                 "_top_insertions", "_scan_b_numpy"):
+    for name in ("_code_table", "_top_index", "_top_insertions", "_insert_top"):
         monkeypatch.setattr(oracle, name, forbidden)
     assert run_checks("cor-inv-bd", 1, 6).ok
     # a D descent at 0 off by one misses the words with w_1 + w_2 = -1
