@@ -10,17 +10,22 @@ recurrences (Bona, Combinatorics of Permutations, ch. 1): a word of S_n or
 B_n is one of S_(n-1) or B_(n-1) with n or +-n inserted, which fixes how
 its code and parities change.  So the tally at n is the stored one at n - 1
 crossed with the insertions (`_top_insertions`, indexed once per n by
-`_top_index`) in one np.add.at (`_insert_top`); the A step is the +n rows
+`_top_index`) in one segment sum (`_insert_top`); the A step is the +n rows
 of the B step.  The A chain starts from the one word of S_1 and the B chain
 from the one-cell tally of the empty word (`_EMPTY_WORD`), so neither makes
-a word.  Kernels count through int64 np.add.at (no floating point).  A
-word's peaks, valleys, end classes and alternation depend only on its
-ascent code: its adjacent-pair ascent bits, behind a 0 sentinel for signed
-words, packed into an integer, with a cached table per code length
-(`_code_table`).  Inversion parity is never counted pair by pair: inserting
-n at position i adds n-1-i (inv_D = inv(|w|), inv_B = inv(|w|) + neg
-(mod 2)).  So each tally is an int64 count array over codes and parity
-bits, cached as it is, with no decode step:
+a word.  A segment sum (`_segment_sum`) is one gather and one
+np.add.reduceat through a plan built once per table (`_segments`): the
+source positions sorted by target cell, the segment starts and each
+segment's cell.  The same kernel sums each marginal over the (pk, val)
+classes of the codes (`_class_plan`).  The subset tally, whose index is
+built anew on each fill, scatters with np.add.at instead.  Every count is
+int64, never floating point.  A word's peaks, valleys, end classes and
+alternation depend only on its ascent code: its adjacent-pair ascent bits,
+behind a 0 sentinel for signed words, packed into an integer, with a cached
+table per code length (`_code_table`).  Inversion parity is never counted
+pair by pair: inserting n at position i adds n-1-i (inv_D = inv(|w|),
+inv_B = inv(|w|) + neg (mod 2)).  So each tally is an int64 count array
+over codes and parity bits, cached as it is, with no decode step:
 
 * the A tally counts[c, inv mod 2] over S_n, c the unsigned code;
 * the B tally counts[c, inv(|w|) mod 2, neg mod 2] over B_n, c the signed code;
@@ -35,7 +40,8 @@ bits, cached as it is, with no decode step:
   crossed with those 4n(n-1) row pairs, by the same insertion argument.
 
 Every distribution is a marginal of one of them: code filters are columns of
-`_code_table`, parity filters and signs a weight over the parity axes.
+`_code_table`, which zero the codes they drop, parity filters and signs a
+weight over the parity axes.
 
 Every fill runs in the calling thread: S_1..S_11 take under 1 ms, and
 B_1..B_9 about as long.  Every call validates its worker count and clamps
@@ -48,8 +54,9 @@ from it, keyed by the public call.  `_tally` alone scans a tally, and
 `verify`'s check outcomes and EGF series included, so a run after it
 fills, builds and checks everything again.  The one result memo it keeps is
 `closed_forms._recurrence_table`, a pure-formula memo that each n also hits
-for n - 1 within a run; it also keeps the `functools.cache` tables
-(`_code_table`, `_top_index`), which depend on n alone and hold no result.
+for n - 1 within a run; it also keeps the `functools.cache` tables and
+plans (`_code_table`, `_top_index`, `_top_plan`, `_class_plan`), which
+depend on n alone and hold no result.
 The test suite keeps a pure-Python walk over perm_core's statistics as the
 reference for all three tallies and for every marginal.  Its `direct_walk`
 module keeps a seekable block generator of S_n rank ranges, and
@@ -208,13 +215,39 @@ _EMPTY_WORD = np.array([[[1, 0], [0, 0]]])
 _EMPTY_WORD.setflags(write=False)
 
 
+def _segments(target: np.ndarray, source: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The plan of a segment sum that adds the value at source[p] into cell
+    target[p] for each p: the source positions sorted by target, the start
+    of each run of equal targets among them, and that run's target cell."""
+    order = np.argsort(target, axis=None)
+    ordered = target.ravel()[order]
+    starts = np.flatnonzero(np.diff(ordered, prepend=-1))
+    return source.ravel()[order], starts, ordered[starts]
+
+
+def _segment_sum(plan: tuple[np.ndarray, ...], values: np.ndarray, size: int) -> np.ndarray:
+    """The int64 sums of values.ravel() into `size` cells by a _segments
+    plan: one gather and one reduceat.  A cell that no source reaches is 0."""
+    gather, starts, cells = plan
+    acc = np.zeros(size, dtype=np.int64)
+    acc[cells] = np.add.reduceat(values.ravel()[gather], starts)
+    return acc
+
+
+@functools.cache
+def _top_plan(n: int, signed: bool) -> tuple[np.ndarray, ...]:
+    """The _segments plan of the step at n: each entry of _top_index(n,
+    signed) reads the cell of w' in the tally of n - 1."""
+    index = _top_index(n, signed)
+    below = np.arange(index.size // index.shape[1]).reshape(index.shape[0], 1, *index.shape[2:])
+    return _segments(index, np.broadcast_to(below, index.shape))
+
+
 def _insert_top(kind: str, n: int, workers: int | None) -> np.ndarray:
     """The kind's tally at n: the stored one at n - 1, read through _tally,
-    or at B_1 the empty word's, crossed with _top_index(n) in one
-    np.add.at."""
+    or at B_1 the empty word's, summed into its cells at n (_top_plan)."""
     small = _tally(kind, n - 1, workers)[0] if n > 1 else _EMPTY_WORD
-    acc = np.zeros(2 * small.size, dtype=np.int64)
-    np.add.at(acc, _top_index(n, kind == "B"), small[:, None])
+    acc = _segment_sum(_top_plan(n, kind == "B"), small, 2 * small.size)
     return acc.reshape(-1, *small.shape[1:])
 
 
@@ -292,7 +325,8 @@ def _answer(kind: str, n: int, key: tuple, workers: int | None, marginal):
 # =====================================================================
 
 def _poly(pk: np.ndarray, val: np.ndarray, counts: np.ndarray, biv: bool):
-    """The bivariate (pk, val) or univariate t^(pk+val+1) sum of per-cell counts."""
+    """The bivariate (pk, val) or univariate t^(pk+val+1) sum of counts, one
+    per (pk, val) pair given."""
     acc: dict = {}
     for p, v, c in zip(pk.tolist(), val.tolist(), counts.tolist()):
         key = (p, v) if biv else p + v + 1
@@ -300,21 +334,29 @@ def _poly(pk: np.ndarray, val: np.ndarray, counts: np.ndarray, biv: bool):
     return BiPoly(acc) if biv else UniPoly.from_dict(acc)
 
 
+@functools.cache
+def _class_plan(n: int, signed: bool) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    """The _segments plan that sums per-code values of n-letter words over
+    their (pk, val) classes, numbered in order, and the pk and val of each
+    class (_code_table)."""
+    pk, val = _code_table(n, signed)[:2]
+    classes, ids = np.unique(pk * (n + 1) + val, return_inverse=True)
+    return _segments(ids, np.arange(len(ids))), *np.divmod(classes, n + 1)
+
+
 def _marginal(counts: np.ndarray, n: int, signed: bool, weight: list[int], filters, biv: bool):
     """The polynomial of a joint tally, each code's counts summed under
-    `weight`, one int per cell of the parity axes in C order.  filters holds
-    a (value, one) pair per first, last and alt column: a code is kept when
-    its bit is value == one, or whatever its bit when value is None."""
-    pk, val, *cols = _code_table(n, signed)
-    per_code = counts.reshape(len(pk), -1) @ weight
-    keep = None
-    for col, (value, one) in zip(cols, filters):
+    `weight`, one int per cell of the parity axes in C order, and then over
+    its (pk, val) class (_class_plan).  filters holds a (value, one) pair
+    per first, last and alt column: a code is kept when its bit is
+    value == one, or whatever its bit when value is None; a dropped code
+    counts 0."""
+    plan, pk, val = _class_plan(n, signed)
+    per_code = counts.reshape(len(counts), -1) @ weight
+    for col, (value, one) in zip(_code_table(n, signed)[2:], filters):
         if value is not None:
-            bit = col == (value == one)
-            keep = bit if keep is None else keep & bit
-    if keep is not None:
-        pk, val, per_code = pk[keep], val[keep], per_code[keep]
-    return _poly(pk, val, per_code, biv)
+            per_code[col != (value == one)] = 0
+    return _poly(pk, val, _segment_sum(plan, per_code, len(pk)), biv)
 
 
 def _sum_a(counts, n, *, biv, signed=False, first=None, last=None, alternating=None, parity=None):
@@ -674,8 +716,9 @@ def _subset_cell(side: str, n: int, k: int, end: str, workers: int | None) -> Bi
 
     def signed_sum(codes):
         cell = _subset_parts(codes, n)[0]["BD".index(side), k, "da".index(end)]
-        pk, val = np.indices(cell.shape[:2]).reshape(2, -1)
-        return _poly(pk, val, (cell[..., 0] - cell[..., 1]).reshape(-1), True)
+        sums = (cell[..., 0] - cell[..., 1]).reshape(-1)
+        nonzero = np.flatnonzero(sums)
+        return _poly(*np.divmod(nonzero, n + 1), sums[nonzero], True)
 
     return _answer("subsets", n, (side, k, end), workers, signed_sum)
 

@@ -545,13 +545,14 @@ def test_short_suffix_tables_match_the_reference(monkeypatch, letters):
 
 
 def test_b_fills_build_their_index_before_the_a_fills(cold_caches, monkeypatch):
-    """The A fill shares _insert_top and the _top_index cache with the B
-    fills.  With a fresh index cache, B_n is filled before S_n at each
-    n <= 6, so each n builds its signed index before the unsigned one, and
-    the stored B tallies sit beside the A ones; S_1..S_7 still equal the A
-    reference.  (_a_tallies_match, from a fresh cache, builds them the
-    other way round.)"""
-    monkeypatch.setattr(oracle, "_top_index", functools.cache(oracle._top_index.__wrapped__))
+    """The A fill shares _insert_top and the _top_index and _top_plan
+    caches with the B fills.  With fresh index and plan caches, B_n is
+    filled before S_n at each n <= 6, so each n builds its signed index and
+    plan before the unsigned ones, and the stored B tallies sit beside the
+    A ones; S_1..S_7 still equal the A reference.  (_a_tallies_match, from
+    fresh caches, builds them the other way round.)"""
+    for name in ("_top_index", "_top_plan"):
+        monkeypatch.setattr(oracle, name, functools.cache(getattr(oracle, name).__wrapped__))
     for n in range(1, 8):
         if n < 7:
             count_alternating("B", n)
@@ -666,6 +667,76 @@ def test_b_fills_read_the_stored_tally_below(cold_caches, monkeypatch, capsys):
     capsys.readouterr()
     b_fills = [n for kind, n in fills if kind == "B"]
     assert sorted(b_fills) == list(range(1, max(b_fills) + 1))
+
+
+# ------------------------------------------- the segment sum
+
+@pytest.mark.parametrize("kind", ["A", "B"])
+def test_the_insertion_step_equals_the_scatter(cold_caches, kind):
+    """At every n up to the kind's cap, _insert_top equals np.add.at of the
+    stored tally below (the empty word's at B_1) through _top_index."""
+    signed = kind == "B"
+    for n in range(1 if signed else 2, (perm_core.CAP_B if signed else perm_core.CAP_A) + 1):
+        small = oracle._tally(kind, n - 1, 1)[0] if n > 1 else oracle._EMPTY_WORD
+        want = np.zeros(2 * small.size, dtype=np.int64)
+        np.add.at(want, oracle._top_index(n, signed), small[:, None])
+        got = oracle._insert_top(kind, n, 1)
+        assert got.dtype == np.int64 and np.array_equal(got.reshape(-1), want), (kind, n)
+
+
+def test_a_segment_sum_leaves_an_unhit_cell_zero():
+    """Cells 2 and 4 get no source, so they read 0 (np.add.reduceat would
+    not give 0 for an empty segment), and the rest equal np.add.at."""
+    target, values = np.array([[3, 0], [3, 1]]), np.array([5, 7, 11, 13])
+    plan = oracle._segments(target, np.arange(4).reshape(2, 2))
+    want = np.zeros(5, dtype=np.int64)
+    np.add.at(want, target.reshape(-1), values)
+    assert oracle._segment_sum(plan, values, 5).tolist() == want.tolist() == [7, 13, 0, 16, 0]
+
+
+def _marginal_by_codes(counts, n, signed, weight, filters, biv):
+    """_marginal as a loop over the codes: each kept code's counts, summed
+    under the weight, go to its (pk, val) or its t^(pk+val+1)."""
+    pk, val, *cols = (col.tolist() for col in oracle._code_table(n, signed))
+    acc = {}
+    for code, row in enumerate(counts.reshape(len(pk), -1).tolist()):
+        if all(value is None or col[code] == (value == one) for col, (value, one) in zip(cols, filters)):
+            key = (pk[code], val[code]) if biv else pk[code] + val[code] + 1
+            acc[key] = acc.get(key, 0) + sum(w * c for w, c in zip(weight, row))
+    return BiPoly(acc) if biv else UniPoly.from_dict(acc)
+
+
+@pytest.mark.parametrize("kind, n", [("A", 11), ("B", 9)])
+def test_marginals_match_a_sum_over_codes(cold_caches, monkeypatch, kind, n):
+    """On the S_11 and B_9 tallies, every weight and filter that _sum_a or
+    _sum_b builds gives the same polynomial as a loop over the codes, and
+    an all-zero weight gives the zero polynomial."""
+    built, marginal = [], oracle._marginal
+
+    def spy(*args):
+        built.append(args)
+        return marginal(*args)
+
+    monkeypatch.setattr(oracle, "_marginal", spy)
+    parities = (None, "plus", "minus")
+    if kind == "A":
+        counts = scan_joint_a(n)
+        for signed, parity, first, last, alternating in product(
+                (False, True), parities, (None, "a", "d"), (None, "a", "d"), (None, True)):
+            oracle._sum_a(counts, n, biv=True, signed=signed, first=first, last=last,
+                          alternating=alternating, parity=parity)
+    else:
+        counts = scan_joint_b(n)
+        for group, signed, parity, end, first, alternating in product(
+                ("B", "D", "B-D"), (None, "inv_b", "inv_d"), parities, (None, "a", "d"),
+                (None, "positive", "negative"), (None, True)):
+            oracle._sum_b(counts, n, biv=True, group=group, signed=signed, end=end, first=first,
+                          alternating=alternating, parity=parity)
+    assert len(built) == (108 if kind == "A" else 486)
+    for args in built:
+        for biv in (True, False):
+            assert marginal(*args[:5], biv) == _marginal_by_codes(*args[:5], biv), (args[3:5], biv)
+            assert marginal(*args[:3], [0] * len(args[3]), args[4], biv) == (BiPoly() if biv else UniPoly())
 
 
 # --------------------------------------------------------- worker splits
@@ -838,14 +909,16 @@ def _failed_comparisons() -> set[str]:
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_the_reference_catches_a_broken_insertion_rule(cold_caches, monkeypatch, mutant):
     """Every comparison with the reference holds, and each mutant breaks
-    exactly the comparisons its row names, at least one.  A mutated top step
-    reaches the fills through a new _top_index cache, which the test drops,
-    so no mutated index outlives it."""
+    exactly the comparisons its row names, at least one.  A mutated table
+    reaches the fills and the marginals through new _top_index, _top_plan
+    and _class_plan caches, which the test drops, so no mutated index or
+    plan outlives it."""
     target, rewrite, caught = MUTANTS[mutant]
     assert caught and not _failed_comparisons()
     table = getattr(oracle, target)
     monkeypatch.setattr(oracle, target, lambda *args: rewrite(*args, table(*args)))
-    monkeypatch.setattr(oracle, "_top_index", functools.cache(oracle._top_index.__wrapped__))
+    for name in ("_top_index", "_top_plan", "_class_plan"):
+        monkeypatch.setattr(oracle, name, functools.cache(getattr(oracle, name).__wrapped__))
     assert _failed_comparisons() == set(caught.split())
 
 
@@ -1399,8 +1472,8 @@ def test_a_warm_call_only_reads_its_answer(monkeypatch):
     calls = _marginal_calls(4) + _subset_calls(4)
     oracle.clear_caches()
     first = [fn(*args) for fn, args in calls]
-    guarded = [(oracle, "_marginal"), (oracle, "_poly"), (oracle, "normalize_group"), (oracle, "_check_n"),
-               (oracle, "check_integer"), (oracle, "_answer"), (UniPoly, "eval_int")]
+    guarded = [(oracle, "_marginal"), (oracle, "_segment_sum"), (oracle, "_poly"), (oracle, "normalize_group"),
+               (oracle, "_check_n"), (oracle, "check_integer"), (oracle, "_answer"), (UniPoly, "eval_int")]
     reached, warm = set(), [True]
 
     def spy(name, fn):
