@@ -5,10 +5,11 @@ bad worker count), 3 internal error: an integrity error (e.g. a non-integer
 EGF coefficient) or any other unexpected exception.  The worker count comes
 from --threads, else the WEYLRUNS_THREADS environment variable, else 1; it
 must be an integer >= 1, and counts above oracle.MAX_WORKERS (32) are
-clamped to it.  It is validated on every call, but no oracle fill splits
-over it: each runs in the calling thread.  Output for fixed inputs is
-byte-identical across runs and worker counts.  A reader that closes stdout early (`| head`) leaves the exit
-code as it was and adds nothing to stderr.
+clamped to it.  `main` resolves it once, before any command runs, and is
+the one reader of WEYLRUNS_THREADS; no oracle fill splits over it, as each
+runs in the calling thread.  Output for fixed inputs is byte-identical
+across runs and worker counts.  A reader that closes stdout early (`| head`)
+leaves the exit code as it was and adds nothing to stderr.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ COUNT_FAMILIES = {
 TYPE_A_FAMILIES = ("R", "Rpm", "E", "Epm")
 
 
-def _table_rows(family: str, n_max: int, workers):
+def _table_rows(family: str, n_max: int):
     if family not in POLY_FAMILIES and family not in COUNT_FAMILIES:
         raise DomainError(f"unknown table family {family!r}; "
                           f"choose from {sorted(POLY_FAMILIES) + sorted(COUNT_FAMILIES)}")
@@ -116,7 +117,7 @@ def _table_rows(family: str, n_max: int, workers):
         header = ["n", "k"] + list(tokens)
         rows = []
         for n in range(1, n_max + 1):
-            polys = [family_poly(tok, n, workers) for tok in tokens]
+            polys = [family_poly(tok, n) for tok in tokens]
             top = max((p.degree if not p.is_zero() else 0) for p in polys)
             for k in range(0, int(top) + 1):
                 coefs = [p.coeff(k) for p in polys]
@@ -127,12 +128,12 @@ def _table_rows(family: str, n_max: int, workers):
     counter = verify_mod.snake_count if family.startswith("S") else verify_mod.alt_count
     labels = [family[:-2] + "+", family[:-2] + "-"] if family.endswith("pm") else [family]
     header = ["n"] + labels
-    rows = [[n] + [counter(tok, n, workers) for tok in tokens] for n in range(0, n_max + 1)]
+    rows = [[n] + [counter(tok, n) for tok in tokens] for n in range(0, n_max + 1)]
     return header, rows
 
 
 def cmd_table(args) -> tuple[int, str]:
-    header, rows = _table_rows(args.family, args.n_max, args.threads)
+    header, rows = _table_rows(args.family, args.n_max)
     if args.format == "json":
         body = json.dumps({"columns": header, "rows": rows}, sort_keys=True, indent=2) + "\n"
     else:

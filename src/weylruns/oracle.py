@@ -44,9 +44,11 @@ Every distribution is a marginal of one of them: code filters are columns of
 weight over the parity axes.
 
 Every fill runs in the calling thread: S_1..S_11 take under 1 ms, and
-B_1..B_9 about as long.  Every call validates its worker count and clamps
-it to MAX_WORKERS (`resolve_workers`), but no fill splits, so the result is
-bitwise identical for any worker count.  One store, `_TALLIES`, keeps each
+B_1..B_9 about as long, so a public call's worker count splits nothing and
+the result is bitwise identical for any count.  `_stored` (on a hit) and
+`_answer` (on a miss) check an explicit count once (`resolve_workers`);
+nothing below them carries one, and a missing count is never read from
+WEYLRUNS_THREADS here, only by the CLI.  One store, `_TALLIES`, keeps each
 tally by (kind, n), kind "A", "B" or "subsets", beside the answers read
 from it, keyed by the public call.  `_tally` alone scans a tally, and
 `_answer` alone sums a new answer; a repeated query is one dict read
@@ -243,30 +245,26 @@ def _top_plan(n: int, signed: bool) -> tuple[np.ndarray, ...]:
     return _segments(index, np.broadcast_to(below, index.shape))
 
 
-def _insert_top(kind: str, n: int, workers: int | None) -> np.ndarray:
+def _insert_top(kind: str, n: int) -> np.ndarray:
     """The kind's tally at n: the stored one at n - 1, read through _tally,
     or at B_1 the empty word's, summed into its cells at n (_top_plan)."""
-    small = _tally(kind, n - 1, workers)[0] if n > 1 else _EMPTY_WORD
+    small = _tally(kind, n - 1)[0] if n > 1 else _EMPTY_WORD
     acc = _segment_sum(_top_plan(n, kind == "B"), small, 2 * small.size)
     return acc.reshape(-1, *small.shape[1:])
 
 
-def scan_joint_a(n: int, workers: int | None = 1) -> np.ndarray:
+def scan_joint_a(n: int) -> np.ndarray:
     """Uncached A tally counts[c, inv mod 2] over S_n: the S_(n-1) tally with
-    n inserted (_insert_top), from the one word of S_1, in the calling
-    thread; the worker count is checked, as for every scan, but not split."""
+    n inserted (_insert_top), from the one word of S_1."""
     _check_n("A", n)
-    resolve_workers(workers)
-    return _insert_top("A", n, workers) if n > 1 else np.array([[1, 0]])
+    return _insert_top("A", n) if n > 1 else np.array([[1, 0]])
 
 
-def scan_joint_b(n: int, workers: int | None = 1) -> np.ndarray:
+def scan_joint_b(n: int) -> np.ndarray:
     """Uncached B tally counts[c, inv(|w|) mod 2, neg mod 2] over B_n: the
-    B_(n-1) tally with +-n inserted (_insert_top), from the empty word, in
-    the calling thread; the worker count is checked but not split."""
+    B_(n-1) tally with +-n inserted (_insert_top), from the empty word."""
     _check_n("B", n)
-    resolve_workers(workers)
-    return _insert_top("B", n, workers)
+    return _insert_top("B", n)
 
 
 def _stored(kind: str, n, key: tuple, workers: int | None):
@@ -290,30 +288,30 @@ def _stored(kind: str, n, key: tuple, workers: int | None):
     return hit.copy() if type(hit) is BiPoly else hit
 
 
-def _tally(kind: str, n: int, workers: int | None) -> tuple[np.ndarray, dict]:
+def _tally(kind: str, n: int) -> tuple[np.ndarray, dict]:
     """The store's entry for the kind's tally at a checked n: the count array
     and the answers already read from it.  A missing tally is scanned and
     stored whole; the kind's scan is looked up on each fill, so one patched
     by name runs.  A hit reads the store without the lock (a dict lookup is
-    atomic under the GIL) and still refuses an explicit bad worker count.
-    Threads that fill one tally at once store equal arrays."""
+    atomic under the GIL).  Threads that fill one tally at once store equal
+    arrays."""
     entry = _TALLIES.get((kind, n))
     if entry is None:
         scan = {"A": scan_joint_a, "B": scan_joint_b, "subsets": scan_subsets}[kind]
-        entry = scan(n, workers), {}
+        entry = scan(n), {}
         with _CACHE_LOCK:
             _TALLIES[kind, n] = entry
-    elif workers is not None:
-        resolve_workers(workers)
     return entry
 
 
 def _answer(kind: str, n: int, key: tuple, workers: int | None, marginal):
     """marginal(tally) of the kind's tally at a checked n (_tally), stored
-    under `key`, an accepted call's canonical form.  Threads that ask for one
-    new key at once store equal values.  A BiPoly is copied, as its terms
-    dict is mutable."""
-    tally, answers = _tally(kind, n, workers)
+    under `key`, an accepted call's canonical form, once an explicit worker
+    count is checked.  Threads that ask for one new key at once store equal
+    values.  A BiPoly is copied, as its terms dict is mutable."""
+    if workers is not None:
+        resolve_workers(workers)
+    tally, answers = _tally(kind, n)
     hit = answers.get(key)
     if hit is None:
         hit = answers[key] = marginal(tally)
@@ -658,7 +656,7 @@ def _subset_labels(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return l_idx, (l_idx == 4) * 1, d9
 
 
-def scan_subsets(n: int, workers: int | None = 1) -> np.ndarray:
+def scan_subsets(n: int) -> np.ndarray:
     """Uncached subset tally of B_n: the B tally of B_(n-2), read from the
     store, crossed with the top step of n - 1 and then that of n
     (_top_index), whose labels are _subset_labels.
@@ -675,8 +673,7 @@ def scan_subsets(n: int, workers: int | None = 1) -> np.ndarray:
     _check_n("B", n)
     if n < 2:
         raise DomainError("subset classification needs n >= 2")
-    resolve_workers(workers)
-    small = _tally("B", n - 2, workers)[0] if n > 2 else _EMPTY_WORD
+    small = _tally("B", n - 2)[0] if n > 2 else _EMPTY_WORD
     base, side = n + 1, _subset_side(n)
     pk, val, first, last, alt = _code_table(n, True)
     # cell[c', r1 * 2n + r2]: w's flat B_n cell when w''s parity bits are 0;

@@ -6,7 +6,7 @@ brute-force oracle, exact equality only.  `run_checks` drives a set of ids
 over a range of n and assembles a deterministic report (sorted by id, n).
 
 A registry row is (id, summary, stated range lo..hi, cap group "A" or "B",
-check(n, workers) -> CheckOutcome).  Statements of one kind share one check,
+check(n) -> CheckOutcome).  Statements of one kind share one check,
 and a row binds its parameters with functools.partial: `_mult_check`
 (divisibility), `_moment_check`, `_egf_check`, `_difference_check` (n mod 4
 tables), `_equal_check`, and `chk_main`, `chk_uni`, `chk_cancel` and
@@ -98,10 +98,10 @@ def _vs_formula(got, want) -> list[str]:
 
 # ------------------------------------------------------------------ helpers
 
-def _biv_oracle(n, workers, group, end=None):
+def _biv_oracle(n, group, end=None):
     stat = {"A": "inv_a", "B": "inv_b", "D": "inv_d"}[group]
     req = SignedDistributionRequest(group, n, sign_statistic=stat, end_restriction=end)
-    return dist_runs(req, "pq", workers)
+    return dist_runs(req, "pq")
 
 
 _N0_COUNTS = {
@@ -125,37 +125,37 @@ def _n0_count(kind: str, family: str) -> int:
                           f"family {family!r}") from None
 
 
-def alt_count(family: str, n: int, workers=None) -> int:
+def alt_count(family: str, n: int) -> int:
     """Alternating count for an EGF family token, honoring n = 0 conventions."""
     if type(n) is not int:  # 0.0 or False would read the n = 0 convention
         perm_core.check_integer(n)
     if n == 0:
         return _n0_count("E", family)
     group, parity = perm_core.split_family(family)
-    return oracle.count_alternating(group, n, parity, workers)
+    return oracle.count_alternating(group, n, parity)
 
 
-def snake_count(family: str, n: int, workers=None) -> int:
+def snake_count(family: str, n: int) -> int:
     if type(n) is not int:
         perm_core.check_integer(n)
     if n == 0:
         return _n0_count("S", family)
-    return oracle.count_snakes(family, n, workers)
+    return oracle.count_snakes(family, n)
 
 
-def _count(kind, family, n, workers):
+def _count(kind, family, n):
     """The alternating (kind "alt") or snake (kind "snake") count of a family."""
-    return alt_count(family, n, workers) if kind == "alt" else snake_count(family, n, workers)
+    return alt_count(family, n) if kind == "alt" else snake_count(family, n)
 
 
 # ----------------------------------------------------------- shared checks
 
-def _mult_check(n, workers, *, pairs):
+def _mult_check(n, *, pairs):
     """Each (token, claim family): (1+t)^claim divides the oracle polynomial."""
     failures, shown = [], []
     for token, family in pairs:
         claim = cf.divisibility_claim(family, n)
-        poly = family_poly(token, n, workers)
+        poly = family_poly(token, n)
         if poly.is_zero():
             # the zero polynomial is divisible by every power of (1+t)
             shown.append(f"{token}:zero")
@@ -167,14 +167,14 @@ def _mult_check(n, workers, *, pairs):
     return _result(n, failures, " ".join(shown))
 
 
-def _moment_check(n, workers, *, tokens, drop):
+def _moment_check(n, *, tokens, drop):
     """The moment identity of each token's polynomial for k = 1..(n - drop) // 2."""
     max_k = (n - drop) // 2
     if max_k < 1:
         return _skip(n, f"no k with the stated bound at n={n}")
     failures = []
     for token in tokens:
-        poly = family_poly(token, n, workers)
+        poly = family_poly(token, n)
         for k in range(1, max_k + 1):
             if not moment_check(poly, k):
                 failures.append(f"{token}: moment identity fails at k={k}")
@@ -201,12 +201,12 @@ def _formula_coeff(kind, family, n, exact=False):
     return s.egf_coeff_exact(n) if exact else s.egf_coeff(n)
 
 
-def _egf_check(n, workers, *, families, kind):
+def _egf_check(n, *, families, kind):
     """The n-th EGF coefficient of each family against its oracle count."""
     failures, shown = [], []
     for fam in families:
         want = _formula_coeff(kind, fam, n)
-        got = _count(kind, fam, n, workers)
+        got = _count(kind, fam, n)
         shown.append(f"{fam}:{got}")
         if got != want:
             failures.append(f"{fam}: oracle {got} != formula {want}")
@@ -216,22 +216,22 @@ def _egf_check(n, workers, *, families, kind):
 _PM_TABLE = (1, 1, -1, -1)  # S^(B,+) - S^(B,-) and S^D - S^(B-D), indexed by n mod 4
 
 
-def _difference_check(n, workers, *, kind, families, table, label):
+def _difference_check(n, *, kind, families, table, label):
     """count(first) - count(second) = table[n mod 4]; label names the difference."""
-    got = _count(kind, families[0], n, workers) - _count(kind, families[1], n, workers)
+    got = _count(kind, families[0], n) - _count(kind, families[1], n)
     want = table[n % 4]
     return _result(n, [] if got == want else [f"{label.format(n=n)} = {got} != {want}"])
 
 
-def _equal_check(n, workers, *, kind, pairs):
+def _equal_check(n, *, kind, pairs):
     """Each (left, right, message): the two families are equal, as polynomials
     (kind "poly", tokens of family_poly) or as counts."""
     fails = []
     for left, right, message in pairs:
         if kind == "poly":
-            equal = family_poly(left, n, workers) == family_poly(right, n, workers)
+            equal = family_poly(left, n) == family_poly(right, n)
         else:
-            equal = _count(kind, left, n, workers) == _count(kind, right, n, workers)
+            equal = _count(kind, left, n) == _count(kind, right, n)
         if not equal:
             fails.append(message)
     return _result(n, fails)
@@ -239,8 +239,8 @@ def _equal_check(n, workers, *, kind, pairs):
 
 # ------------------------------------------------------------------ type A
 
-def chk_thm_sgn_altrun(n, workers):
-    got = _biv_oracle(n, workers, "A")
+def chk_thm_sgn_altrun(n):
+    got = _biv_oracle(n, "A")
     want = cf.thm_sgn_altrun_biv(n)
     fails = _vs_formula(got, want)
     if n % 4 in (2, 3) and not got.is_zero():
@@ -248,79 +248,79 @@ def chk_thm_sgn_altrun(n, workers):
     return _result(n, fails, f"SgnAltrun_{n}(p,q) = {want}")
 
 
-def chk_thm_class_biv(n, workers):
+def chk_thm_class_biv(n):
     fails = []
     for cls in ("aa", "ad", "da", "dd"):
-        got = oracle.class_poly_a(n, cls, True, workers)
+        got = oracle.class_poly_a(n, cls, True)
         want = cf.thm_class_biv(n, cls)
         if got != want:
             fails.append(f"{cls}: oracle {got} != formula {want}")
     return _result(n, fails)
 
 
-def chk_cor_class_uni(n, workers):
+def chk_cor_class_uni(n):
     fails = []
     for cls in ("aa", "ad", "da", "dd"):
-        got = UniPoly.term(1, 1) * oracle.class_poly_a(n, cls, True, workers).substitute_diag()
+        got = UniPoly.term(1, 1) * oracle.class_poly_a(n, cls, True).substitute_diag()
         want = cf.cor_class_uni(n, cls)
         if got != want:
             fails.append(f"{cls}: t*diag(oracle) {got} != formula {want}")
     return _result(n, fails)
 
 
-def chk_rec_class(n, workers):
+def chk_rec_class(n):
     fails = []
     for cls in ("aa", "ad", "da", "dd"):
         got = cf.recurrence_class_biv(n, cls)
-        want = oracle.class_poly_a(n, cls, True, workers)
+        want = oracle.class_poly_a(n, cls, True)
         if got != want:
             fails.append(f"{cls}: recurrence {got} != oracle {want}")
     return _result(n, fails)
 
 
-def chk_rec_cross_odd(n, workers):
+def chk_rec_cross_odd(n):
     if n % 2 == 0:
         return _skip(n, "stated for odd n")
     q = BiPoly.monomial(1, 0, 1)
     p = BiPoly.monomial(1, 1, 0)
-    lhs = q * oracle.class_poly_a(n - 1, "ad", True, workers)
-    rhs = p * oracle.class_poly_a(n - 1, "da", True, workers)
+    lhs = q * oracle.class_poly_a(n - 1, "ad", True)
+    rhs = p * oracle.class_poly_a(n - 1, "da", True)
     return _result(n, [] if lhs == rhs else [f"q*ad_{n-1} {lhs} != p*da_{n-1} {rhs}"])
 
 
-def chk_cor_sgn_uni(n, workers):
-    got = oracle.signed_uni("A", n, workers)
+def chk_cor_sgn_uni(n):
+    got = oracle.signed_uni("A", n)
     want = cf.cor_sgn_altrun_uni(n)
     fails = _vs_formula(got, want)
-    diag = UniPoly.term(1, 1) * _biv_oracle(n, workers, "A").substitute_diag()
+    diag = UniPoly.term(1, 1) * _biv_oracle(n, "A").substitute_diag()
     if diag != got:
         fails.append("t*diag(bivariate) != univariate oracle")
     return _result(n, fails, f"SgnAltrun_{n}(t) = {want}")
 
 
-def chk_wilf_tightness(n, workers):
+def chk_wilf_tightness(n):
     if n not in (4, 5, 8):
         return _skip(n, "tightness is illustrated at n = 4, 5, 8")
     m = (n - 2) // 2
     fails, shown = [], []
     for token in ("R+", "R-"):
-        mult = one_plus_t_multiplicity(family_poly(token, n, workers))
+        mult = one_plus_t_multiplicity(family_poly(token, n))
         shown.append(f"{token}:mult={mult}")
         if mult != m - 1:
             fails.append(f"{token}: multiplicity {mult} != m-1 = {m - 1} (not tight)")
     if n == 8:
-        mult = one_plus_t_multiplicity(family_poly("R", 8, workers))
+        mult = one_plus_t_multiplicity(family_poly("R", 8))
         shown.append(f"R:mult={mult}")
         if mult != 3:
             fails.append(f"R_8 multiplicity {mult} != 3")
     return _result(n, fails, " ".join(shown) + f" (m={m})")
 
 
-def chk_remark_g(n, workers):
-    r_all = family_poly("R", n, workers)
-    r_plus = family_poly("R+", n, workers)
-    r_minus = family_poly("R-", n, workers)
-    sgn = oracle.signed_uni("A", n, workers)
+def chk_remark_g(n):
+    r_all = family_poly("R", n)
+    r_plus = family_poly("R+", n)
+    r_minus = family_poly("R-", n)
+    sgn = oracle.signed_uni("A", n)
     fails = []
     for ell in range(1, n):
         g = cf.g_coeff(n, ell)
@@ -333,61 +333,61 @@ def chk_remark_g(n, workers):
     return _result(n, fails)
 
 
-def chk_moment_r_pm(n, workers):
-    return _moment_check(n, workers, tokens=("R+", "R-"), drop=6 if n % 4 in (0, 1) else 4)
+def chk_moment_r_pm(n):
+    return _moment_check(n, tokens=("R+", "R-"), drop=6 if n % 4 in (0, 1) else 4)
 
 
 # ------------------------------------------------------------- types B and D
 
-def chk_main(n, workers, *, group):
+def chk_main(n, *, group):
     fa, fd, ft = (cf.thm_b_formulas if group == "B" else cf.thm_d_formulas)(n)
     fails = []
     for end, want in (("a", fa), ("d", fd), (None, ft)):
-        got = _biv_oracle(n, workers, group, end)
+        got = _biv_oracle(n, group, end)
         if got != want:
             fails.append(f"end={end or 'total'}: oracle {got} != formula {want}")
     return _result(n, fails)
 
 
-def chk_uni(n, workers, *, group):
+def chk_uni(n, *, group):
     want = (cf.cor_b_uni if group == "B" else cf.cor_d_uni)(n)
-    return _result(n, _vs_formula(oracle.signed_uni(group, n, workers), want))
+    return _result(n, _vs_formula(oracle.signed_uni(group, n), want))
 
 
-def chk_b_flipsgn(n, workers):
-    a = _biv_oracle(n, workers, "B", "a")
-    d = _biv_oracle(n, workers, "B", "d")
+def chk_b_flipsgn(n):
+    a = _biv_oracle(n, "B", "a")
+    d = _biv_oracle(n, "B", "d")
     want = -d.swap_vars() if n % 2 else d.swap_vars()
     return _result(n, [] if a == want else [f"end-a {a} != {'-' if n % 2 else ''}swap(end-d) {want}"])
 
 
-def chk_cancel(n, workers, *, group):
+def chk_cancel(n, *, group):
     """Every subset but the 8th contributes zero, and the subsets partition."""
     contribution = oracle.subset_contribution_b if group == "B" else oracle.subset_contribution_d
     fails = []
     for end in ("a", "d"):
         total = BiPoly.zero()
         for k in range(1, 9 if group == "B" else 10):
-            c = contribution(n, k, end, workers)
+            c = contribution(n, k, end)
             total = total + c
             if k != 8 and not c.is_zero():
                 fails.append(f"{group}^{k} end={end} contributes {c}")
-        want = _biv_oracle(n, workers, group, end)
+        want = _biv_oracle(n, group, end)
         if total != want:
             fails.append(f"partition end={end}: sum {total} != {want}")
     return _result(n, fails)
 
 
-def chk_b_minus_t(n, workers):
+def chk_b_minus_t(n):
     fails = []
     for end in ("a", "d"):
         words = oracle.build_T(n, end)
         t_poly = oracle.t_contribution(words, "B")
-        want = _biv_oracle(n, workers, "B", end)
+        want = _biv_oracle(n, "B", end)
         if t_poly != want:
             fails.append(f"T end={end}: {t_poly} != {want}")
         if n >= 3:  # the subsets need n >= 3
-            b8 = oracle.subset_contribution_b(n, 8, end, workers)
+            b8 = oracle.subset_contribution_b(n, 8, end)
             if b8 != t_poly:
                 fails.append(f"B^8 - T end={end} contributes {b8 - t_poly}")
             if not all(oracle.subset_index_b(w) == 8 for w in words):
@@ -397,9 +397,9 @@ def chk_b_minus_t(n, workers):
     return _result(n, fails)
 
 
-def chk_zhao_bgt(n, workers):
-    out = _mult_check(n, workers, pairs=(("RB>", "RBgt"),))
-    if out.passed and family_poly("RB>", n, workers) != family_poly("RB<", n, workers):
+def chk_zhao_bgt(n):
+    out = _mult_check(n, pairs=(("RB>", "RBgt"),))
+    if out.passed and family_poly("RB>", n) != family_poly("RB<", n):
         return _result(n, ["R^{B,>} != R^{B,<}"])
     return out
 
@@ -492,7 +492,7 @@ def _length_defects(n: int) -> np.ndarray:
     return tally
 
 
-def chk_inv_bd(n, workers):
+def chk_inv_bd(n):
     tally = _length_defects(n)
     total, order = int(tally.sum()), factorial(n) << n
     fails = []
@@ -503,28 +503,28 @@ def chk_inv_bd(n, workers):
     return _result(n, fails)
 
 
-def chk_d_minus_t(n, workers):
+def chk_d_minus_t(n):
     fails = []
     for end in ("a", "d"):
         t_poly = oracle.t_contribution(oracle.build_T(n, end), "D")
-        d8 = oracle.subset_contribution_d(n, 8, end, workers)
+        d8 = oracle.subset_contribution_d(n, 8, end)
         if d8 != t_poly:
             fails.append(f"D^8 - T end={end} contributes {d8 - t_poly}")
     return _result(n, fails)
 
 
-def chk_gao_sun(n, workers, *, first):
+def chk_gao_sun(n, *, first):
     """R^D - R^(B-D) over the whole groups, or over positive first letters."""
     want = cf.gao_sun_differences(n)[0 if first else 1]
     gt = ">" if first else ""
-    got = family_poly("RD" + gt, n, workers) - family_poly("RB-D" + gt, n, workers)
+    got = family_poly("RD" + gt, n) - family_poly("RB-D" + gt, n)
     return _result(n, _vs_formula(got, want))
 
 
 # --------------------------------------------------------------- EGF suite
 
-def chk_alt_b_equal(n, workers):
-    counts = {f: alt_count(f, n, workers) for f in ("B", "B+", "B-", "D", "B-D")}
+def chk_alt_b_equal(n):
+    counts = {f: alt_count(f, n) for f in ("B", "B+", "B-", "D", "B-D")}
     fails = []
     if not (counts["B+"] == counts["B-"] == counts["D"] == counts["B-D"]):
         fails.append(f"unequal quarters: {counts}")
@@ -533,9 +533,9 @@ def chk_alt_b_equal(n, workers):
     return _result(n, fails, f"E^B_{n}={counts['B']}")
 
 
-def chk_egf_alt_bmd_pm(n, workers):
+def chk_egf_alt_bmd_pm(n):
     """The documented-mismatch id: printed B-D± EGF vs oracle and lemma facts."""
-    plus, minus = alt_count("B-D+", n, workers), alt_count("B-D-", n, workers)
+    plus, minus = alt_count("B-D+", n), alt_count("B-D-", n)
     printed = {s: _formula_coeff("alt", "B-D" + s, n, exact=True) for s in ("+", "-")}
     corrected = {s: _formula_coeff("alt-corrected", s, n) for s in ("+", "-")}
     fails = []
@@ -561,39 +561,37 @@ def chk_egf_alt_bmd_pm(n, workers):
     )
 
 
-def chk_snake_diff_d(n, workers):
+def chk_snake_diff_d(n):
     fails = []
-    dplus, dminus = snake_count("D+", n, workers), snake_count("D-", n, workers)
+    dplus, dminus = snake_count("D+", n), snake_count("D-", n)
     if dplus - dminus != _PM_TABLE[n % 4]:
         fails.append(f"S^(D,+)-S^(D,-) = {dplus - dminus} != {_PM_TABLE[n % 4]}")
-    bp, bm = snake_count("B-D+", n, workers), snake_count("B-D-", n, workers)
+    bp, bm = snake_count("B-D+", n), snake_count("B-D-", n)
     if bp != bm:
         fails.append(f"S^(B-D,+)-S^(B-D,-) = {bp - bm} != 0")
     if n >= 3:
-        p2, m2 = snake_count("D+", n - 2, workers), snake_count("D-", n - 2, workers)
+        p2, m2 = snake_count("D+", n - 2), snake_count("D-", n - 2)
         if dplus - dminus != m2 - p2:
             fails.append("jump-by-two recurrence fails for D")
-        bp2, bm2 = snake_count("B-D+", n - 2, workers), snake_count("B-D-", n - 2, workers)
+        bp2, bm2 = snake_count("B-D+", n - 2), snake_count("B-D-", n - 2)
         if bp - bm != bm2 - bp2:
             fails.append("jump-by-two recurrence fails for B-D")
     return _result(n, fails)
 
 
-def chk_snake_l_subsets(n, workers):
+def chk_snake_l_subsets(n):
     fails = []
     for k in (1, 2, 3):
-        p = oracle.snake_subset_contribution(n, k, "plus", workers)
-        m = oracle.snake_subset_contribution(n, k, "minus", workers)
+        p = oracle.snake_subset_contribution(n, k, "plus")
+        m = oracle.snake_subset_contribution(n, k, "minus")
         if p != m:
             fails.append(f"|L^{k} ∩ D+| = {p} != |L^{k} ∩ D-| = {m}")
     for parity, fam in (("plus", "D+"), ("minus", "D-")):
-        total = sum(oracle.snake_subset_contribution(n, k, parity, workers) for k in range(1, 5))
-        if total != snake_count(fam, n, workers):
+        total = sum(oracle.snake_subset_contribution(n, k, parity) for k in range(1, 5))
+        if total != snake_count(fam, n):
             fails.append(f"L partition misses snakes for {fam}")
-    l4 = oracle.snake_subset_contribution(n, 4, "plus", workers) - oracle.snake_subset_contribution(
-        n, 4, "minus", workers
-    )
-    want = snake_count("D-", n - 2, workers) - snake_count("D+", n - 2, workers)
+    l4 = oracle.snake_subset_contribution(n, 4, "plus") - oracle.snake_subset_contribution(n, 4, "minus")
+    want = snake_count("D-", n - 2) - snake_count("D+", n - 2)
     if l4 != want:
         fails.append(f"L^4 difference {l4} != jump value {want}")
     return _result(n, fails)
@@ -736,7 +734,8 @@ def run_checks(
     When one explicit bound leaves a named id's stated range empty, that
     bound gets a skipped outcome; "all" leaves such ids out.  A bound that is
     not an integer, and an explicit bad worker count, are refused even when
-    every answer is cached.
+    every answer is cached.  No check takes the count: every oracle fill
+    runs in the calling thread.
 
     Each (id, n) check runs once until oracle.clear_caches(): its outcome
     is kept, and every call returns a copy of it.
@@ -771,7 +770,7 @@ def run_checks(
             else:
                 hit = _OUTCOMES.get((ident, n))
                 if hit is None:
-                    hit = _OUTCOMES[(ident, n)] = entry.fn(n, workers)
+                    hit = _OUTCOMES[(ident, n)] = entry.fn(n)
                     hit.theorem = ident
                 outcome = _copy(hit)
             outcome.theorem = ident

@@ -12,8 +12,6 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
-
 import weylruns
 from weylruns import oracle
 from weylruns.involutions import run_involution_suite
@@ -21,9 +19,9 @@ from weylruns.oracle import (
     SignedDistributionRequest,
     dist_runs,
     family_poly,
-    scan_joint_a,
-    scan_joint_b,
-    scan_subsets,
+    snake_subset_contribution,
+    subset_contribution_b,
+    subset_contribution_d,
 )
 from weylruns.poly import BiPoly, UniPoly, one_plus_t_multiplicity
 from weylruns.verify import MISMATCH_DOCUMENTED, run_checks
@@ -170,14 +168,20 @@ def test_criterion_10_involution_suite():
 
 def test_criterion_11_worker_determinism():
     with criterion("11: identical results with 1 and 8 workers"):
-        assert np.array_equal(scan_joint_a(8, workers=1), scan_joint_a(8, workers=8))
-        # each B_8 fill starts cold, so both insert B_1..B_8 at their own worker count
-        b8 = []
+        # each pass starts cold, so every tally is filled by a call given its own worker count
+        answers = []
         for workers in (1, 8):
             oracle.clear_caches()
-            b8.append(scan_joint_b(8, workers=workers))
-        assert np.array_equal(*b8)
-        assert np.array_equal(scan_subsets(6, workers=1), scan_subsets(6, workers=8))
+            answers.append([
+                dist_runs(SignedDistributionRequest("A", 8, "inv_a"), "pq", workers),
+                dist_runs(SignedDistributionRequest("B", 8, "inv_b"), "pq", workers),
+                *(contribution(6, k, end, workers) for contribution, top in
+                  ((subset_contribution_b, 8), (subset_contribution_d, 9))
+                  for k in range(1, top + 1) for end in ("a", "d")),
+                *(snake_subset_contribution(6, k, parity, workers)
+                  for k in range(1, 5) for parity in ("plus", "minus")),
+            ])
+        assert answers[0] == answers[1]
         outs = []
         for threads in ("1", "8"):
             res = subprocess.run(

@@ -278,25 +278,22 @@ def test_engines_agree_subsets(n):
     assert np.array_equal(scan_subsets(n), reference.subsets(n))
 
 
-WORKERS = st.integers(1, 8)
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 7))
+def test_scan_joint_a_matches_reference(n):
+    assert np.array_equal(scan_joint_a(n), reference.joint_a(n))
 
 
 @settings(max_examples=20, deadline=None)
-@given(n=st.integers(1, 7), workers=WORKERS)
-def test_scan_joint_a_matches_reference(n, workers):
-    assert np.array_equal(scan_joint_a(n, workers), reference.joint_a(n))
+@given(n=st.integers(1, 5))
+def test_scan_joint_b_matches_reference(n):
+    assert np.array_equal(scan_joint_b(n), reference.joint_b(n))
 
 
 @settings(max_examples=20, deadline=None)
-@given(n=st.integers(1, 5), workers=WORKERS)
-def test_scan_joint_b_matches_reference(n, workers):
-    assert np.array_equal(scan_joint_b(n, workers), reference.joint_b(n))
-
-
-@settings(max_examples=20, deadline=None)
-@given(n=st.integers(2, 5), workers=WORKERS)
-def test_scan_subsets_matches_reference(n, workers):
-    assert np.array_equal(scan_subsets(n, workers), reference.subsets(n))
+@given(n=st.integers(2, 5))
+def test_scan_subsets_matches_reference(n):
+    assert np.array_equal(scan_subsets(n), reference.subsets(n))
 
 
 def _signed_words(n: int, lo: int, hi: int) -> np.ndarray:
@@ -318,16 +315,15 @@ def test_snake_words_match_reference():
 
 
 @settings(max_examples=30, deadline=None)
-@given(n=st.integers(2, 6), k=st.integers(1, 4), parity=st.sampled_from(["all", "plus", "minus"]),
-       workers=WORKERS)
-def test_snake_subset_contribution_matches_brute_force(n, k, parity, workers):
+@given(n=st.integers(2, 6), k=st.integers(1, 4), parity=st.sampled_from(["all", "plus", "minus"]))
+def test_snake_subset_contribution_matches_brute_force(n, k, parity):
     oracle.clear_caches()
     want = sum(
         1 for w in reference.snake_words(n)
         if negatives(w) % 2 == 0 and snake_subset_l(w) == k
         and (parity == "all" or (inv_d(w) % 2 == 0) == (parity == "plus"))
     )
-    assert snake_subset_contribution(n, k, parity, workers) == want
+    assert snake_subset_contribution(n, k, parity) == want
 
 
 @pytest.mark.parametrize("group,n", [("A", 4), ("A", 8), ("B", 3), ("D", 3)])
@@ -522,11 +518,12 @@ def test_code_tables_match_perm_core(n, signed):
 # ------------------------------------------- the A tally by insertion
 
 def _a_tallies_match(workers: int) -> bool:
-    """Whether scan_joint_a at the given worker count equals the reference
-    walk on S_1..S_7, from cold caches, so that S_2..S_7 are each inserted
-    into the stored tally below."""
+    """Whether the S_1..S_7 tallies that a cold S_7 query at the given worker
+    count stores, each inserted into the stored tally below, equal the
+    reference walk."""
     oracle.clear_caches()
-    return all(np.array_equal(scan_joint_a(n, workers), reference.joint_a(n)) for n in range(1, 8))
+    count_alternating("A", 7, workers=workers)
+    return all(np.array_equal(oracle._TALLIES["A", n][0], reference.joint_a(n)) for n in range(1, 8))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -561,59 +558,54 @@ def test_b_fills_build_their_index_before_the_a_fills(cold_caches, monkeypatch):
 
 
 def test_a_fills_read_the_stored_tally_below(cold_caches, monkeypatch):
-    """From cold, an S_9 fill at 1 or 2 workers fills each of S_1..S_9 once
-    and stores them all; with S_8 stored, an S_9 fill reads the stored S_8
-    tally and fills nothing else."""
+    """From cold, an S_9 query fills each of S_1..S_9 once and stores them
+    all; with S_8 stored, an S_9 fill reads the stored S_8 tally and fills
+    nothing else."""
     fills, scan = [], oracle.scan_joint_a
     reads, tally = [], oracle._tally
 
-    def spy_fill(n, workers=1):
+    def spy_fill(n):
         fills.append(n)
-        return scan(n, workers)
+        return scan(n)
 
-    def spy_read(kind, n, workers):
+    def spy_read(kind, n):
         reads.append((kind, n))
-        return tally(kind, n, workers)
+        return tally(kind, n)
 
     monkeypatch.setattr(oracle, "scan_joint_a", spy_fill)
     monkeypatch.setattr(oracle, "_tally", spy_read)
-    for workers in (1, 2):
-        oracle.clear_caches()
-        fills.clear()
-        count_alternating("A", 9, workers=workers)
-        assert sorted(fills) == list(range(1, 10))
-        assert {key for key in oracle._TALLIES if key[0] == "A"} == {("A", k) for k in range(1, 10)}
+    count_alternating("A", 9)
+    assert sorted(fills) == list(range(1, 10))
+    assert {key for key in oracle._TALLIES if key[0] == "A"} == {("A", k) for k in range(1, 10)}
     fills.clear()
     reads.clear()
     oracle._TALLIES["A", 8][0][...] = 0  # so a fill that reads S_8 from the store counts nothing
-    assert not oracle.scan_joint_a(9, 2).any()
+    assert not oracle.scan_joint_a(9).any()
     assert fills == [9] and reads == [("A", 8)]
 
 
 def test_a_kernel_matches_the_word_walk(cold_caches):
-    """The S_8 tally, inserted from cold at 1 and at 2 workers, equals the
-    word-by-word walk of all of S_8."""
-    want = direct_walk.walk_a(8, 0, factorial(8))
-    for workers in (1, 2):
-        oracle.clear_caches()
-        assert np.array_equal(scan_joint_a(8, workers), want)
+    """The S_8 tally, inserted from cold, equals the word-by-word walk of
+    all of S_8."""
+    assert np.array_equal(scan_joint_a(8), direct_walk.walk_a(8, 0, factorial(8)))
 
 
 # ------------------------------------------- the B tally by insertion
 
 def _b_tallies_match(workers: int) -> bool:
-    """Whether scan_joint_b at the given worker count equals the reference
-    walk on B_1..B_6, from cold caches, so that B_1..B_6 are each inserted
-    into the stored tally below, from the empty word up."""
+    """Whether the B_1..B_6 tallies that a cold B_6 query at the given worker
+    count stores, each inserted into the stored tally below from the empty
+    word up, equal the reference walk."""
     oracle.clear_caches()
-    return all(np.array_equal(scan_joint_b(n, workers), reference.joint_b(n)) for n in range(1, 7))
+    count_alternating("B", 6, workers=workers)
+    return all(np.array_equal(oracle._TALLIES["B", n][0], reference.joint_b(n)) for n in range(1, 7))
 
 
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("letters", [1, 2, 3, 4])
 def test_short_suffix_tables_match_the_b_reference(cold_caches, monkeypatch, letters, workers):
-    """B_1..B_6 inserted at the given worker count equal the reference walk,
-    and so does the direct walk of B_1..B_6 through a `letters`-letter
+    """B_1..B_6 stored by a B_6 query at the given worker count equal the
+    reference walk, and so does the direct walk of B_1..B_6 through a `letters`-letter
     suffix table."""
     assert _b_tallies_match(workers)
     monkeypatch.setattr(direct_walk, "SUFFIX_LETTERS", letters)
@@ -624,41 +616,36 @@ def test_short_suffix_tables_match_the_b_reference(cold_caches, monkeypatch, let
 def test_b_tally_matches_the_direct_walk_at_b8(cold_caches):
     """scan_joint_b(7) and scan_joint_b(8), inserted from the empty word,
     equal the word-by-word walks of all of B_7 and B_8, each filled from
-    cold at 1 and at 2 workers."""
+    cold."""
     for n in (7, 8):
-        want = direct_walk.walk_b(n, 0, factorial(n))
-        for workers in (1, 2):
-            oracle.clear_caches()
-            assert np.array_equal(scan_joint_b(n, workers), want), (n, workers)
+        oracle.clear_caches()
+        assert np.array_equal(scan_joint_b(n), direct_walk.walk_b(n, 0, factorial(n))), n
 
 
 def test_b_fills_read_the_stored_tally_below(cold_caches, monkeypatch, capsys):
-    """From cold, a B_9 fill at 1 or 2 workers inserts each of B_1..B_9 once
-    and stores them all; with B_8 stored, a B_9 fill reads the stored B_8
-    tally and fills nothing else; and a cold `verify --theorem all` inserts
-    each B_n it reads once, from B_1 up."""
+    """From cold, a B_9 fill inserts each of B_1..B_9 once and stores
+    B_1..B_8; with B_8 stored, a B_9 fill reads the stored B_8 tally and
+    fills nothing else; and a cold `verify --theorem all` inserts each B_n
+    it reads once, from B_1 up."""
     fills, insert = [], oracle._insert_top
     reads, tally = [], oracle._tally
 
-    def spy_fill(kind, n, workers):
+    def spy_fill(kind, n):
         fills.append((kind, n))
-        return insert(kind, n, workers)
+        return insert(kind, n)
 
-    def spy_read(kind, n, workers):
+    def spy_read(kind, n):
         reads.append((kind, n))
-        return tally(kind, n, workers)
+        return tally(kind, n)
 
     monkeypatch.setattr(oracle, "_insert_top", spy_fill)
-    for workers in (1, 2):
-        oracle.clear_caches()
-        fills.clear()
-        scan_joint_b(9, workers)
-        assert sorted(fills) == [("B", k) for k in range(1, 10)]
-        assert {key for key in oracle._TALLIES if key[0] == "B"} == {("B", k) for k in range(1, 9)}
+    scan_joint_b(9)
+    assert sorted(fills) == [("B", k) for k in range(1, 10)]
+    assert {key for key in oracle._TALLIES if key[0] == "B"} == {("B", k) for k in range(1, 9)}
     monkeypatch.setattr(oracle, "_tally", spy_read)
     fills.clear()
     oracle._TALLIES["B", 8][0][...] = 0  # so a fill that reads B_8 from the store counts nothing
-    assert not scan_joint_b(9, 2).any()
+    assert not scan_joint_b(9).any()
     assert fills == [("B", 9)] and reads == [("B", 8)]
     monkeypatch.setattr(oracle, "_tally", tally)
     oracle.clear_caches()
@@ -677,10 +664,10 @@ def test_the_insertion_step_equals_the_scatter(cold_caches, kind):
     stored tally below (the empty word's at B_1) through _top_index."""
     signed = kind == "B"
     for n in range(1 if signed else 2, (perm_core.CAP_B if signed else perm_core.CAP_A) + 1):
-        small = oracle._tally(kind, n - 1, 1)[0] if n > 1 else oracle._EMPTY_WORD
+        small = oracle._tally(kind, n - 1)[0] if n > 1 else oracle._EMPTY_WORD
         want = np.zeros(2 * small.size, dtype=np.int64)
         np.add.at(want, oracle._top_index(n, signed), small[:, None])
-        got = oracle._insert_top(kind, n, 1)
+        got = oracle._insert_top(kind, n)
         assert got.dtype == np.int64 and np.array_equal(got.reshape(-1), want), (kind, n)
 
 
@@ -753,13 +740,6 @@ def test_partials_over_any_cuts_sum_to_the_whole(n, cuts):
     assert np.array_equal(sum(parts), scan_joint_b(n))
 
 
-def test_worker_count_does_not_change_tallies():
-    assert np.array_equal(scan_joint_a(8, workers=1), scan_joint_a(8, workers=8))
-    assert np.array_equal(scan_joint_a(7, workers=1), scan_joint_a(7, workers=8))
-    assert np.array_equal(scan_joint_b(5, workers=1), scan_joint_b(5, workers=8))
-    assert np.array_equal(scan_subsets(5, workers=1), scan_subsets(5, workers=8))
-
-
 # md5 of the raw tallies' bytes, taken from the walk with row-major blocks;
 # S_11's from the A word walk with column-major blocks, and B_9's from the B
 # word walk of every signed word at 1 and 2 workers
@@ -779,13 +759,14 @@ TALLY_MD5 = {
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_raw_tallies_keep_their_digests(workers):
-    """scan_joint_a over S_1..S_11 and scan_joint_b over B_1..B_9, byte for
-    byte, beyond the reference walks' S_7 and B_6."""
-    for kind, scan, shape in (("A", scan_joint_a, lambda n: (1 << max(n - 1, 0), 2)),
-                              ("B", scan_joint_b, lambda n: (1 << n, 2, 2))):
+def test_raw_tallies_keep_their_digests(cold_caches, workers):
+    """The S_1..S_11 and B_1..B_9 tallies that cold S_11 and B_9 queries at
+    the given worker count store, byte for byte, beyond the reference walks'
+    S_7 and B_6."""
+    for kind, shape in (("A", lambda n: (1 << max(n - 1, 0), 2)), ("B", lambda n: (1 << n, 2, 2))):
+        count_alternating(kind, len(TALLY_MD5[kind]), workers=workers)
         for n, want in enumerate(TALLY_MD5[kind], 1):
-            tally = scan(n, workers)
+            tally = oracle._TALLIES[kind, n][0]
             assert tally.dtype == np.dtype("<i8") and tally.shape == shape(n), (kind, n)
             assert hashlib.md5(tally.tobytes()).hexdigest() == want, (kind, n)
 
@@ -800,19 +781,21 @@ SUBSET_MD5 = ["e2e543af31f4ea2b0a8cf7487cb51fe6", "8df34f0e269496e100d195c39ba4d
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_subset_tallies_keep_their_digests(cold_caches, workers):
-    """scan_subsets over B_2..B_9, byte for byte, each B_(n-2) tally filled
-    at the given worker count, beyond the reference walk's B_5."""
+    """The subset tallies of B_2..B_9 that cold snake subset queries at the
+    given worker count store, byte for byte, beyond the reference walk's
+    B_5."""
     for n, want in enumerate(SUBSET_MD5, 2):
-        codes = scan_subsets(n, workers)
+        snake_subset_contribution(n, 1, workers=workers)
+        codes = oracle._TALLIES["subsets", n][0]
         assert codes.dtype == np.dtype("<i8") and codes.shape == (2 * oracle._subset_side(n) + 10,), n
         assert hashlib.md5(codes.tobytes()).hexdigest() == want, n
 
 
-@pytest.mark.parametrize("workers, n", [(1, 6), (1, 7), (3, 6), (3, 7), (1, 8)])
-def test_subset_tally_matches_the_direct_b_walk(cold_caches, workers, n):
-    """The tally crossed from the B_(n-2) tally, filled at the given worker
-    count, equals a walk of every signed word of B_n."""
-    assert np.array_equal(scan_subsets(n, workers), direct_walk.subsets(n))
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_subset_tally_matches_the_direct_b_walk(cold_caches, n):
+    """The tally crossed from the B_(n-2) tally, filled from cold, equals a
+    walk of every signed word of B_n."""
+    assert np.array_equal(scan_subsets(n), direct_walk.subsets(n))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -947,13 +930,13 @@ def test_a_subset_fill_walks_only_s_n_minus_2(cold_caches, monkeypatch, n):
 
     for name in ("scan_joint_a", "scan_joint_b", "_insert_top"):
         monkeypatch.setattr(oracle, name, spy(name, getattr(oracle, name)))
-    want = scan_subsets(n, workers=2)
+    want = scan_subsets(n)
     below = range(n - 2, 0, -1)
     assert [call[:2] for call in calls if not call[0].startswith("_")] == [("scan_joint_b", k) for k in below]
     assert [call[1:3] for call in calls if call[0] == "_insert_top"] == [("B", k) for k in below]
     assert ("B", n - 2) in oracle._TALLIES
     calls.clear()
-    assert np.array_equal(scan_subsets(n, workers=2), want)
+    assert np.array_equal(scan_subsets(n), want)
     assert not calls
 
 
@@ -969,33 +952,36 @@ def test_a_subset_fill_is_not_refused_by_the_s_n_cap(monkeypatch):
 
 
 def test_subset_tally_over_eight_parts_of_s8():
-    """The subset tally of B_8 is the same whether its B_6 fill is given 1
-    worker or 8, cold each time."""
-    oracle.clear_caches()
-    one = scan_subsets(8, 1)
-    oracle.clear_caches()
-    assert np.array_equal(one, scan_subsets(8, 8))
+    """The subset tally of B_8 that a snake subset query stores is the same
+    whether the query is given 1 worker or 8, cold each time."""
+    stored = []
+    for workers in (1, 8):
+        oracle.clear_caches()
+        snake_subset_contribution(8, 1, workers=workers)
+        stored.append(oracle._TALLIES["subsets", 8][0])
+    assert np.array_equal(*stored)
 
 
 def test_subset_fills_to_n7_start_no_pool(monkeypatch):
     """The B_(n-2) fill and the insertion crossing of every subset fill that
-    `verify --theorem all` makes (n <= 7) run in the calling thread at any
-    worker count: none starts a thread."""
+    `verify --theorem all` makes (n <= 7) run in the calling thread, though
+    the query that fills it is given MAX_WORKERS: none starts a thread."""
     def no_thread(*_args, **_kwargs):
         raise AssertionError("a thread started")
 
-    serial = {n: scan_subsets(n, workers=1) for n in range(2, 8)}
+    serial = {n: scan_subsets(n) for n in range(2, 8)}
     oracle.clear_caches()
     monkeypatch.setattr(threading.Thread, "start", no_thread)
     for n, want in serial.items():
-        assert np.array_equal(scan_subsets(n, workers=MAX_WORKERS), want)
+        snake_subset_contribution(n, 1, workers=MAX_WORKERS)
+        assert np.array_equal(oracle._TALLIES["subsets", n][0], want)
 
 
-def test_subset_crossing_splits_over_workers_at_n9(cold_caches):
-    """The worker count splits no fill: a cold fill at 1 worker and a
-    crossing of the stored B_7 tally at 2 keep one digest."""
-    for workers in (1, 2):
-        codes = scan_subsets(9, workers)
+def test_subset_crossing_at_n9_keeps_its_digest(cold_caches):
+    """A cold subset fill of B_9 and a crossing of the B_7 tally it stored
+    keep one digest."""
+    for _ in range(2):
+        codes = scan_subsets(9)
         assert codes.dtype == np.dtype("<i8")
         assert hashlib.md5(codes.tobytes()).hexdigest() == "7088b47c0313a5c9575da644609ee702"
 
@@ -1011,6 +997,22 @@ def test_worker_counts_are_validated_and_clamped(monkeypatch):
         resolve_workers(None)
     monkeypatch.setenv("WEYLRUNS_THREADS", "5")
     assert resolve_workers(None) == 5
+
+
+@pytest.mark.parametrize("workers, checks", [(2, 1), (None, 0)])
+def test_a_cold_query_checks_its_worker_count_once(cold_caches, monkeypatch, workers, checks):
+    """From cold, a B_9 query checks an explicit worker count once, at its
+    entry, and none below it in the B_1..B_9 fills; given none, it checks
+    nothing, so it reads no WEYLRUNS_THREADS."""
+    calls, resolve = [], oracle.resolve_workers
+
+    def spy(count):
+        calls.append(count)
+        return resolve(count)
+
+    monkeypatch.setattr(oracle, "resolve_workers", spy)
+    dist_runs(SignedDistributionRequest("B", 9), "t", workers)
+    assert len(calls) == checks and ("B", 8) in oracle._TALLIES
 
 
 def _package_imports(module: str) -> set[str]:

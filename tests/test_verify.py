@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import inspect
 from fractions import Fraction
 
 import numpy as np
@@ -240,6 +241,33 @@ def test_bad_worker_count_is_refused_cold_and_warm(call, bad):
         _WORKER_CALLS[call](bad)
 
 
+def test_a_bad_threads_variable_is_read_by_no_library_call(monkeypatch):
+    """Only the CLI reads WEYLRUNS_THREADS: with it set to "abc", a count,
+    the wilf check and the word-sorting cor-inv-bd check answer from cold,
+    and again warm, what they answer with it unset."""
+    calls = [lambda: count_alternating("A", 5),
+             lambda: run_checks("wilf", 4, 4).to_json(),
+             lambda: run_checks("cor-inv-bd", 3, 3).to_json()]
+    monkeypatch.delenv("WEYLRUNS_THREADS", raising=False)
+    oracle.clear_caches()
+    want = [call() for call in calls]
+    assert want[0] == 16 and want[1]["ok"] and want[2]["ok"]
+    monkeypatch.setenv("WEYLRUNS_THREADS", "abc")
+    oracle.clear_caches()
+    assert [call() for call in calls] == want
+    assert [call() for call in calls] == want
+
+
+def test_no_routine_below_the_entries_takes_a_worker_count():
+    """Every registry check is check(n), and no fill or scan below the public
+    oracle calls has a worker count parameter."""
+    for ident, entry in verify.REGISTRY.items():
+        assert "workers" not in inspect.signature(entry.fn).parameters, ident
+        inspect.signature(entry.fn).bind(3)
+    for name in ("_tally", "_insert_top", "scan_joint_a", "scan_joint_b", "scan_subsets"):
+        assert "workers" not in inspect.signature(getattr(oracle, name)).parameters, name
+
+
 # n that are not integers; True and the floats equal the integers whose cache
 # entries they would otherwise hit, and 0.0 and False the n = 0 of the counts
 _NOT_INTEGERS = [3.0, 3.5, "3", None, True, 0.0, False]
@@ -291,9 +319,9 @@ def registry_calls(monkeypatch):
     """The (id, n) of every call to a registry row's check, in call order."""
     calls = []
     for ident, entry in verify.REGISTRY.items():
-        def counted(n, workers, _ident=ident, _fn=entry.fn):
+        def counted(n, _ident=ident, _fn=entry.fn):
             calls.append((_ident, n))
-            return _fn(n, workers)
+            return _fn(n)
 
         monkeypatch.setitem(verify.REGISTRY, ident, dataclasses.replace(entry, fn=counted))
     return calls
