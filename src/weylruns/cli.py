@@ -167,8 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run oracle-vs-formula checks")
     p.add_argument("--theorem", required=True)
-    p.add_argument("--n-min", type=int, default=None)
-    p.add_argument("--n-max", type=int, default=None)
+    bound = f"exit 2 outside 0..{max(perm_core.CAP_A, perm_core.CAP_B)}, the largest enumeration cap"
+    p.add_argument("--n-min", type=int, default=None, help=f"smallest n to check; {bound}")
+    p.add_argument("--n-max", type=int, default=None, help=f"largest n to check; {bound}")
     p.add_argument("--format", default="text", choices=["text", "json"])
     p.add_argument("--threads", type=int, default=None)
     p.set_defaults(fn=cmd_verify)

@@ -61,9 +61,9 @@ plans (`_code_table`, `_top_index`, `_top_plan`, `_class_plan`), which
 depend on n alone and hold no result.
 The test suite keeps a pure-Python walk over perm_core's statistics as the
 reference for all three tallies and for every marginal.  Its `direct_walk`
-module keeps a seekable block generator of S_n rank ranges, and
-word-by-word numpy walks over it of S_n and of B_n, as second references
-for the A chain, the B chain and the subset tally.
+module keeps word-by-word numpy walks of S_n and of B_n, over perm_core's
+seekable block generator (`perm_blocks`, `cross_signs`), as second
+references for the A chain, the B chain and the subset tally.
 """
 
 from __future__ import annotations

@@ -15,11 +15,14 @@ All statistics functions accept plain sequences; the `Permutation` /
 
 from __future__ import annotations
 
+import functools
 import itertools
 import numbers
 import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -253,6 +256,13 @@ def pos_abs(w, r: int) -> int:
 # B_n as lexicographic permutations of absolute values crossed with sign
 # masks in binary counting order (bit i of the mask negates position i).
 # D / B-D filter that stream by the parity of the mask popcount.
+#
+# `iter_group` is the pure-Python reference walk.  The numpy walk is
+# `perm_blocks`, which yields the S_n words of a lexicographic rank range
+# [lo, hi) as int8 blocks, rank lo first; it seeks to lo directly, so a
+# range costs only its own rows.  `cross_signs` turns a block of S_n into
+# the B_n words over it, each permutation with its masks 0 .. 2^n - 1, so
+# the B blocks of consecutive ranges follow the contract order too.
 
 def check_integer(value, name: str = "n") -> None:
     """Refuse a value that is not an integer: a float, string, None, bool or
@@ -288,3 +298,74 @@ def iter_group(group: str, n: int) -> Iterator[tuple[int, ...]]:
         for sign in signs:
             yield tuple(map(operator.mul, perm, sign))
 
+
+# The m of the S_m table that each S_n rank's suffix is read from.
+SUFFIX_LETTERS = 7
+
+
+@functools.cache
+def suffix_table(m: int) -> np.ndarray:
+    """The lexicographic table of S_m on the letters 0..m-1, column-major: an
+    (m, m!) int8 array whose column s is the word of rank s."""
+    return np.array(list(itertools.permutations(range(m))), dtype=np.int8).T.copy()
+
+
+def _unrank_prefix(n: int, k: int, p: int) -> tuple[list[int], np.ndarray]:
+    """The first k letters of the S_n words of ranks p*(n-k)! .. (p+1)*(n-k)! - 1,
+    and the sorted letters left for their suffixes.
+
+    p is read as a Lehmer code in mixed radix n, n-1, .., n-k+1 (Knuth, TAOCP
+    4A, 7.2.1.2): digit i picks the letter of that rank among those unused.
+    """
+    digits = []
+    for radix in range(n - k + 1, n + 1):
+        p, digit = divmod(p, radix)
+        digits.append(digit)
+    letters = list(range(1, n + 1))
+    prefix = [letters.pop(d) for d in reversed(digits)]
+    return prefix, np.array(letters, dtype=np.int8)
+
+
+def perm_blocks(n: int, lo: int, hi: int, chunk: int):
+    """int8 blocks of at most `chunk` rows: the S_n words of ranks [lo, hi),
+    in lexicographic order.
+
+    Rank r = p*m! + s with m = min(n, SUFFIX_LETTERS), read at call time: the
+    length-(n-m) prefix is the Lehmer unrank of p, and the suffix is column s
+    of the S_m table relabelled through the letters the prefix leaves.  A
+    block is split into runs of rows that share one prefix.  Each block is
+    filled as an (n, rows) array, one letter position per row, and yielded as
+    its (rows, n) transpose, so a reader of letter positions takes each in
+    place.
+    """
+    table = suffix_table(min(n, SUFFIX_LETTERS))
+    k, size = n - len(table), table.shape[1]
+    while lo < hi:
+        rows = min(chunk, hi - lo)
+        block = np.empty((n, rows), dtype=np.int8)
+        at = 0
+        while at < rows:
+            p, s = divmod(lo + at, size)
+            take = min(size - s, rows - at)
+            prefix, rest = _unrank_prefix(n, k, p)
+            block[:k, at:at + take] = np.reshape(prefix, (k, 1))
+            block[k:, at:at + take] = rest[table[:, s:s + take]]
+            at += take
+        yield block.T
+        lo += rows
+
+
+@functools.cache
+def sign_table(n: int) -> np.ndarray:
+    """The (n, 2^n) int8 table of +-1 whose column m negates the letters of
+    sign mask m: bit i of m negates letter i."""
+    return (1 - 2 * ((np.arange(1 << n) >> np.arange(n)[:, None]) & 1)).astype(np.int8)
+
+
+def cross_signs(words: np.ndarray) -> np.ndarray:
+    """The (M * 2^n, n) int8 block of signed words over an (M, n) block of
+    S_n: each permutation with its sign masks 0 .. 2^n - 1 in turn, which is
+    the contract order of B_n.  One broadcast multiply over the masks fills
+    it column-major, one letter position per row."""
+    n = words.shape[1]
+    return (words.T[:, :, None] * sign_table(n)[:, None, :]).reshape(n, -1).T

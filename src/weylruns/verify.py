@@ -30,7 +30,6 @@ status "paper-formula-mismatch-documented" instead of failing.
 from __future__ import annotations
 
 import copy
-import itertools
 from dataclasses import dataclass, field
 from functools import partial
 from math import factorial
@@ -464,25 +463,19 @@ def _descent_sort(cols: list[np.ndarray], zero) -> np.ndarray:
     return length
 
 
-def _signed_word_blocks(n: int):
-    """B_n as (M, n) int8 blocks: each permutation of 1..n crossed with its
-    2^n sign patterns, at most max(2^16, 2^n) words per block."""
-    signs = np.where((np.arange(1 << n)[:, None] >> np.arange(n)) & 1, -1, 1).astype(np.int8)
-    perms = itertools.permutations(range(1, n + 1))
-    while chunk := list(itertools.islice(perms, max(1, (1 << 16) >> n))):
-        yield (np.array(chunk, dtype=np.int8)[:, None, :] * signs).reshape(-1, n)
-
-
 def _length_defects(n: int) -> np.ndarray:
     """The words of B_n counted by d = l_B - l_D - neg, in cell d + n^2.
 
     True lengths keep |d| <= n^2 (l_B <= n^2 and l_D + neg <= n^2), so the
     tally has 2n^2 + 1 cells; a word outside them, which only a wrong descent
-    rule gives, is left out and the total falls short of |B_n|.
+    rule gives, is left out and the total falls short of |B_n|.  B_n comes
+    from perm_core's block generator, max(1, 2^16 >> n) permutations a block,
+    each crossed with its sign masks: words only, no inversion count.
     """
     size = 2 * n * n + 1
     tally = np.zeros(size, dtype=np.int64)
-    for words in _signed_word_blocks(n):
+    for perms in perm_core.perm_blocks(n, 0, factorial(n), max(1, (1 << 16) >> n)):
+        words = perm_core.cross_signs(perms)
         ell_b = _descent_sort(list(words.T.copy()), _b_zero)
         ell_d = _descent_sort(list(words.T.copy()), _d_zero)
         cell = ell_b - ell_d + n * n
@@ -733,9 +726,11 @@ def run_checks(
     n below an id's stated range or above the enumeration cap is skipped.
     When one explicit bound leaves a named id's stated range empty, that
     bound gets a skipped outcome; "all" leaves such ids out.  A bound that is
-    not an integer, and an explicit bad worker count, are refused even when
-    every answer is cached.  No check takes the count: every oracle fill
-    runs in the calling thread.
+    not an integer, or lies outside 0..max(CAP_A, CAP_B) (the caps read at
+    call time), and an explicit bad worker count, are refused before any
+    check runs, even when every answer is cached; so a report holds at most
+    one outcome per id and n in 0..cap.  No check takes the count: every
+    oracle fill runs in the calling thread.
 
     Each (id, n) check runs once until oracle.clear_caches(): its outcome
     is kept, and every call returns a copy of it.
@@ -743,8 +738,13 @@ def run_checks(
     if workers is not None:
         oracle.resolve_workers(workers)
     for name, bound in (("n_min", n_min), ("n_max", n_max)):
-        if bound is not None:
+        if bound is None:
+            continue
+        if type(bound) is not int:
             perm_core.check_integer(bound, name)
+        if bound < 0 or bound > perm_core.CAP_A and bound > perm_core.CAP_B:
+            raise DomainError(f"{name}={bound} outside 0..{max(perm_core.CAP_A, perm_core.CAP_B)}, "
+                              "the largest enumeration cap")
     if n_min is not None and n_max is not None and n_min > n_max:
         raise DomainError(f"empty range: n_min={n_min} > n_max={n_max}")
     # an array's == would compare its elements, and a list cannot be hashed

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import weylruns
 from weylruns import closed_forms as cf
-from weylruns import oracle, series, verify
+from weylruns import oracle, perm_core, series, verify
 from weylruns.cli import main
 from weylruns.oracle import SignedDistributionRequest, class_poly_a, dist_runs
 from weylruns.poly import poly_from_json, poly_to_json
@@ -97,7 +98,7 @@ def test_dist_reaches_the_type_a_end_classes(capsys):
 
 
 def test_verify_text_summary_counts_skips_apart(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--theorem", "thm-b-main", "--n-min", "-3", "--n-max", "1")
+    code, out, _ = run_cli(capsys, "verify", "--theorem", "thm-moment-b-pm", "--n-min", "1", "--n-max", "5")
     assert code == 0
     lines = out.splitlines()
     assert [ln.split()[0] for ln in lines[:-1]] == ["SKIP"] * 4 + ["PASS"]
@@ -110,7 +111,7 @@ def test_verify_text_summary_counts_skips_apart(capsys):
 
 
 def test_all_skipped_run_exits_0(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--theorem", "wilf", "--n-min", "12", "--n-max", "12")
+    code, out, _ = run_cli(capsys, "verify", "--theorem", "thm-b-main", "--n-min", "10", "--n-max", "10")
     assert code == 0
     assert out.splitlines()[-1] == "# 0 passed, 0 failed, 1 skipped"
 
@@ -129,10 +130,12 @@ def test_a_bound_outside_a_named_ids_range_is_reported(capsys, argv, line):
 
 
 def test_verify_text_summary_counts_failures(capsys, monkeypatch, cold_caches):
+    """With S_n capped at 2, n = 3 of egf-alt-a is skipped, and n = 0..2 fail."""
     monkeypatch.setattr(verify, "alt_count", lambda *_args: -1)
-    code, out, _ = run_cli(capsys, "verify", "--theorem", "egf-alt-a", "--n-min", "-1", "--n-max", "2")
+    monkeypatch.setattr(perm_core, "CAP_A", 2)
+    code, out, _ = run_cli(capsys, "verify", "--theorem", "egf-alt-a", "--n-min", "0", "--n-max", "3")
     assert code == 1
-    assert [ln.split()[0] for ln in out.splitlines()[:-1]] == ["SKIP"] + ["FAIL"] * 3
+    assert [ln.split()[0] for ln in out.splitlines()[:-1]] == ["FAIL"] * 3 + ["SKIP"]
     assert out.splitlines()[-1] == "# 0 passed, 3 failed, 1 skipped"
 
 
@@ -344,6 +347,23 @@ def test_closed_stdout_keeps_the_verdict(setup, argv, want):
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(), err) == (want, b"")
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("bound", [("--n-max", str(10**30)), ("--n-min", str(-10**30))], ids=["n-max", "n-min"])
+def test_a_huge_verify_bound_exits_2_in_a_fresh_process(bound):
+    """A verify bound far outside 0..cap ends in exit 2 at once, in a child
+    whose address space is capped at 1 GiB, instead of a run that grows with
+    the range until the machine kills it.  One BLAS thread keeps numpy's
+    reserved buffers small on a machine with many cores."""
+    proc = subprocess.run([sys.executable, "-m", "weylruns.cli", "verify", "--theorem", "all", *bound],
+                          env={**_BUFFERED_ENV, "OPENBLAS_NUM_THREADS": "1"}, capture_output=True, text=True,
+                          timeout=10, preexec_fn=_limit_memory)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "outside 0..11, the largest enumeration cap" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_benchmark_selftest_passes():

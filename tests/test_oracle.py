@@ -21,7 +21,7 @@ import reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weylruns import cli, oracle, perm_core
+from weylruns import cli, oracle, perm_core, verify
 from weylruns.errors import DomainError
 from weylruns.oracle import (
     MAX_WORKERS,
@@ -337,9 +337,9 @@ def test_block_slices_cover(group, n):
     cuts = [0, total // 3 + 1, 2 * total // 3 - 1, total]
     pieces = []
     for lo, hi in zip(cuts, cuts[1:]):
-        blocks = direct_walk.perm_blocks(n, lo, hi, 5)
+        blocks = perm_core.perm_blocks(n, lo, hi, 5)
         if group != "A":
-            blocks = map(direct_walk.cross_signs, blocks)
+            blocks = map(perm_core.cross_signs, blocks)
         pieces.extend(tuple(w) for block in blocks for w in block.tolist())
     if group == "D":
         pieces = [w for w in pieces if negatives(w) % 2 == 0]
@@ -356,7 +356,7 @@ def test_perm_blocks_seek_in_lexicographic_order(n, ends, chunk):
     A range is cut to 64 blocks, so a small chunk draws a short range."""
     lo, hi = sorted(e % (factorial(n) + 1) for e in ends)
     hi = min(hi, lo + 64 * chunk)
-    blocks = list(direct_walk.perm_blocks(n, lo, hi, chunk))
+    blocks = list(perm_core.perm_blocks(n, lo, hi, chunk))
     assert all(0 < b.shape[0] <= chunk and b.dtype == np.int8 for b in blocks)
     got = np.concatenate(blocks) if blocks else np.empty((0, n), dtype=np.int8)
     want = np.array(list(islice(permutations(range(1, n + 1)), lo, hi)), dtype=np.int8)
@@ -364,7 +364,7 @@ def test_perm_blocks_seek_in_lexicographic_order(n, ends, chunk):
 
 
 def test_perm_blocks_seek_to_the_end_of_s11():
-    blocks = list(direct_walk.perm_blocks(11, factorial(11) - 5, factorial(11), 4096))
+    blocks = list(perm_core.perm_blocks(11, factorial(11) - 5, factorial(11), 4096))
     top = (11, 10, 9, 8, 7, 6, 5, 4)
     want = [top + tail for tail in list(permutations((1, 2, 3)))[1:]]
     assert [tuple(w) for b in blocks for w in b.tolist()] == want
@@ -378,20 +378,21 @@ def _column_major(words: np.ndarray) -> bool:
 
 
 def test_kernel_blocks_are_column_major_in_contract_order(monkeypatch):
-    """Every block of direct_walk.perm_blocks and of its sign crossings is
+    """Every block of perm_core.perm_blocks and of its sign crossings is
     column-major, and the crossings keep the contract order of B_n.  The
     perm_blocks ranges start and end inside a suffix table, the S_8 one in
-    the next table; walk_b crosses every word of B_1..B_6 in that order, and
-    its walk of B_7 ranks [100, 4000) crosses all of their words."""
+    the next table; walk_b, which reads perm_core.cross_signs, crosses every
+    word of B_1..B_6 in that order, and its walk of B_7 ranks [100, 4000)
+    crosses all of their words."""
     for n, lo, hi in ((3, 1, 5), (7, 100, 4000), (8, 5000, 5100)):
-        for block in direct_walk.perm_blocks(n, lo, hi, 37):
-            for words in (block, direct_walk.cross_signs(block)):
+        for block in perm_core.perm_blocks(n, lo, hi, 37):
+            for words in (block, perm_core.cross_signs(block)):
                 assert _column_major(words), (n, words.shape)
     for n in range(1, 7):
-        crossed = [w for b in direct_walk.perm_blocks(n, 0, factorial(n), 7)
-                   for w in direct_walk.cross_signs(b).tolist()]
+        crossed = [w for b in perm_core.perm_blocks(n, 0, factorial(n), 7)
+                   for w in perm_core.cross_signs(b).tolist()]
         assert list(map(tuple, crossed)) == list(iter_group("B", n))
-    cross, walked = direct_walk.cross_signs, []
+    cross, walked = perm_core.cross_signs, []
 
     def spy(perms):
         words = cross(perms)
@@ -399,7 +400,7 @@ def test_kernel_blocks_are_column_major_in_contract_order(monkeypatch):
         walked.extend(map(tuple, words.tolist()))
         return words
 
-    monkeypatch.setattr(direct_walk, "cross_signs", spy)
+    monkeypatch.setattr(perm_core, "cross_signs", spy)
     for n in range(1, 7):
         walked.clear()
         direct_walk.walk_b(n, 0, factorial(n))
@@ -462,14 +463,15 @@ def test_factorized_parities_over_any_range(n, ends):
 @given(n=st.integers(8, 10), at=st.integers(0, factorial(10)), rows=st.integers(1, 12000))
 @example(n=8, at=factorial(7) - 7, rows=20)
 @example(n=10, at=factorial(10) - 9000, rows=12000)
-def test_suffix_table_parity_matches_pairwise_counts(n, at, rows):
-    """Row parity xor prefix constant gives inv mod 2 on rank ranges of S_8..S_10."""
+def test_rank_digit_parity_matches_pairwise_counts(n, at, rows):
+    """The parity of a rank's factorial digits, which the direct walks read,
+    is inv mod 2 of its word on rank ranges of S_8..S_10."""
     lo = at % factorial(n)
     hi = min(lo + rows, factorial(n))
-    words = np.concatenate(list(direct_walk.perm_blocks(n, lo, hi, 4096)))
+    words = np.concatenate(list(perm_core.perm_blocks(n, lo, hi, 4096)))
     iu, ju = np.triu_indices(n, 1)
     want = (words[:, iu] > words[:, ju]).sum(1) & 1
-    assert np.array_equal(direct_walk.inv_parity(n, lo, hi - lo), want)
+    assert np.array_equal(direct_walk.digit_parity(np.arange(lo, hi), range(1, n + 1)), want)
 
 
 def _word_with_ascents(bits, size: int) -> list[int]:
@@ -517,18 +519,16 @@ def test_code_tables_match_perm_core(n, signed):
 
 # ------------------------------------------- the A tally by insertion
 
-def _a_tallies_match(workers: int) -> bool:
-    """Whether the S_1..S_7 tallies that a cold S_7 query at the given worker
-    count stores, each inserted into the stored tally below, equal the
-    reference walk."""
+def _a_tallies_match() -> bool:
+    """Whether the S_1..S_7 tallies that a cold S_7 query stores, each
+    inserted into the stored tally below, equal the reference walk."""
     oracle.clear_caches()
-    count_alternating("A", 7, workers=workers)
+    count_alternating("A", 7)
     return all(np.array_equal(oracle._TALLIES["A", n][0], reference.joint_a(n)) for n in range(1, 8))
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_a_insertion_matches_the_reference(cold_caches, workers):
-    assert _a_tallies_match(workers)
+def test_a_insertion_matches_the_reference(cold_caches):
+    assert _a_tallies_match()
 
 
 @pytest.mark.parametrize("letters", [1, 2, 3, 4])
@@ -536,7 +536,7 @@ def test_short_suffix_tables_match_the_reference(monkeypatch, letters):
     """With a `letters`-letter suffix table, so that each rank of S_n has an
     (n - letters)-letter unranked prefix, the direct walk of S_1..S_7 equals
     the reference walk."""
-    monkeypatch.setattr(direct_walk, "SUFFIX_LETTERS", letters)
+    monkeypatch.setattr(perm_core, "SUFFIX_LETTERS", letters)
     for n in range(1, 8):
         assert np.array_equal(direct_walk.walk_a(n, 0, factorial(n)), reference.joint_a(n)), n
 
@@ -605,12 +605,15 @@ def _b_tallies_match(workers: int) -> bool:
 @pytest.mark.parametrize("letters", [1, 2, 3, 4])
 def test_short_suffix_tables_match_the_b_reference(cold_caches, monkeypatch, letters, workers):
     """B_1..B_6 stored by a B_6 query at the given worker count equal the
-    reference walk, and so does the direct walk of B_1..B_6 through a `letters`-letter
-    suffix table."""
+    reference walk.  Through a `letters`-letter suffix table, so does the
+    direct walk of B_1..B_6, and cor-inv-bd's length tally puts all |B_n|
+    words at d = 0."""
     assert _b_tallies_match(workers)
-    monkeypatch.setattr(direct_walk, "SUFFIX_LETTERS", letters)
+    monkeypatch.setattr(perm_core, "SUFFIX_LETTERS", letters)
     for n in range(1, 7):
         assert np.array_equal(direct_walk.walk_b(n, 0, factorial(n)), reference.joint_b(n)), n
+        tally = verify._length_defects(n)
+        assert tally[n * n] == tally.sum() == factorial(n) << n, n
 
 
 def test_b_tally_matches_the_direct_walk_at_b8(cold_caches):
@@ -758,13 +761,11 @@ TALLY_MD5 = {
 }
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_raw_tallies_keep_their_digests(cold_caches, workers):
-    """The S_1..S_11 and B_1..B_9 tallies that cold S_11 and B_9 queries at
-    the given worker count store, byte for byte, beyond the reference walks'
-    S_7 and B_6."""
+def test_raw_tallies_keep_their_digests(cold_caches):
+    """The S_1..S_11 and B_1..B_9 tallies that cold S_11 and B_9 queries
+    store, byte for byte, beyond the reference walks' S_7 and B_6."""
     for kind, shape in (("A", lambda n: (1 << max(n - 1, 0), 2)), ("B", lambda n: (1 << n, 2, 2))):
-        count_alternating(kind, len(TALLY_MD5[kind]), workers=workers)
+        count_alternating(kind, len(TALLY_MD5[kind]))
         for n, want in enumerate(TALLY_MD5[kind], 1):
             tally = oracle._TALLIES[kind, n][0]
             assert tally.dtype == np.dtype("<i8") and tally.shape == shape(n), (kind, n)
@@ -779,13 +780,11 @@ SUBSET_MD5 = ["e2e543af31f4ea2b0a8cf7487cb51fe6", "8df34f0e269496e100d195c39ba4d
               "fc167de64b90ef12e9ed8631f28e5d1a", "7088b47c0313a5c9575da644609ee702"]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_subset_tallies_keep_their_digests(cold_caches, workers):
-    """The subset tallies of B_2..B_9 that cold snake subset queries at the
-    given worker count store, byte for byte, beyond the reference walk's
-    B_5."""
+def test_subset_tallies_keep_their_digests(cold_caches):
+    """The subset tallies of B_2..B_9 that cold snake subset queries store,
+    byte for byte, beyond the reference walk's B_5."""
     for n, want in enumerate(SUBSET_MD5, 2):
-        snake_subset_contribution(n, 1, workers=workers)
+        snake_subset_contribution(n, 1)
         codes = oracle._TALLIES["subsets", n][0]
         assert codes.dtype == np.dtype("<i8") and codes.shape == (2 * oracle._subset_side(n) + 10,), n
         assert hashlib.md5(codes.tobytes()).hexdigest() == want, n
@@ -877,7 +876,7 @@ def _failed_comparisons() -> set[str]:
     reference (n = 2 reads the empty word's), so that it sees only what the
     subset crossing reads."""
     failed = set()
-    if not (_a_tallies_match(1) and _runs_match("A")):
+    if not (_a_tallies_match() and _runs_match("A")):
         failed.add("A")
     if not (_b_tallies_match(1) and _runs_match("B")):
         failed.add("B")
@@ -951,30 +950,18 @@ def test_a_subset_fill_is_not_refused_by_the_s_n_cap(monkeypatch):
     assert (subset_contribution_b(6, 8, "a"), snake_subset_contribution(6, 4, "plus")) == want
 
 
-def test_subset_tally_over_eight_parts_of_s8():
-    """The subset tally of B_8 that a snake subset query stores is the same
-    whether the query is given 1 worker or 8, cold each time."""
-    stored = []
-    for workers in (1, 8):
-        oracle.clear_caches()
-        snake_subset_contribution(8, 1, workers=workers)
-        stored.append(oracle._TALLIES["subsets", 8][0])
-    assert np.array_equal(*stored)
-
-
 def test_subset_fills_to_n7_start_no_pool(monkeypatch):
     """The B_(n-2) fill and the insertion crossing of every subset fill that
-    `verify --theorem all` makes (n <= 7) run in the calling thread, though
-    the query that fills it is given MAX_WORKERS: none starts a thread."""
+    `verify --theorem all` makes (n <= 7) run in the calling thread: none
+    starts a thread, and each stores its digest."""
     def no_thread(*_args, **_kwargs):
         raise AssertionError("a thread started")
 
-    serial = {n: scan_subsets(n) for n in range(2, 8)}
     oracle.clear_caches()
     monkeypatch.setattr(threading.Thread, "start", no_thread)
-    for n, want in serial.items():
-        snake_subset_contribution(n, 1, workers=MAX_WORKERS)
-        assert np.array_equal(oracle._TALLIES["subsets", n][0], want)
+    for n in range(2, 8):
+        snake_subset_contribution(n, 1)
+        assert hashlib.md5(oracle._TALLIES["subsets", n][0].tobytes()).hexdigest() == SUBSET_MD5[n - 2], n
 
 
 def test_subset_crossing_at_n9_keeps_its_digest(cold_caches):

@@ -58,11 +58,35 @@ def test_below_range_is_skipped():
     assert by_n[2].status == SKIPPED and by_n[2].passed
     assert by_n[4].status == "ok"
     assert report.ok
-    negative = run_checks("thm-sgn-altrun", n_min=-2, n_max=1)
-    assert [(o.n, o.status) for o in negative.outcomes] == [
-        (-2, SKIPPED), (-1, SKIPPED), (0, SKIPPED), (1, "ok")]
+    zero = run_checks("thm-sgn-altrun", n_min=0, n_max=1)
+    assert [(o.n, o.status) for o in zero.outcomes] == [(0, SKIPPED), (1, "ok")]
     with pytest.raises(DomainError):
         run_checks("wilf", n_min=5, n_max=3)
+
+
+@pytest.mark.parametrize("bounds", [{"n_max": 10**30}, {"n_min": -10**30}, {"n_min": -1}, {"n_max": 12}],
+                         ids=["n_max=10**30", "n_min=-10**30", "n_min=-1", "n_max=12"])
+def test_a_bound_outside_the_caps_is_refused_before_any_check(monkeypatch, bounds):
+    """A bound below 0 or above the larger enumeration cap raises DomainError
+    before any id is checked or skipped, so no range makes one outcome per n
+    without end."""
+    def forbidden(n, *_args):
+        raise AssertionError(f"a check ran at n={n}")
+
+    for ident, entry in list(verify.REGISTRY.items()):
+        monkeypatch.setitem(verify.REGISTRY, ident, dataclasses.replace(entry, fn=forbidden))
+    monkeypatch.setattr(verify, "_skip", forbidden)
+    with pytest.raises(DomainError, match=r"outside 0\.\.11, the largest enumeration cap"):
+        run_checks("all", **bounds)
+
+
+def test_the_bound_limit_reads_the_caps_at_call_time(monkeypatch):
+    monkeypatch.setattr(perm_core, "CAP_A", perm_core.CAP_A)
+    monkeypatch.setattr(perm_core, "CAP_B", perm_core.CAP_B)
+    perm_core.set_enumeration_caps(4, 3)
+    assert run_checks("wilf", 4, 4).ok
+    with pytest.raises(DomainError, match=r"n_max=5 outside 0\.\.4"):
+        run_checks("wilf", 4, 5)
 
 
 def test_above_cap_is_skipped_not_dropped():
@@ -437,11 +461,13 @@ def test_the_s0_steps_match_their_where_reference(step, reference, n):
         assert not d.any() and np.array_equal(got[0], block[:, 0])
 
 
-def test_the_length_tally_sums_every_block():
-    """B_7 comes in 10 blocks, and all 645120 of its words land at d = 0,
-    in cell n^2 = 49."""
-    assert sum(1 for _ in verify._signed_word_blocks(7)) == 10
+def test_the_length_tally_sums_every_block(monkeypatch):
+    """B_7 comes in 10 blocks of perm_core's generator, which cover S_7 once,
+    and all 645120 of its words land at d = 0, in cell n^2 = 49."""
+    cross, blocks = perm_core.cross_signs, []
+    monkeypatch.setattr(perm_core, "cross_signs", lambda perms: blocks.append(len(perms)) or cross(perms))
     tally = verify._length_defects(7)
+    assert (len(blocks), sum(blocks)) == (10, 5040)
     assert (tally[49], tally.sum()) == (645120, 645120)
 
 
