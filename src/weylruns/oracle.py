@@ -16,16 +16,16 @@ from the one-cell tally of the empty word (`_EMPTY_WORD`), so neither makes
 a word.  A segment sum (`_segment_sum`) is one gather and one
 np.add.reduceat through a plan built once per table (`_segments`): the
 source positions sorted by target cell, the segment starts and each
-segment's cell.  The same kernel sums each marginal over the (pk, val)
-classes of the codes (`_class_plan`).  The subset tally, whose index is
-built anew on each fill, scatters with np.add.at instead.  Every count is
-int64, never floating point.  A word's peaks, valleys, end classes and
-alternation depend only on its ascent code: its adjacent-pair ascent bits,
-behind a 0 sentinel for signed words, packed into an integer, with a cached
-table per code length (`_code_table`).  Inversion parity is never counted
-pair by pair: inserting n at position i adds n-1-i (inv_D = inv(|w|),
-inv_B = inv(|w|) + neg (mod 2)).  So each tally is an int64 count array
-over codes and parity bits, cached as it is, with no decode step:
+segment's cell.  The same kernel crosses the subset tally (`_subset_plan`)
+and sums each marginal over the classes of the codes its filters keep
+(`_class_plan`).  Every count is int64, never floating point.  A word's
+peaks, valleys, end classes and alternation depend only on its ascent code:
+its adjacent-pair ascent bits, behind a 0 sentinel for signed words, packed
+into an integer, with a cached table per code length (`_code_table`).
+Inversion parity is never counted pair by pair: inserting n at position i
+adds n-1-i (inv_D = inv(|w|), inv_B = inv(|w|) + neg (mod 2)).  So each
+tally is an int64 count array over codes and parity bits, cached as it is,
+with no decode step:
 
 * the A tally counts[c, inv mod 2] over S_n, c the unsigned code;
 * the B tally counts[c, inv(|w|) mod 2, neg mod 2] over B_n, c the signed code;
@@ -39,9 +39,8 @@ over codes and parity bits, cached as it is, with no decode step:
   (`_subset_labels`).  So the subset tally is the stored B_(n-2) tally
   crossed with those 4n(n-1) row pairs, by the same insertion argument.
 
-Every distribution is a marginal of one of them: code filters are columns of
-`_code_table`, which zero the codes they drop, parity filters and signs a
-weight over the parity axes.
+Every distribution is a marginal of one of them: code filters pick the codes
+a class plan reads, and parity filters and signs weight the parity axes.
 
 Every fill runs in the calling thread: S_1..S_11 take under 1 ms, and
 B_1..B_9 about as long, so a public call's worker count splits nothing and
@@ -56,9 +55,9 @@ from it, keyed by the public call.  `_tally` alone scans a tally, and
 `verify`'s check outcomes and EGF series included, so a run after it
 fills, builds and checks everything again.  The one result memo it keeps is
 `closed_forms._recurrence_table`, a pure-formula memo that each n also hits
-for n - 1 within a run; it also keeps the `functools.cache` tables and
-plans (`_code_table`, `_top_index`, `_top_plan`, `_class_plan`), which
-depend on n alone and hold no result.
+for n - 1 within a run; it also keeps the `functools.cache` tables and plans
+(`_code_table`, `_top_index`, `_top_plan`, `_subset_plan`, `_class_plan`),
+which depend on n (and a marginal's filters) alone and hold no result.
 The test suite keeps a pure-Python walk over perm_core's statistics as the
 reference for all three tallies and for every marginal.  Its `direct_walk`
 module keeps word-by-word numpy walks of S_n and of B_n, over perm_core's
@@ -221,9 +220,10 @@ def _segments(target: np.ndarray, source: np.ndarray) -> tuple[np.ndarray, np.nd
     """The plan of a segment sum that adds the value at source[p] into cell
     target[p] for each p: the source positions sorted by target, the start
     of each run of equal targets among them, and that run's target cell."""
-    order = np.argsort(target, axis=None)
+    key = target.astype(np.uint16) if target.max(initial=0) < 1 << 16 else target  # every plan within the caps
+    order = np.argsort(key, axis=None, kind="stable" if key.dtype == np.uint16 else None)  # uint16: a radix sort
     ordered = target.ravel()[order]
-    starts = np.flatnonzero(np.diff(ordered, prepend=-1))
+    starts = np.flatnonzero(np.concatenate((ordered[:1] >= 0, ordered[1:] != ordered[:-1])))  # [] when empty
     return source.ravel()[order], starts, ordered[starts]
 
 
@@ -322,39 +322,30 @@ def _answer(kind: str, n: int, key: tuple, workers: int | None, marginal):
 # Marginal sums
 # =====================================================================
 
-def _poly(pk: np.ndarray, val: np.ndarray, counts: np.ndarray, biv: bool):
-    """The bivariate (pk, val) or univariate t^(pk+val+1) sum of counts, one
-    per (pk, val) pair given."""
-    acc: dict = {}
-    for p, v, c in zip(pk.tolist(), val.tolist(), counts.tolist()):
-        key = (p, v) if biv else p + v + 1
-        acc[key] = acc.get(key, 0) + c
-    return BiPoly(acc) if biv else UniPoly.from_dict(acc)
-
-
 @functools.cache
-def _class_plan(n: int, signed: bool) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
-    """The _segments plan that sums per-code values of n-letter words over
-    their (pk, val) classes, numbered in order, and the pk and val of each
-    class (_code_table)."""
-    pk, val = _code_table(n, signed)[:2]
-    classes, ids = np.unique(pk * (n + 1) + val, return_inverse=True)
-    return _segments(ids, np.arange(len(ids))), *np.divmod(classes, n + 1)
+def _class_plan(n: int, signed: bool, filters: tuple, biv: bool) -> tuple[tuple[np.ndarray, ...], list]:
+    """The _segments plan that sums per-code values of the n-letter words the
+    filters keep (the first, last and alt bits kept, None for either) over
+    their classes, and each class's key: the (pk, val) pairs that occur, in
+    order, when biv, else every exponent e = pk + val + 1 <= n (_code_table)."""
+    pk, val, *cols = _code_table(n, signed)
+    codes = np.arange(len(pk))
+    for col, bit in zip(cols, filters):
+        codes = codes if bit is None else codes[col[codes] == bit]
+    if not biv:
+        return _segments((pk + val + 1)[codes], codes), list(range(n + 1))
+    gather, starts, cells = _segments((pk * (n + 1) + val)[codes], codes)
+    return (gather, starts, np.arange(len(cells))), [divmod(cell, n + 1) for cell in cells.tolist()]
 
 
 def _marginal(counts: np.ndarray, n: int, signed: bool, weight: list[int], filters, biv: bool):
-    """The polynomial of a joint tally, each code's counts summed under
-    `weight`, one int per cell of the parity axes in C order, and then over
-    its (pk, val) class (_class_plan).  filters holds a (value, one) pair
-    per first, last and alt column: a code is kept when its bit is
-    value == one, or whatever its bit when value is None; a dropped code
-    counts 0."""
-    plan, pk, val = _class_plan(n, signed)
-    per_code = counts.reshape(len(counts), -1) @ weight
-    for col, (value, one) in zip(_code_table(n, signed)[2:], filters):
-        if value is not None:
-            per_code[col != (value == one)] = 0
-    return _poly(pk, val, _segment_sum(plan, per_code, len(pk)), biv)
+    """The polynomial of a joint tally: each code's counts summed under
+    `weight`, one int per parity cell in C order, then over its class
+    (_class_plan).  filters holds a (value, one) pair per first, last and alt
+    column: a code is kept when its bit is value == one, or value is None."""
+    plan, keys = _class_plan(n, signed, tuple(None if v is None else v == one for v, one in filters), biv)
+    sums = _segment_sum(plan, counts.reshape(len(counts), -1) @ weight, len(keys)).tolist()
+    return BiPoly(zip(keys, sums)) if biv else UniPoly(sums)
 
 
 def _sum_a(counts, n, *, biv, signed=False, first=None, last=None, alternating=None, parity=None):
@@ -658,10 +649,9 @@ def _subset_labels(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def scan_subsets(n: int) -> np.ndarray:
     """Uncached subset tally of B_n: the B tally of B_(n-2), read from the
-    store, crossed with the top step of n - 1 and then that of n
-    (_top_index), whose labels are _subset_labels.
-    The cancellation subsets need n >= 3; at n = 2 only the snakes of the
-    empty word's insertions are counted.
+    store, crossed with the top steps of n - 1 and n in one segment sum
+    (_subset_plan).  The cancellation subsets need n >= 3; at n = 2 only
+    the snakes of the empty word's insertions are counted.
 
     Codes below one side hold the type B cell (k, end, pk, val) with the
     inv_B parity bit; the next side holds the type D cell over D_n with the
@@ -674,28 +664,38 @@ def scan_subsets(n: int) -> np.ndarray:
     if n < 2:
         raise DomainError("subset classification needs n >= 2")
     small = _tally("B", n - 2)[0] if n > 2 else _EMPTY_WORD
+    return _segment_sum(_subset_plan(n), small, 2 * _subset_side(n) + 10)
+
+
+@functools.cache
+def _subset_plan(n: int) -> tuple[np.ndarray, ...]:
+    """The _segments plan of the subset crossing at n (scan_subsets): each
+    cell of the B side, the D side and the D snakes with the flat cells of
+    the B_(n-2) tally that it reads.  A cell's low bit is a parity of w, so
+    the (c', row) pairs are sorted once, by their even cell."""
     base, side = n + 1, _subset_side(n)
     pk, val, first, last, alt = _code_table(n, True)
     # cell[c', r1 * 2n + r2]: w's flat B_n cell when w''s parity bits are 0;
     # those of w' XOR into its two low bits, the rest is (c', r1, r2)'s alone
     step = np.moveaxis(_top_index(n, True), 1, -1).reshape(-1, 2 * n)
-    cell = step[_top_index(n - 1, True)[:, :, 0, 0]].reshape(len(small), -1)
+    cell = step[_top_index(n - 1, True)[:, :, 0, 0]].reshape(1 << (n - 2), -1)
     l_idx, flip, d9 = (label.reshape(-1) for label in _subset_labels(n))
-    c, neg = cell >> 2, cell[0] & 1
-    cells = ((last * base + pk) * base + val)[c] * 2
-    # counts[c', row, inv(|w'|) mod 2] of the w' whose w lies in D_n, and
-    # inv(|w|) mod 2 for each (row, inv(|w'|) mod 2)
-    in_d = small[:, :, neg].transpose(0, 2, 1)
-    inv = (cell[0] >> 1 & 1)[:, None] ^ np.arange(2)
-    acc = np.zeros(2 * side + 10, dtype=np.int64)
+    c, inv, neg = cell >> 2, cell[0] >> 1 & 1, cell[0] & 1
+    # read[c', row, b]: the cell (c', inv(|w'|), neg(w')) of the w' whose w is in
+    # D_n with inv(|w|) = b mod 2; read ^ 3 is the other w' with inv_B(w) = b
+    read = (np.arange(len(cell))[:, None, None] << 2) + ((inv[:, None] ^ np.arange(2)) << 1) + neg[:, None]
+    snake = (first & alt)[c] == 1
+    evens, reads = [np.broadcast_to(2 * side + 2 * l_idx, snake.shape)[snake]], [read[snake]]
     if n >= 3:
-        match = (np.arange(len(small))[:, None] >> (n - 3) & 1) == last[c]
+        cells = ((last * base + pk) * base + val)[c] * 2
+        match = (np.arange(len(cell))[:, None] >> (n - 3) & 1) == last[c]
         k = (2 * l_idx - (match ^ flip)) * 4 * base * base
-        inv_b = inv[..., None] ^ neg[:, None, None] ^ np.arange(2)  # [row, inv(|w'|), neg(w')]
-        np.add.at(acc, (k + cells)[..., None, None] + inv_b, small[:, None])
-        np.add.at(acc, side + (np.where(d9, 9 * 4 * base * base, k) + cells)[..., None] + inv, in_d)
-    np.add.at(acc, 2 * side + 2 * l_idx[:, None] + inv, (in_d * (first & alt)[c][..., None]).sum(0))
-    return acc
+        evens += [k + cells, k + cells, side + np.where(d9, 9 * 4 * base * base, k) + cells]
+        reads += [read, read ^ 3, read]
+    even = np.concatenate([part.ravel() for part in evens])
+    order, starts, cells = _segments(even, np.arange(len(even)))
+    gather = np.take(np.concatenate([part.reshape(-1, 2) for part in reads]), order, axis=0).T.ravel()
+    return gather, np.concatenate([starts, starts + len(even)]), np.concatenate([cells, cells + 1])
 
 
 def _subset_cell(side: str, n: int, k: int, end: str, workers: int | None) -> BiPoly:
@@ -713,9 +713,9 @@ def _subset_cell(side: str, n: int, k: int, end: str, workers: int | None) -> Bi
 
     def signed_sum(codes):
         cell = _subset_parts(codes, n)[0]["BD".index(side), k, "da".index(end)]
-        sums = (cell[..., 0] - cell[..., 1]).reshape(-1)
-        nonzero = np.flatnonzero(sums)
-        return _poly(*np.divmod(nonzero, n + 1), sums[nonzero], True)
+        sums = cell[..., 0] - cell[..., 1]
+        pk, val = np.nonzero(sums)
+        return BiPoly(zip(zip(pk.tolist(), val.tolist()), sums[pk, val].tolist()))
 
     return _answer("subsets", n, (side, k, end), workers, signed_sum)
 

@@ -592,23 +592,24 @@ def test_a_kernel_matches_the_word_walk(cold_caches):
 
 # ------------------------------------------- the B tally by insertion
 
-def _b_tallies_match(workers: int) -> bool:
-    """Whether the B_1..B_6 tallies that a cold B_6 query at the given worker
-    count stores, each inserted into the stored tally below from the empty
-    word up, equal the reference walk."""
+def _b_tallies_match() -> bool:
+    """Whether the B_1..B_6 tallies that a cold B_6 query stores, each
+    inserted into the stored tally below from the empty word up, equal the
+    reference walk."""
     oracle.clear_caches()
-    count_alternating("B", 6, workers=workers)
+    count_alternating("B", 6)
     return all(np.array_equal(oracle._TALLIES["B", n][0], reference.joint_b(n)) for n in range(1, 7))
 
 
-@pytest.mark.parametrize("workers", [1, 3])
+def test_b_insertion_matches_the_reference(cold_caches):
+    assert _b_tallies_match()
+
+
 @pytest.mark.parametrize("letters", [1, 2, 3, 4])
-def test_short_suffix_tables_match_the_b_reference(cold_caches, monkeypatch, letters, workers):
-    """B_1..B_6 stored by a B_6 query at the given worker count equal the
-    reference walk.  Through a `letters`-letter suffix table, so does the
-    direct walk of B_1..B_6, and cor-inv-bd's length tally puts all |B_n|
+def test_short_suffix_tables_match_the_b_reference(monkeypatch, letters):
+    """Through a `letters`-letter suffix table, the direct walk of B_1..B_6
+    equals the reference walk, and cor-inv-bd's length tally puts all |B_n|
     words at d = 0."""
-    assert _b_tallies_match(workers)
     monkeypatch.setattr(perm_core, "SUFFIX_LETTERS", letters)
     for n in range(1, 7):
         assert np.array_equal(direct_walk.walk_b(n, 0, factorial(n)), reference.joint_b(n)), n
@@ -682,6 +683,17 @@ def test_a_segment_sum_leaves_an_unhit_cell_zero():
     want = np.zeros(5, dtype=np.int64)
     np.add.at(want, target.reshape(-1), values)
     assert oracle._segment_sum(plan, values, 5).tolist() == want.tolist() == [7, 13, 0, 16, 0]
+
+
+def test_a_segment_sum_over_wide_targets_equals_the_scatter():
+    """Targets from 2^16 up, which only caps raised to B_15 or S_17 reach,
+    are not sorted as uint16; the sums still equal np.add.at."""
+    rng = np.random.default_rng(7)
+    target, values = rng.integers(0, 1 << 17, 5000), rng.integers(-9, 9, 5000)
+    want = np.zeros(1 << 17, dtype=np.int64)
+    np.add.at(want, target, values)
+    got = oracle._segment_sum(oracle._segments(target, np.arange(5000)), values, 1 << 17)
+    assert np.array_equal(got, want) and target.max() >= 1 << 16
 
 
 def _marginal_by_codes(counts, n, signed, weight, filters, biv):
@@ -878,7 +890,7 @@ def _failed_comparisons() -> set[str]:
     failed = set()
     if not (_a_tallies_match() and _runs_match("A")):
         failed.add("A")
-    if not (_b_tallies_match(1) and _runs_match("B")):
+    if not (_b_tallies_match() and _runs_match("B")):
         failed.add("B")
     oracle.clear_caches()
     for n in range(1, 4):
@@ -892,14 +904,14 @@ def _failed_comparisons() -> set[str]:
 def test_the_reference_catches_a_broken_insertion_rule(cold_caches, monkeypatch, mutant):
     """Every comparison with the reference holds, and each mutant breaks
     exactly the comparisons its row names, at least one.  A mutated table
-    reaches the fills and the marginals through new _top_index, _top_plan
-    and _class_plan caches, which the test drops, so no mutated index or
-    plan outlives it."""
+    reaches the fills, the subset crossing and the marginals through new
+    _top_index, _top_plan, _subset_plan and _class_plan caches, which the
+    test drops, so no mutated index or plan outlives it."""
     target, rewrite, caught = MUTANTS[mutant]
     assert caught and not _failed_comparisons()
     table = getattr(oracle, target)
     monkeypatch.setattr(oracle, target, lambda *args: rewrite(*args, table(*args)))
-    for name in ("_top_index", "_top_plan", "_class_plan"):
+    for name in ("_top_index", "_top_plan", "_subset_plan", "_class_plan"):
         monkeypatch.setattr(oracle, name, functools.cache(getattr(oracle, name).__wrapped__))
     assert _failed_comparisons() == set(caught.split())
 
@@ -962,6 +974,19 @@ def test_subset_fills_to_n7_start_no_pool(monkeypatch):
     for n in range(2, 8):
         snake_subset_contribution(n, 1)
         assert hashlib.md5(oracle._TALLIES["subsets", n][0].tobytes()).hexdigest() == SUBSET_MD5[n - 2], n
+
+
+def test_the_subset_plan_holds_no_result(cold_caches):
+    """Once a true fill has built the plan of each n = 3..7 (its digest
+    pinned by SUBSET_MD5), a subset fill over a stored B_(n-2) tally of 3 x
+    the reference counts 3 x that fill: the cached plan reads its counts
+    from the store."""
+    want = {n: scan_subsets(n) for n in range(3, 8)}
+    oracle.clear_caches()
+    for n, codes in want.items():
+        assert hashlib.md5(codes.tobytes()).hexdigest() == SUBSET_MD5[n - 2], n
+        oracle._TALLIES["B", n - 2] = 3 * reference.joint_b(n - 2), {}
+        assert np.array_equal(scan_subsets(n), 3 * codes), n
 
 
 def test_subset_crossing_at_n9_keeps_its_digest(cold_caches):
@@ -1461,7 +1486,7 @@ def test_a_warm_call_only_reads_its_answer(monkeypatch):
     calls = _marginal_calls(4) + _subset_calls(4)
     oracle.clear_caches()
     first = [fn(*args) for fn, args in calls]
-    guarded = [(oracle, "_marginal"), (oracle, "_segment_sum"), (oracle, "_poly"), (oracle, "normalize_group"),
+    guarded = [(oracle, "_marginal"), (oracle, "_segment_sum"), (oracle, "normalize_group"),
                (oracle, "_check_n"), (oracle, "check_integer"), (oracle, "_answer"), (UniPoly, "eval_int")]
     reached, warm = set(), [True]
 

@@ -197,7 +197,7 @@ def test_length_decomposition_is_checked_by_brute_force(monkeypatch, cold_caches
         monkeypatch.setattr(perm_core, name, forbidden)
         assert not hasattr(verify, name)
     for name in ("_code_table", "_top_index", "_top_insertions", "_insert_top", "_segments", "_segment_sum",
-                 "_top_plan", "_class_plan"):
+                 "_top_plan", "_subset_plan", "_class_plan"):
         monkeypatch.setattr(oracle, name, forbidden)
     assert run_checks("cor-inv-bd", 1, 6).ok
     # a D descent at 0 off by one misses the words with w_1 + w_2 = -1
