@@ -9,16 +9,16 @@ Every tally is counted by insertion, the argument behind the run
 recurrences (Bona, Combinatorics of Permutations, ch. 1): a word of S_n or
 B_n is one of S_(n-1) or B_(n-1) with n or +-n inserted, which fixes how
 its code and parities change.  So the tally at n is the stored one at n - 1
-crossed with the insertions (`_top_insertions`, indexed once per n by
-`_top_index`) in one segment sum (`_insert_top`); the A step is the +n rows
-of the B step.  The A chain starts from the one word of S_1 and the B chain
-from the one-cell tally of the empty word (`_EMPTY_WORD`), so neither makes
-a word.  A segment sum (`_segment_sum`) is one gather and one
-np.add.reduceat through a plan built once per table (`_segments`): the
-source positions sorted by target cell, the segment starts and each
-segment's cell.  The same kernel crosses the subset tally (`_subset_plan`)
-and sums each marginal over the classes of the codes its filters keep
-(`_class_plan`).  Every count is int64, never floating point.  A word's
+crossed with the insertions (`_top_insertions`, indexed by `_top_index`) in
+one segment sum (`_insert_top`); the A step is the +n rows of the B step.
+The A chain starts from the one word of S_1 and the B chain from the
+one-cell tally of the empty word (`_EMPTY_WORD`), so neither makes a word.
+A segment sum (`_segment_sum`) is one gather and one np.add.reduceat
+through a plan built once per table (`_segments`): the source positions
+sorted by target cell, the segment starts and each segment's cell.  The
+same kernel crosses the subset tally (`_subset_plan`) and sums each
+marginal over the classes of the codes its filters keep (`_class_plan`).
+Every count is int64, never floating point.  A word's
 peaks, valleys, end classes and alternation depend only on its ascent code:
 its adjacent-pair ascent bits, behind a 0 sentinel for signed words, packed
 into an integer, with a cached table per code length (`_code_table`).
@@ -29,18 +29,23 @@ with no decode step:
 
 * the A tally counts[c, inv mod 2] over S_n, c the unsigned code;
 * the B tally counts[c, inv(|w|) mod 2, neg mod 2] over B_n, c the signed code;
-* the subset tally, which classifies B_n into the cancellation subsets and
-  the snakes of D_n into the staircase subsets L^1..L^4 (its layout is at
+* the subset tally counts[2(k - 1) + d9, c, inv(|w|) mod 2, neg mod 2], the
+  B tally of B_n split into 16 labels by the word's type B cancellation
+  subset k (1..8) and d9, 1 when its two large letters differ in sign (see
   `scan_subsets`).  It walks no group of its own.  A word w of B_n is a
   word w' of B_(n-2) with +-(n-1) inserted and then +-n, so w's code and
   parities are the top step of n - 1 composed with that of n (`_top_index`
-  twice), and the rest of its subset code, the staircase subset L of the
-  two large letters and their signs, is fixed by the two rows alone
-  (`_subset_labels`).  So the subset tally is the stored B_(n-2) tally
+  twice), and its label is fixed by the two rows (`_subset_labels`: the
+  staircase subset L of the large letters and their signs) and by whether
+  w' ends as w does.  So the subset tally is the stored B_(n-2) tally
   crossed with those 4n(n-1) row pairs, by the same insertion argument.
 
-Every distribution is a marginal of one of them: code filters pick the codes
-a class plan reads, and parity filters and signs weight the parity axes.
+Every distribution is a marginal of one of them, summed by `_sum_a` or
+`_sum_b`: code filters pick the codes a class plan reads, and parity filters
+and signs weight the parity axes.  A subset query first sums its labels: the
+type B subset k reads labels 2k - 2 and 2k - 1, the type D subset k <= 8
+label 2k - 2 and the D subset 9 every odd label, and the snakes of D_n in
+staircase subset L the labels 4L - 4 .. 4L - 1.
 
 Every fill runs in the calling thread: S_1..S_11 take under 1 ms, and
 B_1..B_9 about as long, so a public call's worker count splits nothing and
@@ -55,9 +60,9 @@ from it, keyed by the public call.  `_tally` alone scans a tally, and
 `verify`'s check outcomes and EGF series included, so a run after it
 fills, builds and checks everything again.  The one result memo it keeps is
 `closed_forms._recurrence_table`, a pure-formula memo that each n also hits
-for n - 1 within a run; it also keeps the `functools.cache` tables and plans
-(`_code_table`, `_top_index`, `_top_plan`, `_subset_plan`, `_class_plan`),
-which depend on n (and a marginal's filters) alone and hold no result.
+for n - 1 within a run; it also keeps the `functools.cache` table and plans
+(`_code_table`, `_top_plan`, `_subset_plan`, `_class_plan`), which depend on
+n (and a marginal's filters) alone and hold no result.
 The test suite keeps a pure-Python walk over perm_core's statistics as the
 reference for all three tallies and for every marginal.  Its `direct_walk`
 module keeps word-by-word numpy walks of S_n and of B_n, over perm_core's
@@ -191,14 +196,13 @@ def _top_insertions(n: int) -> dict[str, np.ndarray]:
     return {"i": i, "move": move, "rise": rise, "inv": (n - 1 - i) & 1, "neg": neg}
 
 
-@functools.cache
 def _top_index(n: int, signed: bool) -> np.ndarray:
     """index[c', row, parity bits of w'] is the flat cell of w in the tally
     of n letters, for each cell of w' in the tally of n - 1 and each row of
     _top_insertions(n).  Unsigned, w' is in S_(n-1), a signed word whose
     letters are all positive: only the +n rows apply, to the signed code
-    c' << 1 | 1, and w's code is the signed one shifted right by one.  A
-    cache made anew reads a patched _top_insertions."""
+    c' << 1 | 1, and w's code is the signed one shifted right by one.  It
+    is not cached: its two readers, _top_plan and _subset_plan, are."""
     rows = _top_insertions(n)
     if not signed:
         rows = {field: col[rows["neg"] == 0] for field, col in rows.items()}
@@ -620,19 +624,6 @@ def subset_index_d(word) -> int:
     return 9 if (word[i] < 0) != (word[j] < 0) else _subset_k(word, i, j)
 
 
-def _subset_side(n: int) -> int:
-    """Size of one side's code space: (k 0..9, end, pk, val, sign bit)."""
-    return 10 * 2 * (n + 1) * (n + 1) * 2
-
-
-def _subset_parts(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The subset codes of B_n (see scan_subsets) as two views:
-    cells[side, k, end, pk, val, sign] with side 0 for B and 1 for D and end
-    1 for an ascent, and snakes[l, inv_D mod 2]."""
-    base, side = n + 1, _subset_side(n)
-    return codes[:2 * side].reshape(2, 10, 2, base, base, 2), codes[2 * side:].reshape(5, 2)
-
-
 def _subset_labels(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(l, flip, d9)[r1, r2] for the word w of B_n made from one of B_(n-2)
     by row r1 of _top_insertions(n - 1), then row r2 of _top_insertions(n):
@@ -648,54 +639,45 @@ def _subset_labels(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def scan_subsets(n: int) -> np.ndarray:
-    """Uncached subset tally of B_n: the B tally of B_(n-2), read from the
-    store, crossed with the top steps of n - 1 and n in one segment sum
-    (_subset_plan).  The cancellation subsets need n >= 3; at n = 2 only
-    the snakes of the empty word's insertions are counted.
+    """Uncached subset tally of B_n, counts[2(k - 1) + d9, c, inv(|w|) mod 2,
+    neg mod 2]: the B tally split into 16 labels by the word's type B
+    cancellation subset k (1..8) and d9, 1 when its two large letters differ
+    in sign.  It is the B tally of B_(n-2), read from the store, crossed with
+    the top steps of n - 1 and n in one segment sum (_subset_plan), so
+    counts.sum(0) is the B tally of B_n.
 
-    Codes below one side hold the type B cell (k, end, pk, val) with the
-    inv_B parity bit; the next side holds the type D cell over D_n with the
-    inv_D bit; after both, 2 * L + (inv_D mod 2) counts the snakes of D_n in
-    staircase subset L (see _subset_parts).  k refines L: 2L - 1 when the
-    code's top bit matches that of w', else 2L, with L = 4 the other way
-    round (8, 7); the D side reads 9 when the large signs differ.
+    k refines the staircase subset L of the large letters: 2L - 1 when the
+    deleted word w' ends, behind the sentinel 0, as w does, else 2L, with
+    L = 4 the other way round (8, 7).  The type D subset k <= 8 is label
+    2k - 2 and subset 9 the odd labels, both over D_n; L^L is labels 4L - 4
+    .. 4L - 1.  At n = 2, w' is the empty word, which has no end class:
+    every word reads as a match, so k = 2L - 1, or 8 at L = 4.  The
+    cancellation subsets themselves need n >= 3 (subset_contribution_b).
     """
     _check_n("B", n)
     if n < 2:
         raise DomainError("subset classification needs n >= 2")
     small = _tally("B", n - 2)[0] if n > 2 else _EMPTY_WORD
-    return _segment_sum(_subset_plan(n), small, 2 * _subset_side(n) + 10)
+    return _segment_sum(_subset_plan(n), small, 64 << n).reshape(16, -1, 2, 2)
 
 
 @functools.cache
 def _subset_plan(n: int) -> tuple[np.ndarray, ...]:
-    """The _segments plan of the subset crossing at n (scan_subsets): each
-    cell of the B side, the D side and the D snakes with the flat cells of
-    the B_(n-2) tally that it reads.  A cell's low bit is a parity of w, so
-    the (c', row) pairs are sorted once, by their even cell."""
-    base, side = n + 1, _subset_side(n)
-    pk, val, first, last, alt = _code_table(n, True)
-    # cell[c', r1 * 2n + r2]: w's flat B_n cell when w''s parity bits are 0;
-    # those of w' XOR into its two low bits, the rest is (c', r1, r2)'s alone
-    step = np.moveaxis(_top_index(n, True), 1, -1).reshape(-1, 2 * n)
-    cell = step[_top_index(n - 1, True)[:, :, 0, 0]].reshape(1 << (n - 2), -1)
-    l_idx, flip, d9 = (label.reshape(-1) for label in _subset_labels(n))
-    c, inv, neg = cell >> 2, cell[0] >> 1 & 1, cell[0] & 1
-    # read[c', row, b]: the cell (c', inv(|w'|), neg(w')) of the w' whose w is in
-    # D_n with inv(|w|) = b mod 2; read ^ 3 is the other w' with inv_B(w) = b
-    read = (np.arange(len(cell))[:, None, None] << 2) + ((inv[:, None] ^ np.arange(2)) << 1) + neg[:, None]
-    snake = (first & alt)[c] == 1
-    evens, reads = [np.broadcast_to(2 * side + 2 * l_idx, snake.shape)[snake]], [read[snake]]
-    if n >= 3:
-        cells = ((last * base + pk) * base + val)[c] * 2
-        match = (np.arange(len(cell))[:, None] >> (n - 3) & 1) == last[c]
-        k = (2 * l_idx - (match ^ flip)) * 4 * base * base
-        evens += [k + cells, k + cells, side + np.where(d9, 9 * 4 * base * base, k) + cells]
-        reads += [read, read ^ 3, read]
-    even = np.concatenate([part.ravel() for part in evens])
-    order, starts, cells = _segments(even, np.arange(len(even)))
-    gather = np.take(np.concatenate([part.reshape(-1, 2) for part in reads]), order, axis=0).T.ravel()
-    return gather, np.concatenate([starts, starts + len(even)]), np.concatenate([cells, cells + 1])
+    """The _segments plan of the subset crossing at n (scan_subsets), shaped
+    like _top_plan: each (c', r1, r2, parity bits of w') reads the cell of w'
+    in the B_(n-2) tally into w's labelled cell, the top step of n - 1 (row
+    r1) composed with that of n (row r2) plus w's label offset.  The label
+    is fixed by the two rows (_subset_labels) and by whether w' ends as w
+    does; at n = 2, w' is the empty word and every word reads as a match."""
+    step = np.moveaxis(_top_index(n, True), 1, -1).reshape(-1, 2 * n)  # step[cell of B_(n-1), r2]
+    cell = np.moveaxis(step[_top_index(n - 1, True)], -1, 2)  # cell[c', r1, r2, inv(|w'|), neg(w')]: w's B_n cell
+    l_idx, flip, d9 = _subset_labels(n)
+    # w' ends in its code bit n - 3, w in its bit n - 1, bit n + 1 of its flat cell
+    ends = cell[..., 0, 0] >> (n + 1) & 1
+    match = (np.arange(len(cell))[:, None, None] >> (n - 3) & 1) == ends if n > 2 else True
+    label = 2 * (2 * l_idx - (match ^ flip) - 1) + d9
+    below = np.arange(4 * len(cell)).reshape(-1, 1, 1, 2, 2)
+    return _segments((label << (n + 2))[..., None, None] + cell, np.broadcast_to(below, cell.shape))
 
 
 def _subset_cell(side: str, n: int, k: int, end: str, workers: int | None) -> BiPoly:
@@ -710,14 +692,10 @@ def _subset_cell(side: str, n: int, k: int, end: str, workers: int | None) -> Bi
         raise DomainError("cancellation subsets need n >= 3")
     if not _one_of(end, ("a", "d")):
         raise DomainError("end must be 'a' or 'd'")
-
-    def signed_sum(codes):
-        cell = _subset_parts(codes, n)[0]["BD".index(side), k, "da".index(end)]
-        sums = cell[..., 0] - cell[..., 1]
-        pk, val = np.nonzero(sums)
-        return BiPoly(zip(zip(pk.tolist(), val.tolist()), sums[pk, val].tolist()))
-
-    return _answer("subsets", n, (side, k, end), workers, signed_sum)
+    # B: both d9 labels of k; D: the d9 = 0 label of k <= 8, and every d9 = 1 label for 9
+    labels = slice(1, None, 2) if k == 9 else slice(2 * k - 2, 2 * k - (side == "D"))
+    return _answer("subsets", n, (side, k, end), workers, lambda counts: _sum_b(
+        counts[labels].sum(0), n, biv=True, group=side, signed="inv_b" if side == "B" else "inv_d", end=end))
 
 
 def subset_contribution_b(n: int, k: int, end: str, workers: int | None = None) -> BiPoly:
@@ -789,6 +767,6 @@ def snake_subset_contribution(n: int, k: int, parity: str = "all", workers: int 
         raise DomainError("snake subset index must be 1..4")
     if not _one_of(parity, ("all", "plus", "minus")):
         raise DomainError(f"unknown parity selector {parity!r}")
-    weight = {"all": (1, 1), "plus": (1, 0), "minus": (0, 1)}[parity]
-    return _answer("subsets", n, ("L", k, parity), workers,
-                   lambda codes: int(_subset_parts(codes, n)[1][k] @ weight))
+    return _answer("subsets", n, ("L", k, parity), workers, lambda counts: _sum_b(
+        counts[4 * k - 4:4 * k].sum(0), n, biv=False, group="D", first="positive", alternating=True,
+        parity=None if parity == "all" else parity).eval_int(1))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import numbers
 import operator
 from dataclasses import dataclass
@@ -48,13 +49,15 @@ CAP_B = 9
 
 def set_enumeration_caps(cap_a: int | None = None, cap_b: int | None = None) -> None:
     """Set the S_n and B_n caps; None keeps a cap.  A cap that is not an
-    integer of at least 1 raises DomainError, and then neither cap changes."""
+    integer in 1..20 (cap_a) or 1..16 (cap_b) raises DomainError, and then
+    neither cap changes.  Those are the int64 limits of the tallies:
+    20! < 2^63 < 21! and 2^16 16! < 2^63 < 2^17 17!."""
     global CAP_A, CAP_B
-    for name, cap in (("cap_a", cap_a), ("cap_b", cap_b)):
+    for name, cap, top in (("cap_a", cap_a, 20), ("cap_b", cap_b, 16)):
         if cap is not None:
             check_integer(cap, name)
-            if cap < 1:
-                raise DomainError(f"{name} must be at least 1, got {cap}")
+            if not 1 <= cap <= top:
+                raise DomainError(f"{name} must be in 1..{top}, got {cap}")
     CAP_A = CAP_A if cap_a is None else operator.index(cap_a)
     CAP_B = CAP_B if cap_b is None else operator.index(cap_b)
 
@@ -336,8 +339,11 @@ def perm_blocks(n: int, lo: int, hi: int, chunk: int):
     block is split into runs of rows that share one prefix.  Each block is
     filled as an (n, rows) array, one letter position per row, and yielded as
     its (rows, n) transpose, so a reader of letter positions takes each in
-    place.
+    place.  A range outside 0 <= lo <= hi <= n!, or a chunk below 1, raises
+    DomainError.
     """
+    if not 0 <= lo <= hi <= math.factorial(n) or chunk < 1:
+        raise DomainError(f"perm_blocks needs 0 <= lo <= hi <= {n}! and chunk >= 1, got {lo}, {hi}, {chunk}")
     table = suffix_table(min(n, SUFFIX_LETTERS))
     k, size = n - len(table), table.shape[1]
     while lo < hi:

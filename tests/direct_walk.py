@@ -19,17 +19,17 @@ word (`oracle._top_insertions`).
 `subsets` checks `oracle.scan_subsets`, which crosses the stored B tally
 of B_(n-2) with the top insertion of +-(n-1) and then that of +-n
 (`oracle._top_index` twice, labelled by `oracle._subset_labels`).
-It visits every signed word of B_n and locates the letters n-1 and n with
-argsorts.  It shares with the oracle only the code tables
-(`oracle._code_table`) and the subset layout; it returns the same code
-array as `oracle.scan_subsets`, so the two compare exactly.
+It visits every signed word of B_n, locates the letters n-1 and n with
+argsorts, and reads the end class of the word left without them.  It
+shares with the oracle only the subset layout, and returns the same
+labelled tally as `oracle.scan_subsets`, so the two compare exactly.
 """
 
 from math import factorial
 
 import numpy as np
 
-from weylruns import oracle, perm_core
+from weylruns import perm_core
 
 
 def digit_parity(p, radices):
@@ -103,36 +103,20 @@ def walk_b(n: int, lo: int, hi: int) -> np.ndarray:
 
 
 def subsets(n: int) -> np.ndarray:
-    """The subset codes of B_n (n >= 2), as `oracle.scan_subsets` returns them."""
-    base, side = n + 1, oracle._subset_side(n)
-    pk, val, first, last, alt = oracle._code_table(n, True)
-    cells = (last * base + pk) * base + val
-    snakes = (first & alt).astype(bool)
-    acc = np.zeros(2 * side + 10, dtype=np.int64)
+    """The subset tally of B_n (n >= 2), as `oracle.scan_subsets` returns it."""
+    acc = np.zeros(64 << n, dtype=np.int64)
     for w, parity in signed_blocks(n, 0, factorial(n)):
-        m = w.shape[0]
-        asc = ascent_codes(w, signed=True)
-        invd2, neg2 = parity >> 1, parity & 1
-        in_d = neg2 == 0
-        absw = np.abs(w)
-        big = absw >= n - 1
-        bigpos = np.argsort(~big, axis=1, kind="stable")[:, :2]
-        i, j = bigpos[:, 0], bigpos[:, 1]
-        sgn_same = (w[:, -2] > 0) == (w[:, -1] > 0)
-        l_idx = np.where(j - i > 1, 1, np.where(absw[:, -1] < n - 1, 2, np.where(sgn_same, 4, 3)))
-        snake = in_d & snakes[asc]
-        codes = [2 * side + (l_idx * 2 + invd2)[snake]]
+        rows = np.arange(w.shape[0])
+        asc = ascent_codes(w, signed=True).astype(np.int64)
+        big = np.abs(w) >= n - 1
+        i, j = np.argsort(~big, axis=1, kind="stable")[:, :2].T
+        d9 = (w[rows, i] < 0) != (w[rows, j] < 0)
+        l_idx = np.where(j - i > 1, 1, np.where(j < n - 1, 2, np.where(d9, 3, 4)))
+        match = True  # the empty deleted word of n = 2
         if n >= 3:
-            rows = np.arange(m)
-            smallpos = np.argsort(big, axis=1, kind="stable")[:, : n - 2]
-            w2_last = w[rows, smallpos[:, -1]]
-            w2_prev = w[rows, smallpos[:, -2]] if n >= 4 else np.zeros(m, dtype=np.int8)
-            match = (w2_prev < w2_last) == last[asc]
-            k = 2 * l_idx - np.where(l_idx == 4, ~match, match)
-            kd = np.where((w[rows, i] < 0) != (w[rows, j] < 0), 9, k)
-            cell = cells[asc]
-            code_b = (k * 2 * base * base + cell) * 2 + (invd2 ^ neg2)
-            code_d = (kd * 2 * base * base + cell) * 2 + invd2
-            codes += [code_b, side + code_d[in_d]]
-        acc += np.bincount(np.concatenate(codes), minlength=acc.size)
-    return acc
+            small = np.argsort(big, axis=1, kind="stable")[:, max(n - 4, 0):n - 2]
+            w2_prev = w[rows, small[:, 0]] if n >= 4 else 0
+            match = (w2_prev < w[rows, small[:, -1]]) == (asc >> (n - 1) & 1 == 1)
+        k = 2 * l_idx - (match ^ (l_idx == 4))
+        acc += np.bincount((2 * k - 2 + d9) << (n + 2) | asc << 2 | parity, minlength=acc.size)
+    return acc.reshape(16, -1, 2, 2)

@@ -7,8 +7,9 @@ table or parity shortcut with the scans it checks.  Each tally is the count
 array of the matching scan (`scan_joint_a`, `scan_joint_b` and
 `scan_subsets`), filled one word at a time: a word's ascent code is read
 from its letters, its parity bits from perm_core's lengths, and its subset
-cell from its peaks, valleys, end class and subset index.  `answer`
-computes a public marginal of the oracle as a sum over the group's words.
+label from its subset index and the signs of its two large letters.
+`answer` computes a public marginal of the oracle as a sum over the
+group's words.
 Results are cached per n; callers must not mutate them.
 """
 
@@ -17,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from weylruns.oracle import _subset_parts, _subset_side, snake_subset_l, subset_index_b, subset_index_d
+from weylruns.oracle import snake_subset_l, subset_index_b, subset_index_d
 from weylruns.perm_core import (
     altruns_a,
     altruns_b,
@@ -63,22 +64,17 @@ def joint_b(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def subsets(n: int) -> np.ndarray:
-    """Subset codes of B_n (n >= 2): the cells of B_n and D_n by parity (n >= 3)
-    and the snakes of D_n by staircase subset and inv_D parity."""
-    codes = np.zeros(2 * _subset_side(n) + 10, dtype=np.int64)
-    cells, snakes = _subset_parts(codes, n)
+    """counts[2(k - 1) + d9, code, inv_D mod 2, neg mod 2] over B_n (n >= 2),
+    k the word's subset_index_b and d9 whether its two large letters differ
+    in sign.  At n = 2 no word has a deleted end class, and k is 2L - 1, or
+    8 at L = 4, of its snake_subset_l L."""
+    counts = np.zeros((16, 1 << n, 2, 2), dtype=np.int64)
     for w in iter_group("B", n):
-        in_d = negatives(w) % 2 == 0
-        if in_d and is_snake_b(w):
-            snakes[snake_subset_l(w), inv_d(w) & 1] += 1
-        if n < 3:
-            continue
-        peaks, valleys = peaks_valleys_b(w)
-        cell = ("da".index(classify_end_b(w)), len(peaks), len(valleys))
-        cells[(0, subset_index_b(w), *cell, inv_b(w) & 1)] += 1
-        if in_d:
-            cells[(1, subset_index_d(w), *cell, inv_d(w) & 1)] += 1
-    return codes
+        big = [x for x in w if abs(x) >= n - 1]
+        d9 = (big[0] < 0) != (big[1] < 0)
+        k = subset_index_b(w) if n >= 3 else 8 if snake_subset_l(w) == 4 else 2 * snake_subset_l(w) - 1
+        counts[2 * k - 2 + d9, ascent_code(w, True), inv_d(w) & 1, negatives(w) & 1] += 1
+    return counts
 
 
 @lru_cache(maxsize=None)

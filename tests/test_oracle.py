@@ -542,14 +542,12 @@ def test_short_suffix_tables_match_the_reference(monkeypatch, letters):
 
 
 def test_b_fills_build_their_index_before_the_a_fills(cold_caches, monkeypatch):
-    """The A fill shares _insert_top and the _top_index and _top_plan
-    caches with the B fills.  With fresh index and plan caches, B_n is
-    filled before S_n at each n <= 6, so each n builds its signed index and
-    plan before the unsigned ones, and the stored B tallies sit beside the
-    A ones; S_1..S_7 still equal the A reference.  (_a_tallies_match, from
-    fresh caches, builds them the other way round.)"""
-    for name in ("_top_index", "_top_plan"):
-        monkeypatch.setattr(oracle, name, functools.cache(getattr(oracle, name).__wrapped__))
+    """The A fill shares _insert_top and the _top_plan cache with the B
+    fills.  With a fresh plan cache, B_n is filled before S_n at each n <= 6,
+    so each n builds its signed plan before the unsigned one, and the stored
+    B tallies sit beside the A ones; S_1..S_7 still equal the A reference.
+    (_a_tallies_match, from a fresh cache, builds them the other way round.)"""
+    monkeypatch.setattr(oracle, "_top_plan", functools.cache(oracle._top_plan.__wrapped__))
     for n in range(1, 8):
         if n < 7:
             count_alternating("B", n)
@@ -784,22 +782,57 @@ def test_raw_tallies_keep_their_digests(cold_caches):
             assert hashlib.md5(tally.tobytes()).hexdigest() == want, (kind, n)
 
 
-# md5 of scan_subsets(n) for n = 2..9, taken from the route that crossed the
-# S_n subset keys with every sign mask
+# md5 of subset_codes(scan_subsets(n), n) for n = 2..9, taken from the route
+# that crossed the S_n subset keys with every sign mask
 SUBSET_MD5 = ["e2e543af31f4ea2b0a8cf7487cb51fe6", "8df34f0e269496e100d195c39ba4df70",
               "241c33076a8d3b5fc9cee265023e2080", "47ab3e7cd62ed2878cfacde2e4b1f7dd",
               "cfae562dfcb6db538242524e1cf59afe", "43b5f547c4229446154e13818f19f153",
               "fc167de64b90ef12e9ed8631f28e5d1a", "7088b47c0313a5c9575da644609ee702"]
 
 
+def subset_codes(counts: np.ndarray, n: int) -> np.ndarray:
+    """The labelled subset tally counts[2(k - 1) + d9, c, inv(|w|), neg] of
+    B_n projected onto the code layout that SUBSET_MD5 pins: a B side
+    [k, end, pk, val, inv_B mod 2] summed over d9, a D side of the words of
+    D_n (neg even) with k read as 9 when d9 is set and the inv_D bit, both
+    for n >= 3 and 10 x 2 x (n + 1)^2 x 2 cells long, then the D snakes
+    (first & alt) by staircase subset L = ceil(k / 2) and inv_D bit."""
+    base = n + 1
+    pk, val, first, last, alt = oracle._code_table(n, True)
+    codes = np.zeros(2 * 10 * 2 * base * base * 2 + 10, dtype=np.int64)
+    cells, snakes = codes[:-10].reshape(2, 10, 2, base, base, 2), codes[-10:].reshape(5, 2)
+    label, c, inv, neg = np.indices(counts.shape).reshape(4, -1)
+    count, k, d9, in_d = counts.ravel(), label // 2 + 1, label % 2, neg == 0
+    snake = in_d & ((first & alt)[c] == 1)
+    np.add.at(snakes, ((k[snake] + 1) // 2, inv[snake]), count[snake])
+    if n >= 3:
+        cell = last[c], pk[c], val[c]
+        np.add.at(cells, (0, k, *cell, inv ^ neg), count)
+        np.add.at(cells, (1, np.where(d9, 9, k)[in_d], *(col[in_d] for col in cell), inv[in_d]), count[in_d])
+    return codes
+
+
 def test_subset_tallies_keep_their_digests(cold_caches):
     """The subset tallies of B_2..B_9 that cold snake subset queries store,
-    byte for byte, beyond the reference walk's B_5."""
+    projected onto the pinned layout (subset_codes), byte for byte, beyond
+    the reference walk's B_5."""
     for n, want in enumerate(SUBSET_MD5, 2):
         snake_subset_contribution(n, 1)
-        codes = oracle._TALLIES["subsets", n][0]
-        assert codes.dtype == np.dtype("<i8") and codes.shape == (2 * oracle._subset_side(n) + 10,), n
-        assert hashlib.md5(codes.tobytes()).hexdigest() == want, n
+        counts = oracle._TALLIES["subsets", n][0]
+        assert counts.dtype == np.dtype("<i8") and counts.shape == (16, 1 << n, 2, 2), n
+        assert hashlib.md5(subset_codes(counts, n).tobytes()).hexdigest() == want, n
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_every_word_gets_exactly_one_subset_label(cold_caches, n):
+    """From cold, the subset tally summed over its 16 labels is the B tally
+    of B_n: the composed steps of _subset_plan (its moveaxis and reshape)
+    reach every word's cell, and each word lands in one label.  It cannot
+    see a mutant of the insertion rule, since both routes compose the same
+    top steps."""
+    counts = scan_subsets(n)
+    oracle.clear_caches()
+    assert np.array_equal(counts.sum(0), scan_joint_b(n))
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])
@@ -837,6 +870,8 @@ def test_subset_labels_match_the_inserted_words(n):
 # sign to find the bits it perturbs), a code table (_code_table(n, signed))
 # or the subset crossing's labels (_subset_labels(n)).  It names the
 # comparisons with the reference that catch it (_failed_comparisons).  The
+# subset fill keeps each word's code and reads no code table (the marginals
+# do), so the subsets comparison cannot see the two _code_table rows.  The
 # A fill reads the +n rows, picked by neg, so "split pair kept" (bit i is set
 # on a +n row anyway) and the -n-only row leave it whole, and "neg gain
 # dropped" breaks it through the pick.  Of a code table's max(n - 2 + signed,
@@ -856,10 +891,9 @@ MUTANTS = {
     "neg gain dropped": ("_top_insertions", lambda n, t: {**t, "neg": 0 * t["neg"]}, "A B subsets"),
     "-n inserted first sets bit 0": ("_top_insertions", lambda n, t: {
         **t, "rise": t["rise"] | (t["neg"] & (t["i"] == 0))}, "B subsets"),
-    "a peak read as >=": ("_code_table", lambda n, signed, t: (max(n - 2 + signed, 0) - t[1], *t[1:]),
-                          "A B subsets"),
+    "a peak read as >=": ("_code_table", lambda n, signed, t: (max(n - 2 + signed, 0) - t[1], *t[1:]), "A B"),
     "pk and val swapped on the signed table": ("_code_table", lambda n, signed, t: (
-        (t[1], t[0], *t[2:]) if signed else t), "B subsets"),
+        (t[1], t[0], *t[2:]) if signed else t), "B"),
     "L = 3 and 4 swapped": ("_subset_labels", lambda n, t: (np.where(t[0] > 2, 7 - t[0], t[0]), *t[1:]),
                             "subsets"),
     "match not inverted at L = 4": ("_subset_labels", lambda n, t: (t[0], 0 * t[1], t[2]), "subsets"),
@@ -905,13 +939,13 @@ def test_the_reference_catches_a_broken_insertion_rule(cold_caches, monkeypatch,
     """Every comparison with the reference holds, and each mutant breaks
     exactly the comparisons its row names, at least one.  A mutated table
     reaches the fills, the subset crossing and the marginals through new
-    _top_index, _top_plan, _subset_plan and _class_plan caches, which the
-    test drops, so no mutated index or plan outlives it."""
+    _top_plan, _subset_plan and _class_plan caches, which the test drops, so
+    no mutated plan outlives it."""
     target, rewrite, caught = MUTANTS[mutant]
     assert caught and not _failed_comparisons()
     table = getattr(oracle, target)
     monkeypatch.setattr(oracle, target, lambda *args: rewrite(*args, table(*args)))
-    for name in ("_top_index", "_top_plan", "_subset_plan", "_class_plan"):
+    for name in ("_top_plan", "_subset_plan", "_class_plan"):
         monkeypatch.setattr(oracle, name, functools.cache(getattr(oracle, name).__wrapped__))
     assert _failed_comparisons() == set(caught.split())
 
@@ -973,29 +1007,30 @@ def test_subset_fills_to_n7_start_no_pool(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", no_thread)
     for n in range(2, 8):
         snake_subset_contribution(n, 1)
-        assert hashlib.md5(oracle._TALLIES["subsets", n][0].tobytes()).hexdigest() == SUBSET_MD5[n - 2], n
+        codes = subset_codes(oracle._TALLIES["subsets", n][0], n)
+        assert hashlib.md5(codes.tobytes()).hexdigest() == SUBSET_MD5[n - 2], n
 
 
 def test_the_subset_plan_holds_no_result(cold_caches):
-    """Once a true fill has built the plan of each n = 3..7 (its digest
-    pinned by SUBSET_MD5), a subset fill over a stored B_(n-2) tally of 3 x
-    the reference counts 3 x that fill: the cached plan reads its counts
-    from the store."""
+    """Once a true fill has built the plan of each n = 3..7 (its projection's
+    digest pinned by SUBSET_MD5), a subset fill over a stored B_(n-2) tally
+    of 3 x the reference counts 3 x that fill: the cached plan reads its
+    counts from the store."""
     want = {n: scan_subsets(n) for n in range(3, 8)}
     oracle.clear_caches()
-    for n, codes in want.items():
-        assert hashlib.md5(codes.tobytes()).hexdigest() == SUBSET_MD5[n - 2], n
+    for n, counts in want.items():
+        assert hashlib.md5(subset_codes(counts, n).tobytes()).hexdigest() == SUBSET_MD5[n - 2], n
         oracle._TALLIES["B", n - 2] = 3 * reference.joint_b(n - 2), {}
-        assert np.array_equal(scan_subsets(n), 3 * codes), n
+        assert np.array_equal(scan_subsets(n), 3 * counts), n
 
 
 def test_subset_crossing_at_n9_keeps_its_digest(cold_caches):
     """A cold subset fill of B_9 and a crossing of the B_7 tally it stored
-    keep one digest."""
+    keep one digest, through the projection (subset_codes)."""
     for _ in range(2):
-        codes = scan_subsets(9)
-        assert codes.dtype == np.dtype("<i8")
-        assert hashlib.md5(codes.tobytes()).hexdigest() == "7088b47c0313a5c9575da644609ee702"
+        counts = scan_subsets(9)
+        assert counts.dtype == np.dtype("<i8")
+        assert hashlib.md5(subset_codes(counts, 9).tobytes()).hexdigest() == "7088b47c0313a5c9575da644609ee702"
 
 
 def test_worker_counts_are_validated_and_clamped(monkeypatch):
@@ -1240,7 +1275,7 @@ def test_snake_subsets_read_the_cached_tally(monkeypatch):
         raise AssertionError("a scan started")
 
     monkeypatch.setattr(oracle, "_insert_top", no_scan)
-    want = oracle._subset_parts(reference.subsets(n), n)[1]
+    want = subset_codes(reference.subsets(n), n)[-10:].reshape(5, 2)
     for k in range(1, 5):
         for bit, parity in enumerate(("plus", "minus")):
             assert snake_subset_contribution(n, k, parity) == want[k, bit]

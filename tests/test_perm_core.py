@@ -1,7 +1,7 @@
 """Statistics, bijections and iteration on the group elements."""
 
 import itertools
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -217,10 +217,30 @@ def test_a_bad_cap_is_refused_and_neither_cap_changes(monkeypatch, bad):
     caps = perm_core.CAP_A, perm_core.CAP_B
     monkeypatch.setattr(perm_core, "CAP_A", caps[0])
     monkeypatch.setattr(perm_core, "CAP_B", caps[1])
-    for kwargs in ({"cap_a": bad}, {"cap_b": bad}, {"cap_a": 5, "cap_b": bad}, {"cap_a": bad, "cap_b": 5}):
+    for kwargs in ({"cap_a": bad}, {"cap_b": bad}, {"cap_a": 5, "cap_b": bad}, {"cap_a": bad, "cap_b": 5},
+                   {"cap_a": 21}, {"cap_b": 17}, {"cap_a": 21, "cap_b": 5}, {"cap_a": 5, "cap_b": 17}):
         with pytest.raises(DomainError, match="cap_[ab] must be"):
             set_enumeration_caps(**kwargs)
         assert (perm_core.CAP_A, perm_core.CAP_B) == caps
+
+
+def test_the_caps_stop_at_the_int64_limits(monkeypatch):
+    """20! < 2^63 < 21! and 2^16 16! < 2^63 < 2^17 17!, so caps 20 and 16
+    are accepted (no fill runs at them); 21 and 17 are refused above."""
+    monkeypatch.setattr(perm_core, "CAP_A", perm_core.CAP_A)
+    monkeypatch.setattr(perm_core, "CAP_B", perm_core.CAP_B)
+    assert factorial(20) < 2 ** 63 < factorial(21) and 2 ** 16 * factorial(16) < 2 ** 63 < 2 ** 17 * factorial(17)
+    set_enumeration_caps(20, 16)
+    assert (perm_core.CAP_A, perm_core.CAP_B) == (20, 16)
+
+
+@pytest.mark.parametrize("lo,hi,chunk", [(0, 9, 4), (-2, 2, 4), (4, 3, 4), (0, 6, 0), (0, 6, -1)])
+def test_perm_blocks_refuses_a_bad_range_or_chunk(lo, hi, chunk):
+    """A range past 3! (which would wrap and repeat [1, 2, 3]), a negative
+    start (which would start at [3, 1, 2]), an inverted range, or a chunk
+    below 1 (which would yield empty blocks forever) is refused."""
+    with pytest.raises(DomainError, match="perm_blocks needs"):
+        next(perm_core.perm_blocks(3, lo, hi, chunk))
 
 
 def test_check_integer_takes_integer_scalars_only():
