@@ -56,13 +56,14 @@ WEYLRUNS_THREADS here, only by the CLI.  One store, `_TALLIES`, keeps each
 tally by (kind, n), kind "A", "B" or "subsets", beside the answers read
 from it, keyed by the public call.  `_tally` alone scans a tally, and
 `_answer` alone sums a new answer; a repeated query is one dict read
-(`_stored`).  `clear_caches` empties every store made by `new_cache`,
-`verify`'s check outcomes and EGF series included, so a run after it
-fills, builds and checks everything again.  The one result memo it keeps is
-`closed_forms._recurrence_table`, a pure-formula memo that each n also hits
-for n - 1 within a run; it also keeps the `functools.cache` table and plans
-(`_code_table`, `_top_plan`, `_subset_plan`, `_class_plan`), which depend on
-n (and a marginal's filters) alone and hold no result.
+(`_stored`) of the read-only answer itself.  `clear_caches` empties every
+store made by `new_cache`, `verify`'s check outcomes and EGF series
+included, so a run after it fills, builds and checks everything again.
+The one result memo it keeps is `closed_forms._recurrence_table`, a
+pure-formula memo that each n also hits for n - 1 within a run; it also
+keeps the `functools.cache` table and plans (`_code_table`, `_top_plan`,
+`_subset_plan`, `_class_plan`), which depend on n (and a marginal's
+filters) alone and hold no result.
 The test suite keeps a pure-Python walk over perm_core's statistics as the
 reference for all three tallies and for every marginal.  Its `direct_walk`
 module keeps word-by-word numpy walks of S_n and of B_n, over perm_core's
@@ -75,7 +76,6 @@ from __future__ import annotations
 import functools
 import operator
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,15 +101,13 @@ SIGN_STATISTICS = ("none", "inv_a", "inv_b", "inv_d")
 # Upper bound on the worker count of a call; larger requests are clamped.
 MAX_WORKERS = 32
 
-_CACHE_LOCK = threading.Lock()
 _STORES: list[dict] = []
 
 
 def new_cache() -> dict:
     """A new empty dict that clear_caches() empties along with the tallies."""
     store: dict = {}
-    with _CACHE_LOCK:
-        _STORES.append(store)
+    _STORES.append(store)
     return store
 
 
@@ -120,9 +118,8 @@ _TALLIES: dict[tuple[str, int], tuple[np.ndarray, dict]] = new_cache()
 def clear_caches() -> None:
     """Empty every store made by new_cache: the tallies, their marginals, and
     the check outcomes and EGF series that `verify` keeps."""
-    with _CACHE_LOCK:
-        for store in _STORES:
-            store.clear()
+    for store in _STORES:
+        store.clear()
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -272,12 +269,12 @@ def scan_joint_b(n: int) -> np.ndarray:
 
 
 def _stored(kind: str, n, key: tuple, workers: int | None):
-    """The answer kept under `key`, a public call's arguments but n and
-    workers, or None, which sends the call down its full path (_answer).
-    kind is "A", "subsets", or a group as the caller got it (the B tally).
-    Only the checks an answered call can still fail run here: n an int within
-    the cap, read now, and an explicit worker count.  An unhashable argument
-    or an array group (its == is elementwise) also takes the full path."""
+    """The answer stored under `key` (a public call's arguments but n and
+    workers) itself, or None, which sends the call down its full path
+    (_answer).  kind is "A", "subsets", or a group as the caller got it (the
+    B tally).  Only the checks an answered call can still fail run here: n an
+    int within the cap, read now, and an explicit worker count.  An
+    unhashable argument or an array group also takes the full path."""
     if type(n) is not int:
         return None
     try:
@@ -289,22 +286,18 @@ def _stored(kind: str, n, key: tuple, workers: int | None):
         return None
     if hit is not None and workers is not None:
         resolve_workers(workers)
-    return hit.copy() if type(hit) is BiPoly else hit
+    return hit
 
 
 def _tally(kind: str, n: int) -> tuple[np.ndarray, dict]:
     """The store's entry for the kind's tally at a checked n: the count array
     and the answers already read from it.  A missing tally is scanned and
     stored whole; the kind's scan is looked up on each fill, so one patched
-    by name runs.  A hit reads the store without the lock (a dict lookup is
-    atomic under the GIL).  Threads that fill one tally at once store equal
-    arrays."""
-    entry = _TALLIES.get((kind, n))
-    if entry is None:
+    by name runs.  Each store read and write is one dict operation, atomic
+    under the GIL; threads that fill one tally at once store equal arrays."""
+    if (entry := _TALLIES.get((kind, n))) is None:
         scan = {"A": scan_joint_a, "B": scan_joint_b, "subsets": scan_subsets}[kind]
-        entry = scan(n), {}
-        with _CACHE_LOCK:
-            _TALLIES[kind, n] = entry
+        entry = _TALLIES[kind, n] = scan(n), {}
     return entry
 
 
@@ -312,14 +305,13 @@ def _answer(kind: str, n: int, key: tuple, workers: int | None, marginal):
     """marginal(tally) of the kind's tally at a checked n (_tally), stored
     under `key`, an accepted call's canonical form, once an explicit worker
     count is checked.  Threads that ask for one new key at once store equal
-    values.  A BiPoly is copied, as its terms dict is mutable."""
+    values.  Every answer is a read-only value, so the stored one is returned."""
     if workers is not None:
         resolve_workers(workers)
     tally, answers = _tally(kind, n)
-    hit = answers.get(key)
-    if hit is None:
+    if (hit := answers.get(key)) is None:
         hit = answers[key] = marginal(tally)
-    return hit.copy() if type(hit) is BiPoly else hit
+    return hit
 
 
 # =====================================================================

@@ -4,10 +4,14 @@
 degree ~n), `BiPoly` is sparse (the bivariate peak/valley support is a thin
 band).  Coefficients are Python ints, so nothing here ever overflows or
 rounds; signed sums are expected to cancel exactly.
+
+Both are read-only values (`coeffs` a tuple, `terms` a read-only view of a
+private dict that arithmetic reads), so a cache hands out the one it stores.
 """
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import DomainError
@@ -32,13 +36,17 @@ def _power(base, k: int, one):
 class UniPoly:
     """Univariate polynomial; coefficient of t^k at index k."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: tuple[int, ...] = tuple(cs)
+        self._coeffs: tuple[int, ...] = tuple(cs)
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        return self._coeffs
 
     @classmethod
     def zero(cls) -> "UniPoly":
@@ -63,41 +71,41 @@ class UniPoly:
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self._coeffs) - 1 if self._coeffs else NEG_INF
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._coeffs
 
     def coeff(self, exp: int) -> int:
-        return self.coeffs[exp] if 0 <= exp < len(self.coeffs) else 0
+        return self._coeffs[exp] if 0 <= exp < len(self._coeffs) else 0
 
     def eval_int(self, x: int) -> int:
         acc = 0
-        for c in reversed(self.coeffs):
+        for c in reversed(self._coeffs):
             acc = acc * x + c
         return acc
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
+        a, b = self._coeffs, other._coeffs
         if len(a) < len(b):
             a, b = b, a
         return UniPoly([x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)])
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs])
+        return UniPoly([-c for c in self._coeffs])
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         return self + (-other)
 
     def __mul__(self, other) -> "UniPoly":
         if isinstance(other, int):
-            return UniPoly([other * c for c in self.coeffs])
-        if not self.coeffs or not other.coeffs:
+            return UniPoly([other * c for c in self._coeffs])
+        if not self._coeffs or not other._coeffs:
             return UniPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        out = [0] * (len(self._coeffs) + len(other._coeffs) - 1)
+        for i, a in enumerate(self._coeffs):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(other._coeffs):
                     out[i + j] += a * b
         return UniPoly(out)
 
@@ -107,31 +115,35 @@ class UniPoly:
         return _power(self, k, UniPoly.one())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
+        return isinstance(other, UniPoly) and self._coeffs == other._coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self._coeffs)
 
     def __repr__(self):
-        return f"UniPoly({list(self.coeffs)})"
+        return f"UniPoly({list(self._coeffs)})"
 
-    def _terms(self):
-        return ((c, (("t", e),)) for e, c in enumerate(self.coeffs))
+    def _monomials(self):
+        return ((c, (("t", e),)) for e, c in enumerate(self._coeffs))
 
     def __str__(self):
-        return _print_terms(self._terms(), latex=False)
+        return _print_terms(self._monomials(), latex=False)
 
     def latex(self) -> str:
-        return _print_terms(self._terms(), latex=True)
+        return _print_terms(self._monomials(), latex=True)
 
 
 class BiPoly:
     """Sparse polynomial in p, q; keys are exponent pairs (i, j)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple[int, int], int] = ()):
-        self.terms: dict[tuple[int, int], int] = {k: v for k, v in dict(terms).items() if v != 0}
+        self._terms: dict[tuple[int, int], int] = {k: v for k, v in dict(terms).items() if v != 0}
+
+    @property
+    def terms(self) -> Mapping[tuple[int, int], int]:
+        return MappingProxyType(self._terms)
 
     @classmethod
     def zero(cls) -> "BiPoly":
@@ -145,36 +157,30 @@ class BiPoly:
     def monomial(cls, coeff: int, i: int, j: int) -> "BiPoly":
         return cls({(i, j): coeff})
 
-    def copy(self) -> "BiPoly":
-        """A BiPoly with its own copy of the terms, which hold no zeros already."""
-        out = BiPoly.__new__(BiPoly)
-        out.terms = self.terms.copy()
-        return out
-
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def coeff(self, i: int, j: int) -> int:
-        return self.terms.get((i, j), 0)
+        return self._terms.get((i, j), 0)
 
     def __add__(self, other: "BiPoly") -> "BiPoly":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
+        out = dict(self._terms)
+        for k, v in other._terms.items():
             out[k] = out.get(k, 0) + v
         return BiPoly(out)
 
     def __neg__(self) -> "BiPoly":
-        return BiPoly({k: -v for k, v in self.terms.items()})
+        return BiPoly({k: -v for k, v in self._terms.items()})
 
     def __sub__(self, other: "BiPoly") -> "BiPoly":
         return self + (-other)
 
     def __mul__(self, other) -> "BiPoly":
         if isinstance(other, int):
-            return BiPoly({k: other * v for k, v in self.terms.items()})
+            return BiPoly({k: other * v for k, v in self._terms.items()})
         out: dict[tuple[int, int], int] = {}
-        for (i1, j1), a in self.terms.items():
-            for (i2, j2), b in other.terms.items():
+        for (i1, j1), a in self._terms.items():
+            for (i2, j2), b in other._terms.items():
                 k = (i1 + i2, j1 + j2)
                 out[k] = out.get(k, 0) + a * b
         return BiPoly(out)
@@ -186,32 +192,32 @@ class BiPoly:
 
     def swap_vars(self) -> "BiPoly":
         """p <-> q."""
-        return BiPoly({(j, i): v for (i, j), v in self.terms.items()})
+        return BiPoly({(j, i): v for (i, j), v in self._terms.items()})
 
     def substitute_diag(self) -> UniPoly:
         """Set p = q = t: the t^m coefficient collects all (i, j) with i+j = m."""
         out: dict[int, int] = {}
-        for (i, j), v in self.terms.items():
+        for (i, j), v in self._terms.items():
             out[i + j] = out.get(i + j, 0) + v
         return UniPoly.from_dict(out)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, BiPoly) and self.terms == other.terms
+        return isinstance(other, BiPoly) and self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self._terms.items()))
 
     def __repr__(self):
-        return f"BiPoly({dict(sorted(self.terms.items()))})"
+        return f"BiPoly({dict(sorted(self._terms.items()))})"
 
-    def _terms(self):
-        return ((c, (("p", i), ("q", j))) for (i, j), c in sorted(self.terms.items()))
+    def _monomials(self):
+        return ((c, (("p", i), ("q", j))) for (i, j), c in sorted(self._terms.items()))
 
     def __str__(self):
-        return _print_terms(self._terms(), latex=False)
+        return _print_terms(self._monomials(), latex=False)
 
     def latex(self) -> str:
-        return _print_terms(self._terms(), latex=True)
+        return _print_terms(self._monomials(), latex=True)
 
 
 # ------------------------------------------------------ printing

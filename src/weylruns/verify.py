@@ -13,7 +13,7 @@ tables), `_equal_check`, and `chk_main`, `chk_uni`, `chk_cancel` and
 `chk_gao_sun` for the twin B_n and D_n statements.
 
 `run_checks` keeps the outcome of each (id, n) check in one store made by
-`oracle.new_cache`, and returns a copy of it on every call; a second such
+`oracle.new_cache`, and returns the read-only outcome itself; a second such
 store keeps each EGF closed form the checks read, one series per family
 (`_formula_coeff`).  So a check, with its closed forms and word-by-word
 passes, runs once until `oracle.clear_caches`, which drops the outcomes and
@@ -29,11 +29,11 @@ status "paper-formula-mismatch-documented" instead of failing.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from functools import partial
 from math import factorial
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -47,14 +47,24 @@ SKIPPED = "skipped"
 MISMATCH_DOCUMENTED = "paper-formula-mismatch-documented"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckOutcome:
+    """One check's verdict at one n, read-only; data maps names to tuples."""
+
     theorem: str
     n: int
     passed: bool
     detail: str = ""
     status: str = "ok"
-    data: dict | None = None
+    data: Mapping[str, tuple] | None = None
+
+    def __post_init__(self):
+        if self.data is not None:
+            object.__setattr__(self, "data", MappingProxyType({k: tuple(v) for k, v in self.data.items()}))
+
+    def __reduce__(self):  # a MappingProxyType does not pickle: rebuild from a plain dict
+        data = None if self.data is None else dict(self.data)
+        return CheckOutcome, (self.theorem, self.n, self.passed, self.detail, self.status, data)
 
 
 @dataclass
@@ -75,15 +85,15 @@ class Report:
                     "passed": o.passed,
                     "status": o.status,
                     "detail": o.detail,
-                    **({"data": o.data} if o.data else {}),
+                    **({"data": {k: list(v) for k, v in o.data.items()}} if o.data else {}),
                 }
                 for o in self.outcomes
             ],
         }
 
 
-def _skip(n, why):
-    return CheckOutcome("", n, True, why, status=SKIPPED)
+def _skip(n, why, theorem=""):
+    return CheckOutcome(theorem, n, True, why, status=SKIPPED)
 
 
 def _result(n, failures: list[str], detail="ok", data=None):
@@ -540,9 +550,9 @@ def chk_egf_alt_bmd_pm(n):
         )
     printed_matches = printed["+"] == plus and printed["-"] == minus
     data = {
-        "oracle": [plus, minus],
-        "printed_formula": [str(printed["+"]), str(printed["-"])],
-        "corrected_formula": [corrected["+"], corrected["-"]],
+        "oracle": (plus, minus),
+        "printed_formula": (str(printed["+"]), str(printed["-"])),
+        "corrected_formula": (corrected["+"], corrected["-"]),
     }
     if fails or printed_matches:
         return _result(n, fails, f"printed formula agrees at n={n}", data)
@@ -709,12 +719,6 @@ def available_ids() -> list[str]:
 _OUTCOMES = oracle.new_cache()  # (id, n) -> the CheckOutcome of its check
 
 
-def _copy(outcome: CheckOutcome) -> CheckOutcome:
-    """An outcome that shares nothing mutable with `outcome`."""
-    data = outcome.data and copy.deepcopy(outcome.data)
-    return CheckOutcome(outcome.theorem, outcome.n, outcome.passed, outcome.detail, outcome.status, data)
-
-
 def run_checks(
     theorem_id: str,
     n_min: int | None = None,
@@ -732,8 +736,8 @@ def run_checks(
     one outcome per id and n in 0..cap.  No check takes the count: every
     oracle fill runs in the calling thread.
 
-    Each (id, n) check runs once until oracle.clear_caches(): its outcome
-    is kept, and every call returns a copy of it.
+    Each (id, n) check runs once until oracle.clear_caches(): its outcome is
+    stamped with the id and kept, and every call returns that outcome itself.
     """
     if workers is not None:
         oracle.resolve_workers(workers)
@@ -758,21 +762,16 @@ def run_checks(
         hi = entry.hi if n_max is None else n_max
         if lo > hi and theorem_id != "all":
             n = hi if n_min is None else lo
-            outcome = _skip(n, f"{'above' if n > entry.hi else 'below'} the stated range "
-                               f"n={entry.lo}..{entry.hi}")
-            outcome.theorem = ident
-            report.outcomes.append(outcome)
+            report.outcomes.append(_skip(n, f"{'above' if n > entry.hi else 'below'} the stated range "
+                                            f"n={entry.lo}..{entry.hi}", ident))
         for n in range(lo, hi + 1):
             if n < entry.lo and n_min is not None:
-                outcome = _skip(n, f"below the stated range (starts at n={entry.lo})")
+                outcome = _skip(n, f"below the stated range (starts at n={entry.lo})", ident)
             elif n > entry.max_n:
-                outcome = _skip(n, f"above the enumeration cap (n <= {entry.max_n})")
-            else:
-                hit = _OUTCOMES.get((ident, n))
-                if hit is None:
-                    hit = _OUTCOMES[(ident, n)] = entry.fn(n)
-                    hit.theorem = ident
-                outcome = _copy(hit)
-            outcome.theorem = ident
+                outcome = _skip(n, f"above the enumeration cap (n <= {entry.max_n})", ident)
+            elif (outcome := _OUTCOMES.get((ident, n))) is None:
+                outcome = entry.fn(n)
+                object.__setattr__(outcome, "theorem", ident)  # the fresh outcome, before anyone sees it
+                _OUTCOMES[ident, n] = outcome
             report.outcomes.append(outcome)
     return report

@@ -296,6 +296,25 @@ def test_verify_all_stdout_is_pinned_cold_and_warm(capsys, threads):
         assert hashlib.md5(out.encode()).hexdigest() == VERIFY_ALL_MD5["json"]
 
 
+# `dist` at the caps, S_11 and B_9, pinned byte for byte and keyed by its
+# arguments; CI runs each in fresh processes and compares them with the pins.
+# No query here sums to zero: the signed S_n sum vanishes for n = 3 (mod 4)
+# and the signed B_n total for odd n, so those would pin two empty terms lists.
+DIST_CAPS_MD5 = {
+    "--group A --n 11 --biv": "8f782d7ba2adaed2997af1e2fa7d7594",
+    "--group B --n 9 --biv": "d196424640221f8974bc7d5d6b399410",
+    "--group B --n 9 --signed invB --end a --biv": "643f1e915f1486e9a4f90cc3ccea1c18",
+}
+
+
+@pytest.mark.parametrize("args", list(DIST_CAPS_MD5))
+def test_dist_at_the_caps_is_pinned(capsys, args):
+    code, out, err = run_cli(capsys, "dist", *args.split())
+    assert (code, err) == (0, "")
+    assert not poly_from_json(json.loads(out)).is_zero()
+    assert hashlib.md5(out.encode()).hexdigest() == DIST_CAPS_MD5[args]
+
+
 def test_a_cold_run_after_clear_caches_does_all_its_work_again(capsys, monkeypatch):
     """Every walk, word-by-word pass and closed-form evaluation of `verify
     --theorem all` runs as often after oracle.clear_caches() as in the first

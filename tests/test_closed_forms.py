@@ -120,6 +120,27 @@ def test_gao_sun_differences():
     assert first3 == T * (U1 - T * T)
 
 
+def test_the_constant_one_is_read_only():
+    """thm_sgn_altrun_biv(1) hands out the module's constant one, which
+    refuses a write, so the type B formulas built from it keep their value."""
+    want = thm_b_formulas(2)
+    one = thm_sgn_altrun_biv(1)
+    assert one == ONE
+    with pytest.raises(TypeError):
+        one.terms[(0, 0)] = 5
+    assert thm_sgn_altrun_biv(1) == ONE and thm_b_formulas(2) == want
+
+
+def test_the_recurrence_memo_is_read_only():
+    """A polynomial of the recurrence memo refuses a new term, so a later
+    call, and the next n built from it, is unchanged."""
+    want = [recurrence_class_biv(n, cls) for n in (5, 6) for cls in ("aa", "ad", "da", "dd")]
+    with pytest.raises(TypeError):
+        recurrence_class_biv(5, "aa").terms[(7, 7)] = 1
+    assert [recurrence_class_biv(n, cls) for n in (5, 6) for cls in ("aa", "ad", "da", "dd")] == want
+    assert recurrence_class_biv(5, "aa").coeff(7, 7) == 0
+
+
 def test_divisibility_claims():
     assert divisibility_claim("R", 8) == 3
     assert divisibility_claim("Rpm", 8) == 2

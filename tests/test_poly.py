@@ -1,6 +1,8 @@
 """Exact polynomial arithmetic, divisibility and moment identities."""
 
+import copy
 import json
+import pickle
 import random
 
 import pytest
@@ -165,3 +167,26 @@ def _random_bipoly(rng):
     return BiPoly(
         {(rng.randint(0, 3), rng.randint(0, 3)): rng.randint(-5, 5) for _ in range(rng.randint(0, 5))}
     )
+
+
+def test_polynomials_are_read_only():
+    """Neither the coefficients nor the terms can be replaced or rewritten,
+    and the terms are a live view: what it shows is what arithmetic reads."""
+    f, g = UniPoly([1, -2, 3]), BiPoly({(0, 0): 1, (2, 1): -4})
+    for write in (lambda: setattr(f, "coeffs", (9,)), lambda: f.coeffs.__setitem__(0, 9),
+                  lambda: setattr(g, "terms", {}), lambda: g.terms.__setitem__((0, 0), 9),
+                  lambda: g.terms.pop((0, 0)), lambda: g.terms.clear()):
+        with pytest.raises((AttributeError, TypeError)):
+            write()
+    assert f.coeffs == (1, -2, 3) and dict(g.terms) == {(0, 0): 1, (2, 1): -4}
+    assert g.coeff(2, 1) == g.terms[(2, 1)] == -4
+
+
+@settings(max_examples=50, deadline=None)
+@given(coeffs=st.lists(COEFFS, max_size=8),
+       terms=st.dictionaries(st.tuples(st.integers(0, 9), st.integers(0, 9)), COEFFS, max_size=8))
+def test_pickle_and_deepcopy_round_trip(coeffs, terms):
+    for f in (UniPoly(coeffs), BiPoly(terms)):
+        for twin in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
+            assert type(twin) is type(f) and twin == f and hash(twin) == hash(f)
+            assert str(twin) == str(f)

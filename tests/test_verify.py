@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import inspect
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -387,20 +388,46 @@ def test_every_check_runs_again_after_clear_caches(registry_calls):
     assert registry_calls == checks
 
 
-def test_a_returned_outcome_is_the_callers_own():
-    """Mutating a report, data lists included, changes no later report."""
+def test_a_returned_outcome_is_read_only():
+    """Every field of a returned outcome, cold or warm, refuses a write, and
+    so do its data and the tuples in it; every later report equals the
+    first."""
     oracle.clear_caches()
     report = run_checks("thm-egf-alt-bmd-pm")
     want = copy.deepcopy(report.to_json())
     assert all(o.data for o in report.outcomes)
-    for _ in range(2):  # mutate the cold report, then a warm one
+    for _ in range(2):  # the cold report, then a warm one
         for o in report.outcomes:
-            o.theorem, o.n, o.passed, o.detail, o.status = "x", -1, False, "x", "x"
+            for name in ("theorem", "n", "passed", "detail", "status", "data"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(o, name, None)
             for value in o.data.values():
-                value[0] = "x"
-            o.data["x"] = []
+                assert type(value) is tuple
+                with pytest.raises(TypeError):
+                    value[0] = "x"
+            with pytest.raises(TypeError):
+                o.data["x"] = ()
         report = run_checks("thm-egf-alt-bmd-pm")
         assert report.to_json() == want
+
+
+def test_an_outcome_round_trips_through_pickle_and_deepcopy():
+    """A stored outcome with data, and one without, comes back equal and
+    still read-only; a data dict given to a new outcome is not kept."""
+    data = {"oracle": [1, 2], "printed_formula": ["3/2"]}
+    made = verify.CheckOutcome("id", 3, True, "ok", data=data)
+    data["oracle"].append(9)
+    assert dict(made.data) == {"oracle": (1, 2), "printed_formula": ("3/2",)}
+    oracle.clear_caches()
+    stored = run_checks("thm-egf-alt-bmd-pm", n_min=1, n_max=1).outcomes[0]
+    assert stored.data
+    for outcome in (made, stored, verify.CheckOutcome("id", 0, False)):
+        for twin in (pickle.loads(pickle.dumps(outcome)), copy.deepcopy(outcome), copy.copy(outcome)):
+            assert type(twin) is verify.CheckOutcome and twin == outcome
+            if outcome.data is not None:
+                assert dict(twin.data) == dict(outcome.data)
+                with pytest.raises(TypeError):
+                    twin.data["x"] = ()
 
 
 @pytest.mark.parametrize("n", range(1, 8))
