@@ -16,8 +16,8 @@ one-cell tally of the empty word (`_EMPTY_WORD`), so neither makes a word.
 A segment sum (`_segment_sum`) is one gather and one np.add.reduceat
 through a plan built once per table (`_segments`): the source positions
 sorted by target cell, the segment starts and each segment's cell.  The
-same kernel crosses the subset tally (`_subset_plan`) and sums each
-marginal over the classes of the codes its filters keep (`_class_plan`).
+same kernel crosses the subset tally (`_subset_plan`) and sums each tally
+into its class table (`_class_plan`).
 Every count is int64, never floating point.  A word's
 peaks, valleys, end classes and alternation depend only on its ascent code:
 its adjacent-pair ascent bits, behind a 0 sentinel for signed words, packed
@@ -40,11 +40,12 @@ with no decode step:
   w' ends as w does.  So the subset tally is the stored B_(n-2) tally
   crossed with those 4n(n-1) row pairs, by the same insertion argument.
 
-Every distribution is a marginal of one of them, summed by `_sum_a` or
-`_sum_b`: code filters pick the codes a class plan reads, and parity filters
-and signs weight the parity axes.  A subset query first sums its labels: the
-type B subset k reads labels 2k - 2 and 2k - 1, the type D subset k <= 8
-label 2k - 2 and the D subset 9 every odd label, and the snakes of D_n in
+Every distribution is a marginal of one of them: its class table, the tally
+summed once into [(pk, val) class, label, first, last, alt, parity cells]
+(`_class_plan`), times a cached weight (`_weight`) that folds in the filters,
+the sign, the parity half and the labels (`_sum_a`, `_sum_b`).  The type B
+subset k reads labels 2k - 2 and 2k - 1, the type D subset k <= 8 label
+2k - 2 and the D subset 9 every odd label, and the snakes of D_n in
 staircase subset L the labels 4L - 4 .. 4L - 1.
 
 Every fill runs in the calling thread: S_1..S_11 take under 1 ms, and
@@ -53,17 +54,17 @@ the result is bitwise identical for any count.  `_stored` (on a hit) and
 `_answer` (on a miss) check an explicit count once (`resolve_workers`);
 nothing below them carries one, and a missing count is never read from
 WEYLRUNS_THREADS here, only by the CLI.  One store, `_TALLIES`, keeps each
-tally by (kind, n), kind "A", "B" or "subsets", beside the answers read
-from it, keyed by the public call.  `_tally` alone scans a tally, and
-`_answer` alone sums a new answer; a repeated query is one dict read
-(`_stored`) of the read-only answer itself.  `clear_caches` empties every
+tally by (kind, n), kind "A", "B" or "subsets", beside its class table and
+the answers read from it, keyed by the public call.  `_tally` alone scans
+a tally, and `_answer` alone sums a new answer; a repeated query is one
+dict read (`_stored`) of the read-only answer itself.  `clear_caches` empties every
 store made by `new_cache`, `verify`'s check outcomes and EGF series
 included, so a run after it fills, builds and checks everything again.
 The one result memo it keeps is `closed_forms._recurrence_table`, a
 pure-formula memo that each n also hits for n - 1 within a run; it also
-keeps the `functools.cache` table and plans (`_code_table`, `_top_plan`,
-`_subset_plan`, `_class_plan`), which depend on n (and a marginal's
-filters) alone and hold no result.
+keeps the `functools.cache` tables, plans and weights (`_code_table`,
+`_top_plan`, `_subset_plan`, `_class_plan`, `_weight`), which depend on n
+or on a marginal's filters alone, hold no result, and are read-only.
 The test suite keeps a pure-Python walk over perm_core's statistics as the
 reference for all three tallies and for every marginal.  Its `direct_walk`
 module keeps word-by-word numpy walks of S_n and of B_n, over perm_core's
@@ -111,7 +112,7 @@ def new_cache() -> dict:
     return store
 
 
-# (kind, n) -> (count array, answers already read from it); see _answer
+# (kind, n) -> (count array, its class table and the answers read from it); see _answer
 _TALLIES: dict[tuple[str, int], tuple[np.ndarray, dict]] = new_cache()
 
 
@@ -138,6 +139,12 @@ def resolve_workers(workers: int | None) -> int:
     if count < 1:
         raise DomainError(f"worker count must be at least 1, got {count}")
     return min(count, MAX_WORKERS)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """The array, set read-only: it is cached and handed to every reader."""
+    array.setflags(write=False)
+    return array
 
 
 # =====================================================================
@@ -172,7 +179,7 @@ def _code_table(n: int, signed: bool) -> tuple[np.ndarray, ...]:
     first, last = (bits[:, 0], bits[:, -1]) if nbits else (np.ones(1, dtype=np.int64),) * 2
     own = bits[:, 1:] if signed else bits
     alt = (own == np.arange(own.shape[1]) % 2).all(1).astype(np.int64)
-    return pk, val, first, last, alt
+    return tuple(map(_read_only, (pk, val, first, last, alt)))
 
 
 def _top_insertions(n: int) -> dict[str, np.ndarray]:
@@ -213,8 +220,7 @@ def _top_index(n: int, signed: bool) -> np.ndarray:
 
 # The B tally of B_0: its one word, the empty word, has code 0 and even
 # inv and neg.  The B chain starts from it, as does the subset tally at n = 2.
-_EMPTY_WORD = np.array([[[1, 0], [0, 0]]])
-_EMPTY_WORD.setflags(write=False)
+_EMPTY_WORD = _read_only(np.array([[[1, 0], [0, 0]]]))
 
 
 def _segments(target: np.ndarray, source: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -225,7 +231,8 @@ def _segments(target: np.ndarray, source: np.ndarray) -> tuple[np.ndarray, np.nd
     order = np.argsort(key, axis=None, kind="stable" if key.dtype == np.uint16 else None)  # uint16: a radix sort
     ordered = target.ravel()[order]
     starts = np.flatnonzero(np.concatenate((ordered[:1] >= 0, ordered[1:] != ordered[:-1])))  # [] when empty
-    return source.ravel()[order], starts, ordered[starts]
+    # np.add.reduceat copies read-only starts on each call: 0.2-0.4 us up to 2^10 of them
+    return tuple(map(_read_only, (source.ravel()[order], starts, ordered[starts])))
 
 
 def _segment_sum(plan: tuple[np.ndarray, ...], values: np.ndarray, size: int) -> np.ndarray:
@@ -302,15 +309,20 @@ def _tally(kind: str, n: int) -> tuple[np.ndarray, dict]:
 
 
 def _answer(kind: str, n: int, key: tuple, workers: int | None, marginal):
-    """marginal(tally) of the kind's tally at a checked n (_tally), stored
+    """marginal(classes) of the kind's tally at a checked n (_tally), stored
     under `key`, an accepted call's canonical form, once an explicit worker
-    count is checked.  Threads that ask for one new key at once store equal
+    count is checked; classes, its class table (_class_plan), is stored on
+    the first answer.  Threads that ask for one new key at once store equal
     values.  Every answer is a read-only value, so the stored one is returned."""
     if workers is not None:
         resolve_workers(workers)
     tally, answers = _tally(kind, n)
     if (hit := answers.get(key)) is None:
-        hit = answers[key] = marginal(tally)
+        if (classes := answers.get("classes")) is None:
+            plan, keys, fold, size = _class_plan(kind, n)
+            table = _segment_sum(plan, tally, size).reshape(len(keys), -1)
+            classes = answers["classes"] = _read_only(table), keys, fold
+        hit = answers[key] = marginal(classes)
     return hit
 
 
@@ -319,56 +331,65 @@ def _answer(kind: str, n: int, key: tuple, workers: int | None, marginal):
 # =====================================================================
 
 @functools.cache
-def _class_plan(n: int, signed: bool, filters: tuple, biv: bool) -> tuple[tuple[np.ndarray, ...], list]:
-    """The _segments plan that sums per-code values of the n-letter words the
-    filters keep (the first, last and alt bits kept, None for either) over
-    their classes, and each class's key: the (pk, val) pairs that occur, in
-    order, when biv, else every exponent e = pk + val + 1 <= n (_code_table)."""
-    pk, val, *cols = _code_table(n, signed)
-    codes = np.arange(len(pk))
-    for col, bit in zip(cols, filters):
-        codes = codes if bit is None else codes[col[codes] == bit]
-    if not biv:
-        return _segments((pk + val + 1)[codes], codes), list(range(n + 1))
-    gather, starts, cells = _segments((pk * (n + 1) + val)[codes], codes)
-    return (gather, starts, np.arange(len(cells))), [divmod(cell, n + 1) for cell in cells.tolist()]
+def _class_plan(kind: str, n: int) -> tuple[tuple[np.ndarray, ...], tuple, np.ndarray, int]:
+    """The _segments plan that sums the kind's tally at n into its class
+    table [class, label, first, last, alt, parity cells] (the subset tally
+    has 16 labels, the others 1), the classes' (pk, val) keys, the 0/1
+    fold[e, class] onto e = pk + val + 1 <= n, and the table's size."""
+    pk, val, first, last, alt = _code_table(n, kind != "A")
+    code_pair = pk * (n + 1) + val
+    pairs = sorted(set(code_pair.tolist()))  # np.unique would import numpy.ma, 14 ms in a fresh process
+    keys = tuple(divmod(pair, n + 1) for pair in pairs)
+    labels, cells = (16, 4) if kind == "subsets" else (1, 4 if kind == "B" else 2)
+    row = np.searchsorted(pairs, code_pair) * labels + np.arange(labels)[:, None]  # [label, c], as the tally
+    target = ((row * 8 + first * 4 + last * 2 + alt) * cells)[..., None] + np.arange(cells)
+    fold = (np.arange(n + 1)[:, None] == [p + v + 1 for p, v in keys]).astype(np.int64)
+    return _segments(target, np.arange(target.size)), keys, _read_only(fold), len(keys) * 8 * labels * cells
 
 
-def _marginal(counts: np.ndarray, n: int, signed: bool, weight: list[int], filters, biv: bool):
-    """The polynomial of a joint tally: each code's counts summed under
-    `weight`, one int per parity cell in C order, then over its class
-    (_class_plan).  filters holds a (value, one) pair per first, last and alt
-    column: a code is kept when its bit is value == one, or value is None."""
-    plan, keys = _class_plan(n, signed, tuple(None if v is None else v == one for v, one in filters), biv)
-    sums = _segment_sum(plan, counts.reshape(len(counts), -1) @ weight, len(keys)).tolist()
-    return BiPoly(zip(keys, sums)) if biv else UniPoly(sums)
+@functools.cache
+def _weight(group: str, sign: str | None, parity: str | None, filters: tuple, labels: range | None) -> tuple:
+    """A marginal's weight on a class table's columns, 0 on what it drops, as
+    (span, values) from its first nonzero column to its last.  D / B-D keep
+    an even / odd neg, a subset answer its `labels`; sign (a length or None)
+    makes its odd cells -1; parity keeps a half of the group's own length;
+    filters hold a (value, one) pair per first, last and alt bit, which must
+    be value == one unless value is None."""
+    cells = []
+    for inv, neg in ((0, 0), (1, 0)) if group == "A" else ((0, 0), (0, 1), (1, 0), (1, 1)):
+        kept = ((group in ("A", "B") or neg == (group == "B-D"))
+                and (parity is None or (inv ^ neg if group == "B" else inv) == (parity == "minus")))
+        cells.append(0 if not kept else -1 if sign and (inv ^ neg if sign == "inv_b" else inv) else 1)
+    first, last, alt = ([value is None or bit == (value == one) for bit in (0, 1)] for value, one in filters)
+    weight = np.array([cell * (f and l and a) for f in first for l in last for a in alt for cell in cells])
+    if labels is not None:
+        weight = (np.array([label in labels for label in range(16)])[:, None] * weight).ravel()
+    nonzero = weight.nonzero()[0]
+    span = slice(nonzero[0], nonzero[-1] + 1) if nonzero.size else slice(0)
+    return span, _read_only(weight[span])
 
 
-def _sum_a(counts, n, *, biv, signed=False, first=None, last=None, alternating=None, parity=None):
-    """A marginal of the A tally; the weight runs over inv mod 2."""
-    weight = [1, -1 if signed else 1]
-    if parity is not None:
-        weight[1 if parity == "plus" else 0] = 0
+def _marginal(classes: tuple, biv: bool, weight: tuple):
+    """The polynomial of a class table (_answer): its rows times a _weight,
+    one sum per (pk, val) class, folded into exponents for a univariate one."""
+    table, keys, fold = classes
+    span, values = weight
+    sums = table[:, span].dot(values)
+    return BiPoly(zip(keys, sums.tolist())) if biv else UniPoly(fold.dot(sums).tolist())
+
+
+def _sum_a(classes, *, biv, signed=False, first=None, last=None, alternating=None, parity=None):
+    """A marginal of the A tally's class table (_weight)."""
     filters = (first, "a"), (last, "a"), (alternating, True)
-    return _marginal(counts, n, False, weight, filters, biv)
+    return _marginal(classes, biv, _weight("A", "inv_a" if signed else None, parity, filters, None))
 
 
-def _sum_b(counts, n, *, biv, group="B", signed=None, end=None, first=None, alternating=None, parity=None):
-    """A marginal of the B tally over group B, D or B-D; the weight runs over
-    (inv(|w|), neg) mod 2.
-
-    D / B-D keep an even / odd neg; parity filters by the group's own
-    length, inv_B over B and inv_D over D and B-D.
-    """
-    weight = []
-    for inv_d, neg in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        inv_b = inv_d ^ neg
-        kept = ((group == "B" or neg == (group == "B-D"))
-                and (parity is None or (inv_b if group == "B" else inv_d) == (parity == "minus")))
-        sign = -1 if signed is not None and (inv_b if signed == "inv_b" else inv_d) else 1
-        weight.append(sign if kept else 0)
+def _sum_b(classes, *, biv, group="B", signed=None, end=None, first=None, alternating=None, parity=None,
+           labels=None):
+    """A marginal over group B, D or B-D of the B tally's class table, or of
+    the subset tally's over `labels` (_weight)."""
     filters = (first, "positive"), (end, "a"), (alternating, True)
-    return _marginal(counts, n, True, weight, filters, biv)
+    return _marginal(classes, biv, _weight(group, signed, parity, filters, labels))
 
 
 # =====================================================================
@@ -459,10 +480,10 @@ def dist_runs(req: SignedDistributionRequest, variable: str = "t", workers: int 
     biv = variable == "pq"
     if req.group == "A":
         first, last = req.end_restriction or (None, None)
-        return _answer("A", req.n, key, workers, lambda counts: _sum_a(
-            counts, req.n, biv=biv, signed=req.sign_statistic == "inv_a", first=first, last=last))
+        return _answer("A", req.n, key, workers, lambda classes: _sum_a(
+            classes, biv=biv, signed=req.sign_statistic == "inv_a", first=first, last=last))
     signed = req.sign_statistic if req.sign_statistic != "none" else None
-    return _answer("B", req.n, key, workers, lambda counts: _sum_b(counts, req.n, biv=biv, group=req.group,
+    return _answer("B", req.n, key, workers, lambda classes: _sum_b(classes, biv=biv, group=req.group,
                  signed=signed, end=req.end_restriction, first=req.first_letter_sign))
 
 
@@ -477,10 +498,10 @@ def dist_runs_parity_split(group: str, n: int, workers: int | None = None) -> tu
     group = normalize_group(group)
     _check_n(group, n)
     if group == "A":
-        return _answer("A", n, ("parity", group), workers, lambda counts: tuple(
-            _sum_a(counts, n, biv=False, parity=half) for half in ("plus", "minus")))
-    return _answer("B", n, ("parity", group), workers, lambda counts: tuple(
-        _sum_b(counts, n, biv=False, group=group, parity=half) for half in ("plus", "minus")))
+        return _answer("A", n, ("parity", group), workers, lambda classes: tuple(
+            _sum_a(classes, biv=False, parity=half) for half in ("plus", "minus")))
+    return _answer("B", n, ("parity", group), workers, lambda classes: tuple(
+        _sum_b(classes, biv=False, group=group, parity=half) for half in ("plus", "minus")))
 
 
 def class_poly_a(n: int, cls: str, signed: bool = True, workers: int | None = None) -> BiPoly:
@@ -498,7 +519,7 @@ def class_poly_a(n: int, cls: str, signed: bool = True, workers: int | None = No
     if not isinstance(signed, (bool, np.bool_)):
         raise DomainError(f"signed must be a bool, got {signed!r}")
     return _answer("A", n, ("class", cls, bool(signed)), workers,
-                   lambda counts: _sum_a(counts, n, biv=True, signed=signed, first=cls[0], last=cls[1]))
+                   lambda classes: _sum_a(classes, biv=True, signed=signed, first=cls[0], last=cls[1]))
 
 
 def count_alternating(group: str, n: int, parity: str = "all", workers: int | None = None) -> int:
@@ -511,10 +532,10 @@ def count_alternating(group: str, n: int, parity: str = "all", workers: int | No
         raise DomainError(f"unknown parity selector {parity!r}")
     selector = None if parity == "all" else parity
     if group == "A":
-        return _answer("A", n, ("alt", group, parity), workers, lambda counts: _sum_a(
-            counts, n, biv=False, alternating=True, parity=selector).eval_int(1))
-    return _answer("B", n, ("alt", group, parity), workers, lambda counts: _sum_b(
-        counts, n, biv=False, group=group, alternating=True, parity=selector).eval_int(1))
+        return _answer("A", n, ("alt", group, parity), workers, lambda classes: _sum_a(
+            classes, biv=False, alternating=True, parity=selector).eval_int(1))
+    return _answer("B", n, ("alt", group, parity), workers, lambda classes: _sum_b(
+        classes, biv=False, group=group, alternating=True, parity=selector).eval_int(1))
 
 
 def count_snakes(family: str, n: int, workers: int | None = None) -> int:
@@ -526,7 +547,7 @@ def count_snakes(family: str, n: int, workers: int | None = None) -> int:
     _check_n("B", n)
     group, parity = split_family(family)
     # a snake is an alternating word with a positive first letter
-    return _answer("B", n, ("snakes", family), workers, lambda counts: _sum_b(counts, n, biv=False, group=group,
+    return _answer("B", n, ("snakes", family), workers, lambda classes: _sum_b(classes, biv=False, group=group,
                  first="positive", alternating=True, parity=None if parity == "all" else parity).eval_int(1))
 
 
@@ -685,9 +706,9 @@ def _subset_cell(side: str, n: int, k: int, end: str, workers: int | None) -> Bi
     if not _one_of(end, ("a", "d")):
         raise DomainError("end must be 'a' or 'd'")
     # B: both d9 labels of k; D: the d9 = 0 label of k <= 8, and every d9 = 1 label for 9
-    labels = slice(1, None, 2) if k == 9 else slice(2 * k - 2, 2 * k - (side == "D"))
-    return _answer("subsets", n, (side, k, end), workers, lambda counts: _sum_b(
-        counts[labels].sum(0), n, biv=True, group=side, signed="inv_b" if side == "B" else "inv_d", end=end))
+    labels = range(1, 16, 2) if k == 9 else range(2 * k - 2, 2 * k - (side == "D"))
+    return _answer("subsets", n, (side, k, end), workers, lambda classes: _sum_b(
+        classes, biv=True, group=side, signed="inv_b" if side == "B" else "inv_d", end=end, labels=labels))
 
 
 def subset_contribution_b(n: int, k: int, end: str, workers: int | None = None) -> BiPoly:
@@ -759,6 +780,6 @@ def snake_subset_contribution(n: int, k: int, parity: str = "all", workers: int 
         raise DomainError("snake subset index must be 1..4")
     if not _one_of(parity, ("all", "plus", "minus")):
         raise DomainError(f"unknown parity selector {parity!r}")
-    return _answer("subsets", n, ("L", k, parity), workers, lambda counts: _sum_b(
-        counts[4 * k - 4:4 * k].sum(0), n, biv=False, group="D", first="positive", alternating=True,
-        parity=None if parity == "all" else parity).eval_int(1))
+    return _answer("subsets", n, ("L", k, parity), workers, lambda classes: _sum_b(
+        classes, biv=False, group="D", first="positive", alternating=True,
+        parity=None if parity == "all" else parity, labels=range(4 * k - 4, 4 * k)).eval_int(1))

@@ -677,8 +677,8 @@ def test_a_segment_sum_over_wide_targets_equals_the_scatter():
 
 
 def _marginal_by_codes(counts, n, signed, weight, filters, biv):
-    """_marginal as a loop over the codes: each kept code's counts, summed
-    under the weight, go to its (pk, val) or its t^(pk+val+1)."""
+    """_marginal as a loop over the codes of a raw tally: each kept code's
+    counts, summed under the weight, go to its (pk, val) or its t^(pk+val+1)."""
     pk, val, *cols = (col.tolist() for col in oracle._code_table(n, signed))
     acc = {}
     for code, row in enumerate(counts.reshape(len(pk), -1).tolist()):
@@ -688,37 +688,134 @@ def _marginal_by_codes(counts, n, signed, weight, filters, biv):
     return BiPoly(acc) if biv else UniPoly.from_dict(acc)
 
 
+def _cells_by_rule(group, sign, parity):
+    """The weight of each parity cell of the A tally (inv) or the B tally
+    (inv(|w|), neg), from the definitions: inv_A = inv, inv_D = inv(|w|) and
+    inv_B = inv(|w|) + neg (mod 2); D_n holds the words of even neg, B_n - D_n
+    those of odd neg; the parity half is of the group's own length."""
+    cells = []
+    for inv, neg in product((0, 1), (0,) if group == "A" else (0, 1)):
+        lengths = {"inv_a": inv, "inv_b": (inv + neg) % 2, "inv_d": inv}
+        own = lengths["inv_a" if group == "A" else "inv_b" if group == "B" else "inv_d"]
+        member = group in ("A", "B") or neg == (group == "B-D")
+        half = parity is None or own == ("plus", "minus").index(parity)
+        cells.append(member * half * (-1) ** (lengths[sign] if sign else 0))
+    return cells
+
+
 @pytest.mark.parametrize("kind, n", [("A", 11), ("B", 9)])
 def test_marginals_match_a_sum_over_codes(cold_caches, monkeypatch, kind, n):
-    """On the S_11 and B_9 tallies, every weight and filter that _sum_a or
-    _sum_b builds gives the same polynomial as a loop over the codes, and
-    an all-zero weight gives the zero polynomial."""
-    built, marginal = [], oracle._marginal
+    """On the class tables stored with the S_11 and B_9 tallies, every
+    weight that _sum_a or _sum_b builds gives the same polynomial as a loop
+    over the raw tally's codes under its filters and its cells' weights by
+    the definitions, and an all-zero weight gives the zero polynomial."""
+    count_alternating(kind, n)
+    counts, answers = oracle._TALLIES[kind, n]
+    classes, built, weight = answers["classes"], [], oracle._weight
 
     def spy(*args):
         built.append(args)
-        return marginal(*args)
+        return weight(*args)
 
-    monkeypatch.setattr(oracle, "_marginal", spy)
+    monkeypatch.setattr(oracle, "_weight", spy)
     parities = (None, "plus", "minus")
     if kind == "A":
-        counts = scan_joint_a(n)
         for signed, parity, first, last, alternating in product(
                 (False, True), parities, (None, "a", "d"), (None, "a", "d"), (None, True)):
-            oracle._sum_a(counts, n, biv=True, signed=signed, first=first, last=last,
+            oracle._sum_a(classes, biv=True, signed=signed, first=first, last=last,
                           alternating=alternating, parity=parity)
     else:
-        counts = scan_joint_b(n)
         for group, signed, parity, end, first, alternating in product(
                 ("B", "D", "B-D"), (None, "inv_b", "inv_d"), parities, (None, "a", "d"),
                 (None, "positive", "negative"), (None, True)):
-            oracle._sum_b(counts, n, biv=True, group=group, signed=signed, end=end, first=first,
+            oracle._sum_b(classes, biv=True, group=group, signed=signed, end=end, first=first,
                           alternating=alternating, parity=parity)
     assert len(built) == (108 if kind == "A" else 486)
     for args in built:
+        group, sign, parity, filters, _ = args
         for biv in (True, False):
-            assert marginal(*args[:5], biv) == _marginal_by_codes(*args[:5], biv), (args[3:5], biv)
-            assert marginal(*args[:3], [0] * len(args[3]), args[4], biv) == (BiPoly() if biv else UniPoly())
+            want = _marginal_by_codes(counts, n, kind == "B", _cells_by_rule(group, sign, parity), filters, biv)
+            assert oracle._marginal(classes, biv, weight(*args)) == want, (args, biv)
+            span, values = weight(*args)
+            assert oracle._marginal(classes, biv, (span, 0 * values)) == (BiPoly() if biv else UniPoly())
+
+
+def _subset_answers_by_cells(counts, n):
+    """Every subset answer of B_n as a loop over the codes and labels of its
+    subset tally counts[2(k - 1) + d9, c, inv(|w|), neg]: the inv_B-signed
+    (pk, val) sums of type B subset k by end class, keyed ("B", k, end); the
+    inv_D-signed ones over D_n, with k read as 9 when d9 is set, keyed
+    ("D", k, end); and the counts of the snakes of D_n (positive first
+    letter, alternating) in staircase subset L = ceil(k / 2), keyed
+    ("L", L, parity) for parity all and for their inv_D half."""
+    pk, val, first, last, alt = (col.tolist() for col in oracle._code_table(n, True))
+    want = {}
+    for (label, c, inv, neg), count in zip(np.ndindex(counts.shape), counts.ravel().tolist()):
+        k, d9, end, key = label // 2 + 1, label % 2, "a" if last[c] else "d", (pk[c], val[c])
+        terms = want.setdefault(("B", k, end), {})
+        terms[key] = terms.get(key, 0) + (-1) ** (inv ^ neg) * count
+        if neg == 0:
+            terms = want.setdefault(("D", 9 if d9 else k, end), {})
+            terms[key] = terms.get(key, 0) + (-1) ** inv * count
+            if first[c] and alt[c]:
+                for parity in ("all", ("plus", "minus")[inv]):
+                    want[("L", (k + 1) // 2, parity)] = want.get(("L", (k + 1) // 2, parity), 0) + count
+    return want
+
+
+def test_subset_marginals_match_a_sum_over_labelled_cells(cold_caches):
+    """At B_7, every label set that the public subset calls read (type B
+    k = 1..8 and type D k = 1..9 at both ends, snakes L = 1..4 at every
+    parity), folded into the weight of one class table, gives what a loop
+    over the codes and labels of scan_subsets(7) gives."""
+    n = 7
+    want = _subset_answers_by_cells(scan_subsets(n), n)
+    oracle.clear_caches()
+    got = {("B", k, end): subset_contribution_b(n, k, end) for k, end in product(range(1, 9), "ad")}
+    got |= {("D", k, end): subset_contribution_d(n, k, end) for k, end in product(range(1, 10), "ad")}
+    got |= {("L", k, parity): snake_subset_contribution(n, k, parity)
+            for k, parity in product(range(1, 5), ("all", "plus", "minus"))}
+    assert set(want) <= set(got)
+    for key, value in got.items():
+        assert value == (want.get(key, 0) if key[0] == "L" else BiPoly(want.get(key, {}))), key
+    assert all(any(value for key, value in got.items() if key[0] == side) for side in "BDL")
+
+
+def test_cached_plans_tables_and_weights_are_read_only(cold_caches):
+    """The functools-cached arrays (code tables, the insertion, subset and
+    class plans, the class fold and the marginal weights) and a tally's
+    stored class table refuse a write, and the class plan's keys are a
+    tuple; so after the attempts and clear_caches, S_5's run polynomial is
+    unchanged."""
+    want = UniPoly([0, 2, 28, 58, 32])
+    assert dist_runs(SignedDistributionRequest("A", 5)) == want
+    plan, keys, fold, _ = oracle._class_plan("A", 5)
+    _, weight = oracle._weight("A", None, None, ((None, "a"), (None, "a"), (None, True)), None)
+    plans = oracle._top_plan(5, False), oracle._top_plan(5, True), oracle._subset_plan(5), plan
+    arrays = [*oracle._code_table(5, False), *oracle._code_table(5, True), fold, weight,
+              oracle._TALLIES["A", 5][1]["classes"][0]]
+    arrays += [array for segments in plans for array in segments]
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[...] = 0
+    assert type(keys) is tuple
+    oracle.clear_caches()
+    assert dist_runs(SignedDistributionRequest("A", 5)) == want
+
+
+def test_a_cold_verify_builds_one_class_plan_per_tally_it_reads(cold_caches, monkeypatch):
+    """From cold, with an empty class plan cache, `run_checks("all")` builds
+    one class plan per (kind, n) whose class table it reads, and no more."""
+    built, build = [], oracle._class_plan.__wrapped__
+
+    def plan(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(oracle, "_class_plan", functools.cache(plan))
+    assert verify.run_checks("all").ok
+    read = [key for key, (_, answers) in oracle._TALLIES.items() if "classes" in answers]
+    assert read and sorted(built) == sorted(read)
 
 
 # --------------------------------------------------------- worker splits
