@@ -21,7 +21,7 @@ into its class table (`_class_plan`).
 Every count is int64, never floating point.  A word's
 peaks, valleys, end classes and alternation depend only on its ascent code:
 its adjacent-pair ascent bits, behind a 0 sentinel for signed words, packed
-into an integer, with a cached table per code length (`_code_table`).
+into an integer, with a table per code length (`_code_table`).
 Inversion parity is never counted pair by pair: inserting n at position i
 adds n-1-i (inv_D = inv(|w|), inv_B = inv(|w|) + neg (mod 2)).  So each
 tally is an int64 count array over codes and parity bits, cached as it is,
@@ -40,13 +40,14 @@ with no decode step:
   w' ends as w does.  So the subset tally is the stored B_(n-2) tally
   crossed with those 4n(n-1) row pairs, by the same insertion argument.
 
-Every distribution is a marginal of one of them: its class table, the tally
-summed once into [(pk, val) class, label, first, last, alt, parity cells]
-(`_class_plan`), times a cached weight (`_weight`) that folds in the filters,
-the sign, the parity half and the labels (`_sum_a`, `_sum_b`).  The type B
-subset k reads labels 2k - 2 and 2k - 1, the type D subset k <= 8 label
-2k - 2 and the D subset 9 every odd label, and the snakes of D_n in
-staircase subset L the labels 4L - 4 .. 4L - 1.
+Every distribution is a marginal of one of them, read by one route, `_sum`:
+the tally's class table, summed once into [(pk, val) class, label, first,
+last, alt, parity cells] (`_class_plan`), times a cached full-width weight
+(`_weight`) that folds in the group, the sign, the parity half, the first,
+last and alt filters and the labels.  In every group first and last are the
+code's end bits.  The type B subset k reads labels 2k - 2 and 2k - 1, the
+type D subset k <= 8 label 2k - 2 and the D subset 9 every odd label, and
+the snakes of D_n in staircase subset L the labels 4L - 4 .. 4L - 1.
 
 Every fill runs in the calling thread: S_1..S_11 take under 1 ms, and
 B_1..B_9 about as long, so a public call's worker count splits nothing and
@@ -62,9 +63,9 @@ store made by `new_cache`, `verify`'s check outcomes and EGF series
 included, so a run after it fills, builds and checks everything again.
 The one result memo it keeps is `closed_forms._recurrence_table`, a
 pure-formula memo that each n also hits for n - 1 within a run; it also
-keeps the `functools.cache` tables, plans and weights (`_code_table`,
-`_top_plan`, `_subset_plan`, `_class_plan`, `_weight`), which depend on n
-or on a marginal's filters alone, hold no result, and are read-only.
+keeps the `functools.cache` plans and weights (`_top_plan`, `_subset_plan`,
+`_class_plan`, `_weight`), which depend on n or on a marginal's filters
+alone, hold no result, and are read-only.
 The test suite keeps a pure-Python walk over perm_core's statistics as the
 reference for all three tallies and for every marginal.  Its `direct_walk`
 module keeps word-by-word numpy walks of S_n and of B_n, over perm_core's
@@ -161,7 +162,6 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 # cell at n (_top_index).
 # =====================================================================
 
-@functools.cache
 def _code_table(n: int, signed: bool) -> tuple[np.ndarray, ...]:
     """(pk, val, first, last, alt) of an n-letter word, indexed by its ascent code.
 
@@ -170,7 +170,7 @@ def _code_table(n: int, signed: bool) -> tuple[np.ndarray, ...]:
     letter is positive; an unsigned word has n - 1.  A peak is a rise before
     a fall, a valley a fall before a rise; first and last are the end bits (1
     for the one-letter S_1 word); alt is 1 when the word's own pairs fall,
-    rise, fall, ...
+    rise, fall, ...  It is not cached: its one reader, _class_plan, is.
     """
     nbits = n if signed else n - 1
     bits = (np.arange(1 << nbits)[:, None] >> np.arange(nbits)) & 1
@@ -179,7 +179,7 @@ def _code_table(n: int, signed: bool) -> tuple[np.ndarray, ...]:
     first, last = (bits[:, 0], bits[:, -1]) if nbits else (np.ones(1, dtype=np.int64),) * 2
     own = bits[:, 1:] if signed else bits
     alt = (own == np.arange(own.shape[1]) % 2).all(1).astype(np.int64)
-    return tuple(map(_read_only, (pk, val, first, last, alt)))
+    return pk, val, first, last, alt
 
 
 def _top_insertions(n: int) -> dict[str, np.ndarray]:
@@ -308,14 +308,16 @@ def _tally(kind: str, n: int) -> tuple[np.ndarray, dict]:
     return entry
 
 
-def _answer(kind: str, n: int, key: tuple, workers: int | None, marginal):
-    """marginal(classes) of the kind's tally at a checked n (_tally), stored
-    under `key`, an accepted call's canonical form, once an explicit worker
-    count is checked; classes, its class table (_class_plan), is stored on
-    the first answer.  Threads that ask for one new key at once store equal
+def _answer(group: str, n: int, key: tuple, workers: int | None, marginal):
+    """marginal(classes) of a tally at a checked n (_tally), picked by group
+    as _stored picks it ("A", "subsets", else the B tally), stored under
+    `key`, an accepted call's canonical form, once an explicit worker count
+    is checked; classes, its class table (_class_plan), is stored on the
+    first answer.  Threads that ask for one new key at once store equal
     values.  Every answer is a read-only value, so the stored one is returned."""
     if workers is not None:
         resolve_workers(workers)
+    kind = "A" if group == "A" else "subsets" if group == "subsets" else "B"
     tally, answers = _tally(kind, n)
     if (hit := answers.get(key)) is None:
         if (classes := answers.get("classes")) is None:
@@ -348,13 +350,12 @@ def _class_plan(kind: str, n: int) -> tuple[tuple[np.ndarray, ...], tuple, np.nd
 
 
 @functools.cache
-def _weight(group: str, sign: str | None, parity: str | None, filters: tuple, labels: range | None) -> tuple:
-    """A marginal's weight on a class table's columns, 0 on what it drops, as
-    (span, values) from its first nonzero column to its last.  D / B-D keep
-    an even / odd neg, a subset answer its `labels`; sign (a length or None)
-    makes its odd cells -1; parity keeps a half of the group's own length;
-    filters hold a (value, one) pair per first, last and alt bit, which must
-    be value == one unless value is None."""
+def _weight(group: str, sign: str | None, parity: str | None, filters: tuple, labels: range | None) -> np.ndarray:
+    """A marginal's read-only weight on each column of a class table, 0 on
+    what it drops.  D / B-D keep an even / odd neg, a subset answer its
+    `labels`; sign (a length or None) makes its odd cells -1; parity keeps a
+    half of the group's own length; filters hold a (value, one) pair per
+    first, last and alt bit, which must be value == one unless value is None."""
     cells = []
     for inv, neg in ((0, 0), (1, 0)) if group == "A" else ((0, 0), (0, 1), (1, 0), (1, 1)):
         kept = ((group in ("A", "B") or neg == (group == "B-D"))
@@ -364,32 +365,24 @@ def _weight(group: str, sign: str | None, parity: str | None, filters: tuple, la
     weight = np.array([cell * (f and l and a) for f in first for l in last for a in alt for cell in cells])
     if labels is not None:
         weight = (np.array([label in labels for label in range(16)])[:, None] * weight).ravel()
-    nonzero = weight.nonzero()[0]
-    span = slice(nonzero[0], nonzero[-1] + 1) if nonzero.size else slice(0)
-    return span, _read_only(weight[span])
+    return _read_only(weight)
 
 
-def _marginal(classes: tuple, biv: bool, weight: tuple):
+def _marginal(classes: tuple, biv: bool, weight: np.ndarray):
     """The polynomial of a class table (_answer): its rows times a _weight,
     one sum per (pk, val) class, folded into exponents for a univariate one."""
     table, keys, fold = classes
-    span, values = weight
-    sums = table[:, span].dot(values)
+    sums = table.dot(weight)
     return BiPoly(zip(keys, sums.tolist())) if biv else UniPoly(fold.dot(sums).tolist())
 
 
-def _sum_a(classes, *, biv, signed=False, first=None, last=None, alternating=None, parity=None):
-    """A marginal of the A tally's class table (_weight)."""
-    filters = (first, "a"), (last, "a"), (alternating, True)
-    return _marginal(classes, biv, _weight("A", "inv_a" if signed else None, parity, filters, None))
-
-
-def _sum_b(classes, *, biv, group="B", signed=None, end=None, first=None, alternating=None, parity=None,
-           labels=None):
-    """A marginal over group B, D or B-D of the B tally's class table, or of
-    the subset tally's over `labels` (_weight)."""
-    filters = (first, "positive"), (end, "a"), (alternating, True)
-    return _marginal(classes, biv, _weight(group, signed, parity, filters, labels))
+def _sum(classes, group, *, biv, sign=None, first=None, last=None, alternating=None, parity=None, labels=None):
+    """A marginal over group A, B, D or B-D of a class table (_answer), that
+    of the subset tally over its `labels` (_weight).  first and last filter
+    the first and last code bits: "a" or "d" in type A, and first "positive"
+    or "negative" in the signed groups."""
+    filters = (first, "a" if group == "A" else "positive"), (last, "a"), (alternating, True)
+    return _marginal(classes, biv, _weight(group, sign, parity, filters, labels))
 
 
 # =====================================================================
@@ -477,14 +470,10 @@ def dist_runs(req: SignedDistributionRequest, variable: str = "t", workers: int 
     if not _one_of(variable, ("t", "pq")):
         raise DomainError(f"unknown variable selector {variable!r}")
     _check_n(req.group, req.n)
-    biv = variable == "pq"
-    if req.group == "A":
-        first, last = req.end_restriction or (None, None)
-        return _answer("A", req.n, key, workers, lambda classes: _sum_a(
-            classes, biv=biv, signed=req.sign_statistic == "inv_a", first=first, last=last))
-    signed = req.sign_statistic if req.sign_statistic != "none" else None
-    return _answer("B", req.n, key, workers, lambda classes: _sum_b(classes, biv=biv, group=req.group,
-                 signed=signed, end=req.end_restriction, first=req.first_letter_sign))
+    biv, sign, end = variable == "pq", req.sign_statistic, req.end_restriction
+    first, last = end if req.group == "A" and end else (req.first_letter_sign, end)  # an A end class names both
+    return _answer(req.group, req.n, key, workers, lambda classes: _sum(
+        classes, req.group, biv=biv, sign=None if sign == "none" else sign, first=first, last=last))
 
 
 def dist_runs_parity_split(group: str, n: int, workers: int | None = None) -> tuple[UniPoly, UniPoly]:
@@ -497,11 +486,8 @@ def dist_runs_parity_split(group: str, n: int, workers: int | None = None) -> tu
         return hit
     group = normalize_group(group)
     _check_n(group, n)
-    if group == "A":
-        return _answer("A", n, ("parity", group), workers, lambda classes: tuple(
-            _sum_a(classes, biv=False, parity=half) for half in ("plus", "minus")))
-    return _answer("B", n, ("parity", group), workers, lambda classes: tuple(
-        _sum_b(classes, biv=False, group=group, parity=half) for half in ("plus", "minus")))
+    return _answer(group, n, ("parity", group), workers, lambda classes: tuple(
+        _sum(classes, group, biv=False, parity=half) for half in ("plus", "minus")))
 
 
 def class_poly_a(n: int, cls: str, signed: bool = True, workers: int | None = None) -> BiPoly:
@@ -519,7 +505,8 @@ def class_poly_a(n: int, cls: str, signed: bool = True, workers: int | None = No
     if not isinstance(signed, (bool, np.bool_)):
         raise DomainError(f"signed must be a bool, got {signed!r}")
     return _answer("A", n, ("class", cls, bool(signed)), workers,
-                   lambda classes: _sum_a(classes, biv=True, signed=signed, first=cls[0], last=cls[1]))
+                   lambda classes: _sum(classes, "A", biv=True, sign="inv_a" if signed else None,
+                                        first=cls[0], last=cls[1]))
 
 
 def count_alternating(group: str, n: int, parity: str = "all", workers: int | None = None) -> int:
@@ -531,11 +518,8 @@ def count_alternating(group: str, n: int, parity: str = "all", workers: int | No
     if not _one_of(parity, ("all", "plus", "minus")):
         raise DomainError(f"unknown parity selector {parity!r}")
     selector = None if parity == "all" else parity
-    if group == "A":
-        return _answer("A", n, ("alt", group, parity), workers, lambda classes: _sum_a(
-            classes, biv=False, alternating=True, parity=selector).eval_int(1))
-    return _answer("B", n, ("alt", group, parity), workers, lambda classes: _sum_b(
-        classes, biv=False, group=group, alternating=True, parity=selector).eval_int(1))
+    return _answer(group, n, ("alt", group, parity), workers, lambda classes: _sum(
+        classes, group, biv=False, alternating=True, parity=selector).eval_int(1))
 
 
 def count_snakes(family: str, n: int, workers: int | None = None) -> int:
@@ -547,8 +531,8 @@ def count_snakes(family: str, n: int, workers: int | None = None) -> int:
     _check_n("B", n)
     group, parity = split_family(family)
     # a snake is an alternating word with a positive first letter
-    return _answer("B", n, ("snakes", family), workers, lambda classes: _sum_b(classes, biv=False, group=group,
-                 first="positive", alternating=True, parity=None if parity == "all" else parity).eval_int(1))
+    return _answer(group, n, ("snakes", family), workers, lambda classes: _sum(classes, group, biv=False,
+                   first="positive", alternating=True, parity=None if parity == "all" else parity).eval_int(1))
 
 
 # =====================================================================
@@ -707,8 +691,8 @@ def _subset_cell(side: str, n: int, k: int, end: str, workers: int | None) -> Bi
         raise DomainError("end must be 'a' or 'd'")
     # B: both d9 labels of k; D: the d9 = 0 label of k <= 8, and every d9 = 1 label for 9
     labels = range(1, 16, 2) if k == 9 else range(2 * k - 2, 2 * k - (side == "D"))
-    return _answer("subsets", n, (side, k, end), workers, lambda classes: _sum_b(
-        classes, biv=True, group=side, signed="inv_b" if side == "B" else "inv_d", end=end, labels=labels))
+    return _answer("subsets", n, (side, k, end), workers, lambda classes: _sum(
+        classes, side, biv=True, sign="inv_b" if side == "B" else "inv_d", last=end, labels=labels))
 
 
 def subset_contribution_b(n: int, k: int, end: str, workers: int | None = None) -> BiPoly:
@@ -780,6 +764,6 @@ def snake_subset_contribution(n: int, k: int, parity: str = "all", workers: int 
         raise DomainError("snake subset index must be 1..4")
     if not _one_of(parity, ("all", "plus", "minus")):
         raise DomainError(f"unknown parity selector {parity!r}")
-    return _answer("subsets", n, ("L", k, parity), workers, lambda classes: _sum_b(
-        classes, biv=False, group="D", first="positive", alternating=True,
+    return _answer("subsets", n, ("L", k, parity), workers, lambda classes: _sum(
+        classes, "D", biv=False, first="positive", alternating=True,
         parity=None if parity == "all" else parity, labels=range(4 * k - 4, 4 * k)).eval_int(1))

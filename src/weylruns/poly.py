@@ -138,8 +138,9 @@ class BiPoly:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[tuple[int, int], int] = ()):
-        self._terms: dict[tuple[int, int], int] = {k: v for k, v in dict(terms).items() if v != 0}
+    def __init__(self, terms: Mapping[tuple[int, int], int] | Iterable[tuple[tuple[int, int], int]] = ()):
+        pairs = terms.items() if hasattr(terms, "items") else terms  # a mapping, else its (key, value) pairs
+        self._terms: dict[tuple[int, int], int] = {k: v for k, v in pairs if v != 0}
 
     @property
     def terms(self) -> Mapping[tuple[int, int], int]:

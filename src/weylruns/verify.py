@@ -29,6 +29,7 @@ status "paper-formula-mismatch-documented" instead of failing.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import partial
 from math import factorial
@@ -741,14 +742,17 @@ def run_checks(
     """
     if workers is not None:
         oracle.resolve_workers(workers)
+    bounds = []
     for name, bound in (("n_min", n_min), ("n_max", n_max)):
-        if bound is None:
-            continue
-        if type(bound) is not int:
-            perm_core.check_integer(bound, name)
-        if bound < 0 or bound > perm_core.CAP_A and bound > perm_core.CAP_B:
-            raise DomainError(f"{name}={bound} outside 0..{max(perm_core.CAP_A, perm_core.CAP_B)}, "
-                              "the largest enumeration cap")
+        if bound is not None:
+            if type(bound) is not int:
+                perm_core.check_integer(bound, name)
+                bound = operator.index(bound)  # a numpy integer: a report's n is an int
+            if bound < 0 or bound > perm_core.CAP_A and bound > perm_core.CAP_B:
+                raise DomainError(f"{name}={bound} outside 0..{max(perm_core.CAP_A, perm_core.CAP_B)}, "
+                                  "the largest enumeration cap")
+        bounds.append(bound)
+    n_min, n_max = bounds
     if n_min is not None and n_max is not None and n_min > n_max:
         raise DomainError(f"empty range: n_min={n_min} > n_max={n_max}")
     # an array's == would compare its elements, and a list cannot be hashed

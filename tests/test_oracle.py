@@ -706,7 +706,7 @@ def _cells_by_rule(group, sign, parity):
 @pytest.mark.parametrize("kind, n", [("A", 11), ("B", 9)])
 def test_marginals_match_a_sum_over_codes(cold_caches, monkeypatch, kind, n):
     """On the class tables stored with the S_11 and B_9 tallies, every
-    weight that _sum_a or _sum_b builds gives the same polynomial as a loop
+    weight that _sum builds for its group gives the same polynomial as a loop
     over the raw tally's codes under its filters and its cells' weights by
     the definitions, and an all-zero weight gives the zero polynomial."""
     count_alternating(kind, n)
@@ -719,25 +719,19 @@ def test_marginals_match_a_sum_over_codes(cold_caches, monkeypatch, kind, n):
 
     monkeypatch.setattr(oracle, "_weight", spy)
     parities = (None, "plus", "minus")
-    if kind == "A":
-        for signed, parity, first, last, alternating in product(
-                (False, True), parities, (None, "a", "d"), (None, "a", "d"), (None, True)):
-            oracle._sum_a(classes, biv=True, signed=signed, first=first, last=last,
-                          alternating=alternating, parity=parity)
-    else:
-        for group, signed, parity, end, first, alternating in product(
-                ("B", "D", "B-D"), (None, "inv_b", "inv_d"), parities, (None, "a", "d"),
-                (None, "positive", "negative"), (None, True)):
-            oracle._sum_b(classes, biv=True, group=group, signed=signed, end=end, first=first,
-                          alternating=alternating, parity=parity)
+    groups, signs, firsts = (("A",), (None, "inv_a"), ("a", "d")) if kind == "A" else (
+        ("B", "D", "B-D"), (None, "inv_b", "inv_d"), ("positive", "negative"))
+    for group, sign, parity, first, last, alternating in product(
+            groups, signs, parities, (None, *firsts), (None, "a", "d"), (None, True)):
+        oracle._sum(classes, group, biv=True, sign=sign, first=first, last=last, alternating=alternating,
+                    parity=parity)
     assert len(built) == (108 if kind == "A" else 486)
     for args in built:
         group, sign, parity, filters, _ = args
         for biv in (True, False):
             want = _marginal_by_codes(counts, n, kind == "B", _cells_by_rule(group, sign, parity), filters, biv)
             assert oracle._marginal(classes, biv, weight(*args)) == want, (args, biv)
-            span, values = weight(*args)
-            assert oracle._marginal(classes, biv, (span, 0 * values)) == (BiPoly() if biv else UniPoly())
+            assert oracle._marginal(classes, biv, 0 * weight(*args)) == (BiPoly() if biv else UniPoly())
 
 
 def _subset_answers_by_cells(counts, n):
@@ -782,18 +776,17 @@ def test_subset_marginals_match_a_sum_over_labelled_cells(cold_caches):
 
 
 def test_cached_plans_tables_and_weights_are_read_only(cold_caches):
-    """The functools-cached arrays (code tables, the insertion, subset and
-    class plans, the class fold and the marginal weights) and a tally's
+    """The functools-cached arrays (the insertion, subset and class plans,
+    the class fold and the marginal weights) and a tally's
     stored class table refuse a write, and the class plan's keys are a
     tuple; so after the attempts and clear_caches, S_5's run polynomial is
     unchanged."""
     want = UniPoly([0, 2, 28, 58, 32])
     assert dist_runs(SignedDistributionRequest("A", 5)) == want
     plan, keys, fold, _ = oracle._class_plan("A", 5)
-    _, weight = oracle._weight("A", None, None, ((None, "a"), (None, "a"), (None, True)), None)
+    weight = oracle._weight("A", None, None, ((None, "a"), (None, "a"), (None, True)), None)
     plans = oracle._top_plan(5, False), oracle._top_plan(5, True), oracle._subset_plan(5), plan
-    arrays = [*oracle._code_table(5, False), *oracle._code_table(5, True), fold, weight,
-              oracle._TALLIES["A", 5][1]["classes"][0]]
+    arrays = [fold, weight, oracle._TALLIES["A", 5][1]["classes"][0]]
     arrays += [array for segments in plans for array in segments]
     for array in arrays:
         with pytest.raises(ValueError):

@@ -180,6 +180,12 @@ def test_polynomials_are_read_only():
             write()
     assert f.coeffs == (1, -2, 3) and dict(g.terms) == {(0, 0): 1, (2, 1): -4}
     assert g.coeff(2, 1) == g.terms[(2, 1)] == -4
+    # built in one pass from a dict or from pairs, zeros dropped, and never a view of its input
+    terms = {(0, 0): 1, (1, 1): 0, (2, 1): -4}
+    h = BiPoly(terms)
+    terms[(0, 0)], terms[(3, 3)] = 9, 1
+    assert h == g == BiPoly(zip([(0, 0), (1, 1), (2, 1), (4, 4)], [1, 0, -4, 0])) == BiPoly(g.terms)
+    assert dict(h.terms) == {(0, 0): 1, (2, 1): -4}
 
 
 @settings(max_examples=50, deadline=None)

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import inspect
+import json
 import pickle
 from fractions import Fraction
 
@@ -79,6 +80,17 @@ def test_a_bound_outside_the_caps_is_refused_before_any_check(monkeypatch, bound
     monkeypatch.setattr(verify, "_skip", forbidden)
     with pytest.raises(DomainError, match=r"outside 0\.\.11, the largest enumeration cap"):
         run_checks("all", **bounds)
+
+
+@pytest.mark.parametrize("bounds", [{"n_max": np.int64(2)}, {"n_min": np.int64(11)}],
+                         ids=["n_max=int64(2)", "n_min=int64(11)"])
+def test_a_numpy_integer_bound_gives_a_report_that_serializes(bounds):
+    """A numpy integer bound, which check_integer accepts, is read as an
+    int: the skipped outcome it makes has an int n, and the report's JSON
+    form passes json.dumps."""
+    report = run_checks("wilf", **bounds)
+    assert report.outcomes and all(type(o.n) is int for o in report.outcomes)
+    assert json.loads(json.dumps(report.to_json())) == report.to_json()
 
 
 def test_the_bound_limit_reads_the_caps_at_call_time(monkeypatch):
